@@ -1,10 +1,10 @@
 // google-benchmark microbenchmarks for the MapReduce simulator: per-operator
 // execution throughput and UDF local-function pipelines.
 //
-// `micro_engine --json` instead runs a fixed engine workload at 1 and 8
-// threads and prints a single JSON line with wall-clock ms and rows/sec per
-// thread count — the seed of the BENCH_*.json perf trajectory (scripts/
-// bench.sh wraps this).
+// `micro_engine --json` instead runs a fixed engine workload at 1, 2, 4 and
+// 8 threads and prints one JSON line with wall-clock ms and rows/sec per
+// thread count, plus a warm-rewrite line — the BENCH_engine.json perf
+// trajectory (scripts/bench.sh wraps this).
 
 #include <benchmark/benchmark.h>
 
@@ -133,7 +133,7 @@ namespace {
 
 // Version tag of the BENCH_engine.json record layout. Bump when keys change
 // meaning; scripts/bench.sh quarantines records predating the tag.
-constexpr int kBenchSchemaVersion = 2;
+constexpr int kBenchSchemaVersion = 3;
 
 // The --json engine workload: one pass of every operator class (map-only,
 // shuffle join, shuffle aggregation, UDF pipeline) over the synthetic log.
@@ -146,7 +146,6 @@ struct JsonRun {
 };
 
 JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
-                          bool vectorized, bool pipelined, bool fused = true,
                           bool traced = false,
                           std::vector<std::shared_ptr<obs::Trace>>* traces =
                               nullptr) {
@@ -158,9 +157,6 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
   config.session.engine.retain_views = false;
   config.session.engine.collect_stats = false;
   config.session.engine.num_threads = num_threads;
-  config.session.engine.vectorized = vectorized;
-  config.session.engine.pipelined = pipelined;
-  config.session.engine.fused_exprs = fused;
   config.session.obs.tracing = traced;
   auto bed_result = workload::TestBed::Create(config);
   if (!bed_result.ok()) std::abort();
@@ -195,11 +191,11 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
       if (!result.ok()) std::abort();
       run.metrics += result.value().metrics;
       if (it == 0 && result.value().table != nullptr) {
-        // Determinism receipt: every mode/thread-count must produce the
-        // same bytes in the same order, so hash rows in order. Columnar
-        // outputs hash through HashRowAt (== RowHash over the materialized
-        // row, per the batch-layer contract) so the receipt never forces a
-        // row materialization the mode itself didn't pay for.
+        // Determinism receipt: every thread count must produce the same
+        // bytes in the same order, so hash rows in order. Columnar outputs
+        // hash through HashRowAt (== RowHash over the materialized row, per
+        // the batch-layer contract) so the receipt never forces a row
+        // materialization the engine itself didn't pay for.
         const storage::TablePtr& table = result.value().table;
         if (table->columnar()) {
           for (const storage::RowBatch& b : *table->ToBatches()) {
@@ -220,8 +216,8 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
     }
     // Iteration 0 pays for the determinism hash and trace capture, so the
     // fastest iteration is a steady-state measurement: one five-job pass
-    // with nothing bolted on. The gate compares modes on this number —
-    // a single noisy-neighbor stall in one iteration no longer skews it.
+    // with nothing bolted on — a single noisy-neighbor stall in one
+    // iteration does not skew it.
     const double iter_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - iter_start)
                               .count();
@@ -338,20 +334,18 @@ std::unique_ptr<workload::TestBed> MakeRewriteBed(size_t n_tweets,
   config.calibrate_udfs = false;
   config.session.engine.collect_stats = true;  // feeds the residual metrics
   config.session.engine.num_threads = num_threads;
-  config.session.engine.vectorized = true;
-  config.session.engine.pipelined = true;
   config.session.rewrite.log_decisions = log_decisions;
   auto bed_result = workload::TestBed::Create(config);
   if (!bed_result.ok()) std::abort();
   return std::move(bed_result).value();
 }
 
-// The fourth --json record, mode "warm_rewrite": the only record that
-// exercises the paper's actual reuse loop. A cold pass materializes the
-// opportunistic views, a warm pass over the same plans rewrites against
-// them; the record carries the view/decision/residual observability the
-// cold-only modes cannot produce, plus the decision-logging overhead
-// (warm-pass wall with the DecisionLog on vs off).
+// The second --json record, mode "warm_rewrite": the record that exercises
+// the paper's actual reuse loop. A cold pass materializes the opportunistic
+// views, a warm pass over the same plans rewrites against them; the record
+// carries the view/decision/residual observability the cold-only engine
+// record cannot produce, plus the decision-logging overhead (warm-pass wall
+// with the DecisionLog on vs off).
 void PrintWarmRewriteRecord(size_t n_tweets, int iterations, int hw_cores,
                             int num_threads) {
   auto bed = MakeRewriteBed(n_tweets, num_threads, /*log_decisions=*/true);
@@ -380,7 +374,6 @@ void PrintWarmRewriteRecord(size_t n_tweets, int iterations, int hw_cores,
   w.Key("bench").String("micro_engine");
   w.Key("schema_version").Int(kBenchSchemaVersion);
   w.Key("mode").String("warm_rewrite");
-  w.Key("pipelined").Bool(true);
   w.Key("n_tweets").UInt(n_tweets);
   w.Key("iterations").Int(iterations);
   w.Key("hw_cores").Int(hw_cores);
@@ -408,145 +401,17 @@ void PrintWarmRewriteRecord(size_t n_tweets, int iterations, int hw_cores,
   std::printf("%s\n", w.str().c_str());
 }
 
-// Order-sensitive hash of one result table (same per-row hashing as the
-// determinism receipt in RunEngineWorkload, scoped to a single job).
-uint64_t OutputHashOf(const storage::TablePtr& table) {
-  uint64_t h = 0;
-  if (table->columnar()) {
-    for (const storage::RowBatch& b : *table->ToBatches()) {
-      for (size_t r = 0; r < b.num_rows(); ++r) {
-        HashCombine(&h, b.HashRowAt(r));
-      }
-    }
-  } else {
-    for (const storage::Row& r : table->rows()) {
-      HashCombine(&h, storage::RowHash{}(r));
-    }
-  }
-  return h;
-}
-
-std::unique_ptr<workload::TestBed> MakeFlatHashBed(size_t n_tweets,
-                                                  bool flat_hash) {
-  workload::TestBedConfig config;
-  config.data.n_tweets = n_tweets;
-  config.data.n_checkins = n_tweets / 2;
-  config.data.n_locations = 300;
-  config.calibrate_udfs = false;
-  config.session.engine.retain_views = false;
-  config.session.engine.collect_stats = false;
-  config.session.engine.num_threads = 1;
-  config.session.engine.vectorized = true;
-  config.session.engine.pipelined = true;
-  config.session.engine.flat_hash = flat_hash;
-  auto bed_result = workload::TestBed::Create(config);
-  if (!bed_result.ok()) std::abort();
-  return std::move(bed_result).value();
-}
-
-struct JobTime {
-  double best_iter_s = 0;     // fastest single run (noise-robust)
-  uint64_t output_hash = 0;   // order-sensitive hash of the first run
-};
-
-template <typename MakePlan>
-JobTime TimeJob(workload::TestBed* bed, MakePlan make_plan, int iterations) {
-  JobTime jt;
-  for (int it = 0; it < iterations; ++it) {
-    plan::Plan p = make_plan();
-    const auto t0 = std::chrono::steady_clock::now();
-    auto result = bed->session().Run(std::move(p), RunOptions{.rewrite = false});
-    if (!result.ok()) std::abort();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (it == 0 && result.value().table != nullptr) {
-      jt.output_hash = OutputHashOf(result.value().table);
-    }
-    if (s > 0 && (jt.best_iter_s == 0 || s < jt.best_iter_s)) {
-      jt.best_iter_s = s;
-    }
-  }
-  return jt;
-}
-
-// The "flat_hash" record: the tentpole's perf receipt. Runs a shuffle join
-// and a shuffle aggregation — both keyed on {user_id, client_ver}, an
-// int64 + dict-string composite that exercises every flat-hash lane — at
-// one thread with EngineOptions::flat_hash on vs off, on the default
-// engine (batch kernels, pipelined shuffle). scripts/bench.sh --check
-// gates join_speedup and groupby_speedup at FLAT_HASH_FLOOR, gated on
-// outputs_match (a speedup with different bytes is a bug, not a win).
-void PrintFlatHashRecord(size_t n_tweets, int iterations, int hw_cores) {
-  auto make_join = [] {
-    auto counts =
-        plan::GroupBy(plan::Scan("TWTR"), {"user_id", "client_ver"},
-                      {plan::AggSpec{plan::AggFn::kCount, "", "c"}});
-    return plan::Plan(plan::Join(
-        plan::Project(plan::Scan("TWTR"),
-                      {"tweet_id", "user_id", "client_ver"}),
-        counts, {{"user_id", "user_id"}, {"client_ver", "client_ver"}}));
-  };
-  // Count-only over a wide composite key: keeps the reduce dominated by
-  // key hashing/grouping — what this record measures — rather than
-  // aggregate-state arithmetic both paths share.
-  auto make_group = [] {
-    return plan::Plan(
-        plan::GroupBy(plan::Scan("TWTR"), {"user_id", "client_ver"},
-                      {plan::AggSpec{plan::AggFn::kCount, "", "c"}}));
-  };
-
-  auto flat_bed = MakeFlatHashBed(n_tweets, /*flat_hash=*/true);
-  auto legacy_bed = MakeFlatHashBed(n_tweets, /*flat_hash=*/false);
-  const JobTime flat_join = TimeJob(flat_bed.get(), make_join, iterations);
-  const JobTime legacy_join = TimeJob(legacy_bed.get(), make_join, iterations);
-  const JobTime flat_group = TimeJob(flat_bed.get(), make_group, iterations);
-  const JobTime legacy_group =
-      TimeJob(legacy_bed.get(), make_group, iterations);
-
-  const bool outputs_match =
-      flat_join.output_hash == legacy_join.output_hash &&
-      flat_group.output_hash == legacy_group.output_hash;
-
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("micro_engine");
-  w.Key("schema_version").Int(kBenchSchemaVersion);
-  w.Key("mode").String("flat_hash");
-  w.Key("n_tweets").UInt(n_tweets);
-  w.Key("iterations").Int(iterations);
-  w.Key("hw_cores").Int(hw_cores);
-  w.Key("threads").BeginArray().Int(1).EndArray();
-  w.Key("flat_join_wall_ms").Double(flat_join.best_iter_s * 1000.0);
-  w.Key("legacy_join_wall_ms").Double(legacy_join.best_iter_s * 1000.0);
-  w.Key("join_speedup")
-      .Double(flat_join.best_iter_s > 0
-                  ? legacy_join.best_iter_s / flat_join.best_iter_s
-                  : 0);
-  w.Key("flat_groupby_wall_ms").Double(flat_group.best_iter_s * 1000.0);
-  w.Key("legacy_groupby_wall_ms").Double(legacy_group.best_iter_s * 1000.0);
-  w.Key("groupby_speedup")
-      .Double(flat_group.best_iter_s > 0
-                  ? legacy_group.best_iter_s / flat_group.best_iter_s
-                  : 0);
-  w.Key("output_hash").UInt(flat_join.output_hash);
-  w.Key("outputs_match").Bool(outputs_match);
-  w.EndObject();
-  std::printf("%s\n", w.str().c_str());
-}
-
-// Prints one JSON record per execution mode — "row" and "batch" keep the
-// phased (pre-pipelining) engine for trajectory continuity with earlier
-// BENCH entries; "pipelined" is the current default engine (batch kernels +
-// morsel-driven pipelined shuffle). Each record sweeps thread counts
-// {1, 2, 4, 8} untraced plus one traced run at the top thread count (the
-// traced-vs-untraced delta is the tracing overhead). Every record carries an
-// order-sensitive hash of the result tables; `outputs_match_row_mode`
-// asserts the determinism contract across modes, and `hw_cores` records how
-// much real parallelism backed the numbers (speedups are meaningless on a
-// 1-core runner). scripts/bench.sh timestamps and appends every line to
-// BENCH_engine.json, so the perf trajectory across PRs accumulates instead
-// of being overwritten.
+// Prints the "pipelined" record (the name earlier trajectory records gave
+// the path that is now the engine's only one): the five-job workload,
+// sweeping thread counts {1, 2, 4, 8} untraced plus one traced run at
+// the top thread count (the traced-vs-untraced delta is the tracing
+// overhead), then the "warm_rewrite" record. The pipelined record carries an
+// order-sensitive hash of the result tables; `outputs_match_threads`
+// asserts the determinism contract across thread counts, and `hw_cores`
+// records how much real parallelism backed the numbers (speedups are
+// meaningless on a 1-core runner). scripts/bench.sh timestamps and appends
+// every line to BENCH_engine.json, so the perf trajectory across PRs
+// accumulates instead of being overwritten.
 int RunJsonMode(const char* trace_path) {
   constexpr size_t kTweets = 12000;
   constexpr int kIters = 3;
@@ -554,114 +419,73 @@ int RunJsonMode(const char* trace_path) {
   constexpr size_t kNumThreads = sizeof(kThreads) / sizeof(kThreads[0]);
   const int hw_cores = ThreadPool::DefaultThreads(0);
   std::vector<std::shared_ptr<obs::Trace>> traces;
-  struct Mode {
-    const char* name;
-    bool vectorized;
-    bool pipelined;
-    bool fused;
-  };
-  // "batch_unfused"/"pipelined_unfused" pin the pre-fusion batch kernels so
-  // the fused-vs-unfused delta and the byte-identity contract across
-  // {fused,unfused} x {phased,pipelined} stay measured in the trajectory.
-  constexpr Mode kModes[] = {
-      {"row", false, false, true},
-      {"batch", true, false, true},
-      {"batch_unfused", true, false, false},
-      {"pipelined", true, true, true},
-      {"pipelined_unfused", true, true, false},
-  };
   // On a 1-core host every lane above 1 thread measures the same inline
   // execution three more times; skip them. The skipped lanes stay in the
   // JSON arrays as nulls so the record schema (and the trajectory tooling
   // reading it) is identical on every runner.
   const size_t measured_lanes = hw_cores > 1 ? kNumThreads : 1;
-  uint64_t row_mode_hash = 0;
-  for (const Mode& mode : kModes) {
-    JsonRun runs[kNumThreads];
-    for (size_t i = 0; i < measured_lanes; ++i) {
-      runs[i] = RunEngineWorkload(kThreads[i], kTweets, kIters,
-                                  mode.vectorized, mode.pipelined,
-                                  mode.fused);
-    }
-    JsonRun traced = RunEngineWorkload(
-        kThreads[measured_lanes - 1], kTweets, kIters, mode.vectorized,
-        mode.pipelined, mode.fused, /*traced=*/true,
-        trace_path != nullptr ? &traces : nullptr);
-    const bool have_speedup = measured_lanes == kNumThreads;
-    const double speedup =
-        have_speedup && runs[kNumThreads - 1].wall_ms > 0
-            ? runs[0].wall_ms / runs[kNumThreads - 1].wall_ms
-            : 0;
-    if (&mode == &kModes[0]) row_mode_hash = runs[0].output_hash;
-    bool outputs_match = true;
-    for (size_t i = 0; i < measured_lanes; ++i) {
-      outputs_match = outputs_match && runs[i].output_hash == row_mode_hash;
-    }
-
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("bench").String("micro_engine");
-    w.Key("schema_version").Int(kBenchSchemaVersion);
-    w.Key("mode").String(mode.name);
-    w.Key("pipelined").Bool(mode.pipelined);
-    w.Key("fused").Bool(mode.vectorized && mode.fused);
-    w.Key("n_tweets").UInt(kTweets);
-    w.Key("iterations").Int(kIters);
-    w.Key("hw_cores").Int(hw_cores);
-    w.Key("threads").BeginArray();
-    for (int t : kThreads) w.Int(t);
-    w.EndArray();
-    w.Key("wall_ms").BeginArray();
-    for (size_t i = 0; i < kNumThreads; ++i) {
-      if (i < measured_lanes) {
-        w.Double(runs[i].wall_ms);
-      } else {
-        w.Null();
-      }
-    }
-    w.EndArray();
-    w.Key("rows_per_sec").BeginArray();
-    for (size_t i = 0; i < kNumThreads; ++i) {
-      if (i < measured_lanes) {
-        w.Double(runs[i].rows_per_sec);
-      } else {
-        w.Null();
-      }
-    }
-    w.EndArray();
-    w.Key("best_iter_rows_per_sec").BeginArray();
-    for (size_t i = 0; i < kNumThreads; ++i) {
-      if (i < measured_lanes) {
-        w.Double(runs[i].best_iter_rows_per_sec);
-      } else {
-        w.Null();
-      }
-    }
-    w.EndArray();
-    if (have_speedup) {
-      w.Key("speedup_8v1").Double(speedup);
-    } else {
-      w.Key("speedup_8v1").Null();
-    }
-    w.Key("output_hash").UInt(runs[0].output_hash);
-    w.Key("outputs_match_row_mode").Bool(outputs_match);
-    if (mode.pipelined) {
-      // The floor scripts/bench.sh --check enforces: honest about hardware.
-      // A 1-core runner cannot demonstrate a parallel speedup at all.
-      const double floor =
-          hw_cores >= 8 ? 3.0 : (hw_cores >= 2 ? 1.2 : 0.0);
-      w.Key("speedup_floor_8v1").Double(floor);
-    }
-    w.Key("traced_rows_per_sec").Double(traced.rows_per_sec);
-    w.Key("untraced_rows_per_sec")
-        .Double(runs[measured_lanes - 1].rows_per_sec);
-    w.Key("metrics").Raw(runs[measured_lanes - 1].metrics.ToJson());
-    w.EndObject();
-    std::printf("%s\n", w.str().c_str());
+  JsonRun runs[kNumThreads];
+  for (size_t i = 0; i < measured_lanes; ++i) {
+    runs[i] = RunEngineWorkload(kThreads[i], kTweets, kIters);
   }
+  JsonRun traced = RunEngineWorkload(
+      kThreads[measured_lanes - 1], kTweets, kIters, /*traced=*/true,
+      trace_path != nullptr ? &traces : nullptr);
+  const bool have_speedup = measured_lanes == kNumThreads;
+  const double speedup = have_speedup && runs[kNumThreads - 1].wall_ms > 0
+                             ? runs[0].wall_ms / runs[kNumThreads - 1].wall_ms
+                             : 0;
+  bool outputs_match = true;
+  for (size_t i = 0; i < measured_lanes; ++i) {
+    outputs_match &= runs[i].output_hash == runs[0].output_hash;
+  }
+  // Writes one value per thread lane, null for unmeasured lanes.
+  auto lanes = [&](JsonWriter& w, const char* key, double JsonRun::*field) {
+    w.Key(key).BeginArray();
+    for (size_t i = 0; i < kNumThreads; ++i) {
+      if (i < measured_lanes) {
+        w.Double(runs[i].*field);
+      } else {
+        w.Null();
+      }
+    }
+    w.EndArray();
+  };
+
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("bench").String("micro_engine");
+  w.Key("schema_version").Int(kBenchSchemaVersion);
+  w.Key("mode").String("pipelined");
+  w.Key("n_tweets").UInt(kTweets);
+  w.Key("iterations").Int(kIters);
+  w.Key("hw_cores").Int(hw_cores);
+  w.Key("threads").BeginArray();
+  for (int t : kThreads) w.Int(t);
+  w.EndArray();
+  lanes(w, "wall_ms", &JsonRun::wall_ms);
+  lanes(w, "rows_per_sec", &JsonRun::rows_per_sec);
+  lanes(w, "best_iter_rows_per_sec", &JsonRun::best_iter_rows_per_sec);
+  if (have_speedup) {
+    w.Key("speedup_8v1").Double(speedup);
+  } else {
+    w.Key("speedup_8v1").Null();
+  }
+  // The floor scripts/bench.sh --check enforces: honest about hardware.
+  // A 1-core runner cannot demonstrate a parallel speedup at all.
+  w.Key("speedup_floor_8v1")
+      .Double(hw_cores >= 8 ? 3.0 : (hw_cores >= 2 ? 1.2 : 0.0));
+  w.Key("output_hash").UInt(runs[0].output_hash);
+  w.Key("outputs_match_threads").Bool(outputs_match);
+  w.Key("traced_rows_per_sec").Double(traced.rows_per_sec);
+  w.Key("untraced_rows_per_sec")
+      .Double(runs[measured_lanes - 1].rows_per_sec);
+  w.Key("metrics").Raw(runs[measured_lanes - 1].metrics.ToJson());
+  w.EndObject();
+  std::printf("%s\n", w.str().c_str());
+
   PrintWarmRewriteRecord(kTweets, kIters, hw_cores,
                          kThreads[kNumThreads - 1]);
-  PrintFlatHashRecord(kTweets, /*iterations=*/5, hw_cores);
   if (trace_path != nullptr) {
     std::vector<const obs::Trace*> ptrs;
     ptrs.reserve(traces.size());

@@ -2,11 +2,10 @@
 # Runs the engine microbenchmarks after the tier-1 build and APPENDS their
 # timestamped JSON records to BENCH_engine.json (the perf trajectory of the
 # execution engine across PRs — never overwritten). micro_engine --json
-# emits one record per execution mode (row and batch stay on the phased
-# engine for continuity; batch_unfused/pipelined_unfused pin the pre-fusion
-# kernels; pipelined is the current default), each sweeping threads
-# {1, 2, 4, 8} untraced plus one traced run at 8 threads
-# (traced_rows_per_sec vs untraced_rows_per_sec = tracing overhead).
+# emits one "pipelined" record for the engine's single execution path,
+# sweeping threads {1, 2, 4, 8} untraced plus one traced run at 8 threads
+# (traced_rows_per_sec vs untraced_rows_per_sec = tracing overhead), and
+# one "warm_rewrite" record (the view-reuse loop).
 # micro_eval --json contributes one expression-kernel record (fused
 # project/filter throughput without engine overheads). micro_serve --json
 # contributes two serving-layer records: "serve_observed" (the
@@ -26,11 +25,10 @@
 #
 # --check is the perf-floor gate: instead of appending to the trajectory it
 # runs the benchmarks once and fails (exit 1) if
-#   * any mode's output hash diverges from row mode (determinism),
+#   * the pipelined record's output hash differs between thread counts
+#     (determinism),
 #   * the warm_rewrite record shows no view reuse (views_created == 0, no
 #     accepted rewrites, or warm outputs diverging from the cold pass),
-#   * the batch mode's single-thread rows/sec does not exceed row mode's by
-#     the BATCH_VS_ROW_FLOOR factor (vectorization must actually pay),
 #   * micro_eval's fused_int64_rows_per_sec falls below EVAL_FLOOR_ROWS_PER_SEC
 #     or its fused outputs diverge from per-row evaluation,
 #   * the pipelined record's speedup_8v1 falls below its recorded
@@ -55,14 +53,6 @@ cd "$(dirname "$0")/.."
 # scalar row-eval baseline on the same container is ~115M rows/s on the
 # no-null int64 lane, and the pre-fusion gather path was far below that).
 EVAL_FLOOR_ROWS_PER_SEC=40000000
-# Batch mode must beat row mode by at least this factor on single-thread
-# rows/sec (micro_engine, same workload, same thread count).
-BATCH_VS_ROW_FLOOR=1.3
-# The flat open-addressing shuffle tables must beat the legacy
-# std::unordered_map reduce path by this factor on both the join and the
-# group-by job of micro_engine's "flat_hash" record (single-thread,
-# gated on byte-identical outputs).
-FLAT_HASH_FLOOR=1.3
 # A recycled (warm) repetition of micro_recycle's join must beat the cold
 # build-every-time run by this factor (gated on byte-identical outputs and
 # the zero-rebuild receipt).
@@ -97,8 +87,6 @@ if [[ "${check}" == 1 ]]; then
   ./build/bench/micro_serve --json >> "${out}"
   ./build/bench/micro_recycle --json >> "${out}"
   EVAL_FLOOR_ROWS_PER_SEC="${EVAL_FLOOR_ROWS_PER_SEC}" \
-  BATCH_VS_ROW_FLOOR="${BATCH_VS_ROW_FLOOR}" \
-  FLAT_HASH_FLOOR="${FLAT_HASH_FLOOR}" \
   RECYCLE_FLOOR="${RECYCLE_FLOOR}" \
   QUERYLOG_OVERHEAD_PCT_MAX="${QUERYLOG_OVERHEAD_PCT_MAX}" \
   python3 - "${out}" <<'EOF'
@@ -110,12 +98,6 @@ records = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
 failures = []
 modes = {}
 for rec in records:
-    # Only the cold sweep records carry the cross-mode hash; warm_rewrite
-    # compares against its own cold pass instead.
-    if "outputs_match_row_mode" in rec and not rec["outputs_match_row_mode"]:
-        failures.append(
-            f"mode {rec['mode']!r}: output hash diverges from row mode "
-            "(determinism regression)")
     if rec.get("bench") == "micro_eval":
         modes["eval"] = rec
     else:
@@ -140,13 +122,16 @@ else:
           f"decision_log_overhead_pct="
           f"{warm.get('decision_log_overhead_pct'):.1f}")
 
-pipelined = modes.get("pipelined")
-if pipelined is None:
+engine = modes.get("pipelined")
+if engine is None:
     failures.append("no 'pipelined' record in benchmark output")
 else:
-    cores = pipelined.get("hw_cores", 0)
-    floor = pipelined.get("speedup_floor_8v1", 0.0)
-    speedup = pipelined.get("speedup_8v1", 0.0)
+    cores = engine.get("hw_cores", 0)
+    floor = engine.get("speedup_floor_8v1", 0.0)
+    speedup = engine.get("speedup_8v1", 0.0)
+    if not engine.get("outputs_match_threads", False):
+        failures.append("pipelined: output hash differs between thread counts "
+                        "(determinism regression)")
     if cores < 2:
         print(f"bench --check: {cores} core(s) available -- speedup floor "
               "not measurable, skipping (determinism still checked)")
@@ -157,29 +142,6 @@ else:
     else:
         print(f"bench --check: pipelined speedup_8v1 {speedup:.2f} >= "
               f"floor {floor:.2f} (hw_cores={cores})")
-
-# Batch-vs-row single-thread throughput gate: the vectorized batch engine
-# must beat the row engine on the same workload at 1 thread (a 1-core-safe
-# assertion of the columnar layer's raw-speed win). Compared on each
-# mode's fastest iteration, not the all-iterations aggregate: one
-# noisy-neighbor stall inside either mode's run must not flip the gate.
-row, batch = modes.get("row"), modes.get("batch")
-ratio_floor = float(os.environ["BATCH_VS_ROW_FLOOR"])
-if row is None or batch is None:
-    failures.append("missing 'row' or 'batch' record in benchmark output")
-else:
-    row_rps = row.get("best_iter_rows_per_sec", row.get("rows_per_sec", [0]))[0]
-    batch_rps = batch.get("best_iter_rows_per_sec",
-                          batch.get("rows_per_sec", [0]))[0]
-    ratio = batch_rps / row_rps if row_rps > 0 else 0.0
-    if ratio < ratio_floor:
-        failures.append(
-            f"batch single-thread rows/sec is only {ratio:.2f}x row mode "
-            f"(floor {ratio_floor}x): vectorized batch execution is not "
-            "paying for itself")
-    else:
-        print(f"bench --check: batch 1-thread rows/sec = {ratio:.2f}x row "
-              f"mode (floor {ratio_floor}x)")
 
 # Expression-kernel gate: fused evaluation throughput and correctness.
 ev = modes.get("eval")
@@ -198,31 +160,6 @@ else:
     else:
         print(f"bench --check: micro_eval fused int64 filter "
               f"{rps:.3g} rows/s >= floor {eval_floor:.3g}")
-
-# Flat-hash shuffle gate: micro_engine's "flat_hash" record compares the
-# flat open-addressing join/group-by tables against the legacy
-# unordered_map reduce path at 1 thread. Both speedups must clear
-# FLAT_HASH_FLOOR, and only count if the outputs are byte-identical — a
-# speedup with different bytes is a correctness bug, not a win.
-fh = modes.get("flat_hash")
-fh_floor = float(os.environ["FLAT_HASH_FLOOR"])
-if fh is None:
-    failures.append("no 'flat_hash' record in benchmark output")
-else:
-    if not fh.get("outputs_match", False):
-        failures.append("flat_hash: flat outputs diverge from the legacy "
-                        "hash path (correctness regression)")
-    else:
-        for kind in ("join", "groupby"):
-            sp = fh.get(f"{kind}_speedup", 0.0)
-            if sp < fh_floor:
-                failures.append(
-                    f"flat_hash {kind}_speedup {sp:.2f} is below the floor "
-                    f"{fh_floor}x: the flat shuffle tables are not paying "
-                    "for themselves")
-            else:
-                print(f"bench --check: flat_hash {kind} = {sp:.2f}x legacy "
-                      f"(floor {fh_floor}x)")
 
 # micro_hash allocation audit: with the table fully pre-sized, a numeric-key
 # build+probe must not allocate per row (KeyScratch inline buffer + arena).

@@ -44,14 +44,14 @@ void Render(const OpNodePtr& node, int depth,
   } else {
     const JobRun& jr = *it->second;
     char buf[224];
-    // Pipelined jobs report fused pipeline tasks ("p"); phased jobs report
-    // their map/partition waves ("m"). time= is the cost model over the
-    // *observed* bytes; pred= is the optimizer's plan-time estimate and
-    // resid= their signed gap (the cost-model accountability signal).
+    // Task counts are fused pipeline tasks ("p") + reduce buckets ("r").
+    // time= is the cost model over the *observed* bytes; pred= is the
+    // optimizer's plan-time estimate and resid= their signed gap (the
+    // cost-model accountability signal).
     std::snprintf(buf, sizeof(buf),
                   "  [job %d] time=%.2fs pred=%.2fs resid=%+.1f%% "
                   "rows=%llu->%llu read=%s shuffled=%s "
-                  "written=%s tasks=%zu%s+%zur",
+                  "written=%s tasks=%zup+%zur",
                   jr.index, jr.sim_time_s, jr.predicted_cost_s,
                   jr.residual_pct,
                   static_cast<unsigned long long>(jr.rows_in),
@@ -59,7 +59,7 @@ void Render(const OpNodePtr& node, int depth,
                   HumanBytes(jr.bytes_read).c_str(),
                   HumanBytes(jr.bytes_shuffled).c_str(),
                   HumanBytes(jr.bytes_written).c_str(), jr.map_tasks,
-                  jr.pipelined ? "p" : "m", jr.reduce_tasks);
+                  jr.reduce_tasks);
     line += buf;
     // Hash-recycler outcome of this job, if it had a recyclable build
     // (join build side or group-by input scanning an unchanged table/view).

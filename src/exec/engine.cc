@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "exec/expr/expr_program.h"
@@ -35,7 +33,6 @@ using storage::DictRemap;
 using storage::PartitionBuffer;
 using storage::Row;
 using storage::RowBatch;
-using storage::RowHash;
 using storage::RowRange;
 using storage::Schema;
 using storage::Table;
@@ -65,16 +62,23 @@ std::string ResidualOpClass(const OpNode& node) {
   return "UNKNOWN";
 }
 
-// Aggregation state for one group.
+// Aggregation state for one group. `sum` feeds avg and double-typed sums;
+// int64 inputs also accumulate exactly in `int_sum`, which wraps on overflow
+// like Hive's BIGINT sum (a double loses the low bits above 2^53).
 struct AggState {
   int64_t count = 0;
   double sum = 0;
+  int64_t int_sum = 0;
   bool has = false;
   Value min, max;
 
   void Update(const Value& v) {
     ++count;
     sum += v.ToDouble();
+    if (v.type() == DataType::kInt64) {
+      int_sum = static_cast<int64_t>(static_cast<uint64_t>(int_sum) +
+                                     static_cast<uint64_t>(v.as_int64()));
+    }
     if (!has || v < min) min = v;
     if (!has || max < v) max = v;
     has = true;
@@ -87,9 +91,7 @@ Value FinishAgg(const plan::AggSpec& spec, const AggState& s,
     case plan::AggFn::kCount:
       return Value(s.count);
     case plan::AggFn::kSum:
-      return out_type == storage::DataType::kInt64
-                 ? Value(static_cast<int64_t>(s.sum))
-                 : Value(s.sum);
+      return out_type == DataType::kInt64 ? Value(s.int_sum) : Value(s.sum);
     case plan::AggFn::kAvg:
       return s.count == 0 ? Value::Null()
                           : Value(s.sum / static_cast<double>(s.count));
@@ -128,48 +130,8 @@ size_t DeriveReduceTasks(int requested, uint64_t shuffle_bytes,
   return std::min<uint64_t>(shuffle_bytes / block_size_bytes + 1, 64);
 }
 
-// Per-job execution context threaded through the phase helpers: the task
-// pool plus the observability hooks (trace span parent, task counter). With
-// a null trace every helper degenerates to a bare ParallelFor.
-struct PhaseCtx {
-  ThreadPool* pool = nullptr;
-  obs::Trace* trace = nullptr;
-  uint64_t job_span = 0;
-  bool trace_tasks = true;
-  size_t* tasks = nullptr;  // accumulates task counts across phases
-};
-
-// Runs one phase of `n` tasks under a "phase" span (and per-task spans when
-// enabled). Span ids are allocated serially before the wave, so the span
-// structure is identical at every thread count.
-Status RunPhase(const PhaseCtx& ctx, const char* phase, size_t n,
-                const std::function<Status(size_t)>& fn,
-                double* max_task_seconds) {
-  if (ctx.tasks != nullptr) *ctx.tasks += n;
-  if (ctx.trace == nullptr) return ParallelFor(ctx.pool, n, fn, max_task_seconds);
-  obs::TraceSpan span(ctx.trace, ctx.job_span, phase, "phase");
-  span.AddArg("tasks", static_cast<uint64_t>(n));
-  if (!ctx.trace_tasks) return ParallelFor(ctx.pool, n, fn, max_task_seconds);
-  return obs::TracedParallelFor(ctx.pool, n, ctx.trace, span.id(), phase, fn,
-                                max_task_seconds);
-}
-
 // Ratio of the fullest shuffle bucket to the mean bucket (1.0 = perfectly
 // balanced); negative when there is nothing to measure.
-template <typename Lists>
-double BucketSkew(const Lists& lists) {
-  size_t total = 0, largest = 0;
-  for (const auto& l : lists) {
-    total += l.size();
-    largest = std::max(largest, l.size());
-  }
-  if (lists.empty() || total == 0) return -1.0;
-  return static_cast<double>(largest) * static_cast<double>(lists.size()) /
-         static_cast<double>(total);
-}
-
-// BucketSkew over a pipelined partition buffer: same definition, computed
-// from per-bucket totals instead of scattered index lists.
 template <typename T>
 double BufferSkew(const PartitionBuffer<T>& buf) {
   size_t total = 0, largest = 0;
@@ -183,17 +145,11 @@ double BufferSkew(const PartitionBuffer<T>& buf) {
          static_cast<double>(buf.num_buckets()) / static_cast<double>(total);
 }
 
-// ---------------------------------------------------------------------------
-// Row-at-a-time helpers (the pre-columnar engine; kept as the fallback for
-// opaque per-row code and selectable via EngineOptions::vectorized=false).
-// ---------------------------------------------------------------------------
-
-// Runs a map-only operator: the input is split into block-sized map tasks,
-// `per_row` streams each task's rows into a task-local output, and the
-// partials are concatenated in task order — byte-identical to a serial
-// row-at-a-time pass over the input. `phase` names the wave's span ("map"
-// phased, "pipeline" when the fused engine runs it).
-Status RunMapTasks(const PhaseCtx& ctx, const char* phase, const Table& in,
+// Runs an opaque per-row predicate (the one operator without a batch
+// kernel): the input is split into block-sized map tasks, `per_row` streams
+// each task's rows into a task-local output, and the partials are
+// concatenated in task order — byte-identical to a serial pass.
+Status RunMapTasks(const PipelineCtx& ctx, const Table& in,
                    uint64_t block_size_bytes,
                    const std::function<Status(const Row&, std::vector<Row>*)>&
                        per_row,
@@ -203,8 +159,8 @@ Status RunMapTasks(const PhaseCtx& ctx, const char* phase, const Table& in,
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
       rows.size(), in.AvgRowBytes(), block_size_bytes);
   std::vector<std::vector<Row>> partials(splits.size());
-  OPD_RETURN_NOT_OK(RunPhase(
-      ctx, phase, splits.size(),
+  OPD_RETURN_NOT_OK(RunWave(
+      ctx, "pipeline", splits.size(),
       [&](size_t t) -> Status {
         std::vector<Row>& local = partials[t];
         local.reserve(splits[t].size());
@@ -222,86 +178,6 @@ Status RunMapTasks(const PhaseCtx& ctx, const char* phase, const Table& in,
   }
   return Status::OK();
 }
-
-// Computes each row's shuffle bucket (hash of its key columns modulo
-// `num_buckets`) in parallel over block-sized map tasks. Each task writes
-// disjoint indices, so the result is independent of task interleaving.
-Status ComputeBuckets(const PhaseCtx& ctx, const char* phase, const Table& in,
-                      const std::vector<size_t>& key_idx, size_t num_buckets,
-                      uint64_t block_size_bytes,
-                      std::vector<uint32_t>* bucket_of,
-                      double* max_task_seconds) {
-  bucket_of->assign(in.num_rows(), 0);
-  if (num_buckets <= 1) {
-    if (max_task_seconds != nullptr) *max_task_seconds = 0;
-    return Status::OK();
-  }
-  const std::vector<Row>& rows = in.rows();
-  const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      rows.size(), in.AvgRowBytes(), block_size_bytes);
-  return RunPhase(
-      ctx, phase, splits.size(),
-      [&](size_t t) -> Status {
-        for (size_t r = splits[t].begin; r < splits[t].end; ++r) {
-          (*bucket_of)[r] = static_cast<uint32_t>(
-              hash::LegacyRowKeyHash(rows[r], key_idx) % num_buckets);
-        }
-        return Status::OK();
-      },
-      max_task_seconds);
-}
-
-// Flat-hash variant of ComputeBuckets: one vectorized key hash per row
-// (kept in `hash_of` for the reduce tables to reuse — no re-hash at insert
-// time) and a multiply-shift bucket mapping instead of the `%`. With a
-// single bucket the input is below one DFS block by definition, so the hash
-// fill runs serially without a phase wave — task counts and span structure
-// stay identical to the legacy path (which skips the wave entirely).
-Status ComputeBucketsFlat(const PhaseCtx& ctx, const char* phase,
-                          const Table& in, const std::vector<size_t>& key_idx,
-                          size_t num_buckets, uint64_t block_size_bytes,
-                          std::vector<uint32_t>* bucket_of,
-                          std::vector<uint64_t>* hash_of,
-                          double* max_task_seconds) {
-  const std::vector<Row>& rows = in.rows();
-  bucket_of->assign(rows.size(), 0);
-  hash_of->resize(rows.size());
-  if (num_buckets <= 1) {
-    for (size_t r = 0; r < rows.size(); ++r) {
-      (*hash_of)[r] = hash::FlatRowKeyHash(rows[r], key_idx);
-    }
-    if (max_task_seconds != nullptr) *max_task_seconds = 0;
-    return Status::OK();
-  }
-  const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      rows.size(), in.AvgRowBytes(), block_size_bytes);
-  return RunPhase(
-      ctx, phase, splits.size(),
-      [&](size_t t) -> Status {
-        for (size_t r = splits[t].begin; r < splits[t].end; ++r) {
-          const uint64_t h = hash::FlatRowKeyHash(rows[r], key_idx);
-          (*hash_of)[r] = h;
-          (*bucket_of)[r] = hash::BucketOf(h, num_buckets);
-        }
-        return Status::OK();
-      },
-      max_task_seconds);
-}
-
-// Scatters row indices into per-bucket lists, preserving row order.
-std::vector<std::vector<size_t>> BucketLists(
-    const std::vector<uint32_t>& bucket_of, size_t num_buckets) {
-  std::vector<std::vector<size_t>> lists(num_buckets);
-  for (auto& l : lists) l.reserve(bucket_of.size() / num_buckets + 1);
-  for (size_t r = 0; r < bucket_of.size(); ++r) {
-    lists[bucket_of[r]].push_back(r);
-  }
-  return lists;
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized (batch-at-a-time) helpers.
-// ---------------------------------------------------------------------------
 
 // A table's columnar payload plus flat-row-index bookkeeping.
 struct BatchList {
@@ -325,144 +201,6 @@ struct BatchList {
 // recycler (hash::RowRef) so cached join builds use the exact payload
 // layout the engine probes with.
 using RowRef = hash::RowRef;
-
-// Appends the canonical key encoding of cell `i` of `col`: equal encodings
-// exactly when the cells compare equal under Value::operator== (numerics
-// compare through their double value; 1 == 1.0 == true).
-void PackCell(const ColumnVector& col, size_t i, std::string* out) {
-  if (col.IsNull(i)) {
-    out->push_back('\0');  // null tag
-    return;
-  }
-  double d;
-  if (col.is_native()) {
-    switch (col.declared_type()) {
-      case DataType::kBool:
-        d = col.bools()[i] != 0 ? 1.0 : 0.0;
-        break;
-      case DataType::kInt64:
-        d = static_cast<double>(col.ints()[i]);
-        break;
-      case DataType::kDouble:
-        d = col.doubles()[i];
-        break;
-      case DataType::kString: {
-        const std::string& s = col.string_at(i);
-        const uint32_t len = static_cast<uint32_t>(s.size());
-        out->push_back('\2');  // string tag
-        out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-        out->append(s);
-        return;
-      }
-      default:
-        out->push_back('\0');
-        return;
-    }
-  } else {
-    const Value v = col.GetValue(i);
-    if (v.type() == DataType::kString) {
-      const std::string& s = v.as_string();
-      const uint32_t len = static_cast<uint32_t>(s.size());
-      out->push_back('\2');
-      out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      out->append(s);
-      return;
-    }
-    d = v.ToDouble();
-  }
-  if (d == 0.0) d = 0.0;  // normalize -0.0, mirroring Value::Hash
-  out->push_back('\1');  // numeric tag
-  char bits[sizeof(double)];
-  std::memcpy(bits, &d, sizeof(d));
-  out->append(bits, sizeof(d));
-}
-
-void PackKeys(const RowBatch& batch, size_t row,
-              const std::vector<size_t>& cols, std::string* out) {
-  for (size_t c : cols) PackCell(batch.column(c), row, out);
-}
-
-// Computes each row's shuffle bucket from the columnar key data, one batch
-// per task. The hash is RowHash over the key cells (dictionary strings hash
-// once per distinct entry), so bucketing matches the row path exactly.
-Status ComputeBucketsBatch(const PhaseCtx& ctx, const char* phase,
-                           const BatchList& in,
-                           const std::vector<size_t>& key_idx,
-                           size_t num_buckets,
-                           std::vector<uint32_t>* bucket_of,
-                           double* max_task_seconds) {
-  bucket_of->assign(in.num_rows, 0);
-  if (num_buckets <= 1) {
-    if (max_task_seconds != nullptr) *max_task_seconds = 0;
-    return Status::OK();
-  }
-  return RunPhase(
-      ctx, phase, in.size(),
-      [&](size_t t) -> Status {
-        const RowBatch& b = in.batch(t);
-        uint32_t* out = bucket_of->data() + in.offsets[t];
-        for (size_t i = 0; i < b.num_rows(); ++i) {
-          out[i] =
-              static_cast<uint32_t>(b.HashKeysAt(i, key_idx) % num_buckets);
-        }
-        return Status::OK();
-      },
-      max_task_seconds);
-}
-
-// Flat-hash variant of ComputeBucketsBatch: hash::HashKeys computes each
-// batch's key hashes column-at-a-time (dictionary strings hash via the
-// dictionary's per-entry hashes), the hashes are kept in `hash_of` for the
-// reduce tables to reuse, and buckets come from the multiply-shift BucketOf.
-// The nb<=1 case fills hashes serially without a phase wave so task counts
-// match the legacy path (which skips the wave) — see ComputeBucketsFlat.
-Status ComputeBucketsBatchFlat(const PhaseCtx& ctx, const char* phase,
-                               const BatchList& in,
-                               const std::vector<size_t>& key_idx,
-                               size_t num_buckets,
-                               std::vector<uint32_t>* bucket_of,
-                               std::vector<uint64_t>* hash_of,
-                               double* max_task_seconds) {
-  bucket_of->assign(in.num_rows, 0);
-  hash_of->resize(in.num_rows);
-  if (num_buckets <= 1) {
-    for (size_t t = 0; t < in.size(); ++t) {
-      hash::HashKeys(in.batch(t), key_idx, hash_of->data() + in.offsets[t]);
-    }
-    if (max_task_seconds != nullptr) *max_task_seconds = 0;
-    return Status::OK();
-  }
-  return RunPhase(
-      ctx, phase, in.size(),
-      [&](size_t t) -> Status {
-        const RowBatch& b = in.batch(t);
-        uint64_t* hashes = hash_of->data() + in.offsets[t];
-        hash::HashKeys(b, key_idx, hashes);
-        uint32_t* out = bucket_of->data() + in.offsets[t];
-        for (size_t i = 0; i < b.num_rows(); ++i) {
-          out[i] = hash::BucketOf(hashes[i], num_buckets);
-        }
-        return Status::OK();
-      },
-      max_task_seconds);
-}
-
-// Scatters row refs into per-bucket lists in global row order.
-std::vector<std::vector<RowRef>> BucketRefLists(
-    const BatchList& in, const std::vector<uint32_t>& bucket_of,
-    size_t num_buckets) {
-  std::vector<std::vector<RowRef>> lists(num_buckets);
-  for (auto& l : lists) l.reserve(in.num_rows / num_buckets + 1);
-  size_t r = 0;
-  for (size_t b = 0; b < in.size(); ++b) {
-    const size_t n = in.batch(b).num_rows();
-    for (size_t i = 0; i < n; ++i, ++r) {
-      lists[bucket_of[r]].push_back(
-          RowRef{static_cast<uint32_t>(b), static_cast<uint32_t>(i)});
-    }
-  }
-  return lists;
-}
 
 // Gathers one output column from per-row source refs, memoizing dictionary
 // remaps per source batch.
@@ -491,108 +229,6 @@ class ColumnGatherer {
   std::vector<DictRemap> remaps_;
 };
 
-// Comparison kernels over one column against a non-null literal. Semantics
-// are exactly afk::EvalCmp on the reconstructed Values; the typed fast
-// paths below are algebraic simplifications of it (numeric comparisons all
-// reduce to double comparisons; string comparisons to std::string's).
-template <typename T>
-bool CmpScalar(T a, afk::CmpOp op, T b) {
-  switch (op) {
-    case afk::CmpOp::kLt:
-      return a < b;
-    case afk::CmpOp::kLe:
-      return a < b || a == b;
-    case afk::CmpOp::kGt:
-      return b < a;
-    case afk::CmpOp::kGe:
-      return b < a || a == b;
-    case afk::CmpOp::kEq:
-      return a == b;
-    case afk::CmpOp::kNe:
-      return !(a == b);
-  }
-  return false;
-}
-
-bool IsNumericType(DataType t) {
-  return t == DataType::kBool || t == DataType::kInt64 ||
-         t == DataType::kDouble;
-}
-
-// Builds the selection vector of rows passing `col <op> literal`.
-void BuildCompareSelection(const ColumnVector& col, afk::CmpOp op,
-                           const Value& literal, std::vector<uint32_t>* sel) {
-  const size_t n = col.size();
-  sel->reserve(n);
-  // Null cells compare identically regardless of position.
-  const bool null_passes = afk::EvalCmp(Value::Null(), op, literal);
-
-  if (col.is_native() && !literal.is_null()) {
-    if (IsNumericType(col.declared_type()) &&
-        IsNumericType(literal.type())) {
-      const double lit = literal.ToDouble();
-      const bool no_nulls = col.null_count() == 0;
-      auto scan = [&](auto value_at) {
-        for (size_t i = 0; i < n; ++i) {
-          const bool pass = (!no_nulls && col.IsNull(i))
-                                ? null_passes
-                                : CmpScalar(value_at(i), op, lit);
-          if (pass) sel->push_back(static_cast<uint32_t>(i));
-        }
-      };
-      switch (col.declared_type()) {
-        case DataType::kBool: {
-          const uint8_t* v = col.bools();
-          scan([v](size_t i) { return v[i] != 0 ? 1.0 : 0.0; });
-          return;
-        }
-        case DataType::kInt64: {
-          const int64_t* v = col.ints();
-          scan([v](size_t i) { return static_cast<double>(v[i]); });
-          return;
-        }
-        case DataType::kDouble: {
-          const double* v = col.doubles();
-          scan([v](size_t i) { return v[i]; });
-          return;
-        }
-        default:
-          break;
-      }
-    }
-    if (col.declared_type() == DataType::kString &&
-        literal.type() == DataType::kString) {
-      // Evaluate once per distinct dictionary entry, then select by code.
-      std::vector<uint8_t> dict_pass(col.dict_size());
-      for (uint32_t c = 0; c < col.dict_size(); ++c) {
-        dict_pass[c] =
-            CmpScalar(col.dict_entry(c), op, literal.as_string()) ? 1 : 0;
-      }
-      if (col.null_count() == 0) {
-        // No-nulls fast loop (mirrors the numeric paths): pure code lookup.
-        const uint32_t* codes = col.codes();
-        for (size_t i = 0; i < n; ++i) {
-          if (dict_pass[codes[i]] != 0) sel->push_back(static_cast<uint32_t>(i));
-        }
-        return;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const bool pass =
-            col.IsNull(i) ? null_passes : dict_pass[col.code_at(i)] != 0;
-        if (pass) sel->push_back(static_cast<uint32_t>(i));
-      }
-      return;
-    }
-  }
-  // Generic fallback: reconstruct each cell (mixed-type columns, null or
-  // cross-class literals).
-  for (size_t i = 0; i < n; ++i) {
-    if (afk::EvalCmp(col.GetValue(i), op, literal)) {
-      sel->push_back(static_cast<uint32_t>(i));
-    }
-  }
-}
-
 }  // namespace
 
 Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
@@ -602,11 +238,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
   const auto& ctx = optimizer_->context();
   const auto& model = optimizer_->cost_model();
   const uint64_t block_size = dfs_->block_size_bytes();
-  const bool vectorized = options_.vectorized;
-  const bool pipelined = options_.pipelined;
-  // Fused map+partition waves carry the "pipeline" phase name; the phased
-  // fallback keeps the historical "map".
-  const char* map_phase = pipelined ? "pipeline" : "map";
   auto& registry = obs::MetricRegistry::Global();
   // Registry objects live forever; resolve the hot ones once per run.
   obs::Histogram* skew_hist =
@@ -614,8 +245,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
   obs::Histogram* ht_load_hist =
       options_.metrics ? &registry.histogram("engine.hash.load_factor")
                        : nullptr;
-  // Flat shuffle-table observability (resolved unconditionally so the names
-  // register even on runs that take the legacy path).
+  // Flat shuffle-table observability.
   obs::Counter* ht_resizes =
       options_.metrics ? &registry.counter("engine.shuffle.ht_resizes")
                        : nullptr;
@@ -625,13 +255,11 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
   obs::Histogram* probe_len_hist =
       options_.metrics ? &registry.histogram("engine.shuffle.probe_len")
                        : nullptr;
-  const bool flat = options_.flat_hash;
-  // Hash-table recycling (HashStash, src/exec/hash/recycler.h): active only
-  // when the flat tables are on and a recycler is attached. The counters
-  // resolve whenever metrics are on so the engine.recycle.* names register
-  // even on runs that never touch a recyclable build.
-  hash::HashRecycler* const recycler =
-      (options_.recycle_hash && flat) ? recycler_ : nullptr;
+  // Hash-table recycling (HashStash, src/exec/hash/recycler.h): active
+  // exactly when a recycler is attached. The counters resolve whenever
+  // metrics are on so the engine.recycle.* names register even on runs that
+  // never touch a recyclable build.
+  hash::HashRecycler* const recycler = recycler_;
   obs::Counter* recycle_hit_ctr =
       options_.metrics ? &registry.counter("engine.recycle.hit") : nullptr;
   obs::Counter* recycle_miss_ctr =
@@ -787,8 +415,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
 
     size_t job_tasks = 0;
     const uint64_t span_id = job_span != nullptr ? job_span->id() : 0;
-    const PhaseCtx pctx{pool_.get(), trace, span_id, options_.trace_tasks,
-                        &job_tasks};
     const PipelineCtx pipe{pool_.get(), trace, span_id, options_.trace_tasks,
                            &job_tasks};
     const auto job_wall_start = std::chrono::steady_clock::now();
@@ -817,112 +443,61 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
       case OpKind::kScan:
         break;  // handled above
       case OpKind::kProject: {
+        // Pure column swizzle compiled into an ExprProgram: output batches
+        // share the input's column vectors, no cell is touched.
         const Table& in = *inputs[0];
         std::vector<size_t> idx;
         for (const std::string& name : node->project) {
           OPD_ASSIGN_OR_RETURN(size_t i, ColIndex(in.schema(), name));
           idx.push_back(i);
         }
-        if (vectorized) {
-          // Pure column swizzle: output batches share the input's column
-          // vectors, no cell is touched. The fused path compiles the
-          // projection into an ExprProgram (same zero-copy result; keeps
-          // every project/filter job on one evaluation code path).
-          const BatchList in_list(in);
-          std::vector<RowBatch> out_batches;
-          out_batches.reserve(in_list.size());
-          std::optional<expr::ExprProgram> program;
-          if (options_.fused_exprs) {
-            program = expr::ExprProgram::Compile(
-                in.schema().num_columns(), {expr::ExprStep::Project(idx)});
-          }
-          if (program.has_value()) {
-            expr::EvalScratch scratch;
-            for (const RowBatch& b : *in_list.batches) {
-              out_batches.push_back(program->Run(b, &scratch));
-            }
-          } else {
-            for (const RowBatch& b : *in_list.batches) {
-              out_batches.push_back(b.Project(idx));
-            }
-          }
-          out = Table::FromBatches("", node->out_schema,
-                                   std::move(out_batches));
-        } else {
-          OPD_RETURN_NOT_OK(RunMapTasks(
-              pctx, map_phase, in, block_size,
-              [&idx](const Row& row, std::vector<Row>* local) -> Status {
-                Row r;
-                r.reserve(idx.size());
-                for (size_t i : idx) r.push_back(row[i]);
-                local->push_back(std::move(r));
-                return Status::OK();
-              },
-              &out, &job_max_task_s));
+        const std::optional<expr::ExprProgram> program =
+            expr::ExprProgram::Compile(in.schema().num_columns(),
+                                       {expr::ExprStep::Project(idx)});
+        if (!program.has_value()) {
+          return Status::Internal("cannot compile " + node->DisplayName());
         }
+        const BatchList in_list(in);
+        std::vector<RowBatch> out_batches;
+        out_batches.reserve(in_list.size());
+        expr::EvalScratch scratch;
+        for (const RowBatch& b : *in_list.batches) {
+          out_batches.push_back(program->Run(b, &scratch));
+        }
+        out = Table::FromBatches("", node->out_schema, std::move(out_batches));
         break;
       }
       case OpKind::kFilter: {
         const Table& in = *inputs[0];
         const plan::FilterCond& cond = node->filter;
         if (cond.kind == plan::FilterCond::Kind::kCompare) {
+          // Fused selection-vector filter, one task per batch: string
+          // predicates bind per-dictionary verdict bitmaps once, serially,
+          // before the wave; each task then runs branchless mask kernels +
+          // one gather (full-batch selections are zero-copy).
           OPD_ASSIGN_OR_RETURN(size_t i, ColIndex(in.schema(), cond.column));
-          if (vectorized) {
-            // Selection-vector filter: one task per batch; surviving rows
-            // are gathered column-wise (full-batch selections are
-            // zero-copy).
-            const BatchList in_list(in);
-            std::vector<RowBatch> out_batches(in_list.size());
-            std::optional<expr::ExprProgram> program;
-            if (options_.fused_exprs) {
-              program = expr::ExprProgram::Compile(
-                  in.schema().num_columns(),
-                  {expr::ExprStep::FilterCompare(i, cond.op, cond.literal)});
-            }
-            if (program.has_value()) {
-              // Fused kernel path: string predicates bind per-dictionary
-              // verdict bitmaps once, serially, before the parallel phase;
-              // each task then runs branchless mask kernels + one gather.
-              program->BindDictionaries(*in_list.batches);
-              const expr::ExprProgram& prog = *program;
-              OPD_RETURN_NOT_OK(RunPhase(
-                  pctx, map_phase, in_list.size(),
-                  [&](size_t t) -> Status {
-                    expr::EvalScratch scratch;
-                    out_batches[t] = prog.Run(in_list.batch(t), &scratch);
-                    return Status::OK();
-                  },
-                  &job_max_task_s));
-            } else {
-              OPD_RETURN_NOT_OK(RunPhase(
-                  pctx, map_phase, in_list.size(),
-                  [&](size_t t) -> Status {
-                    const RowBatch& b = in_list.batch(t);
-                    std::vector<uint32_t> sel;
-                    BuildCompareSelection(b.column(i), cond.op, cond.literal,
-                                          &sel);
-                    out_batches[t] = b.Gather(sel);
-                    return Status::OK();
-                  },
-                  &job_max_task_s));
-            }
-            out = Table::FromBatches("", node->out_schema,
-                                     std::move(out_batches));
-          } else {
-            OPD_RETURN_NOT_OK(RunMapTasks(
-                pctx, map_phase, in, block_size,
-                [&cond, i](const Row& row,
-                           std::vector<Row>* local) -> Status {
-                  if (afk::EvalCmp(row[i], cond.op, cond.literal)) {
-                    local->push_back(row);
-                  }
-                  return Status::OK();
-                },
-                &out, &job_max_task_s));
+          std::optional<expr::ExprProgram> program = expr::ExprProgram::Compile(
+              in.schema().num_columns(),
+              {expr::ExprStep::FilterCompare(i, cond.op, cond.literal)});
+          if (!program.has_value()) {
+            return Status::Internal("cannot compile " + node->DisplayName());
           }
+          const BatchList in_list(in);
+          program->BindDictionaries(*in_list.batches);
+          std::vector<RowBatch> out_batches(in_list.size());
+          OPD_RETURN_NOT_OK(RunWave(
+              pipe, "pipeline", in_list.size(),
+              [&](size_t t) -> Status {
+                expr::EvalScratch scratch;
+                out_batches[t] = program->Run(in_list.batch(t), &scratch);
+                return Status::OK();
+              },
+              &job_max_task_s));
+          out = Table::FromBatches("", node->out_schema,
+                                   std::move(out_batches));
         } else {
           // Opaque predicate UDFs are per-row black boxes: row-at-a-time
-          // fallback (see DESIGN.md "Columnar batches").
+          // (see DESIGN.md "Columnar batches").
           OPD_ASSIGN_OR_RETURN(const udf::PredicateFn* fn,
                                ctx.udfs->FindPredicate(cond.fn_name));
           std::vector<size_t> idx;
@@ -933,7 +508,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
           udf::Params params;  // opaque predicate params are pre-bound strings
           if (!cond.params.empty()) params["params"] = Value(cond.params);
           OPD_RETURN_NOT_OK(RunMapTasks(
-              pctx, map_phase, in, block_size,
+              pipe, in, block_size,
               [&](const Row& row, std::vector<Row>* local) -> Status {
                 std::vector<Value> args;
                 args.reserve(idx.size());
@@ -1014,6 +589,15 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
                      : 0;
         };
 
+        const BatchList build_list(build_in);
+        const BatchList probe_list(probe_in);
+        // Key codecs planned once per join from both sides' lanes; per-row
+        // key hashes are computed batch-wide while partitioning and kept
+        // here so the reduce tables never re-hash.
+        const std::vector<hash::KeyCodec> codecs = hash::PlanKeyCodecs(
+            {{build_list.batches.get(), &build_keys},
+             {probe_list.batches.get(), &probe_keys}});
+
         // Hash recycling: when the build side is a direct scan of an
         // unchanged table/view, the recycler may hold its fully built
         // per-bucket tables from an earlier query (possibly another
@@ -1022,561 +606,133 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         hash::RecycleKey rkey;
         std::shared_ptr<const hash::CachedBuild> cached;
         std::shared_ptr<hash::CachedBuild> pending;
+        std::atomic<uint64_t> build_ns{0};
         const std::string* build_identity =
             recycler != nullptr ? scan_ident(build_child) : nullptr;
-        std::atomic<uint64_t> build_ns{0};
-
-        if (vectorized) {
-          const BatchList build_list(build_in);
-          const BatchList probe_list(probe_in);
-          double part_s = 0, reduce_max_s = 0;
-          std::vector<uint32_t> probe_bucket;
-
-          // Flat path: key codecs planned once per join from both sides'
-          // lanes, and per-row key hashes computed batch-wide during
-          // partitioning, kept here so the reduce tables never re-hash.
-          std::vector<hash::KeyCodec> codecs;
-          if (flat) {
-            codecs = hash::PlanKeyCodecs(
-                {{build_list.batches.get(), &build_keys},
-                 {probe_list.batches.get(), &probe_keys}});
-          }
-          std::vector<uint64_t> build_hash, probe_hash;
-
-          if (build_identity != nullptr && flat) {
-            rkey.kind = hash::RecycleKind::kJoinBuildBatch;
-            rkey.identity = *build_identity;
-            rkey.key_cols = build_keys;
-            rkey.codec_modes.reserve(codecs[0].modes.size());
-            for (hash::KeyColMode m : codecs[0].modes) {
-              rkey.codec_modes.push_back(static_cast<uint8_t>(m));
-            }
-            rkey.num_buckets = static_cast<uint32_t>(num_buckets);
-            cached = recycler->Lookup(rkey, build_list.batches.get());
-            count_recycle(cached != nullptr);
-            if (cached == nullptr) {
-              pending = std::make_shared<hash::CachedBuild>();
-              pending->join_batch.resize(num_buckets);
-              pending->batches = build_list.batches;
-              pending->pin = build_list.batches.get();
-              pending->view_id = build_child->view_id;
-            }
-          }
-
-          // Reduce body shared by both schedules: each bucket keys its
-          // build rows by their packed key bytes (equal exactly when the
-          // key Values are equal) and probes in row order, emitting
-          // (probe ref, build ref) matches.
-          struct Match {
-            size_t probe_global;
-            RowRef probe, build;
-          };
-          std::vector<std::vector<Match>> bucket_out(num_buckets);
-          auto reduce_bucket = [&](size_t b, size_t build_n,
-                                   const auto& build_each, size_t probe_n,
-                                   const auto& probe_each) -> Status {
-            auto& local = bucket_out[b];
-            local.reserve(probe_n);
-            if (cached != nullptr) {
-              // Recycled build: probe the shared cached table through the
-              // stats-free accessors (other queries may probe it
-              // concurrently). Matches come out in the cached table's
-              // insertion order == global build-row order, exactly what a
-              // fresh build would emit.
-              const hash::FlatMultiMap<RowRef>& ht = cached->join_batch[b];
-              hash::KeyScratch key;
-              probe_each([&](RowRef pref) {
-                hash::NormalizeKey(probe_list.batch(pref.batch), pref.idx,
-                                   codecs[1], &key);
-                const size_t pg = probe_list.offsets[pref.batch] + pref.idx;
-                ht.ForEachMatchShared(probe_hash[pg], key.data(), key.size(),
-                                      [&](RowRef bref) {
-                                        local.push_back(Match{pg, pref, bref});
-                                      });
-              });
-              return Status::OK();
-            }
-            if (flat) {
-              hash::FlatMultiMap<RowRef> fresh;
-              hash::FlatMultiMap<RowRef>& ht =
-                  pending != nullptr ? pending->join_batch[b] : fresh;
-              ht.Reserve(build_n,
-                         codecs[0].bounded ? codecs[0].width_bound : 0,
-                         join_key_hint(build_n));
-              hash::KeyScratch key;
-              const auto build_start = std::chrono::steady_clock::now();
-              build_each([&](RowRef ref) {
-                hash::NormalizeKey(build_list.batch(ref.batch), ref.idx,
-                                   codecs[0], &key);
-                const size_t bg = build_list.offsets[ref.batch] + ref.idx;
-                ht.Insert(build_hash[bg], key.data(), key.size(), ref);
-              });
-              if (pending != nullptr) {
-                build_ns.fetch_add(
-                    static_cast<uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - build_start)
-                            .count()),
-                    std::memory_order_relaxed);
-              }
-              if (ht_load_hist != nullptr && ht.size() > 0) {
-                ht_load_hist->Observe(ht.load_factor());
-              }
-              probe_each([&](RowRef pref) {
-                hash::NormalizeKey(probe_list.batch(pref.batch), pref.idx,
-                                   codecs[1], &key);
-                const size_t pg = probe_list.offsets[pref.batch] + pref.idx;
-                ht.ForEachMatch(probe_hash[pg], key.data(), key.size(),
-                                [&](RowRef bref) {
-                                  local.push_back(Match{pg, pref, bref});
-                                });
-              });
-              observe_flat(ht.stats(), ht.arena_bytes());
-              return Status::OK();
-            }
-            std::unordered_map<std::string, std::vector<RowRef>> ht;
-            ht.reserve(build_n);
-            std::string key;
-            build_each([&](RowRef ref) {
-              key.clear();
-              PackKeys(build_list.batch(ref.batch), ref.idx, build_keys,
-                       &key);
-              ht[key].push_back(ref);
-            });
-            if (ht_load_hist != nullptr && !ht.empty()) {
-              ht_load_hist->Observe(ht.load_factor());
-            }
-            probe_each([&](RowRef pref) {
-              key.clear();
-              PackKeys(probe_list.batch(pref.batch), pref.idx, probe_keys,
-                       &key);
-              auto it = ht.find(key);
-              if (it == ht.end()) return;
-              const size_t pg = probe_list.offsets[pref.batch] + pref.idx;
-              for (RowRef bref : it->second) {
-                local.push_back(Match{pg, pref, bref});
-              }
-            });
-            return Status::OK();
-          };
-
-          if (pipelined) {
-            // Fused map+partition: one producer per batch (build batches
-            // first, then probe batches) hashes straight into its own
-            // per-bucket buffer slots; no bucket_of scatter pass.
-            PartitionBuffer<RowRef> bbuf(build_list.size(), num_buckets);
-            PartitionBuffer<RowRef> pbuf(probe_list.size(), num_buckets);
-            probe_bucket.assign(probe_list.num_rows, 0);
-            if (flat) {
-              if (cached == nullptr) build_hash.resize(build_list.num_rows);
-              probe_hash.resize(probe_list.num_rows);
-            }
-            // On a recycle hit the build side needs no producers at all:
-            // the cached tables already hold every build row.
-            const size_t nb = cached != nullptr ? 0 : build_list.size();
-            OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-                pipe, nb + probe_list.size(),
-                [&](size_t t) -> Status {
-                  const bool is_build = t < nb;
-                  const size_t side_t = is_build ? t : t - nb;
-                  const BatchList& list = is_build ? build_list : probe_list;
-                  const std::vector<size_t>& keys =
-                      is_build ? build_keys : probe_keys;
-                  PartitionBuffer<RowRef>& buf = is_build ? bbuf : pbuf;
-                  const RowBatch& batch = list.batch(side_t);
-                  buf.ReserveProducer(side_t, batch.num_rows());
-                  uint32_t* pb = is_build
-                                     ? nullptr
-                                     : probe_bucket.data() +
-                                           probe_list.offsets[side_t];
-                  if (flat) {
-                    // Batch-wide columnar hash, then multiply-shift buckets.
-                    uint64_t* hashes =
-                        (is_build ? build_hash : probe_hash).data() +
-                        list.offsets[side_t];
-                    hash::HashKeys(batch, keys, hashes);
-                    for (size_t i = 0; i < batch.num_rows(); ++i) {
-                      const uint32_t b =
-                          num_buckets <= 1
-                              ? 0
-                              : hash::BucketOf(hashes[i], num_buckets);
-                      if (pb != nullptr) pb[i] = b;
-                      buf.Append(side_t, b,
-                                 RowRef{static_cast<uint32_t>(side_t),
-                                        static_cast<uint32_t>(i)});
-                    }
-                    return Status::OK();
-                  }
-                  for (size_t i = 0; i < batch.num_rows(); ++i) {
-                    const uint32_t b =
-                        num_buckets <= 1
-                            ? 0
-                            : static_cast<uint32_t>(
-                                  batch.HashKeysAt(i, keys) % num_buckets);
-                    if (pb != nullptr) pb[i] = b;
-                    buf.Append(side_t, b,
-                               RowRef{static_cast<uint32_t>(side_t),
-                                      static_cast<uint32_t>(i)});
-                  }
-                  return Status::OK();
-                },
-                num_buckets,
-                [&](size_t b) -> Status {
-                  return reduce_bucket(
-                      b, bbuf.BucketSize(b),
-                      [&](auto&& f) { bbuf.ForEachInBucket(b, f); },
-                      pbuf.BucketSize(b),
-                      [&](auto&& f) { pbuf.ForEachInBucket(b, f); });
-                },
-                &part_s, &reduce_max_s));
-            job_skew = BufferSkew(pbuf);
-          } else {
-            // Phased: partition both inputs (barrier), scatter, then the
-            // reduce wave.
-            double part_build_s = 0, part_probe_s = 0;
-            std::vector<uint32_t> build_bucket;
-            if (flat && cached != nullptr) {
-              // Recycle hit: the build side was partitioned when the cached
-              // tables were built; only the probe side needs a wave.
-              OPD_RETURN_NOT_OK(ComputeBucketsBatchFlat(
-                  pctx, "partition:probe", probe_list, probe_keys,
-                  num_buckets, &probe_bucket, &probe_hash, &part_probe_s));
-            } else if (flat) {
-              OPD_RETURN_NOT_OK(ComputeBucketsBatchFlat(
-                  pctx, "partition:build", build_list, build_keys,
-                  num_buckets, &build_bucket, &build_hash, &part_build_s));
-              OPD_RETURN_NOT_OK(ComputeBucketsBatchFlat(
-                  pctx, "partition:probe", probe_list, probe_keys,
-                  num_buckets, &probe_bucket, &probe_hash, &part_probe_s));
-            } else {
-              OPD_RETURN_NOT_OK(ComputeBucketsBatch(
-                  pctx, "partition:build", build_list, build_keys,
-                  num_buckets, &build_bucket, &part_build_s));
-              OPD_RETURN_NOT_OK(ComputeBucketsBatch(
-                  pctx, "partition:probe", probe_list, probe_keys,
-                  num_buckets, &probe_bucket, &part_probe_s));
-            }
-            part_s = part_build_s + part_probe_s;
-            const auto build_lists =
-                cached != nullptr
-                    ? std::vector<std::vector<RowRef>>(num_buckets)
-                    : BucketRefLists(build_list, build_bucket, num_buckets);
-            const auto probe_lists =
-                BucketRefLists(probe_list, probe_bucket, num_buckets);
-            job_skew = BucketSkew(probe_lists);
-            OPD_RETURN_NOT_OK(RunPhase(
-                pctx, "reduce", num_buckets,
-                [&](size_t b) -> Status {
-                  return reduce_bucket(
-                      b, build_lists[b].size(),
-                      [&](auto&& f) {
-                        for (RowRef ref : build_lists[b]) f(ref);
-                      },
-                      probe_lists[b].size(),
-                      [&](auto&& f) {
-                        for (RowRef ref : probe_lists[b]) f(ref);
-                      });
-                },
-                &reduce_max_s));
-          }
-          job_max_task_s = part_s + reduce_max_s;
-
-          if (pending != nullptr) {
-            pending->build_cost_s =
-                static_cast<double>(
-                    build_ns.load(std::memory_order_relaxed)) *
-                1e-9;
-            observe_recycle_insert(recycler->Insert(rkey, std::move(pending)));
-            pending.reset();
-          }
-
-          // Deterministic merge: matches in probe-row order (each bucket's
-          // output is already ordered by probe index, so a cursor per
-          // bucket suffices). Identical for every thread/bucket count.
-          size_t total = 0;
-          for (const auto& b : bucket_out) total += b.size();
-          std::vector<std::pair<RowRef, RowRef>> merged;  // (probe, build)
-          merged.reserve(total);
-          std::vector<size_t> cursor(num_buckets, 0);
-          for (size_t p = 0; p < probe_list.num_rows; ++p) {
-            auto& local = bucket_out[probe_bucket[p]];
-            size_t& c = cursor[probe_bucket[p]];
-            while (c < local.size() && local[c].probe_global == p) {
-              merged.emplace_back(local[c].probe, local[c].build);
-              ++c;
-            }
-          }
-
-          // Assemble the output column-wise: one gather per output column
-          // from whichever side it came from.
-          std::vector<storage::ColumnVectorPtr> out_cols;
-          out_cols.reserve(out_map.size());
-          for (size_t c = 0; c < out_map.size(); ++c) {
-            const auto& [from_left, src_col] = out_map[c];
-            const bool from_probe = from_left == build_right;
-            const BatchList& side = from_probe ? probe_list : build_list;
-            ColumnGatherer gatherer(node->out_schema.columns()[c].type,
-                                    side, src_col, merged.size());
-            for (const auto& [pref, bref] : merged) {
-              gatherer.Append(from_probe ? pref : bref);
-            }
-            out_cols.push_back(gatherer.Finish());
-          }
-          if (options_.metrics) {
-            // Dictionary compression of the gathered string columns: hit
-            // rate is 1 - entries/values across the run.
-            for (const auto& col : out_cols) {
-              if (col->declared_type() == DataType::kString &&
-                  col->is_native() && col->size() > 0) {
-                registry.counter("storage.dict.values").Inc(col->size());
-                registry.counter("storage.dict.entries").Inc(col->dict_size());
-              }
-            }
-          }
-          std::vector<RowBatch> out_batches;
-          out_batches.push_back(
-              RowBatch(std::move(out_cols), merged.size()));
-          out = Table::FromBatches("", node->out_schema,
-                                   std::move(out_batches));
-          break;
-        }
-
-        // Row-at-a-time join. Reduce body shared by both schedules: each
-        // bucket builds an unordered hash table over its build rows and
-        // probes it with its probe rows in row order. Output rows carry
-        // their probe-row index for the deterministic merge.
-        double part_s = 0, reduce_max_s = 0;
-        std::vector<uint32_t> probe_bucket;
-        // Flat path: per-row key hashes computed once during partitioning
-        // and reused by the reduce tables (no re-hash at insert time).
-        std::vector<uint64_t> build_hash, probe_hash;
-        std::vector<std::vector<std::pair<size_t, Row>>> bucket_out(
-            num_buckets);
-
-        if (build_identity != nullptr && flat) {
-          // Row-mode recycling: keys normalize codec-free (NormalizeKeyRow
-          // is canonical per row), so the key carries no codec modes. The
-          // pin is the build Table object itself.
-          rkey.kind = hash::RecycleKind::kJoinBuildRow;
+        if (build_identity != nullptr) {
+          rkey.kind = hash::RecycleKind::kJoinBuild;
           rkey.identity = *build_identity;
           rkey.key_cols = build_keys;
+          rkey.codec_modes.reserve(codecs[0].modes.size());
+          for (hash::KeyColMode m : codecs[0].modes) {
+            rkey.codec_modes.push_back(static_cast<uint8_t>(m));
+          }
           rkey.num_buckets = static_cast<uint32_t>(num_buckets);
-          const storage::TablePtr& build_table =
-              build_right ? inputs[1] : inputs[0];
-          cached = recycler->Lookup(rkey, build_table.get());
+          cached = recycler->Lookup(rkey, build_list.batches.get());
           count_recycle(cached != nullptr);
           if (cached == nullptr) {
             pending = std::make_shared<hash::CachedBuild>();
-            pending->join_row.resize(num_buckets);
-            pending->table = build_table;
-            pending->pin = build_table.get();
+            pending->join.resize(num_buckets);
+            pending->batches = build_list.batches;
+            pending->pin = build_list.batches.get();
             pending->view_id = build_child->view_id;
           }
         }
-        // Builds one output row for match (probe p, build m), shared by both
-        // hash-table variants.
-        auto emit_match = [&](size_t p, size_t m,
-                              std::vector<std::pair<size_t, Row>>* local) {
-          const Row& prow = probe_in.row(p);
-          const Row& brow = build_in.row(m);
-          const Row& lrow = build_right ? prow : brow;
-          const Row& rrow = build_right ? brow : prow;
-          Row r;
-          r.reserve(out_map.size());
-          for (const auto& [from_left, i] : out_map) {
-            r.push_back(from_left ? lrow[i] : rrow[i]);
+
+        // Fused map+partition: one producer per batch (build batches first,
+        // then probe batches) hashes straight into its own per-bucket
+        // buffer slots. On a recycle hit the build side needs no producers
+        // at all: the cached tables already hold every build row.
+        PartitionBuffer<RowRef> bbuf(build_list.size(), num_buckets);
+        PartitionBuffer<RowRef> pbuf(probe_list.size(), num_buckets);
+        std::vector<uint32_t> probe_bucket(probe_list.num_rows, 0);
+        std::vector<uint64_t> build_hash, probe_hash(probe_list.num_rows);
+        if (cached == nullptr) build_hash.resize(build_list.num_rows);
+        const size_t nb = cached != nullptr ? 0 : build_list.size();
+        auto partition = [&](size_t t) -> Status {
+          const bool is_build = t < nb;
+          const size_t side_t = is_build ? t : t - nb;
+          const BatchList& list = is_build ? build_list : probe_list;
+          PartitionBuffer<RowRef>& buf = is_build ? bbuf : pbuf;
+          const RowBatch& batch = list.batch(side_t);
+          buf.ReserveProducer(side_t, batch.num_rows());
+          uint64_t* hashes = (is_build ? build_hash : probe_hash).data() +
+                             list.offsets[side_t];
+          hash::HashKeys(batch, is_build ? build_keys : probe_keys, hashes);
+          uint32_t* pb = is_build ? nullptr
+                                  : probe_bucket.data() +
+                                        probe_list.offsets[side_t];
+          for (size_t i = 0; i < batch.num_rows(); ++i) {
+            const uint32_t b =
+                num_buckets <= 1 ? 0 : hash::BucketOf(hashes[i], num_buckets);
+            if (pb != nullptr) pb[i] = b;
+            buf.Append(side_t, b,
+                       RowRef{static_cast<uint32_t>(side_t),
+                              static_cast<uint32_t>(i)});
           }
-          local->emplace_back(p, std::move(r));
-        };
-        auto reduce_bucket = [&](size_t b, size_t build_n,
-                                 const auto& build_each, size_t probe_n,
-                                 const auto& probe_each) -> Status {
-          auto& local = bucket_out[b];
-          local.reserve(probe_n);
-          if (cached != nullptr) {
-            const hash::FlatMultiMap<size_t>& ht = cached->join_row[b];
-            hash::KeyScratch key;
-            probe_each([&](size_t p) {
-              hash::NormalizeKeyRow(probe_in.row(p), probe_keys, &key);
-              ht.ForEachMatchShared(probe_hash[p], key.data(), key.size(),
-                                    [&](size_t m) { emit_match(p, m, &local); });
-            });
-            return Status::OK();
-          }
-          if (flat) {
-            hash::FlatMultiMap<size_t> fresh;
-            hash::FlatMultiMap<size_t>& ht =
-                pending != nullptr ? pending->join_row[b] : fresh;
-            ht.Reserve(build_n, 0, join_key_hint(build_n));
-            hash::KeyScratch key;
-            const auto build_start = std::chrono::steady_clock::now();
-            build_each([&](size_t r) {
-              hash::NormalizeKeyRow(build_in.row(r), build_keys, &key);
-              ht.Insert(build_hash[r], key.data(), key.size(), r);
-            });
-            if (pending != nullptr) {
-              build_ns.fetch_add(
-                  static_cast<uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - build_start)
-                          .count()),
-                  std::memory_order_relaxed);
-            }
-            if (ht_load_hist != nullptr && ht.size() > 0) {
-              ht_load_hist->Observe(ht.load_factor());
-            }
-            probe_each([&](size_t p) {
-              hash::NormalizeKeyRow(probe_in.row(p), probe_keys, &key);
-              ht.ForEachMatch(probe_hash[p], key.data(), key.size(),
-                              [&](size_t m) { emit_match(p, m, &local); });
-            });
-            observe_flat(ht.stats(), ht.arena_bytes());
-            return Status::OK();
-          }
-          std::unordered_map<Row, std::vector<size_t>, RowHash> ht;
-          ht.reserve(build_n);
-          build_each([&](size_t r) {
-            Row key;
-            key.reserve(build_keys.size());
-            for (size_t i : build_keys) key.push_back(build_in.row(r)[i]);
-            ht[std::move(key)].push_back(r);
-          });
-          if (ht_load_hist != nullptr && !ht.empty()) {
-            ht_load_hist->Observe(ht.load_factor());
-          }
-          Row key;
-          probe_each([&](size_t p) {
-            const Row& prow = probe_in.row(p);
-            key.clear();
-            for (size_t i : probe_keys) key.push_back(prow[i]);
-            auto it = ht.find(key);
-            if (it == ht.end()) return;
-            for (size_t m : it->second) emit_match(p, m, &local);
-          });
           return Status::OK();
         };
 
-        if (pipelined) {
-          // Fused map+partition: producers cover the build splits first,
-          // then the probe splits, each hashing its rows directly into its
-          // per-bucket buffer slots.
-          const std::vector<Row>& build_rows = build_in.rows();
-          const std::vector<Row>& probe_rows = probe_in.rows();
-          const std::vector<RowRange> bsplits =
-              storage::SplitRowsByBlockSize(build_rows.size(),
-                                            build_in.AvgRowBytes(),
-                                            block_size);
-          const std::vector<RowRange> psplits =
-              storage::SplitRowsByBlockSize(probe_rows.size(),
-                                            probe_in.AvgRowBytes(),
-                                            block_size);
-          PartitionBuffer<size_t> bbuf(bsplits.size(), num_buckets);
-          PartitionBuffer<size_t> pbuf(psplits.size(), num_buckets);
-          probe_bucket.assign(probe_rows.size(), 0);
-          if (flat) {
-            if (cached == nullptr) build_hash.resize(build_rows.size());
-            probe_hash.resize(probe_rows.size());
+        // Reduce: each bucket keys its build rows by their normalized key
+        // bytes (equal exactly when the key Values are equal) and probes in
+        // row order, emitting (probe ref, build ref) matches.
+        struct Match {
+          size_t probe_global;
+          RowRef probe, build;
+        };
+        std::vector<std::vector<Match>> bucket_out(num_buckets);
+        auto reduce_bucket = [&](size_t b) -> Status {
+          auto& local = bucket_out[b];
+          local.reserve(pbuf.BucketSize(b));
+          hash::KeyScratch key;
+          // Streams bucket b's probe rows through `lookup(hash, emit)`.
+          auto probe = [&](const auto& lookup) {
+            pbuf.ForEachInBucket(b, [&](RowRef pref) {
+              hash::NormalizeKey(probe_list.batch(pref.batch), pref.idx,
+                                 codecs[1], &key);
+              const size_t pg = probe_list.offsets[pref.batch] + pref.idx;
+              lookup(probe_hash[pg], [&](RowRef bref) {
+                local.push_back(Match{pg, pref, bref});
+              });
+            });
+          };
+          if (cached != nullptr) {
+            // Recycled build: probe the shared cached table through the
+            // stats-free accessor (other queries may probe it concurrently).
+            // Matches come out in the cached table's insertion order ==
+            // global build-row order, exactly what a fresh build emits.
+            const hash::FlatMultiMap<RowRef>& ht = cached->join[b];
+            probe([&](uint64_t h, const auto& emit) {
+              ht.ForEachMatchShared(h, key.data(), key.size(), emit);
+            });
+            return Status::OK();
           }
-          // On a recycle hit the build side needs no producers at all.
-          const size_t nb = cached != nullptr ? 0 : bsplits.size();
-          OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-              pipe, nb + psplits.size(),
-              [&](size_t t) -> Status {
-                const bool is_build = t < nb;
-                const size_t side_t = is_build ? t : t - nb;
-                const RowRange& split =
-                    is_build ? bsplits[side_t] : psplits[side_t];
-                const std::vector<Row>& rows =
-                    is_build ? build_rows : probe_rows;
-                const std::vector<size_t>& keys =
-                    is_build ? build_keys : probe_keys;
-                PartitionBuffer<size_t>& buf = is_build ? bbuf : pbuf;
-                buf.ReserveProducer(side_t, split.size());
-                if (flat) {
-                  std::vector<uint64_t>& hashes =
-                      is_build ? build_hash : probe_hash;
-                  for (size_t r = split.begin; r < split.end; ++r) {
-                    const uint64_t h = hash::FlatRowKeyHash(rows[r], keys);
-                    hashes[r] = h;
-                    const uint32_t b = num_buckets <= 1
-                                           ? 0
-                                           : hash::BucketOf(h, num_buckets);
-                    if (!is_build) probe_bucket[r] = b;
-                    buf.Append(side_t, b, r);
-                  }
-                  return Status::OK();
-                }
-                for (size_t r = split.begin; r < split.end; ++r) {
-                  uint32_t b = 0;
-                  if (num_buckets > 1) {
-                    // Hoisted key hash: no temporary key Row per probe.
-                    b = static_cast<uint32_t>(
-                        hash::LegacyRowKeyHash(rows[r], keys) % num_buckets);
-                  }
-                  if (!is_build) probe_bucket[r] = b;
-                  buf.Append(side_t, b, r);
-                }
-                return Status::OK();
-              },
-              num_buckets,
-              [&](size_t b) -> Status {
-                return reduce_bucket(
-                    b, bbuf.BucketSize(b),
-                    [&](auto&& f) { bbuf.ForEachInBucket(b, f); },
-                    pbuf.BucketSize(b),
-                    [&](auto&& f) { pbuf.ForEachInBucket(b, f); });
-              },
-              &part_s, &reduce_max_s));
-          job_skew = BufferSkew(pbuf);
-        } else {
-          // Phased: partition both inputs (barrier), scatter, then the
-          // reduce wave.
-          double part_build_s = 0, part_probe_s = 0;
-          std::vector<uint32_t> build_bucket;
-          if (flat && cached != nullptr) {
-            // Recycle hit: only the probe side needs a partition wave.
-            OPD_RETURN_NOT_OK(ComputeBucketsFlat(
-                pctx, "partition:probe", probe_in, probe_keys, num_buckets,
-                block_size, &probe_bucket, &probe_hash, &part_probe_s));
-          } else if (flat) {
-            OPD_RETURN_NOT_OK(ComputeBucketsFlat(
-                pctx, "partition:build", build_in, build_keys, num_buckets,
-                block_size, &build_bucket, &build_hash, &part_build_s));
-            OPD_RETURN_NOT_OK(ComputeBucketsFlat(
-                pctx, "partition:probe", probe_in, probe_keys, num_buckets,
-                block_size, &probe_bucket, &probe_hash, &part_probe_s));
-          } else {
-            OPD_RETURN_NOT_OK(ComputeBuckets(pctx, "partition:build",
-                                             build_in, build_keys,
-                                             num_buckets, block_size,
-                                             &build_bucket, &part_build_s));
-            OPD_RETURN_NOT_OK(ComputeBuckets(pctx, "partition:probe",
-                                             probe_in, probe_keys,
-                                             num_buckets, block_size,
-                                             &probe_bucket, &part_probe_s));
+          hash::FlatMultiMap<RowRef> fresh;
+          hash::FlatMultiMap<RowRef>& ht =
+              pending != nullptr ? pending->join[b] : fresh;
+          const size_t build_n = bbuf.BucketSize(b);
+          ht.Reserve(build_n, codecs[0].bounded ? codecs[0].width_bound : 0,
+                     join_key_hint(build_n));
+          const auto build_start = std::chrono::steady_clock::now();
+          bbuf.ForEachInBucket(b, [&](RowRef ref) {
+            hash::NormalizeKey(build_list.batch(ref.batch), ref.idx,
+                               codecs[0], &key);
+            const size_t bg = build_list.offsets[ref.batch] + ref.idx;
+            ht.Insert(build_hash[bg], key.data(), key.size(), ref);
+          });
+          if (pending != nullptr) {
+            build_ns.fetch_add(
+                static_cast<uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - build_start)
+                        .count()),
+                std::memory_order_relaxed);
           }
-          part_s = part_build_s + part_probe_s;
-          const auto build_lists =
-              cached != nullptr
-                  ? std::vector<std::vector<size_t>>(num_buckets)
-                  : BucketLists(build_bucket, num_buckets);
-          const auto probe_lists = BucketLists(probe_bucket, num_buckets);
-          job_skew = BucketSkew(probe_lists);
-          OPD_RETURN_NOT_OK(RunPhase(
-              pctx, "reduce", num_buckets,
-              [&](size_t b) -> Status {
-                return reduce_bucket(
-                    b, build_lists[b].size(),
-                    [&](auto&& f) {
-                      for (size_t r : build_lists[b]) f(r);
-                    },
-                    probe_lists[b].size(),
-                    [&](auto&& f) {
-                      for (size_t p : probe_lists[b]) f(p);
-                    });
-              },
-              &reduce_max_s));
-        }
+          if (ht_load_hist != nullptr && ht.size() > 0) {
+            ht_load_hist->Observe(ht.load_factor());
+          }
+          probe([&](uint64_t h, const auto& emit) {
+            ht.ForEachMatch(h, key.data(), key.size(), emit);
+          });
+          observe_flat(ht.stats(), ht.arena_bytes());
+          return Status::OK();
+        };
+
+        double part_s = 0, reduce_max_s = 0;
+        OPD_RETURN_NOT_OK(RunPipelinedShuffle(
+            pipe, nb + probe_list.size(), partition, num_buckets,
+            reduce_bucket, &part_s, &reduce_max_s));
+        job_skew = BufferSkew(pbuf);
         job_max_task_s = part_s + reduce_max_s;
 
         if (pending != nullptr) {
@@ -1584,24 +740,54 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
               static_cast<double>(build_ns.load(std::memory_order_relaxed)) *
               1e-9;
           observe_recycle_insert(recycler->Insert(rkey, std::move(pending)));
-          pending.reset();
         }
 
-        // Deterministic merge: emit matches in probe-row order (each
-        // bucket's output is already ordered by probe index, so a cursor
-        // per bucket suffices). Identical for every thread/bucket count.
+        // Deterministic merge: matches in probe-row order (each bucket's
+        // output is already ordered by probe index, so a cursor per bucket
+        // suffices). Identical for every thread/bucket count.
         size_t total = 0;
         for (const auto& b : bucket_out) total += b.size();
-        out.Reserve(total);
+        std::vector<std::pair<RowRef, RowRef>> merged;  // (probe, build)
+        merged.reserve(total);
         std::vector<size_t> cursor(num_buckets, 0);
-        for (size_t p = 0; p < probe_in.num_rows(); ++p) {
+        for (size_t p = 0; p < probe_list.num_rows; ++p) {
           auto& local = bucket_out[probe_bucket[p]];
           size_t& c = cursor[probe_bucket[p]];
-          while (c < local.size() && local[c].first == p) {
-            OPD_RETURN_NOT_OK(out.AppendRow(std::move(local[c].second)));
+          while (c < local.size() && local[c].probe_global == p) {
+            merged.emplace_back(local[c].probe, local[c].build);
             ++c;
           }
         }
+
+        // Assemble the output column-wise: one gather per output column
+        // from whichever side it came from.
+        std::vector<storage::ColumnVectorPtr> out_cols;
+        out_cols.reserve(out_map.size());
+        for (size_t c = 0; c < out_map.size(); ++c) {
+          const auto& [from_left, src_col] = out_map[c];
+          const bool from_probe = from_left == build_right;
+          const BatchList& side = from_probe ? probe_list : build_list;
+          ColumnGatherer gatherer(node->out_schema.columns()[c].type, side,
+                                  src_col, merged.size());
+          for (const auto& [pref, bref] : merged) {
+            gatherer.Append(from_probe ? pref : bref);
+          }
+          out_cols.push_back(gatherer.Finish());
+        }
+        if (options_.metrics) {
+          // Dictionary compression of the gathered string columns: hit
+          // rate is 1 - entries/values across the run.
+          for (const auto& col : out_cols) {
+            if (col->declared_type() == DataType::kString &&
+                col->is_native() && col->size() > 0) {
+              registry.counter("storage.dict.values").Inc(col->size());
+              registry.counter("storage.dict.entries").Inc(col->dict_size());
+            }
+          }
+        }
+        std::vector<RowBatch> out_batches;
+        out_batches.push_back(RowBatch(std::move(out_cols), merged.size()));
+        out = Table::FromBatches("", node->out_schema, std::move(out_batches));
         break;
       }
       case OpKind::kGroupByAgg: {
@@ -1627,7 +813,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         job_reduce_tasks = num_buckets;
 
         using GroupEntry = std::pair<Row, std::vector<AggState>>;
-        double part_s = 0, reduce_max_s = 0;
         std::vector<std::vector<GroupEntry>> bucket_groups(num_buckets);
         // Optimizer cardinality estimate (product of key distincts from the
         // sampled stats, capped by input rows): pre-sizes each bucket's flat
@@ -1643,6 +828,19 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
                      : bucket_n;
         };
 
+        const BatchList in_list(in);
+        const std::vector<hash::KeyCodec> codecs =
+            hash::PlanKeyCodecs({{in_list.batches.get(), &key_idx}});
+        // Folds input row `ref` into one group's aggregate states.
+        auto fold = [&](std::vector<AggState>& aggs, RowRef ref) {
+          const RowBatch& batch = in_list.batch(ref.batch);
+          for (size_t a = 0; a < aggs.size(); ++a) {
+            aggs[a].Update(agg_idx[a]
+                               ? batch.column(*agg_idx[a]).GetValue(ref.idx)
+                               : Value(int64_t{1}));
+          }
+        };
+
         // Hash recycling for group-by: the aggregates are query-specific,
         // so the recycler caches the *grouping routes* — per bucket, each
         // input row (in reduce order) with the dense group id it folded
@@ -1655,408 +853,125 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         std::shared_ptr<hash::CachedBuild> gpending;
         const OpNode* in_child = node->children[0].get();
         const std::string* in_identity =
-            (recycler != nullptr && flat) ? scan_ident(in_child) : nullptr;
-
-        if (vectorized) {
-          const BatchList in_list(in);
-          std::vector<hash::KeyCodec> codecs;
-          if (flat) {
-            codecs = hash::PlanKeyCodecs({{in_list.batches.get(), &key_idx}});
+            recycler != nullptr ? scan_ident(in_child) : nullptr;
+        if (in_identity != nullptr) {
+          grkey.kind = hash::RecycleKind::kGroupBy;
+          grkey.identity = *in_identity;
+          grkey.key_cols = key_idx;
+          grkey.codec_modes.reserve(codecs[0].modes.size());
+          for (hash::KeyColMode m : codecs[0].modes) {
+            grkey.codec_modes.push_back(static_cast<uint8_t>(m));
           }
-          std::vector<uint64_t> hash_of;
-
-          if (in_identity != nullptr) {
-            grkey.kind = hash::RecycleKind::kGroupByBatch;
-            grkey.identity = *in_identity;
-            grkey.key_cols = key_idx;
-            grkey.codec_modes.reserve(codecs[0].modes.size());
-            for (hash::KeyColMode m : codecs[0].modes) {
-              grkey.codec_modes.push_back(static_cast<uint8_t>(m));
-            }
-            grkey.num_buckets = static_cast<uint32_t>(num_buckets);
-            gcached = recycler->Lookup(grkey, in_list.batches.get());
-            count_recycle(gcached != nullptr);
-            if (gcached == nullptr) {
-              gpending = std::make_shared<hash::CachedBuild>();
-              gpending->group_rows_batch.resize(num_buckets);
-              gpending->group_of.resize(num_buckets);
-              gpending->group_keys.resize(num_buckets);
-              gpending->batches = in_list.batches;
-              gpending->pin = in_list.batches.get();
-              gpending->view_id = in_child->view_id;
-            }
+          grkey.num_buckets = static_cast<uint32_t>(num_buckets);
+          gcached = recycler->Lookup(grkey, in_list.batches.get());
+          count_recycle(gcached != nullptr);
+          if (gcached == nullptr) {
+            gpending = std::make_shared<hash::CachedBuild>();
+            gpending->group_rows.resize(num_buckets);
+            gpending->group_of.resize(num_buckets);
+            gpending->group_keys.resize(num_buckets);
+            gpending->batches = in_list.batches;
+            gpending->pin = in_list.batches.get();
+            gpending->view_id = in_child->view_id;
           }
+        }
 
-          // Reduce body shared by both schedules: hash-aggregate one
-          // bucket, keying groups by the packed key bytes; the key Row is
-          // materialized once per group. Rows of a key fold in original row
-          // order, so floating point accumulation matches the serial pass.
-          auto reduce_bucket = [&](size_t b, size_t bucket_n,
-                                   const auto& for_each) -> Status {
+        double part_s = 0, reduce_max_s = 0;
+        if (gcached != nullptr) {
+          // Recycle hit: no partitioning, no hashing — replay the recorded
+          // routes per bucket, folding this query's aggregates from the
+          // live input. Route order == the original reduce order == global
+          // row order per bucket, so float accumulation and first-seen
+          // group order are byte-identical to a rebuild.
+          OPD_RETURN_NOT_OK(RunWave(
+              pipe, "reduce", num_buckets,
+              [&](size_t b) -> Status {
+                const auto& rrows = gcached->group_rows[b];
+                const auto& rgof = gcached->group_of[b];
+                const auto& rkeys = gcached->group_keys[b];
+                std::vector<GroupEntry>& groups = bucket_groups[b];
+                groups.reserve(rkeys.size());
+                for (size_t i = 0; i < rrows.size(); ++i) {
+                  const uint32_t id = rgof[i];
+                  if (id == groups.size()) {
+                    groups.emplace_back(
+                        rkeys[id],
+                        std::vector<AggState>(node->group.aggs.size()));
+                  }
+                  fold(groups[id].second, rrows[i]);
+                }
+                return Status::OK();
+              },
+              &reduce_max_s));
+        } else {
+          // Fused map+partition: one producer per batch hashes straight
+          // into its per-bucket buffer slots; per-row hashes are kept for
+          // the reduce tables.
+          PartitionBuffer<RowRef> buf(in_list.size(), num_buckets);
+          std::vector<uint64_t> hash_of(in_list.num_rows);
+          auto partition = [&](size_t t) -> Status {
+            const RowBatch& batch = in_list.batch(t);
+            buf.ReserveProducer(t, batch.num_rows());
+            uint64_t* hashes = hash_of.data() + in_list.offsets[t];
+            hash::HashKeys(batch, key_idx, hashes);
+            for (size_t i = 0; i < batch.num_rows(); ++i) {
+              const uint32_t b = num_buckets <= 1
+                                     ? 0
+                                     : hash::BucketOf(hashes[i], num_buckets);
+              buf.Append(t, b,
+                         RowRef{static_cast<uint32_t>(t),
+                                static_cast<uint32_t>(i)});
+            }
+            return Status::OK();
+          };
+          // Reduce: hash-aggregate one bucket, keying groups by their
+          // normalized key bytes; the key Row is materialized once per
+          // group. Rows of a key fold in original row order, so floating
+          // point accumulation matches a serial pass.
+          auto reduce_bucket = [&](size_t b) -> Status {
             std::vector<GroupEntry>& groups = bucket_groups[b];
-            if (flat) {
-              hash::FlatGroupIndex index;
-              index.Reserve(group_hint(bucket_n),
-                            codecs[0].bounded ? codecs[0].width_bound : 0);
-              hash::KeyScratch key;
-              for_each([&](RowRef ref) {
-                const RowBatch& batch = in_list.batch(ref.batch);
-                hash::NormalizeKey(batch, ref.idx, codecs[0], &key);
-                const size_t g = in_list.offsets[ref.batch] + ref.idx;
-                auto [id, inserted] =
-                    index.InsertOrGet(hash_of[g], key.data(), key.size());
-                if (inserted) {
-                  Row krow;
-                  krow.reserve(key_idx.size());
-                  for (size_t c : key_idx) {
-                    krow.push_back(batch.column(c).GetValue(ref.idx));
-                  }
-                  // Copy the key into the recycler record *before* the
-                  // move below (the merge later moves keys out of groups).
-                  if (gpending != nullptr) {
-                    gpending->group_keys[b].push_back(krow);
-                  }
-                  groups.emplace_back(
-                      std::move(krow),
-                      std::vector<AggState>(node->group.aggs.size()));
-                }
-                if (gpending != nullptr) {
-                  gpending->group_rows_batch[b].push_back(ref);
-                  gpending->group_of[b].push_back(id);
-                }
-                auto& states_ = groups[id].second;
-                for (size_t a = 0; a < states_.size(); ++a) {
-                  states_[a].Update(
-                      agg_idx[a]
-                          ? batch.column(*agg_idx[a]).GetValue(ref.idx)
-                          : Value(int64_t{1}));
-                }
-              });
-              if (ht_load_hist != nullptr && index.size() > 0) {
-                ht_load_hist->Observe(index.load_factor());
-              }
-              observe_flat(index.stats(), index.arena_bytes());
-              return Status::OK();
-            }
-            std::unordered_map<std::string, size_t> index;
-            index.reserve(bucket_n);
-            std::string key;
-            for_each([&](RowRef ref) {
+            hash::FlatGroupIndex index;
+            index.Reserve(group_hint(buf.BucketSize(b)),
+                          codecs[0].bounded ? codecs[0].width_bound : 0);
+            hash::KeyScratch key;
+            buf.ForEachInBucket(b, [&](RowRef ref) {
               const RowBatch& batch = in_list.batch(ref.batch);
-              key.clear();
-              PackKeys(batch, ref.idx, key_idx, &key);
-              auto [it, inserted] = index.try_emplace(key, groups.size());
+              hash::NormalizeKey(batch, ref.idx, codecs[0], &key);
+              const size_t g = in_list.offsets[ref.batch] + ref.idx;
+              auto [id, inserted] =
+                  index.InsertOrGet(hash_of[g], key.data(), key.size());
               if (inserted) {
                 Row krow;
                 krow.reserve(key_idx.size());
                 for (size_t c : key_idx) {
                   krow.push_back(batch.column(c).GetValue(ref.idx));
                 }
+                // Copy the key into the recycler record *before* the move
+                // below (the merge later moves keys out of groups).
+                if (gpending != nullptr) {
+                  gpending->group_keys[b].push_back(krow);
+                }
                 groups.emplace_back(
                     std::move(krow),
                     std::vector<AggState>(node->group.aggs.size()));
               }
-              auto& states_ = groups[it->second].second;
-              for (size_t a = 0; a < states_.size(); ++a) {
-                states_[a].Update(
-                    agg_idx[a]
-                        ? batch.column(*agg_idx[a]).GetValue(ref.idx)
-                        : Value(int64_t{1}));
+              if (gpending != nullptr) {
+                gpending->group_rows[b].push_back(ref);
+                gpending->group_of[b].push_back(id);
               }
+              fold(groups[id].second, ref);
             });
-            if (ht_load_hist != nullptr && !index.empty()) {
+            if (ht_load_hist != nullptr && index.size() > 0) {
               ht_load_hist->Observe(index.load_factor());
             }
+            observe_flat(index.stats(), index.arena_bytes());
             return Status::OK();
           };
-
-          if (gcached != nullptr) {
-            // Recycle hit: no partitioning, no hashing — replay the
-            // recorded routes per bucket, folding this query's aggregates
-            // from the live input. Route order == the original reduce
-            // order == global row order per bucket, so float accumulation
-            // and first-seen group order are byte-identical to a rebuild.
-            OPD_RETURN_NOT_OK(RunPhase(
-                pctx, "reduce", num_buckets,
-                [&](size_t b) -> Status {
-                  const auto& rrows = gcached->group_rows_batch[b];
-                  const auto& rgof = gcached->group_of[b];
-                  const auto& rkeys = gcached->group_keys[b];
-                  std::vector<GroupEntry>& groups = bucket_groups[b];
-                  groups.reserve(rkeys.size());
-                  for (size_t i = 0; i < rrows.size(); ++i) {
-                    const uint32_t id = rgof[i];
-                    if (id == groups.size()) {
-                      groups.emplace_back(
-                          rkeys[id],
-                          std::vector<AggState>(node->group.aggs.size()));
-                    }
-                    const RowRef ref = rrows[i];
-                    const RowBatch& batch = in_list.batch(ref.batch);
-                    auto& states_ = groups[id].second;
-                    for (size_t a = 0; a < states_.size(); ++a) {
-                      states_[a].Update(
-                          agg_idx[a]
-                              ? batch.column(*agg_idx[a]).GetValue(ref.idx)
-                              : Value(int64_t{1}));
-                    }
-                  }
-                  return Status::OK();
-                },
-                &reduce_max_s));
-          } else if (pipelined) {
-            // Fused map+partition: one producer per batch hashes straight
-            // into its per-bucket buffer slots.
-            PartitionBuffer<RowRef> buf(in_list.size(), num_buckets);
-            if (flat) hash_of.resize(in_list.num_rows);
-            OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-                pipe, in_list.size(),
-                [&](size_t t) -> Status {
-                  const RowBatch& batch = in_list.batch(t);
-                  buf.ReserveProducer(t, batch.num_rows());
-                  if (flat) {
-                    uint64_t* hashes = hash_of.data() + in_list.offsets[t];
-                    hash::HashKeys(batch, key_idx, hashes);
-                    for (size_t i = 0; i < batch.num_rows(); ++i) {
-                      const uint32_t b =
-                          num_buckets <= 1
-                              ? 0
-                              : hash::BucketOf(hashes[i], num_buckets);
-                      buf.Append(t, b,
-                                 RowRef{static_cast<uint32_t>(t),
-                                        static_cast<uint32_t>(i)});
-                    }
-                    return Status::OK();
-                  }
-                  for (size_t i = 0; i < batch.num_rows(); ++i) {
-                    const uint32_t b =
-                        num_buckets <= 1
-                            ? 0
-                            : static_cast<uint32_t>(
-                                  batch.HashKeysAt(i, key_idx) %
-                                  num_buckets);
-                    buf.Append(t, b,
-                               RowRef{static_cast<uint32_t>(t),
-                                      static_cast<uint32_t>(i)});
-                  }
-                  return Status::OK();
-                },
-                num_buckets,
-                [&](size_t b) -> Status {
-                  return reduce_bucket(b, buf.BucketSize(b), [&](auto&& f) {
-                    buf.ForEachInBucket(b, f);
-                  });
-                },
-                &part_s, &reduce_max_s));
-            job_skew = BufferSkew(buf);
-          } else {
-            // Phased: partition (barrier), scatter, then the reduce wave.
-            std::vector<uint32_t> bucket_of;
-            if (flat) {
-              OPD_RETURN_NOT_OK(ComputeBucketsBatchFlat(
-                  pctx, "partition", in_list, key_idx, num_buckets,
-                  &bucket_of, &hash_of, &part_s));
-            } else {
-              OPD_RETURN_NOT_OK(ComputeBucketsBatch(pctx, "partition",
-                                                    in_list, key_idx,
-                                                    num_buckets, &bucket_of,
-                                                    &part_s));
-            }
-            const auto lists =
-                BucketRefLists(in_list, bucket_of, num_buckets);
-            job_skew = BucketSkew(lists);
-            OPD_RETURN_NOT_OK(RunPhase(
-                pctx, "reduce", num_buckets,
-                [&](size_t b) -> Status {
-                  return reduce_bucket(b, lists[b].size(), [&](auto&& f) {
-                    for (RowRef ref : lists[b]) f(ref);
-                  });
-                },
-                &reduce_max_s));
-          }
-        } else {
-          // Row-at-a-time group-by; same structure as the batch path with
-          // Row keys instead of packed key bytes.
-          std::vector<uint64_t> hash_of;
-
-          if (in_identity != nullptr) {
-            grkey.kind = hash::RecycleKind::kGroupByRow;
-            grkey.identity = *in_identity;
-            grkey.key_cols = key_idx;
-            grkey.num_buckets = static_cast<uint32_t>(num_buckets);
-            gcached = recycler->Lookup(grkey, inputs[0].get());
-            count_recycle(gcached != nullptr);
-            if (gcached == nullptr) {
-              gpending = std::make_shared<hash::CachedBuild>();
-              gpending->group_rows_row.resize(num_buckets);
-              gpending->group_of.resize(num_buckets);
-              gpending->group_keys.resize(num_buckets);
-              gpending->table = inputs[0];
-              gpending->pin = inputs[0].get();
-              gpending->view_id = in_child->view_id;
-            }
-          }
-
-          auto reduce_bucket = [&](size_t b, size_t bucket_n,
-                                   const auto& for_each) -> Status {
-            std::vector<GroupEntry>& groups = bucket_groups[b];
-            if (flat) {
-              hash::FlatGroupIndex index;
-              index.Reserve(group_hint(bucket_n), 0);
-              hash::KeyScratch key;
-              for_each([&](size_t r) {
-                const Row& row = in.row(r);
-                hash::NormalizeKeyRow(row, key_idx, &key);
-                auto [id, inserted] =
-                    index.InsertOrGet(hash_of[r], key.data(), key.size());
-                if (inserted) {
-                  Row krow;
-                  krow.reserve(key_idx.size());
-                  for (size_t i : key_idx) krow.push_back(row[i]);
-                  if (gpending != nullptr) {
-                    gpending->group_keys[b].push_back(krow);
-                  }
-                  groups.emplace_back(
-                      std::move(krow),
-                      std::vector<AggState>(node->group.aggs.size()));
-                }
-                if (gpending != nullptr) {
-                  gpending->group_rows_row[b].push_back(r);
-                  gpending->group_of[b].push_back(id);
-                }
-                auto& states_ = groups[id].second;
-                for (size_t a = 0; a < states_.size(); ++a) {
-                  states_[a].Update(agg_idx[a] ? row[*agg_idx[a]]
-                                               : Value(int64_t{1}));
-                }
-              });
-              if (ht_load_hist != nullptr && index.size() > 0) {
-                ht_load_hist->Observe(index.load_factor());
-              }
-              observe_flat(index.stats(), index.arena_bytes());
-              return Status::OK();
-            }
-            std::unordered_map<Row, size_t, RowHash> index;
-            index.reserve(bucket_n);
-            for_each([&](size_t r) {
-              const Row& row = in.row(r);
-              Row key;
-              key.reserve(key_idx.size());
-              for (size_t i : key_idx) key.push_back(row[i]);
-              auto [it, inserted] =
-                  index.try_emplace(std::move(key), groups.size());
-              if (inserted) {
-                groups.emplace_back(it->first,
-                                    std::vector<AggState>(
-                                        node->group.aggs.size()));
-              }
-              auto& states_ = groups[it->second].second;
-              for (size_t a = 0; a < states_.size(); ++a) {
-                states_[a].Update(agg_idx[a] ? row[*agg_idx[a]]
-                                             : Value(int64_t{1}));
-              }
-            });
-            if (ht_load_hist != nullptr && !index.empty()) {
-              ht_load_hist->Observe(index.load_factor());
-            }
-            return Status::OK();
-          };
-
-          if (gcached != nullptr) {
-            // Recycle hit: replay the recorded routes (see the batch path).
-            OPD_RETURN_NOT_OK(RunPhase(
-                pctx, "reduce", num_buckets,
-                [&](size_t b) -> Status {
-                  const auto& rrows = gcached->group_rows_row[b];
-                  const auto& rgof = gcached->group_of[b];
-                  const auto& rkeys = gcached->group_keys[b];
-                  std::vector<GroupEntry>& groups = bucket_groups[b];
-                  groups.reserve(rkeys.size());
-                  for (size_t i = 0; i < rrows.size(); ++i) {
-                    const uint32_t id = rgof[i];
-                    if (id == groups.size()) {
-                      groups.emplace_back(
-                          rkeys[id],
-                          std::vector<AggState>(node->group.aggs.size()));
-                    }
-                    const Row& row = in.row(rrows[i]);
-                    auto& states_ = groups[id].second;
-                    for (size_t a = 0; a < states_.size(); ++a) {
-                      states_[a].Update(agg_idx[a] ? row[*agg_idx[a]]
-                                                   : Value(int64_t{1}));
-                    }
-                  }
-                  return Status::OK();
-                },
-                &reduce_max_s));
-          } else if (pipelined) {
-            const std::vector<Row>& rows = in.rows();
-            const std::vector<RowRange> splits =
-                storage::SplitRowsByBlockSize(rows.size(), in.AvgRowBytes(),
-                                              block_size);
-            PartitionBuffer<size_t> buf(splits.size(), num_buckets);
-            if (flat) hash_of.resize(rows.size());
-            OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-                pipe, splits.size(),
-                [&](size_t t) -> Status {
-                  const RowRange& split = splits[t];
-                  buf.ReserveProducer(t, split.size());
-                  if (flat) {
-                    for (size_t r = split.begin; r < split.end; ++r) {
-                      const uint64_t h =
-                          hash::FlatRowKeyHash(rows[r], key_idx);
-                      hash_of[r] = h;
-                      buf.Append(t,
-                                 num_buckets <= 1
-                                     ? 0
-                                     : hash::BucketOf(h, num_buckets),
-                                 r);
-                    }
-                    return Status::OK();
-                  }
-                  for (size_t r = split.begin; r < split.end; ++r) {
-                    uint32_t b = 0;
-                    if (num_buckets > 1) {
-                      // Hoisted key hash: no temporary key Row per row.
-                      b = static_cast<uint32_t>(
-                          hash::LegacyRowKeyHash(rows[r], key_idx) %
-                          num_buckets);
-                    }
-                    buf.Append(t, b, r);
-                  }
-                  return Status::OK();
-                },
-                num_buckets,
-                [&](size_t b) -> Status {
-                  return reduce_bucket(b, buf.BucketSize(b), [&](auto&& f) {
-                    buf.ForEachInBucket(b, f);
-                  });
-                },
-                &part_s, &reduce_max_s));
-            job_skew = BufferSkew(buf);
-          } else {
-            std::vector<uint32_t> bucket_of;
-            if (flat) {
-              OPD_RETURN_NOT_OK(ComputeBucketsFlat(
-                  pctx, "partition", in, key_idx, num_buckets, block_size,
-                  &bucket_of, &hash_of, &part_s));
-            } else {
-              OPD_RETURN_NOT_OK(ComputeBuckets(pctx, "partition", in,
-                                               key_idx, num_buckets,
-                                               block_size, &bucket_of,
-                                               &part_s));
-            }
-            const auto lists = BucketLists(bucket_of, num_buckets);
-            job_skew = BucketSkew(lists);
-            OPD_RETURN_NOT_OK(RunPhase(
-                pctx, "reduce", num_buckets,
-                [&](size_t b) -> Status {
-                  return reduce_bucket(b, lists[b].size(), [&](auto&& f) {
-                    for (size_t r : lists[b]) f(r);
-                  });
-                },
-                &reduce_max_s));
-          }
+          OPD_RETURN_NOT_OK(RunPipelinedShuffle(pipe, in_list.size(),
+                                                partition, num_buckets,
+                                                reduce_bucket, &part_s,
+                                                &reduce_max_s));
+          job_skew = BufferSkew(buf);
         }
         job_max_task_s = part_s + reduce_max_s;
 
@@ -2065,11 +980,10 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
           // replay pass it pays instead is a fraction of it).
           gpending->build_cost_s = part_s + reduce_max_s;
           observe_recycle_insert(recycler->Insert(grkey, std::move(gpending)));
-          gpending.reset();
         }
 
-        // Deterministic merge: groups sorted by key — the order the old
-        // ordered-map implementation emitted, for any thread/bucket count.
+        // Deterministic merge: groups sorted by key, for any thread/bucket
+        // count.
         std::vector<GroupEntry*> ordered;
         size_t num_groups = 0;
         for (auto& g : bucket_groups) num_groups += g.size();
@@ -2098,9 +1012,9 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
       case OpKind::kUdf: {
         // UDF local functions are opaque per-row/per-group user code: the
         // engine falls back to row-at-a-time execution at this boundary
-        // (batch-primary inputs materialize their rows lazily). In
-        // pipelined mode consecutive map stages fuse into one row loop and
-        // reduce stages use the latch-scheduled shuffle.
+        // (batch-primary inputs materialize their rows lazily). Consecutive
+        // map stages fuse into one row loop and reduce stages use the
+        // latch-scheduled shuffle.
         OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
                              ctx.udfs->Find(node->udf.udf_name));
         std::vector<LfStageRun> stage_runs;
@@ -2108,8 +1022,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         udf_opts.pool = pool_.get();
         udf_opts.block_size_bytes = block_size;
         udf_opts.num_reduce_tasks = options_.num_reduce_tasks;
-        udf_opts.pipelined = pipelined;
-        udf_opts.flat_hash = flat;
         udf_opts.trace = trace;
         udf_opts.parent_span = span_id;
         udf_opts.trace_tasks = options_.trace_tasks;
@@ -2199,13 +1111,12 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
                                                : 0;
     jr.reduce_tasks = st.reduce_tasks;
     jr.max_task_time_s = st.max_task_s;
-    jr.pipelined = pipelined;
     jr.recycle_hits = st.recycle_hits;
     jr.recycle_misses = st.recycle_misses;
     // Cost-model accountability: the optimizer's prediction (cost over
     // estimated rows/bytes, annotated at Prepare) vs the model re-run on
-    // the observed byte counts. Finalize order is topological in both
-    // schedules, so the EWMA fold is deterministic.
+    // the observed byte counts. Finalize order is topological under every
+    // schedule, so the EWMA fold is deterministic.
     jr.predicted_cost_s = node->cost.total_s;
     jr.observed_proxy_cost_s = st.cost.total_s;
     jr.residual_pct =
@@ -2272,8 +1183,8 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
   // Cross-job DAG scheduling runs independent jobs concurrently on the
   // shared pool. It is an untraced-only optimization: span ids must be
   // allocated in deterministic order, which requires serial job execution.
-  const bool dag_schedule = pipelined && pool_ != nullptr &&
-                            trace == nullptr && specs.size() > 1;
+  const bool dag_schedule =
+      pool_ != nullptr && trace == nullptr && specs.size() > 1;
   if (!dag_schedule) {
     for (size_t j = 0; j < specs.size(); ++j) {
       obs::TraceSpan job_span(trace, parent_span,

@@ -34,7 +34,15 @@ namespace hash {
 class HashRecycler;
 }
 
-/// Execution knobs.
+/// Execution knobs. There is one execution path: project/filter jobs run
+/// as fused ExprPrograms over columnar batches (src/exec/expr/); join and
+/// group-by jobs run a morsel-driven pipelined shuffle — each map task fuses
+/// scan->operator->partition into one loop writing thread-local per-bucket
+/// buffers, and a bucket's reduce starts as soon as its producers finish —
+/// over flat open-addressing tables (src/exec/hash/); independent jobs of a
+/// plan run concurrently on the shared pool when untraced. Opaque predicate
+/// UDFs and UDF local functions run row-at-a-time. Hash tables are recycled
+/// across queries when a recycler is attached (Engine::set_recycler).
 struct EngineOptions {
   /// Retain job outputs as opportunistic views (Section 2.1). Always true in
   /// the paper's system; switchable for ablation.
@@ -51,51 +59,10 @@ struct EngineOptions {
   /// job's shuffle bytes and the DFS block size. Like the thread count this
   /// never changes results, only task granularity.
   int num_reduce_tasks = 0;
-  /// Run relational operators as vectorized batch-at-a-time kernels over
-  /// columnar data (project/filter/join/group-by). Off reverts to the
-  /// row-at-a-time operators; results are byte-identical either way (UDF
-  /// stages and opaque predicates always run row-at-a-time).
-  bool vectorized = true;
-  /// Compile each project/filter job into a fused ExprProgram of typed,
-  /// branchless kernels (src/exec/expr/): filters refine one selection
-  /// vector per batch instead of gathering between operators, string
-  /// predicates evaluate once per dictionary entry, and gathers keep
-  /// string columns dictionary-encoded. Only applies when `vectorized`;
-  /// off reverts to the per-operator batch kernels. Results are
-  /// byte-identical either way.
-  bool fused_exprs = true;
-  /// Morsel-driven pipelined execution (the default): each map task fuses
-  /// scan->operator->partition into one loop writing thread-local
-  /// per-bucket buffers, reduce tasks start per bucket as soon as that
-  /// bucket's producers finish (countdown latch, no phase barrier), and
-  /// independent jobs of a plan run concurrently on the shared pool when
-  /// untraced. Off falls back to the phased (barrier-per-wave) engine.
-  /// Results are byte-identical either way, at every thread count.
-  bool pipelined = true;
-  /// Vectorized shuffle hashing + flat open-addressing reduce tables
-  /// (src/exec/hash/): batch-wide columnar key hashes (dictionary strings
-  /// hash once per distinct entry), multiply-shift bucket mapping instead of
-  /// the per-row `%`, and linear-probe {hash, payload-index} tables with
-  /// canonical key bytes in a per-task arena — no per-row std::string keys.
-  /// Applies to join build/probe, group-by, and the UDF group index in all
-  /// four schedules ({row, batch} x {phased, pipelined}). Off reverts to the
-  /// legacy std::unordered_map shuffle path. Results are byte-identical
-  /// either way (every shuffle merge is order-normalized, so the different
-  /// bucket mapping is unobservable).
-  bool flat_hash = true;
-  /// Recycle built flat hash tables across queries (HashStash-style, see
-  /// src/exec/hash/recycler.h): when a join build side or group-by input is
-  /// a direct scan of an unchanged table/view, reuse the cached structures
-  /// instead of rebuilding. Only takes effect when `flat_hash` is on and a
-  /// recycler is attached (set_recycler; the serving layer shares one
-  /// across tenants). Results are byte-identical either way — FlatMultiMap
-  /// preserves insertion order, so a recycled probe emits the exact match
-  /// sequence a fresh build would.
-  bool recycle_hash = true;
   /// Publish per-job observations (shuffle skew, hash-table load factors,
   /// dictionary compression, byte counts) into obs::MetricRegistry::Global().
   bool metrics = true;
-  /// Emit one span per map/partition/reduce task when a Trace is attached to
+  /// Emit one span per pipeline/reduce task when a Trace is attached to
   /// Execute. Off keeps only the job/phase spans (cheaper for huge jobs).
   bool trace_tasks = true;
   /// Defer view publication to the caller: instead of inserting retained
@@ -120,7 +87,7 @@ struct JobRun {
   uint64_t bytes_written = 0;
   uint64_t rows_in = 0;                 ///< input rows gathered by the job
   uint64_t rows_out = 0;
-  size_t map_tasks = 0;                 ///< tasks across map/partition waves
+  size_t map_tasks = 0;                 ///< fused pipeline (map) tasks
   size_t reduce_tasks = 0;              ///< shuffle buckets (0 = map-only)
   double max_task_time_s = 0;           ///< modeled straggler (critical path)
   /// Cost-model accountability (see optimizer/accountability.h): the
@@ -129,12 +96,8 @@ struct JobRun {
   double predicted_cost_s = 0;
   double observed_proxy_cost_s = 0;
   double residual_pct = 0;
-  /// True when the job ran fused pipeline tasks (map+partition in one
-  /// loop) instead of separate phased map/partition waves; EXPLAIN ANALYZE
-  /// renders the task counts as "#p+#r" vs "#m+#r" accordingly.
-  bool pipelined = false;
   /// Hash-table recycler outcomes of this job (0/0 when the job had no
-  /// recyclable build or recycling is off). EXPLAIN ANALYZE renders
+  /// recyclable build or no recycler is attached). EXPLAIN ANALYZE renders
   /// "recycle=hit" / "recycle=miss"; the server attributes them per tenant.
   uint64_t recycle_hits = 0;
   uint64_t recycle_misses = 0;
@@ -171,9 +134,9 @@ class Engine {
   /// registered as opportunistic views when retention is on.
   ///
   /// When `trace` is non-null each MR job opens a "job:<op>" span under
-  /// `parent_span`, with nested phase spans (map/partition/reduce when
-  /// phased; pipeline/reduce with per-bucket spans when pipelined) and task
-  /// spans if EngineOptions::trace_tasks. Span structure is deterministic:
+  /// `parent_span`, with nested phase spans (pipeline, plus reduce with
+  /// per-bucket spans for shuffles) and task spans if
+  /// EngineOptions::trace_tasks. Span structure is deterministic:
   /// identical at every thread count; only durations vary. Tracing forces
   /// jobs to execute serially (cross-job DAG scheduling is an untraced
   /// optimization), so the span tree is also job-order deterministic.
@@ -193,7 +156,9 @@ class Engine {
   /// Attaches a hash-table recycler (thread-safe; shared across every
   /// Execute of this engine, and across engines/tenants when the serving
   /// layer hangs one off the Server). Caller owns; null detaches and
-  /// disables recycling regardless of EngineOptions::recycle_hash.
+  /// disables recycling. Results are byte-identical either way —
+  /// FlatMultiMap preserves insertion order, so a recycled probe emits the
+  /// exact match sequence a fresh build would.
   void set_recycler(hash::HashRecycler* recycler) { recycler_ = recycler; }
 
  private:

@@ -21,7 +21,7 @@ bool IsNumericType(DataType t) {
 }
 
 /// Per-entry verdicts for a string predicate over one dictionary, using the
-/// row engine's own `EvalCmp` so verdicts are definitionally identical.
+/// per-row `afk::EvalCmp` so verdicts are definitionally identical.
 std::vector<uint8_t> EvalDictionary(const Dictionary& dict, afk::CmpOp op,
                                     const Value& literal) {
   std::vector<uint8_t> pass(dict.size());

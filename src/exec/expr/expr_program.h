@@ -22,8 +22,8 @@
 // dictionary), per-row work is a byte lookup by code, and gathers copy
 // 32-bit codes while sharing the dictionary pointer.
 //
-// Semantics are byte-identical to the row engine and to the unfused batch
-// path: numeric comparisons go through double (`Value::ToDouble()`), null
+// Semantics are byte-identical to per-row `afk::EvalCmp` evaluation and to
+// running each step on its own: numeric comparisons go through double (`Value::ToDouble()`), null
 // cells compare as `EvalCmp(null, op, literal)`, and mixed-type (variant
 // lane) columns, null literals, and cross-class comparisons fall back to a
 // per-row `EvalCmp` mask — same verdicts, same output bytes.

@@ -11,10 +11,11 @@
 // the null comparison result. Selection vectors are ascending row indices;
 // `MaskToSelection` compacts a mask into one without branching on pass/fail.
 //
-// Numeric comparisons go through double exactly like the row engine:
+// Numeric comparisons go through double exactly like `afk::EvalCmp`:
 // `Value::operator==`/`operator<` compare `ToDouble()` for any two numeric
 // cells, so int64/bool lanes are converted per element before comparing.
-// This keeps fused results byte-identical to row mode (1 == 1.0 == true).
+// This keeps fused results byte-identical to per-row evaluation
+// (1 == 1.0 == true).
 
 #ifndef OPD_EXEC_EXPR_KERNELS_H_
 #define OPD_EXEC_EXPR_KERNELS_H_

@@ -234,7 +234,7 @@ class FlatGroupIndex {
 
 /// Join build table: canonical key bytes -> the list of build-side payloads
 /// inserted under that key, chained in insertion order (so probes emit
-/// matches in build-row order, exactly like the legacy per-key vectors).
+/// matches in build-row order).
 template <typename Ref>
 class FlatMultiMap {
  public:

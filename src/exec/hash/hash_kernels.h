@@ -2,31 +2,23 @@
 // column-at-a-time over typed lanes, plus the canonical key-byte encoding
 // the flat hash tables (flat_table.h) verify against.
 //
-// Two hash families live here and must not be mixed:
-//
-//  * The *flat* hash (HashKeys / FlatRowKeyHash): a well-mixed 64-bit hash
-//    of the key cells under Value-equality semantics (numerics hash through
-//    their normalized double, so 1 == 1.0 == true hash-equal; -0.0
-//    normalizes to 0.0). Dictionary-encoded string columns reuse the
-//    dictionary's precomputed per-entry hashes, so each distinct string is
-//    hashed once per table, not once per row. Bucket mapping uses the
-//    multiply-shift BucketOf below — no per-row integer division. The flat
-//    hash feeds EngineOptions::flat_hash paths only; it is free to differ
-//    from the legacy RowHash because every shuffle consumer merges its
-//    buckets in a deterministic global order (probe-row order for joins,
-//    key-sorted for aggregations), which makes the bucket mapping
-//    unobservable in results.
-//
-//  * The *legacy* hash (LegacyRowKeyHash): exactly RowHash() over the
-//    extracted key Row, without materializing the temporary Row. The legacy
-//    (flat_hash=false) shuffle paths keep this so their bucketing stays
-//    byte-for-byte what it was before this layer existed.
+// The key hash (HashKeys over batches, FlatRowKeyHash over the UDF runner's
+// rows) is a well-mixed 64-bit hash of the key cells under Value-equality
+// semantics (numerics hash through their normalized double, so
+// 1 == 1.0 == true hash-equal; -0.0 normalizes to 0.0). It differs from
+// storage::RowHash. Dictionary-encoded string columns reuse the dictionary's
+// precomputed per-entry hashes, so each distinct string is hashed once per
+// table, not once per row. Bucket mapping uses the multiply-shift BucketOf
+// below — no per-row integer division. Every shuffle consumer merges its
+// buckets in a deterministic global order (probe-row order for joins,
+// key-sorted for aggregations), so the bucket mapping is unobservable in
+// results.
 //
 // Key bytes: NormalizeKey / NormalizeKeyRow append a canonical encoding of
 // the key cells into a reusable KeyScratch. Equal encodings <=> equal keys
-// under the same semantics PackKeys used (numerics through their normalized
-// double; NaN compares by its bit pattern). A KeyCodec, planned once per
-// shuffle input from the batches' lanes, picks the per-column fast path —
+// (numerics through their normalized double; NaN compares by its bit
+// pattern). A KeyCodec, planned once per shuffle input from the batches'
+// lanes, picks the per-column fast path —
 // including a dictionary-code encoding (tag + 32-bit code) when every batch
 // on every side of the shuffle shares one dictionary object for that key
 // column, which makes string-keyed group-bys fixed-width.
@@ -44,8 +36,7 @@
 
 namespace opd::exec::hash {
 
-/// Seed of the per-row key-hash fold (same constant the legacy RowHash
-/// starts from; the folds still differ because the cell hashes differ).
+/// Seed of the per-row key-hash fold.
 inline constexpr uint64_t kKeySeed = 0xcbf29ce484222325ULL;
 
 /// Flat hash of a null cell (any mixed constant works; fixed for life so
@@ -87,21 +78,11 @@ inline uint64_t FlatCellHash(const storage::Value& v) {
   }
 }
 
-/// Flat per-row key hash over `cols` of `row` (row-mode shuffle paths).
+/// Flat per-row key hash over `cols` of `row` (the UDF reduce shuffle).
 inline uint64_t FlatRowKeyHash(const storage::Row& row,
                                const std::vector<size_t>& cols) {
   uint64_t h = kKeySeed;
   for (size_t i : cols) HashCombine(&h, FlatCellHash(row[i]));
-  return h;
-}
-
-/// Exactly RowHash()(key Row extracted at `cols`) without building the
-/// temporary Row. Legacy shuffle paths hoist their per-row key copies
-/// through this; the hash value is bit-identical to the historical one.
-inline uint64_t LegacyRowKeyHash(const storage::Row& row,
-                                 const std::vector<size_t>& cols) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // RowHash seed
-  for (size_t i : cols) HashCombine(&h, row[i].Hash());
   return h;
 }
 
@@ -156,7 +137,7 @@ class KeyScratch {
   size_t len_ = 0;
 };
 
-// Canonical cell encodings (PackKeys-compatible where tags overlap):
+// Canonical cell encodings:
 //   '\0'                      null
 //   '\1' + 8B normalized double  numeric (bool/int64/double)
 //   '\2' + u32 len + bytes       string
@@ -188,7 +169,8 @@ inline void EncodeCell(const storage::Value& v, KeyScratch* out) {
   }
 }
 
-/// Normalizes the key cells of `row` at `cols` into `out` (row-mode paths).
+/// Normalizes the key cells of `row` at `cols` into `out` (the UDF reduce
+/// shuffle).
 inline void NormalizeKeyRow(const storage::Row& row,
                             const std::vector<size_t>& cols, KeyScratch* out) {
   out->Clear();

@@ -27,10 +27,8 @@ uint64_t RowsBytes(const std::vector<storage::Row>& rows) {
 
 uint64_t HashRecycler::ApproxBytes(const CachedBuild& build) {
   uint64_t b = sizeof(CachedBuild);
-  for (const auto& ht : build.join_batch) b += ht.memory_bytes();
-  for (const auto& ht : build.join_row) b += ht.memory_bytes();
-  for (const auto& rows : build.group_rows_batch) b += VectorBytes(rows);
-  for (const auto& rows : build.group_rows_row) b += VectorBytes(rows);
+  for (const auto& ht : build.join) b += ht.memory_bytes();
+  for (const auto& rows : build.group_rows) b += VectorBytes(rows);
   for (const auto& ids : build.group_of) b += VectorBytes(ids);
   for (const auto& keys : build.group_keys) b += RowsBytes(keys);
   return b;

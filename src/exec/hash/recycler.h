@@ -10,8 +10,8 @@
 //
 // A `HashRecycler` maps a `RecycleKey` — table identity (view id + publish
 // epoch, or base-table name), key column set, key-codec modes, build kind,
-// and shuffle fan-out — to a fully built, immutable `CachedBuild`. The
-// engine (engine.cc, behind `EngineOptions::recycle_hash`) consults it
+// and shuffle fan-out — to a fully built, immutable `CachedBuild`. An
+// engine with a recycler attached (`Engine::set_recycler`) consults it
 // before building a join build side or group-by table whose input is a
 // direct scan, and on a hit probes the cached structures through the
 // stats-free `*Shared` accessors instead of rebuilding. Correctness rests
@@ -21,16 +21,15 @@
 //     view gets a new key and the stale entry is swept by
 //     `InvalidateViews` after each `PublishBatch`. Base tables are frozen
 //     (append streams are future work, ROADMAP item 2).
-//  2. *Pinning*: a cached build stores row/batch indices into one concrete
-//     input object. The `CachedBuild` retains a shared_ptr to that object
+//  2. *Pinning*: a cached build stores {batch, row} refs into one concrete
+//     input batch list. The `CachedBuild` retains a shared_ptr to that object
 //     (so the pointer can never be recycled by the allocator) and `Lookup`
 //     compares the caller's live input pointer against `pin`; any mismatch
 //     — e.g. a DFS re-read producing a fresh Table — drops the entry.
 //  3. *Determinism*: FlatMultiMap preserves insertion order and the cached
-//     build/iteration order equals the global row order in all four
-//     schedules, so recycled probes emit matches byte-identically to a
-//     fresh build (gated by the recycle determinism matrix in
-//     tests/recycler_test.cc).
+//     build/iteration order equals the global row order at every thread
+//     count, so recycled probes emit matches byte-identically to a fresh
+//     build (gated by the cold-vs-warm test in tests/recycler_test.cc).
 //
 // Retention reuses the view store's cost-benefit-per-byte heuristic
 // (catalog::CostBenefitPerByte, ReStore's policy): each entry accrues
@@ -60,21 +59,17 @@
 namespace opd::exec::hash {
 
 /// One build-side row: batch ordinal + row ordinal within the batch.
-/// (Shared with the engine's batch-mode join; lives here so cached builds
-/// and the engine agree on the payload layout.)
+/// (Shared with the engine's join; lives here so cached builds and the
+/// engine agree on the payload layout.)
 struct RowRef {
   uint32_t batch = 0;
   uint32_t idx = 0;
 };
 
-/// Which engine structure a cache entry holds. Row and batch modes index
-/// rows differently (global row id vs {batch, idx}), so they never share
-/// entries even over the same input.
+/// Which engine structure a cache entry holds.
 enum class RecycleKind : uint8_t {
-  kJoinBuildBatch,
-  kJoinBuildRow,
-  kGroupByBatch,
-  kGroupByRow,
+  kJoinBuild,
+  kGroupBy,
 };
 
 /// Identity of a published view at a specific publish epoch. Republishing
@@ -91,16 +86,15 @@ inline std::string BaseIdentity(const std::string& table) {
 
 /// Cache key: what must match exactly for a built table to be reusable.
 struct RecycleKey {
-  RecycleKind kind = RecycleKind::kJoinBuildBatch;
+  RecycleKind kind = RecycleKind::kJoinBuild;
   /// ViewIdentity(...) or BaseIdentity(...).
   std::string identity;
   /// Key column positions in the input schema, in key order.
   std::vector<size_t> key_cols;
-  /// Per-column KeyColMode of the planned codec (batch modes only; row
-  /// mode normalizes without a codec and leaves this empty). A codec
-  /// mismatch — e.g. dict-code keys against one query's probe side but
-  /// string keys against another's — must miss, because the stored key
-  /// bytes would not compare equal.
+  /// Per-column KeyColMode of the planned codec. A codec mismatch — e.g.
+  /// dict-code keys against one query's probe side but string keys against
+  /// another's — must miss, because the stored key bytes would not compare
+  /// equal.
   std::vector<uint8_t> codec_modes;
   /// Shuffle fan-out the build was partitioned for.
   uint32_t num_buckets = 1;
@@ -126,25 +120,22 @@ struct RecycleKeyHash {
 /// One fully built, immutable set of per-bucket structures. Exactly one
 /// payload group is populated, per RecycleKey::kind.
 struct CachedBuild {
-  // kJoinBuildBatch / kJoinBuildRow: the per-bucket build tables.
-  std::vector<FlatMultiMap<RowRef>> join_batch;
-  std::vector<FlatMultiMap<size_t>> join_row;
+  // kJoinBuild: the per-bucket build tables.
+  std::vector<FlatMultiMap<RowRef>> join;
 
-  // kGroupByBatch / kGroupByRow: recorded grouping routes. Aggregates are
+  // kGroupBy: recorded grouping routes. Aggregates are
   // NOT cached (different queries aggregate differently over the same
   // grouping); instead the reduce replays, per bucket, each input row (in
   // reduce order) with the dense group id it folded into, plus a copy of
   // each group's key row at first-seen position. Replay cost is a hash-free
   // linear pass.
-  std::vector<std::vector<RowRef>> group_rows_batch;
-  std::vector<std::vector<size_t>> group_rows_row;
+  std::vector<std::vector<RowRef>> group_rows;
   std::vector<std::vector<uint32_t>> group_of;
   std::vector<std::vector<storage::Row>> group_keys;
 
   // The pinned input: structures above index into exactly this object.
   // Retaining it here makes the `pin` comparison ABA-safe.
   std::shared_ptr<const std::vector<storage::RowBatch>> batches;
-  storage::TablePtr table;
   const void* pin = nullptr;
 
   /// Source view id (-1 for base tables); InvalidateViews sweeps by it.

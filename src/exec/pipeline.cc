@@ -31,6 +31,18 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
+Status RunWave(const PipelineCtx& ctx, const char* name, size_t n,
+               const std::function<Status(size_t)>& fn,
+               double* max_task_seconds) {
+  if (ctx.tasks != nullptr) *ctx.tasks += n;
+  if (ctx.trace == nullptr) return ParallelFor(ctx.pool, n, fn, max_task_seconds);
+  obs::TraceSpan span(ctx.trace, ctx.parent_span, name, "phase");
+  span.AddArg("tasks", static_cast<uint64_t>(n));
+  if (!ctx.trace_tasks) return ParallelFor(ctx.pool, n, fn, max_task_seconds);
+  return obs::TracedParallelFor(ctx.pool, n, ctx.trace, span.id(), name, fn,
+                                max_task_seconds);
+}
+
 Status RunPipelinedShuffle(const PipelineCtx& ctx, size_t num_producers,
                            const std::function<Status(size_t)>& producer,
                            size_t num_buckets,

@@ -10,7 +10,7 @@
 // consumer immediately — buckets whose inputs are complete reduce while
 // other producers are still running.
 //
-// Determinism contract (same as the phased engine): every task runs to
+// Determinism contract: every task runs to
 // completion, the lowest-index failure wins (producers before consumers),
 // and trace span ids are allocated serially before any task starts, so the
 // span structure is identical at every thread count.
@@ -37,6 +37,14 @@ struct PipelineCtx {
   bool trace_tasks = true;
   size_t* tasks = nullptr;  // accumulates producer + consumer task counts
 };
+
+/// \brief Runs one wave of `n` independent tasks (a map-only pass, or a
+/// reduce-only replay) under a `name` phase span, with "<name>:<i>" task
+/// spans when `ctx.trace_tasks`. Span ids are allocated before the wave, so
+/// the span structure is identical at every thread count.
+Status RunWave(const PipelineCtx& ctx, const char* name, size_t n,
+               const std::function<Status(size_t)>& fn,
+               double* max_task_seconds = nullptr);
 
 /// \brief Runs `num_producers` fused producer tasks and, once per bucket's
 /// producers have all finished, that bucket's consumer task.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "exec/hash/flat_table.h"
@@ -14,7 +13,6 @@
 namespace opd::exec {
 
 using storage::Row;
-using storage::RowHash;
 using storage::RowRange;
 using storage::Schema;
 using storage::Table;
@@ -41,21 +39,10 @@ size_t DeriveReduceTasks(int requested, uint64_t in_bytes,
   return std::min<uint64_t>(in_bytes / block_size_bytes + 1, 64);
 }
 
-// Runs one wave of `n` parallel tasks, wrapped in a phase span (plus task
-// spans when enabled). Ids are allocated before the wave starts, keeping the
-// span structure identical at every thread count.
-Status RunWave(const UdfExecOptions& opts, uint64_t parent, const char* name,
-               size_t n, const std::function<Status(size_t)>& fn,
-               double* max_task_seconds) {
-  if (opts.tasks != nullptr) *opts.tasks += n;
-  if (opts.trace == nullptr) {
-    return ParallelFor(opts.pool, n, fn, max_task_seconds);
-  }
-  obs::TraceSpan span(opts.trace, parent, name, "phase");
-  span.AddArg("tasks", static_cast<uint64_t>(n));
-  if (!opts.trace_tasks) return ParallelFor(opts.pool, n, fn, max_task_seconds);
-  return obs::TracedParallelFor(opts.pool, n, opts.trace, span.id(), name, fn,
-                                max_task_seconds);
+// Task pool + tracing hooks for the waves of one stage.
+PipelineCtx StageCtx(const UdfExecOptions& opts, uint64_t stage_span) {
+  return PipelineCtx{opts.pool, opts.trace, stage_span, opts.trace_tasks,
+                     opts.tasks};
 }
 
 // One key group gathered during the shuffle, and what the reduce call over
@@ -66,36 +53,6 @@ struct ReduceGroup {
   std::vector<Row> rows;      // shuffle input, in original row order
   std::vector<Row> emitted;   // reduce_fn output for this group
 };
-
-// Runs one map local function over `rows`, split into block-sized tasks;
-// partial outputs are concatenated in task order (identical to a serial
-// pass since map functions are applied row-at-a-time in order).
-Status RunMapStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
-                   const std::vector<Row>& rows, double avg_row_bytes,
-                   const UdfExecOptions& opts, uint64_t stage_span,
-                   std::vector<Row>* out, double* max_task_seconds) {
-  const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      rows.size(), avg_row_bytes, opts.block_size_bytes);
-  std::vector<std::vector<Row>> partials(splits.size());
-  OPD_RETURN_NOT_OK(RunWave(
-      opts, stage_span, "map", splits.size(),
-      [&](size_t t) -> Status {
-        std::vector<Row>& local = partials[t];
-        local.reserve(splits[t].size());
-        for (size_t r = splits[t].begin; r < splits[t].end; ++r) {
-          lf.map_fn(rows[r], ctx, &local);
-        }
-        return Status::OK();
-      },
-      max_task_seconds));
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  out->reserve(out->size() + total);
-  for (auto& p : partials) {
-    for (Row& r : p) out->push_back(std::move(r));
-  }
-  return Status::OK();
-}
 
 // Runs one reduce local function: hash-partition rows by key into reduce
 // buckets, group and reduce each bucket as one task, then merge the groups'
@@ -118,57 +75,53 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   const size_t n = rows->size();
   const size_t num_buckets =
       DeriveReduceTasks(opts.num_reduce_tasks, in_bytes, opts.block_size_bytes);
-  auto key_of = [&key_idx](const Row& row) {
-    Row key;
-    key.reserve(key_idx.size());
-    for (size_t i : key_idx) key.push_back(row[i]);
-    return key;
+
+  // Per-row key hashes are computed once during partitioning and kept
+  // here, so grouping never re-hashes a key.
+  std::vector<uint64_t> hash_of(n);
+
+  // Fused partition: each producer hashes its split's keys straight into
+  // its own per-bucket buffer slots; a bucket's reduce starts the moment
+  // its last producer finishes (no partition barrier, no global scatter).
+  const double avg_row_bytes =
+      n == 0 ? 0.0 : static_cast<double>(in_bytes) / static_cast<double>(n);
+  const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
+      n, avg_row_bytes, opts.block_size_bytes);
+  storage::PartitionBuffer<size_t> buf(splits.size(), num_buckets);
+  auto partition = [&](size_t t) -> Status {
+    const RowRange& split = splits[t];
+    buf.ReserveProducer(t, split.size());
+    for (size_t r = split.begin; r < split.end; ++r) {
+      const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
+      hash_of[r] = h;
+      buf.Append(t, num_buckets <= 1 ? 0 : hash::BucketOf(h, num_buckets), r);
+    }
+    return Status::OK();
   };
 
-  // Flat group index (opts.flat_hash): per-row key hashes are computed once
-  // during partitioning and kept here, so grouping never re-hashes a key.
-  const bool flat = opts.flat_hash;
-  std::vector<uint64_t> hash_of;
-  if (flat) hash_of.resize(n);
-
-  // Grouping + reduce of one bucket, shared by both schedules. `for_each`
-  // yields the bucket's row indices in original row order, so per-key input
-  // order — and therefore the reduce function's view of each group — is
-  // schedule-independent. Rows are moved out of the shared vector; buckets
-  // partition the index space, so concurrent consumers touch disjoint rows.
-  // `bucket_n` is the bucket's row count, pre-sizing the flat index.
+  // Grouping + reduce of one bucket. The bucket yields its row indices in
+  // original row order, so per-key input order — and therefore the reduce
+  // function's view of each group — is schedule-independent. Rows are moved
+  // out of the shared vector; buckets partition the index space, so
+  // concurrent consumers touch disjoint rows.
   std::vector<std::vector<ReduceGroup>> bucket_groups(num_buckets);
-  auto reduce_bucket = [&](size_t b, size_t bucket_n,
-                           const auto& for_each) -> Status {
+  auto reduce_bucket = [&](size_t b) -> Status {
     std::vector<ReduceGroup>& groups = bucket_groups[b];
-    if (flat) {
-      hash::FlatGroupIndex group_index;
-      group_index.Reserve(bucket_n, 0);
-      hash::KeyScratch key;
-      for_each([&](size_t r) {
-        Row& row = (*rows)[r];
-        hash::NormalizeKeyRow(row, key_idx, &key);
-        auto [id, inserted] =
-            group_index.InsertOrGet(hash_of[r], key.data(), key.size());
-        if (inserted) {
-          groups.emplace_back();
-          groups.back().key = key_of(row);
-        }
-        groups[id].rows.push_back(std::move(row));
-      });
-    } else {
-      std::unordered_map<Row, size_t, RowHash> group_index;
-      for_each([&](size_t r) {
-        Row key = key_of((*rows)[r]);
-        auto [it, inserted] =
-            group_index.try_emplace(std::move(key), groups.size());
-        if (inserted) {
-          groups.emplace_back();
-          groups.back().key = it->first;
-        }
-        groups[it->second].rows.push_back(std::move((*rows)[r]));
-      });
-    }
+    hash::FlatGroupIndex group_index;
+    group_index.Reserve(buf.BucketSize(b), 0);
+    hash::KeyScratch key;
+    buf.ForEachInBucket(b, [&](size_t r) {
+      Row& row = (*rows)[r];
+      hash::NormalizeKeyRow(row, key_idx, &key);
+      auto [id, inserted] =
+          group_index.InsertOrGet(hash_of[r], key.data(), key.size());
+      if (inserted) {
+        groups.emplace_back();
+        groups.back().key.reserve(key_idx.size());
+        for (size_t i : key_idx) groups.back().key.push_back(row[i]);
+      }
+      groups[id].rows.push_back(std::move(row));
+    });
     std::sort(groups.begin(), groups.end(),
               [](const ReduceGroup& a, const ReduceGroup& g) {
                 return RowLess()(a.key, g.key);
@@ -180,100 +133,10 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
     return Status::OK();
   };
 
-  const double avg_row_bytes =
-      n == 0 ? 0.0 : static_cast<double>(in_bytes) / static_cast<double>(n);
   double partition_max_s = 0, reduce_max_s = 0;
-
-  if (opts.pipelined) {
-    // Fused partition: each producer hashes its split's keys straight into
-    // its own per-bucket buffer slots; a bucket's reduce starts the moment
-    // its last producer finishes (no partition barrier, no global scatter).
-    const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-        n, avg_row_bytes, opts.block_size_bytes);
-    storage::PartitionBuffer<size_t> buf(splits.size(), num_buckets);
-    const PipelineCtx pctx{opts.pool, opts.trace, stage_span,
-                           opts.trace_tasks, opts.tasks};
-    OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-        pctx, splits.size(),
-        [&](size_t t) -> Status {
-          const RowRange& split = splits[t];
-          buf.ReserveProducer(t, split.size());
-          if (flat) {
-            for (size_t r = split.begin; r < split.end; ++r) {
-              const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
-              hash_of[r] = h;
-              buf.Append(
-                  t, num_buckets <= 1 ? 0 : hash::BucketOf(h, num_buckets),
-                  r);
-            }
-            return Status::OK();
-          }
-          for (size_t r = split.begin; r < split.end; ++r) {
-            // Hoisted key hash: no temporary key Row per input row.
-            const uint32_t b =
-                num_buckets <= 1
-                    ? 0
-                    : static_cast<uint32_t>(
-                          hash::LegacyRowKeyHash((*rows)[r], key_idx) %
-                          num_buckets);
-            buf.Append(t, b, r);
-          }
-          return Status::OK();
-        },
-        num_buckets,
-        [&](size_t b) -> Status {
-          return reduce_bucket(b, buf.BucketSize(b),
-                               [&](auto&& f) { buf.ForEachInBucket(b, f); });
-        },
-        &partition_max_s, &reduce_max_s));
-  } else {
-    // Map side of the shuffle: compute each row's bucket in parallel.
-    std::vector<uint32_t> bucket_of(n, 0);
-    if (num_buckets > 1) {
-      const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-          n, avg_row_bytes, opts.block_size_bytes);
-      OPD_RETURN_NOT_OK(RunWave(
-          opts, stage_span, "partition", splits.size(),
-          [&](size_t t) -> Status {
-            for (size_t r = splits[t].begin; r < splits[t].end; ++r) {
-              if (flat) {
-                const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
-                hash_of[r] = h;
-                bucket_of[r] = hash::BucketOf(h, num_buckets);
-              } else {
-                // Hoisted key hash: no temporary key Row per input row.
-                bucket_of[r] = static_cast<uint32_t>(
-                    hash::LegacyRowKeyHash((*rows)[r], key_idx) %
-                    num_buckets);
-              }
-            }
-            return Status::OK();
-          },
-          &partition_max_s));
-    } else if (flat) {
-      // Single bucket: the input is below one block by definition, so the
-      // hash fill runs serially — no extra phase wave vs the legacy path
-      // (which skips partitioning entirely here).
-      for (size_t r = 0; r < n; ++r) {
-        hash_of[r] = hash::FlatRowKeyHash((*rows)[r], key_idx);
-      }
-    }
-
-    // Scatter row indices to buckets, preserving original row order per key.
-    std::vector<std::vector<size_t>> bucket_rows(num_buckets);
-    for (auto& b : bucket_rows) b.reserve(n / num_buckets + 1);
-    for (size_t r = 0; r < n; ++r) bucket_rows[bucket_of[r]].push_back(r);
-
-    // Reduce side: each bucket groups its rows and applies the reduce fn.
-    OPD_RETURN_NOT_OK(RunWave(
-        opts, stage_span, "reduce", num_buckets,
-        [&](size_t b) -> Status {
-          return reduce_bucket(b, bucket_rows[b].size(), [&](auto&& f) {
-            for (size_t r : bucket_rows[b]) f(r);
-          });
-        },
-        &reduce_max_s));
-  }
+  OPD_RETURN_NOT_OK(RunPipelinedShuffle(
+      StageCtx(opts, stage_span), splits.size(), partition, num_buckets,
+      reduce_bucket, &partition_max_s, &reduce_max_s));
   if (max_task_seconds != nullptr) {
     *max_task_seconds = partition_max_s + reduce_max_s;
   }
@@ -301,8 +164,8 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   return Status::OK();
 }
 
-// Checks one emitted row against the stage's output schema; the error text
-// matches the end-of-stage validation in RunLocalFunctions exactly.
+// Checks one emitted row against the stage's output schema (a cheap sanity
+// check on user code).
 Status CheckArity(const udf::LocalFunction& lf, const Row& r,
                   const Schema& out_schema) {
   if (r.size() == out_schema.num_columns()) return Status::OK();
@@ -312,24 +175,22 @@ Status CheckArity(const udf::LocalFunction& lf, const Row& r,
                           std::to_string(out_schema.num_columns()));
 }
 
-// Runs the consecutive map stages [s, e) of `udf` as ONE fused wave over
-// `rows`: each task streams its input split through every stage's map
-// function in turn (ping-pong buffers), so intermediate stage outputs never
-// materialize globally. Task-order concatenation of the final partials is
-// identical to running the stages one wave at a time, because map functions
-// are applied row-at-a-time in order either way.
+// Runs the maximal run of consecutive map stages [s, e) of `udf` as ONE
+// fused wave over `rows`: each task streams its input split through every
+// stage's map function in turn (ping-pong buffers), so intermediate stage
+// outputs never materialize globally. Task-order concatenation of the final
+// partials is identical to running the stages one at a time over the whole
+// input, because map functions are applied row-at-a-time in order.
 //
 // Accounting stays per stage: boundary row/byte counts are summed across
 // tasks, and the group's wall/straggler time is attributed to the first
 // stage of the group (so per-kind wall sums, which calibration consumes,
 // are preserved). Appends one LfStageRun per fused stage and leaves the
 // group's output in `*out`.
-Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
-                         const std::vector<Row>& rows,
-                         const udf::Params& params,
-                         const UdfExecOptions& opts, Schema* cur_schema,
-                         std::vector<Row>* out,
-                         std::vector<LfStageRun>* stages) {
+Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
+                    const std::vector<Row>& rows, const udf::Params& params,
+                    const UdfExecOptions& opts, Schema* cur_schema,
+                    std::vector<Row>* out, std::vector<LfStageRun>* stages) {
   const auto& lfs = udf.local_functions;
   const size_t k = e - s;
 
@@ -376,7 +237,7 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
   std::vector<std::vector<uint64_t>> mid_bytes(splits.size());
   double wave_max_s = 0;
   OPD_RETURN_NOT_OK(RunWave(
-      opts, stage_span.id(), "pipeline", splits.size(),
+      StageCtx(opts, stage_span.id()), "pipeline", splits.size(),
       [&](size_t t) -> Status {
         const RowRange& split = splits[t];
         mid_rows[t].assign(k - 1, 0);
@@ -388,7 +249,7 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
         }
         for (size_t i = 1; i < k; ++i) {
           // Account + validate the boundary feeding stage s+i (the last
-          // stage's output is validated by the caller, like phased runs).
+          // stage's output is validated below, after the merge).
           for (const Row& r : cur) {
             OPD_RETURN_NOT_OK(CheckArity(lfs[s + i - 1], r, schemas[i]));
             mid_bytes[t][i - 1] += storage::RowByteSize(r);
@@ -474,19 +335,17 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
 
   const auto& lfs = udf.local_functions;
   for (size_t stage_i = 0; stage_i < lfs.size();) {
-    // Pipelined mode fuses a maximal run of consecutive map stages into one
-    // wave (no intermediate materialization, one task set, one stage span).
-    if (exec_options.pipelined && lfs[stage_i].kind == udf::LfKind::kMap &&
-        stage_i + 1 < lfs.size() &&
-        lfs[stage_i + 1].kind == udf::LfKind::kMap) {
-      size_t stage_e = stage_i + 2;
+    // A maximal run of consecutive map stages fuses into one wave (no
+    // intermediate materialization, one task set, one stage span).
+    if (lfs[stage_i].kind == udf::LfKind::kMap) {
+      size_t stage_e = stage_i + 1;
       while (stage_e < lfs.size() && lfs[stage_e].kind == udf::LfKind::kMap) {
         ++stage_e;
       }
       std::vector<Row> fused_out;
-      OPD_RETURN_NOT_OK(RunFusedMapStages(udf, stage_i, stage_e, *cur_rows,
-                                          params, exec_options, &cur_schema,
-                                          &fused_out, stages));
+      OPD_RETURN_NOT_OK(RunMapStages(udf, stage_i, stage_e, *cur_rows, params,
+                                     exec_options, &cur_schema, &fused_out,
+                                     stages));
       owned = std::move(fused_out);
       cur_rows = &owned;
       stage_i = stage_e;
@@ -511,31 +370,17 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
                               "stage:" + lf.name, "stage");
     std::vector<Row> next_rows;
     auto start = std::chrono::steady_clock::now();
-    if (lf.kind == udf::LfKind::kMap) {
-      if (!lf.map_fn) {
-        return Status::Internal("map local function missing body: " + lf.name);
-      }
-      const double avg_row_bytes =
-          cur_rows->empty() ? 0.0
-                            : static_cast<double>(run.in_bytes) /
-                                  static_cast<double>(cur_rows->size());
-      OPD_RETURN_NOT_OK(RunMapStage(lf, ctx, *cur_rows, avg_row_bytes,
-                                    exec_options, stage_span.id(), &next_rows,
-                                    &run.max_task_seconds));
-    } else {
-      if (!lf.reduce_fn) {
-        return Status::Internal("reduce local function missing body: " +
-                                lf.name);
-      }
-      if (cur_rows != &owned) {
-        owned = *cur_rows;  // reduce consumes its input rows
-        cur_rows = &owned;
-      }
-      OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, cur_schema, &owned,
-                                       run.in_bytes, exec_options,
-                                       stage_span.id(), &next_rows,
-                                       &run.max_task_seconds));
+    if (!lf.reduce_fn) {
+      return Status::Internal("reduce local function missing body: " +
+                              lf.name);
     }
+    if (cur_rows != &owned) {
+      owned = *cur_rows;  // reduce consumes its input rows
+      cur_rows = &owned;
+    }
+    OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, cur_schema, &owned, run.in_bytes,
+                                     exec_options, stage_span.id(), &next_rows,
+                                     &run.max_task_seconds));
     auto end = std::chrono::steady_clock::now();
     run.wall_seconds = std::chrono::duration<double>(end - start).count();
     if (stage_span) {
@@ -544,17 +389,11 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
       stage_span.End();
     }
 
-    // Validate arity of produced rows (cheap sanity check on user code).
-    for (const Row& r : next_rows) {
-      if (r.size() != out_schema.num_columns()) {
-        return Status::Internal("local function " + lf.name +
-                                " emitted row of arity " +
-                                std::to_string(r.size()) + ", schema has " +
-                                std::to_string(out_schema.num_columns()));
-      }
-    }
     run.out_rows = next_rows.size();
-    for (const Row& r : next_rows) run.out_bytes += storage::RowByteSize(r);
+    for (const Row& r : next_rows) {
+      OPD_RETURN_NOT_OK(CheckArity(lf, r, out_schema));
+      run.out_bytes += storage::RowByteSize(r);
+    }
     if (stages != nullptr) stages->push_back(run);
 
     cur_schema = std::move(out_schema);

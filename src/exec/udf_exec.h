@@ -28,26 +28,17 @@ struct LfStageRun {
 };
 
 /// How a local-function pipeline is parallelized. The defaults (null pool)
-/// run serially; the engine passes its pool and the DFS block size. Task
-/// granularity never changes results — stage outputs are merged in a
-/// deterministic order.
+/// run serially; the engine passes its pool and the DFS block size. Every
+/// run of consecutive map stages fuses into one row loop per split, and
+/// reduce-stage shuffles run latch scheduled (storage::PartitionBuffer +
+/// RunPipelinedShuffle). Task granularity never changes results — stage
+/// outputs are merged in a deterministic order.
 struct UdfExecOptions {
   ThreadPool* pool = nullptr;     // null => run tasks inline
   uint64_t block_size_bytes = 64 * 1024;  // map split size (Dfs default)
   int num_reduce_tasks = 0;       // 0 => derived from stage input size
-  /// Morsel-driven pipelined stage execution: consecutive map stages fuse
-  /// into one row loop per split, and reduce-stage shuffles run latch
-  /// scheduled (storage::PartitionBuffer + RunPipelinedShuffle) instead of
-  /// partition-barrier-scatter-reduce. Off by default so standalone users
-  /// (e.g. cost-model calibration) keep the phased waves; the engine opts
-  /// in via EngineOptions::pipelined. Results are byte-identical.
-  bool pipelined = false;
-  /// Flat open-addressing group index + vectorized key hashing for the
-  /// reduce stage (see EngineOptions::flat_hash; the engine forwards its
-  /// setting). Results are byte-identical either way.
-  bool flat_hash = true;
-  /// Tracing hooks (see obs/trace.h): each local function opens a
-  /// "stage:<name>" span under `parent_span`, with per-wave phase spans
+  /// Tracing hooks (see obs/trace.h): each fused map run and each reduce
+  /// stage opens a "stage:<name>" span under `parent_span`, with phase spans
   /// (and task spans when `trace_tasks`). Null trace = no overhead.
   obs::Trace* trace = nullptr;
   uint64_t parent_span = 0;

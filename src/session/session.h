@@ -61,8 +61,8 @@ struct ServerOptions {
   bool fair_scheduling = true;
   /// Byte budget of the shared hash-table recycler (HashStash-style reuse
   /// of built join/group-by tables across queries and tenants; see
-  /// src/exec/hash/recycler.h). 0 = unbounded. The engine-side switch is
-  /// EngineOptions::recycle_hash.
+  /// src/exec/hash/recycler.h). 0 = unbounded. The server attaches it to
+  /// its engine (Engine::set_recycler); engines without one never recycle.
   uint64_t recycle_budget_bytes = 64ull << 20;
 
   // --- continuous observability (obs::QueryLog; DESIGN.md §3) ----------

@@ -10,9 +10,9 @@
 // Determinism: a bucket is consumed by iterating its slots in ascending
 // producer order. Producers are assigned contiguous, ascending input splits
 // (storage::SplitRowsByBlockSize / batch order), so the concatenation of a
-// bucket's chunks reproduces the global input row order — exactly the order
-// the phased engine's serial scatter produced — for any producer, bucket, or
-// thread count.
+// bucket's chunks reproduces the global input row order — the order a
+// serial pass over the input sees — for any producer, bucket, or thread
+// count.
 
 #ifndef OPD_STORAGE_PARTITION_BUFFER_H_
 #define OPD_STORAGE_PARTITION_BUFFER_H_
@@ -43,7 +43,7 @@ class PartitionBuffer {
   size_t num_buckets() const { return num_buckets_; }
 
   /// Pre-sizes producer `p`'s slots for roughly `rows` appends spread
-  /// evenly over the buckets (the same heuristic the phased scatter used).
+  /// evenly over the buckets.
   void ReserveProducer(size_t p, size_t rows) {
     const size_t per_bucket = rows / num_buckets_ + 1;
     for (size_t b = 0; b < num_buckets_; ++b) {

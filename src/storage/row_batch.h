@@ -52,7 +52,7 @@ class RowBatch {
   uint64_t HashRowAt(size_t i) const;
 
   /// Hash of the key row built from `cols` at row `i`, equal to
-  /// `RowHash()` over that key row — the shuffle partitioning hash.
+  /// `RowHash()` over that key row.
   uint64_t HashKeysAt(size_t i, const std::vector<size_t>& cols) const;
 
   /// Appends every row of this batch to `out` (schema arity must match).

@@ -97,8 +97,8 @@ TEST(HashKernelsTest, NaNComparesByBitPattern) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   Row a{Value(nan)}, b{Value(nan)};
   // Same bit pattern: equal encoding and equal hash, so one group — the
-  // flat paths' documented NaN semantics (matching the legacy batch path's
-  // packed-byte keys; Value::operator== would say NaN != NaN).
+  // flat paths' documented NaN semantics (Value::operator== would say
+  // NaN != NaN).
   EXPECT_EQ(KeyBytes(a, {0}), KeyBytes(b, {0}));
   EXPECT_EQ(FlatRowKeyHash(a, {0}), FlatRowKeyHash(b, {0}));
   // And NaN is not null, not zero.

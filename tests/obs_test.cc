@@ -347,16 +347,13 @@ struct TracedRun {
   uint64_t bytes_read = 0;
 };
 
-TracedRun RunTraced(int num_threads, bool vectorized, bool tracing,
-                    bool pipelined = true) {
+TracedRun RunTraced(int num_threads, bool tracing) {
   workload::TestBedConfig config;
   config.data.n_tweets = 600;
   config.data.n_checkins = 300;
   config.data.n_locations = 60;
   config.calibrate_udfs = false;
   config.session.engine.num_threads = num_threads;
-  config.session.engine.vectorized = vectorized;
-  config.session.engine.pipelined = pipelined;
   config.session.obs.tracing = tracing;
   auto bed = workload::TestBed::Create(config);
   EXPECT_TRUE(bed.ok()) << bed.status().ToString();
@@ -381,25 +378,17 @@ TracedRun RunTraced(int num_threads, bool vectorized, bool tracing,
   return out;
 }
 
-TEST(TraceDeterminismTest, SpanStructureInvariantAcrossThreadCountsRowMode) {
-  TracedRun one = RunTraced(1, /*vectorized=*/false, /*tracing=*/true);
-  TracedRun eight = RunTraced(8, /*vectorized=*/false, /*tracing=*/true);
-  ASSERT_FALSE(one.structure.empty());
-  EXPECT_EQ(one.structure, eight.structure);
-  EXPECT_EQ(one.rows, eight.rows);
-}
-
 TEST(TraceDeterminismTest, SpanStructureInvariantAcrossThreadCountsBatchMode) {
-  TracedRun one = RunTraced(1, /*vectorized=*/true, /*tracing=*/true);
-  TracedRun eight = RunTraced(8, /*vectorized=*/true, /*tracing=*/true);
+  TracedRun one = RunTraced(1, /*tracing=*/true);
+  TracedRun eight = RunTraced(8, /*tracing=*/true);
   ASSERT_FALSE(one.structure.empty());
   EXPECT_EQ(one.structure, eight.structure);
   EXPECT_EQ(one.rows, eight.rows);
 }
 
 TEST(TraceDeterminismTest, ResultsIdenticalWithTracingOnOrOff) {
-  TracedRun off = RunTraced(4, /*vectorized=*/false, /*tracing=*/false);
-  TracedRun on = RunTraced(4, /*vectorized=*/false, /*tracing=*/true);
+  TracedRun off = RunTraced(4, /*tracing=*/false);
+  TracedRun on = RunTraced(4, /*tracing=*/true);
   if (std::getenv("OPD_TRACE") == nullptr) {
     // (OPD_TRACE=1 — the scripts/check.sh traced pass — force-enables
     // tracing in TestBed, so "off" only stays off without the override.)
@@ -411,20 +400,18 @@ TEST(TraceDeterminismTest, ResultsIdenticalWithTracingOnOrOff) {
 }
 
 TEST(TraceDeterminismTest, ChromeJsonShapeUnderPipelinedExecution) {
-  // End-to-end golden shape for the trace file a pipelined run exports: the
-  // fused map work records "pipeline" phase spans (not the phased engine's
-  // "map"), shuffles still record "reduce", and the document stays a single
+  // End-to-end golden shape for the trace file a run exports: the fused map
+  // work — operators and UDF map stages alike — records "pipeline" phase
+  // spans, shuffles record "reduce", and the document stays a single
   // balanced traceEvents object.
-  TracedRun run = RunTraced(4, /*vectorized=*/true, /*tracing=*/true,
-                            /*pipelined=*/true);
+  TracedRun run = RunTraced(4, /*tracing=*/true);
   const std::string& json = run.chrome_json;
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  // (UDF stages run their own runner and keep "map" even when the engine
-  // pipelines, so only the presence of "pipeline" is asserted here.)
   EXPECT_NE(json.find("\"name\":\"pipeline\""), std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"map\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"reduce\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"query:result\""), std::string::npos);
   int depth = 0;
@@ -443,14 +430,6 @@ TEST(TraceDeterminismTest, ChromeJsonShapeUnderPipelinedExecution) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
-
-  // The phased fallback labels the same work "map".
-  TracedRun phased = RunTraced(4, /*vectorized=*/true, /*tracing=*/true,
-                               /*pipelined=*/false);
-  EXPECT_NE(phased.chrome_json.find("\"name\":\"map\""), std::string::npos);
-  EXPECT_EQ(phased.chrome_json.find("\"name\":\"pipeline\""),
-            std::string::npos);
-  EXPECT_EQ(run.rows, phased.rows);  // engine mode never changes results
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The parallel engine's determinism contract: running the same workload at
 // any thread count produces byte-identical result tables, identical view
 // fingerprints, and identical byte-count metrics (and therefore identical
-// modeled cluster time). Thread count changes only wall-clock time.
+// modeled cluster time). Thread count changes only wall-clock time. (That
+// the answers are *right* is oracle_test's job.)
 
 #include <gtest/gtest.h>
 
@@ -33,9 +34,7 @@ struct WorkloadSnapshot {
 // original queries (projections, filters, joins, group-bys, and UDF
 // pipelines), then a rewritten revision that reuses the accumulated
 // opportunistic views.
-WorkloadSnapshot RunWorkload(int num_threads, int num_reduce_tasks = 0,
-                             bool pipelined = true, bool vectorized = true,
-                             bool fused_exprs = true, bool flat_hash = true) {
+WorkloadSnapshot RunWorkload(int num_threads, int num_reduce_tasks = 0) {
   TestBedConfig config;
   config.data.n_tweets = 400;
   config.data.n_checkins = 250;
@@ -44,10 +43,6 @@ WorkloadSnapshot RunWorkload(int num_threads, int num_reduce_tasks = 0,
   config.calibrate_udfs = false;
   config.session.engine.num_threads = num_threads;
   config.session.engine.num_reduce_tasks = num_reduce_tasks;
-  config.session.engine.pipelined = pipelined;
-  config.session.engine.vectorized = vectorized;
-  config.session.engine.fused_exprs = fused_exprs;
-  config.session.engine.flat_hash = flat_hash;
   auto bed_result = TestBed::Create(config);
   EXPECT_TRUE(bed_result.ok()) << bed_result.status().ToString();
   std::unique_ptr<TestBed> bed = std::move(bed_result).value();
@@ -116,98 +111,16 @@ TEST(ParallelDeterminismTest, ReduceTaskCountDoesNotChangeResults) {
   ExpectIdentical(derived, forced);
 }
 
-// The full execution-mode matrix: pipelined (default) must produce the exact
-// snapshot the phased fallback produces, per interpreter mode, at every
-// thread count — covering {1,2,4,8} x {row,batch} x {pipelined,phased}.
-TEST(ParallelDeterminismTest, PipelinedMatchesPhasedRowMode) {
-  WorkloadSnapshot phased =
-      RunWorkload(1, 0, /*pipelined=*/false, /*vectorized=*/false);
-  ASSERT_FALSE(phased.tables.empty());
-  for (int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectIdentical(
-        phased, RunWorkload(threads, 0, /*pipelined=*/true,
-                            /*vectorized=*/false));
-  }
-}
-
-TEST(ParallelDeterminismTest, PipelinedMatchesPhasedBatchMode) {
-  WorkloadSnapshot phased =
-      RunWorkload(1, 0, /*pipelined=*/false, /*vectorized=*/true);
-  ASSERT_FALSE(phased.tables.empty());
-  for (int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectIdentical(
-        phased, RunWorkload(threads, 0, /*pipelined=*/true,
-                            /*vectorized=*/true));
-  }
-}
-
-// Fused expression programs (the default) against the unfused per-operator
-// batch kernels: same snapshot, per scheduling mode, at 1 and 8 threads.
-// Together with the two tests above this closes the matrix
-// {fused,unfused} x {pipelined,phased} x threads on batch mode.
-TEST(ParallelDeterminismTest, FusedExprsMatchUnfusedBatchMode) {
-  WorkloadSnapshot unfused = RunWorkload(1, 0, /*pipelined=*/false,
-                                         /*vectorized=*/true,
-                                         /*fused_exprs=*/false);
-  ASSERT_FALSE(unfused.tables.empty());
-  for (int threads : {1, 8}) {
-    for (bool pipelined : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " pipelined=" + std::to_string(pipelined));
-      ExpectIdentical(unfused,
-                      RunWorkload(threads, 0, pipelined, /*vectorized=*/true,
-                                  /*fused_exprs=*/true));
-    }
-  }
-}
-
-// Flat open-addressing shuffle tables (the default) against the legacy
-// std::unordered_map reduce path: the hash family and bucket mapping both
-// change, but every shuffle merge normalizes order, so the snapshot must be
-// byte-identical across {flat,legacy} x {row,batch} x {pipelined,phased} at
-// 1 and 8 threads.
-TEST(ParallelDeterminismTest, FlatHashMatchesLegacyAcrossModes) {
-  WorkloadSnapshot legacy =
-      RunWorkload(1, 0, /*pipelined=*/false, /*vectorized=*/false,
-                  /*fused_exprs=*/true, /*flat_hash=*/false);
-  ASSERT_FALSE(legacy.tables.empty());
-  for (int threads : {1, 8}) {
-    for (bool vectorized : {false, true}) {
-      for (bool pipelined : {false, true}) {
-        for (bool flat : {false, true}) {
-          if (!flat && !vectorized && !pipelined && threads == 1) continue;
-          SCOPED_TRACE("threads=" + std::to_string(threads) +
-                       " vectorized=" + std::to_string(vectorized) +
-                       " pipelined=" + std::to_string(pipelined) +
-                       " flat_hash=" + std::to_string(flat));
-          ExpectIdentical(legacy, RunWorkload(threads, 0, pipelined,
-                                              vectorized,
-                                              /*fused_exprs=*/true, flat));
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, PhasedFallbackIsThreadCountInvariant) {
-  WorkloadSnapshot one = RunWorkload(1, 0, /*pipelined=*/false);
-  WorkloadSnapshot eight = RunWorkload(8, 0, /*pipelined=*/false);
-  ExpectIdentical(one, eight);
-}
-
 // Heavy key skew with a forced odd bucket count: the light buckets' last
 // producer hands them off (per-bucket countdown latch) while the heavy
 // bucket's producers are still running, exercising the early-handoff path
 // that a uniform workload rarely hits. Results must still be byte-identical
-// to the serial phased run.
+// to the serial run.
 TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
-  auto run_skewed = [](int num_threads, bool pipelined) {
+  auto run_skewed = [](int num_threads) {
     SessionOptions options;
     options.engine.num_threads = num_threads;
     options.engine.num_reduce_tasks = 7;
-    options.engine.pipelined = pipelined;
     auto session = Session::Create(options);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
 
@@ -236,12 +149,11 @@ TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
     return rows;
   };
 
-  const std::vector<storage::Row> serial =
-      run_skewed(/*num_threads=*/1, /*pipelined=*/false);
+  const std::vector<storage::Row> serial = run_skewed(/*num_threads=*/1);
   ASSERT_FALSE(serial.empty());
   for (int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(serial, run_skewed(threads, /*pipelined=*/true));
+    EXPECT_EQ(serial, run_skewed(threads));
   }
 }
 

@@ -1,7 +1,8 @@
-// Randomized property tests: generate random plans, mutate them the way
-// analysts revise queries, and check the system-level invariants —
-// deterministic execution, annotation stability, and above all that every
-// rewrite BFREWRITE produces computes exactly the original result.
+// Randomized property tests: generate random plans (tests/random_plans.h),
+// mutate them the way analysts revise queries, and check the system-level
+// invariants — deterministic execution, annotation stability, and above all
+// that every rewrite BFREWRITE produces computes exactly the original result
+// (oracle_test checks both against the reference interpreter).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "common/rng.h"
 #include "exec/engine.h"
 #include "plan/fingerprint.h"
+#include "random_plans.h"
 #include "rewrite/bf_rewrite.h"
 #include "storage/dfs.h"
 #include "udf/builtin_udfs.h"
@@ -18,43 +20,15 @@
 namespace opd {
 namespace {
 
-using plan::AggFn;
-using plan::AggSpec;
-using plan::FilterCond;
-using plan::OpNodePtr;
-using storage::Column;
-using storage::DataType;
-using storage::Schema;
-using storage::Table;
-using storage::Value;
+using testing_plans::Mutate;
+using testing_plans::RandomPlan;
 
 class PropertyTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     ASSERT_TRUE(udf::RegisterBuiltinUdfs(&udfs_).ok());
-    Schema schema({Column{"tweet_id", DataType::kInt64},
-                   Column{"user_id", DataType::kInt64},
-                   Column{"tweet_text", DataType::kString},
-                   Column{"mention_user", DataType::kInt64},
-                   Column{"retweets", DataType::kInt64}});
-    auto t = std::make_shared<Table>("TWTR", schema);
-    Rng rng(99);
-    const char* texts[] = {"wine merlot tonight", "pasta tasty dinner",
-                           "plain words here", "yacht champagne",
-                           "bland stale", "delicious wine brunch"};
-    for (int i = 0; i < 300; ++i) {
-      ASSERT_TRUE(t->AppendRow({Value(int64_t{i}),
-                                Value(int64_t{static_cast<int64_t>(
-                                    rng.Zipf(20, 0.7))}),
-                                Value(texts[rng.Uniform(6)]),
-                                Value(int64_t{rng.Bernoulli(0.3)
-                                                  ? static_cast<int64_t>(
-                                                        rng.Uniform(20))
-                                                  : -1}),
-                                Value(int64_t{static_cast<int64_t>(
-                                    rng.Uniform(50))})})
-                      .ok());
-    }
+    auto t = testing_plans::MakeTweets();
+    ASSERT_NE(t, nullptr);
     ASSERT_TRUE(catalog_.RegisterBase(t, {"tweet_id"}, &dfs_).ok());
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
@@ -62,108 +36,6 @@ class PropertyTest : public ::testing::TestWithParam<int> {
     engine_ = std::make_unique<exec::Engine>(&dfs_, &views_,
                                              optimizer_.get());
     bfr_ = std::make_unique<rewrite::BfRewriter>(optimizer_.get(), &views_);
-  }
-
-  // Random plan generator: walks op choices keeping track of available
-  // columns. Mirrors the shapes analysts write (extract -> classify/group
-  // -> filter), parameterized by the RNG.
-  plan::Plan RandomPlan(Rng* rng) {
-    OpNodePtr node = plan::Scan("TWTR");
-    std::vector<std::string> cols = {"tweet_id", "user_id", "tweet_text",
-                                     "mention_user", "retweets"};
-    std::string numeric_col = "retweets";
-    bool aggregated = false;
-    int ops = 2 + static_cast<int>(rng->Uniform(4));
-    for (int i = 0; i < ops; ++i) {
-      switch (rng->Uniform(4)) {
-        case 0: {  // project a subset, always keeping user_id + tweet_text
-          if (aggregated) break;
-          std::vector<std::string> keep = {"user_id", "tweet_text"};
-          for (const char* extra : {"tweet_id", "mention_user", "retweets"}) {
-            if (std::find(cols.begin(), cols.end(), extra) != cols.end() &&
-                rng->Bernoulli(0.5)) {
-              keep.push_back(extra);
-            }
-          }
-          if (keep.size() == cols.size()) break;
-          node = plan::Project(node, keep);
-          cols = keep;
-          break;
-        }
-        case 1: {  // numeric filter on whatever numeric column survives
-          if (std::find(cols.begin(), cols.end(), numeric_col) ==
-              cols.end()) {
-            break;
-          }
-          node = plan::Filter(
-              node, FilterCond::Compare(
-                        numeric_col,
-                        rng->Bernoulli(0.5) ? afk::CmpOp::kGt
-                                            : afk::CmpOp::kLt,
-                        Value(static_cast<double>(rng->Uniform(40)))));
-          break;
-        }
-        case 2: {  // classifier UDF
-          if (aggregated) break;
-          if (std::find(cols.begin(), cols.end(), "tweet_text") ==
-              cols.end()) {
-            break;
-          }
-          const char* udf = rng->Bernoulli(0.5) ? "UDF_CLASSIFY_WINE_SCORE"
-                                                : "UDF_CLASSIFY_FOOD_SCORE";
-          double thr = 0.1 + 0.2 * static_cast<double>(rng->Uniform(5));
-          node = plan::Udf(node, udf, {{"threshold", Value(thr)}});
-          numeric_col = std::string(udf) == "UDF_CLASSIFY_WINE_SCORE"
-                            ? "wine_score"
-                            : "sent_sum";
-          cols = {"user_id", numeric_col};
-          aggregated = true;
-          break;
-        }
-        case 3: {  // group by user
-          if (aggregated) break;
-          node = plan::GroupBy(node, {"user_id"},
-                               {AggSpec{AggFn::kCount, "", "n"}});
-          numeric_col = "n";
-          cols = {"user_id", "n"};
-          aggregated = true;
-          break;
-        }
-      }
-    }
-    return plan::Plan(node, "random");
-  }
-
-  // Mutates a plan the way a revision would: tweak one literal upward.
-  plan::Plan Mutate(const plan::Plan& original, Rng* rng) {
-    OpNodePtr root = plan::CloneTree(original.root());
-    std::vector<OpNodePtr> nodes = plan::Plan(root).TopoOrder();
-    // Collect mutable spots.
-    std::vector<plan::OpNode*> spots;
-    for (const auto& n : nodes) {
-      if (n->kind == plan::OpKind::kFilter &&
-          n->filter.kind == FilterCond::Kind::kCompare) {
-        spots.push_back(n.get());
-      }
-      if (n->kind == plan::OpKind::kUdf &&
-          n->udf.params.count("threshold")) {
-        spots.push_back(n.get());
-      }
-    }
-    if (!spots.empty()) {
-      plan::OpNode* spot = spots[rng->Uniform(spots.size())];
-      if (spot->kind == plan::OpKind::kFilter) {
-        // Tighten: for kGt raise, for kLt lower.
-        double lit = spot->filter.literal.ToDouble();
-        spot->filter.literal = Value(spot->filter.op == afk::CmpOp::kGt
-                                         ? lit + 3.0
-                                         : std::max(lit - 3.0, 0.0));
-      } else {
-        double thr = spot->udf.params["threshold"].ToDouble();
-        spot->udf.params["threshold"] = Value(thr + 0.2);  // tighten
-      }
-    }
-    return plan::Plan(root, "mutated");
   }
 
   std::vector<storage::Row> SortedRows(const storage::TablePtr& t) {

@@ -1,8 +1,8 @@
 // HashRecycler correctness: the cache's own contracts (pinning, codec
 // matching, budgeted eviction, view invalidation), the serving-layer wiring
-// (epoch sweep on publish, cross-tenant sharing), the recycle determinism
-// matrix {recycle,off} x {row,batch} x {pipelined,phased} x {1,8} threads,
-// and a concurrent-tenant stress run (TSan target: shared recycler under
+// (epoch sweep on publish, cross-tenant sharing), cold-vs-warm determinism
+// at {1,8} threads checked against the reference interpreter, and a
+// concurrent-tenant stress run (TSan target: shared recycler under
 // racing lookups/inserts).
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "common/hash.h"
 #include "exec/hash/recycler.h"
+#include "reference_interpreter.h"
 #include "server/server.h"
 #include "session/session.h"
 #include "storage/table.h"
@@ -36,7 +37,7 @@ using exec::hash::RecycleKind;
 RecycleKey MakeKey(const std::string& table,
                    std::vector<uint8_t> codec_modes = {}) {
   RecycleKey key;
-  key.kind = RecycleKind::kJoinBuildBatch;
+  key.kind = RecycleKind::kJoinBuild;
   key.identity = BaseIdentity(table);
   key.key_cols = {0};
   key.codec_modes = std::move(codec_modes);
@@ -346,97 +347,55 @@ TEST(RecyclerServingTest, ViewKeyedEntriesAreSweptWhenViewsDie) {
   EXPECT_LT(recycler.stats().entries, entries_cached);
 }
 
-// The determinism contract under recycling: for every engine schedule and
-// thread count, a recycled (warm) run emits byte-identical results to both
-// its own cold run and to every other configuration — recycling is a pure
-// time optimization.
+// The determinism contract under recycling, at 1 and 8 threads: the cold
+// repetition of a query is a recycler miss (a fresh build) and is the
+// reference for the warm one (a hit) — byte-identical rows, in order — and
+// both must equal the reference interpreter's answer.
 TEST(RecyclerDeterminismTest, RecycleMatrixIsByteIdentical) {
-  struct ConfigRun {
-    std::vector<std::vector<storage::Row>> tables;
-    uint64_t hits = 0;
-  };
-  auto run_config = [](bool recycle, bool vectorized, bool pipelined,
-                       int threads) {
+  const std::vector<plan::Plan> queries = {
+      plan::Plan(plan::Join(plan::Scan("MP"), plan::Scan("MB"), {{"k", "k"}}),
+                 "r"),
+      plan::Plan(plan::GroupBy(plan::Scan("MG"), {"k"},
+                               {plan::AggSpec{plan::AggFn::kCount, "", "n"},
+                                plan::AggSpec{plan::AggFn::kSum, "v", "s"}}),
+                 "g")};
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     SessionOptions options;
-    options.engine.recycle_hash = recycle;
-    options.engine.vectorized = vectorized;
-    options.engine.pipelined = pipelined;
     options.engine.num_threads = threads;
     auto session = Session::Create(options);
-    EXPECT_TRUE(session.ok()) << session.status().ToString();
-    ConfigRun out;
-    if (!session.ok()) return out;
-    EXPECT_TRUE(
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(
         (*session)->RegisterTable(MakeKV("MB", 1500, 1, 0, 0, "bv"), {"k"}).ok());
-    EXPECT_TRUE(
+    ASSERT_TRUE(
         (*session)->RegisterTable(MakeKV("MP", 2000, 7, 0, 3000), {"k"}).ok());
-    EXPECT_TRUE(
+    ASSERT_TRUE(
         (*session)->RegisterTable(MakeKV("MG", 3000, 1, 0, 64), {"k"}).ok());
-
-    RunOptions opts;
-    opts.rewrite = false;
-    // Two repetitions: the first builds (and, when recycling, caches), the
-    // second recycles. Both must produce the same bytes.
-    for (int rep = 0; rep < 2; ++rep) {
-      auto join = (*session)->Run(
-          "p = scan MP;"
-          "b = scan MB;"
-          "r = join p b on k = k;",
-          opts);
-      EXPECT_TRUE(join.ok()) << join.status().ToString();
-      if (join.ok() && join->table != nullptr) {
-        out.tables.push_back(join->table->rows());
-        out.hits += RecycleCounts(*join).first;
-      }
-      auto group = (*session)->Run(
-          "g = scan MG | groupby k count(*) as n, sum(v) as s;", opts);
-      EXPECT_TRUE(group.ok()) << group.status().ToString();
-      if (group.ok() && group->table != nullptr) {
-        out.tables.push_back(group->table->rows());
-        out.hits += RecycleCounts(*group).first;
-      }
-    }
-    return out;
-  };
-
-  const ConfigRun baseline = run_config(/*recycle=*/false,
-                                        /*vectorized=*/false,
-                                        /*pipelined=*/false, /*threads=*/1);
-  ASSERT_EQ(baseline.tables.size(), 4u);
-  EXPECT_EQ(baseline.hits, 0u);
-
-  uint64_t recycled_hits = 0;
-  for (bool recycle : {false, true}) {
-    for (bool vectorized : {false, true}) {
-      for (bool pipelined : {false, true}) {
-        for (int threads : {1, 8}) {
-          if (!recycle && !vectorized && !pipelined && threads == 1) continue;
-          SCOPED_TRACE("recycle=" + std::to_string(recycle) +
-                       " vectorized=" + std::to_string(vectorized) +
-                       " pipelined=" + std::to_string(pipelined) +
-                       " threads=" + std::to_string(threads));
-          const ConfigRun got =
-              run_config(recycle, vectorized, pipelined, threads);
-          ASSERT_EQ(got.tables.size(), baseline.tables.size());
-          for (size_t t = 0; t < got.tables.size(); ++t) {
-            ASSERT_EQ(got.tables[t].size(), baseline.tables[t].size())
-                << "table " << t;
-            for (size_t r = 0; r < got.tables[t].size(); ++r) {
-              ASSERT_EQ(got.tables[t][r], baseline.tables[t][r])
-                  << "table " << t << " row " << r;
-            }
-          }
-          if (!recycle) {
-            EXPECT_EQ(got.hits, 0u);
-          } else {
-            recycled_hits += got.hits;
-          }
-        }
-      }
+    const plan::AnnotationContext ctx{&(*session)->catalog(),
+                                      &(*session)->views(),
+                                      &(*session)->udfs()};
+    for (const plan::Plan& query : queries) {
+      SCOPED_TRACE(query.name());
+      auto expected = reference::Evaluate(
+          plan::Plan(plan::CloneTree(query.root())), ctx, &(*session)->dfs());
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ASSERT_FALSE(expected->empty());
+      RunOptions opts;
+      opts.rewrite = false;
+      auto cold = (*session)->Run(plan::Plan(plan::CloneTree(query.root())),
+                                  opts);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      auto warm = (*session)->Run(plan::Plan(plan::CloneTree(query.root())),
+                                  opts);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      EXPECT_EQ(RecycleCounts(*cold), std::make_pair(uint64_t{0}, uint64_t{1}));
+      EXPECT_EQ(RecycleCounts(*warm), std::make_pair(uint64_t{1}, uint64_t{0}));
+      const auto want = reference::Multiset(*expected);
+      EXPECT_EQ(reference::Multiset(cold->table->rows()), want);
+      EXPECT_EQ(reference::Multiset(warm->table->rows()), want);
+      EXPECT_EQ(warm->table->rows(), cold->table->rows());  // and in order
     }
   }
-  // The matrix must actually exercise warm paths, not vacuously pass.
-  EXPECT_GT(recycled_hits, 0u);
 }
 
 // Four tenants hammer the same join on one server: every lookup races every

@@ -123,7 +123,7 @@ TEST(SessionTest, ExplainAnalyzeGoldenShape) {
     if (s.size() < 44) s.append(44 - s.size(), ' ');
     return s;
   };
-  // Pipelined execution (the default) reports fused pipeline tasks: "#p".
+  // Task counts are fused pipeline tasks ("#p") + reduce buckets ("#r").
   // The residual sign is deterministic here: the estimator undershoots this
   // groupby (observed proxy cost > prediction), so resid renders "+".
   // The groupby input is a direct base-table scan, so it is recyclable; a
@@ -136,20 +136,6 @@ TEST(SessionTest, ExplainAnalyzeGoldenShape) {
       "jobs: #  sim time: #s (+stats #s)  read: #  shuffled: #  written: #  "
       "views: #  max resid: +#%\n";
   EXPECT_EQ(masked, expected);
-}
-
-TEST(SessionTest, ExplainAnalyzePhasedModeReportsMapTasks) {
-  SessionOptions options;
-  options.engine.pipelined = false;
-  auto session = MakeSession(options);
-  auto run = session->Run(
-      "counts = scan TWTR | groupby user_id count(*) as n;",
-      RunOptions{.rewrite = false});
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  const std::string masked =
-      MaskNumbers(run->ExplainAnalyze(exec::AnalyzeOptions{.show_wall = false}));
-  EXPECT_NE(masked.find("tasks=#m+#r"), std::string::npos) << masked;
-  EXPECT_EQ(masked.find("#p"), std::string::npos) << masked;
 }
 
 TEST(SessionTest, ExplainAnalyzeOverOqlIncludesWallStats) {
@@ -281,13 +267,11 @@ TEST(OqlTest, ConsumeShowPrefixKinds) {
 
 // Warms a session's view store with two queries, then renders EXPLAIN
 // REWRITE for a query that can reuse the first one's views. The engine
-// configuration is a parameter precisely so tests can prove it does NOT
+// thread count is a parameter precisely so tests can prove it does NOT
 // matter: the rewrite search is serial and engine-independent.
-std::string WarmExplainRewrite(int threads, bool vectorized, bool pipelined) {
+std::string WarmExplainRewrite(int threads) {
   SessionOptions options;
   options.engine.num_threads = threads;
-  options.engine.vectorized = vectorized;
-  options.engine.pipelined = pipelined;
   auto session = MakeSession(options);
   auto warm1 = session->Run(
       "w = scan TWTR | project user_id, retweets;");
@@ -302,7 +286,7 @@ std::string WarmExplainRewrite(int threads, bool vectorized, bool pipelined) {
 }
 
 TEST(SessionTest, ExplainRewriteGoldenShape) {
-  const std::string masked = MaskNumbers(WarmExplainRewrite(1, false, false));
+  const std::string masked = MaskNumbers(WarmExplainRewrite(1));
   // Pins the whole report: header, per-target decisions (with machine-
   // readable reject codes), and the counts footer.
   const std::string expected =
@@ -321,20 +305,13 @@ TEST(SessionTest, ExplainRewriteGoldenShape) {
 }
 
 TEST(SessionTest, ExplainRewriteByteIdenticalAcrossEngineConfigs) {
-  // {1, 8} threads x {row, batch} x {phased, pipelined}: the decision log
-  // and its rendering must be byte-identical — the search never looks at
-  // the engine.
-  const std::string base = WarmExplainRewrite(1, false, false);
+  // {1, 2, 8} threads: the decision log and its rendering must be
+  // byte-identical — the search never looks at the engine.
+  const std::string base = WarmExplainRewrite(1);
   ASSERT_FALSE(base.empty());
   EXPECT_NE(base.find("accepted"), std::string::npos);
-  for (int threads : {1, 8}) {
-    for (bool vectorized : {false, true}) {
-      for (bool pipelined : {false, true}) {
-        EXPECT_EQ(base, WarmExplainRewrite(threads, vectorized, pipelined))
-            << "threads=" << threads << " vectorized=" << vectorized
-            << " pipelined=" << pipelined;
-      }
-    }
+  for (int threads : {2, 8}) {
+    EXPECT_EQ(base, WarmExplainRewrite(threads)) << "threads=" << threads;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/udf_exec.h"
+#include "reference_interpreter.h"
 #include "udf/builtin_udfs.h"
 #include "udf/udf.h"
 #include "udf/udf_registry.h"
@@ -255,9 +256,10 @@ TEST_F(UdfExecTest, ExtractLatLonDropsInvalid) {
 }
 
 // A synthetic UDF with three consecutive map stages (no builtin has a
-// map→map chain), exercising the pipelined engine's map-chain fusion: the
-// fused single-wave execution must match the phased stage-at-a-time run
-// byte-for-byte, including the per-stage accounting calibration relies on.
+// map→map chain), exercising the runner's map-chain fusion: the fused
+// single-wave execution, serial and split over many tasks, must match the
+// reference interpreter's stage-at-a-time run row for row, including the
+// per-stage accounting calibration relies on.
 TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
   UdfDefinition udf;
   udf.name = "UDF_TEST_MAPCHAIN";
@@ -307,37 +309,43 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
     ASSERT_TRUE(t.AppendRow({Value(i)}).ok());
   }
 
-  Table phased_out;
-  std::vector<exec::LfStageRun> phased_stages;
-  ASSERT_TRUE(exec::RunLocalFunctions(udf, t, {}, &phased_out,
-                                      &phased_stages)
-                  .ok());
+  auto expected =
+      reference::RunUdfStages(udf, t.schema(), t.rows(), /*params=*/{});
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->size(), 3u);
+  // Each x yields y=2x (even, kept) and y+1 (odd, dropped): 200 rows.
+  EXPECT_EQ(expected->back().size(), 200u);
+  auto bytes = [](const std::vector<Row>& rows) {
+    uint64_t b = 0;
+    for (const Row& r : rows) b += storage::RowByteSize(r);
+    return b;
+  };
 
   ThreadPool pool(4);
-  exec::UdfExecOptions opts;
-  opts.pipelined = true;
-  opts.pool = &pool;
-  opts.block_size_bytes = 256;  // force multiple fused map tasks
-  Table fused_out;
-  std::vector<exec::LfStageRun> fused_stages;
-  ASSERT_TRUE(exec::RunLocalFunctions(udf, t, {}, &fused_out, &fused_stages,
-                                      opts)
-                  .ok());
+  exec::UdfExecOptions split;
+  split.pool = &pool;
+  split.block_size_bytes = 256;  // force multiple fused map tasks
+  for (const exec::UdfExecOptions& opts : {exec::UdfExecOptions{}, split}) {
+    Table fused_out;
+    std::vector<exec::LfStageRun> stages;
+    ASSERT_TRUE(
+        exec::RunLocalFunctions(udf, t, {}, &fused_out, &stages, opts).ok());
+    EXPECT_EQ(fused_out.rows(), expected->back());
 
-  EXPECT_EQ(phased_out.rows(), fused_out.rows());
-  // Each x yields y=2x (even, kept) and y+1 (odd, dropped): 200 rows.
-  EXPECT_EQ(phased_out.num_rows(), 200u);
-
-  // Fusion must not change the per-stage observations.
-  ASSERT_EQ(fused_stages.size(), phased_stages.size());
-  for (size_t s = 0; s < fused_stages.size(); ++s) {
-    SCOPED_TRACE(phased_stages[s].lf_name);
-    EXPECT_EQ(fused_stages[s].lf_name, phased_stages[s].lf_name);
-    EXPECT_EQ(fused_stages[s].kind, phased_stages[s].kind);
-    EXPECT_EQ(fused_stages[s].in_rows, phased_stages[s].in_rows);
-    EXPECT_EQ(fused_stages[s].out_rows, phased_stages[s].out_rows);
-    EXPECT_EQ(fused_stages[s].in_bytes, phased_stages[s].in_bytes);
-    EXPECT_EQ(fused_stages[s].out_bytes, phased_stages[s].out_bytes);
+    // Fusion must not change the per-stage observations.
+    ASSERT_EQ(stages.size(), expected->size());
+    const std::vector<Row>* in = &t.rows();
+    for (size_t s = 0; s < stages.size(); ++s) {
+      SCOPED_TRACE(stages[s].lf_name);
+      const std::vector<Row>& out = (*expected)[s];
+      EXPECT_EQ(stages[s].lf_name, udf.local_functions[s].name);
+      EXPECT_EQ(stages[s].kind, LfKind::kMap);
+      EXPECT_EQ(stages[s].in_rows, in->size());
+      EXPECT_EQ(stages[s].out_rows, out.size());
+      EXPECT_EQ(stages[s].in_bytes, bytes(*in));
+      EXPECT_EQ(stages[s].out_bytes, bytes(out));
+      in = &out;
+    }
   }
 }
 
