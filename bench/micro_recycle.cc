@@ -1,7 +1,7 @@
 // Hash-recycler microbench: cross-query reuse of built hash tables
 // (src/exec/hash/recycler.h, DESIGN.md §2h).
 //
-// Two workloads, each on its own Session (so the recycler starts cold):
+// Two workloads, each on its own Server (so the recycler starts cold):
 //
 //  1. *Repeated join* — the same join (64k-row build side, 64k-row probe
 //     side, rewrite off) runs once cold and `kWarmIters` times warm. The
@@ -117,11 +117,11 @@ RepeatedJoinResult RunRepeatedJoin() {
   // The repeated query would otherwise accumulate one identical join view
   // per run; retention is irrelevant with rewrite off, so keep the bed lean.
   options.engine.retain_views = false;
-  auto session =
-      bench::CheckResult(Session::Create(options), "Session::Create");
-  bench::CheckOk(session->RegisterTable(MakeBuildTable(), {"k"}),
+  auto server = bench::CheckResult(Server::Create(options), "Server::Create");
+  ClientSession session = server->Connect("default");
+  bench::CheckOk(server->RegisterTable(MakeBuildTable(), {"k"}),
                  "RegisterTable RBUILD");
-  bench::CheckOk(session->RegisterTable(MakeProbeTable(), {"k"}),
+  bench::CheckOk(server->RegisterTable(MakeProbeTable(), {"k"}),
                  "RegisterTable RPROBE");
 
   // RBUILD on the right: the engine builds on the smaller-or-equal side
@@ -134,10 +134,10 @@ RepeatedJoinResult RunRepeatedJoin() {
   opts.rewrite = false;
 
   RepeatedJoinResult out;
-  exec::hash::HashRecycler& recycler = session->server().recycler();
+  exec::hash::HashRecycler& recycler = server->recycler();
 
   auto cold_start = std::chrono::steady_clock::now();
-  auto cold = bench::CheckResult(session->Run(oql, opts), "cold join Run");
+  auto cold = bench::CheckResult(session.Run(oql, opts), "cold join Run");
   out.cold_ms = MsSince(cold_start);
   const uint64_t cold_fp = TableFingerprint(*cold.table);
   const exec::hash::RecyclerStats after_cold = recycler.stats();
@@ -145,7 +145,7 @@ RepeatedJoinResult RunRepeatedJoin() {
   double warm_total_ms = 0;
   for (int i = 0; i < kWarmIters; ++i) {
     auto warm_start = std::chrono::steady_clock::now();
-    auto warm = bench::CheckResult(session->Run(oql, opts), "warm join Run");
+    auto warm = bench::CheckResult(session.Run(oql, opts), "warm join Run");
     warm_total_ms += MsSince(warm_start);
     if (TableFingerprint(*warm.table) != cold_fp) {
       out.outputs_match = false;
@@ -178,8 +178,8 @@ struct WarmRewriteResult {
 WarmRewriteResult RunWarmRewrite() {
   SessionOptions options;
   options.engine.collect_stats = false;
-  auto session =
-      bench::CheckResult(Session::Create(options), "Session::Create");
+  auto server = bench::CheckResult(Server::Create(options), "Server::Create");
+  ClientSession session = server->Connect("default");
 
   auto gt = std::make_shared<storage::Table>(
       "GT", storage::Schema({{"k", storage::DataType::kInt64},
@@ -189,7 +189,7 @@ WarmRewriteResult RunWarmRewrite() {
                                   storage::Value(i % 97)}),
                    "GT AppendRow");
   }
-  bench::CheckOk(session->RegisterTable(std::move(gt), {"k"}),
+  bench::CheckOk(server->RegisterTable(std::move(gt), {"k"}),
                  "RegisterTable GT");
   for (int t = 0; t < kRewriteProbeTables; ++t) {
     const std::string name = "RP" + std::to_string(t);
@@ -202,7 +202,7 @@ WarmRewriteResult RunWarmRewrite() {
                         storage::Value(i % 53)}),
           "probe AppendRow");
     }
-    bench::CheckOk(session->RegisterTable(std::move(p), {"k"}),
+    bench::CheckOk(server->RegisterTable(std::move(p), {"k"}),
                    "RegisterTable probe");
   }
 
@@ -215,7 +215,7 @@ WarmRewriteResult RunWarmRewrite() {
         "a = scan GT | groupby k sum(v) as s;"
         "p = scan RP" + std::to_string(t) + ";"
         "r = join p a on k = k;";
-    auto run = bench::CheckResult(session->Run(oql), "warm-rewrite Run");
+    auto run = bench::CheckResult(session.Run(oql), "warm-rewrite Run");
     if (t > 0) {
       ++out.queries;
       if (run.views_used.empty()) out.rewrites_used_view = false;

@@ -1,11 +1,12 @@
-// Quickstart: bring up an opd::Session, run a query, revise it, and watch
+// Quickstart: bring up an opd::Server, run a query, revise it, and watch
 // the rewriter reuse the first query's opportunistic views.
 //
 //   $ ./build/examples/quickstart
 //
 // Walks through the paper's core loop:
-//   1. Create a Session (DFS + catalog + view store + optimizer + engine +
-//      BFREWRITE behind one facade) and register the synthetic TWTR log.
+//   1. Create a Server (DFS + catalog + view store + optimizer + engine +
+//      BFREWRITE), register the synthetic TWTR log, and connect as one
+//      analyst.
 //   2. Run the "foodies" query (Figure 4 of the paper) — every MR job's
 //      output is retained as an opportunistic materialized view.
 //   3. Revise the query (raise the sentiment threshold) and run it again:
@@ -15,6 +16,7 @@
 #include <cstdio>
 
 #include "plan/plan.h"
+#include "server/server.h"
 #include "session/session.h"
 #include "storage/value.h"
 #include "udf/builtin_udfs.h"
@@ -46,7 +48,7 @@ plan::Plan FoodiesQuery(double threshold) {
 }  // namespace
 
 int main() {
-  // --- 0. A Session over the synthetic log ----------------------------------
+  // --- 0. A Server over the synthetic log -----------------------------------
   workload::DataGenConfig data;
   data.n_tweets = 8000;  // keep the demo snappy
   storage::TablePtr twtr = workload::GenerateTwitterLog(data);
@@ -56,19 +58,20 @@ int main() {
   // The synthetic log stands in for a modeled 800 GB of tweets.
   options.cost.data_scale =
       800.0 * 1e9 / static_cast<double>(twtr->ByteSize());
-  auto session_result = Session::Create(options);
-  if (!session_result.ok()) {
+  auto server_result = Server::Create(options);
+  if (!server_result.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
-                 session_result.status().ToString().c_str());
+                 server_result.status().ToString().c_str());
     return 1;
   }
-  Session& session = *session_result.value();
+  Server& server = *server_result.value();
 
-  if (!udf::RegisterBuiltinUdfs(&session.udfs()).ok() ||
-      !session.RegisterTable(twtr, {"tweet_id"}).ok()) {
+  if (!udf::RegisterBuiltinUdfs(&server.udfs()).ok() ||
+      !server.RegisterTable(twtr, {"tweet_id"}).ok()) {
     std::fprintf(stderr, "registration failed\n");
     return 1;
   }
+  ClientSession session = server.Connect("analyst");
 
   std::printf("== Opportunistic physical design quickstart ==\n\n");
 

@@ -14,7 +14,7 @@
 # interleaved multi-tenant stress test with its serial-replay oracle), the
 # engine's parallel-determinism suite, the hash-recycler stress test
 # (concurrent tenants racing lookups/inserts on the shared recycler), and
-# the query-log suite (concurrent appends racing lock-free ring snapshots,
+# the query-log suite (concurrent appends racing ring snapshots,
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
 # ServerStress), and the oracle suite (the engine's pool, pipelined shuffle
 # and cross-job DAG schedule at 8 threads). TSan and ASan cannot share a build, hence the separate
@@ -25,7 +25,10 @@
 # instrumented one, whose overhead would make any timing floor meaningless —
 # and then the metric-name lint (scripts/lint_metrics.py), which diffs the
 # metric literals in src/ against the names `micro_engine --dump-metrics`
-# actually registers.
+# actually registers. Last, a one-second traced perfbench run
+# (perfbench/run.py) guards the benchmark's API surface: perfbench compiles
+# against src/, so an API change could otherwise break the benchmark
+# without any test noticing. It must exit 0 and report "correct": true.
 #
 # Usage: scripts/check.sh [ctest-args...]
 
@@ -70,3 +73,9 @@ dump="$(mktemp)"
 trap 'rm -f "${dump}"' EXIT
 ./build/bench/micro_engine --dump-metrics > "${dump}"
 python3 scripts/lint_metrics.py "${dump}" src
+echo "== perfbench smoke (benchmark builds against src/ and answers correctly) =="
+# run.py prints only opd_perfbench's JSON result line on stdout.
+result="$(python3 perfbench/run.py --workload warm_500v --seed 1 --seconds 1 \
+  --trace 1)"
+python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
+  "${result}"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -16,17 +17,32 @@ catalog::TableStats StatsCollector::Collect(const storage::Table& table,
   if (table.num_rows() == 0) return stats;
 
   // Draw the sample serially from the seeded RNG: the sampled set is a
-  // function of (seed, table) only, never of threading.
+  // function of (seed, table) only, never of threading. A columnar table is
+  // sampled straight from its batches, in the same row order: materializing
+  // every row for a small sample would keep a row copy of the whole table
+  // alive as long as the table (and make freeing it slow).
   Rng rng(seed_ ^ table.num_rows());
-  std::vector<const storage::Row*> sample;
+  std::vector<storage::Row> sample;
   sample.reserve(static_cast<size_t>(
       fraction_ * static_cast<double>(table.num_rows()) + 1));
-  for (const auto& row : table.rows()) {
-    if (rng.Bernoulli(fraction_)) sample.push_back(&row);
+  if (table.columnar()) {
+    for (const storage::RowBatch& batch : *table.ToBatches()) {
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        if (rng.Bernoulli(fraction_)) sample.push_back(batch.RowAt(r));
+      }
+    }
+  } else {
+    for (const storage::Row& row : table.rows()) {
+      if (rng.Bernoulli(fraction_)) sample.push_back(row);
+    }
   }
   if (sample.empty()) {
     // Degenerate sample: fall back to scanning the first row only.
-    sample.push_back(&table.row(0));
+    storage::Row first;
+    for (const storage::Column& col : table.schema().columns()) {
+      first.push_back(*table.Get(0, col.name));
+    }
+    sample.push_back(std::move(first));
   }
   const size_t sampled = sample.size();
 
@@ -35,9 +51,9 @@ catalog::TableStats StatsCollector::Collect(const storage::Table& table,
   std::vector<std::set<uint64_t>> hashes(schema.num_columns());
   std::vector<double> widths(schema.num_columns(), 0);
   Status st = ParallelFor(pool, schema.num_columns(), [&](size_t c) {
-    for (const storage::Row* row : sample) {
-      hashes[c].insert((*row)[c].Hash());
-      widths[c] += static_cast<double>((*row)[c].ByteSize());
+    for (const storage::Row& row : sample) {
+      hashes[c].insert(row[c].Hash());
+      widths[c] += static_cast<double>(row[c].ByteSize());
     }
     return Status::OK();
   });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -175,6 +176,49 @@ Status CheckArity(const udf::LocalFunction& lf, const Row& r,
                           std::to_string(out_schema.num_columns()));
 }
 
+// The rows a fused map group reads: a row vector, or a columnar table read
+// batch by batch. Reading the batches keeps the first stage from
+// materializing a row copy of its whole input, which the shared table would
+// otherwise cache for as long as it lives; each task builds only the rows
+// of its own split.
+class StageInput {
+ public:
+  explicit StageInput(const std::vector<Row>& rows) : rows_(&rows) {
+    for (const Row& r : rows) bytes_ += storage::RowByteSize(r);
+  }
+  explicit StageInput(const Table& table)
+      : batches_(table.ToBatches()), bytes_(table.ByteSize()) {
+    for (const storage::RowBatch& b : *batches_) {
+      offsets_.push_back(num_rows_);
+      num_rows_ += b.num_rows();
+    }
+  }
+
+  size_t size() const { return rows_ != nullptr ? rows_->size() : num_rows_; }
+  uint64_t bytes() const { return bytes_; }
+
+  /// Calls fn(row) for the rows of `range`, in order.
+  template <typename Fn>
+  void ForEach(const RowRange& range, Fn&& fn) const {
+    if (rows_ != nullptr) {
+      for (size_t r = range.begin; r < range.end; ++r) fn((*rows_)[r]);
+      return;
+    }
+    size_t b = 0;
+    for (size_t r = range.begin; r < range.end; ++r) {
+      while (r >= offsets_[b] + (*batches_)[b].num_rows()) ++b;
+      fn((*batches_)[b].RowAt(r - offsets_[b]));
+    }
+  }
+
+ private:
+  const std::vector<Row>* rows_ = nullptr;
+  std::shared_ptr<const std::vector<storage::RowBatch>> batches_;
+  std::vector<size_t> offsets_;  // global row index of each batch's first row
+  size_t num_rows_ = 0;
+  uint64_t bytes_ = 0;
+};
+
 // Runs the maximal run of consecutive map stages [s, e) of `udf` as ONE
 // fused wave over `rows`: each task streams its input split through every
 // stage's map function in turn (ping-pong buffers), so intermediate stage
@@ -188,7 +232,7 @@ Status CheckArity(const udf::LocalFunction& lf, const Row& r,
 // are preserved). Appends one LfStageRun per fused stage and leaves the
 // group's output in `*out`.
 Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
-                    const std::vector<Row>& rows, const udf::Params& params,
+                    const StageInput& rows, const udf::Params& params,
                     const UdfExecOptions& opts, Schema* cur_schema,
                     std::vector<Row>* out, std::vector<LfStageRun>* stages) {
   const auto& lfs = udf.local_functions;
@@ -217,12 +261,11 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
     ctxs[i].params = &params;
   }
 
-  uint64_t in_bytes = 0;
-  for (const Row& r : rows) in_bytes += storage::RowByteSize(r);
+  const uint64_t in_bytes = rows.bytes();
   const double avg_row_bytes =
-      rows.empty() ? 0.0
-                   : static_cast<double>(in_bytes) /
-                         static_cast<double>(rows.size());
+      rows.size() == 0 ? 0.0
+                       : static_cast<double>(in_bytes) /
+                             static_cast<double>(rows.size());
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
       rows.size(), avg_row_bytes, opts.block_size_bytes);
 
@@ -244,9 +287,9 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
         mid_bytes[t].assign(k - 1, 0);
         std::vector<Row> cur, next;
         cur.reserve(split.size());
-        for (size_t r = split.begin; r < split.end; ++r) {
-          lfs[s].map_fn(rows[r], ctxs[0], &cur);
-        }
+        rows.ForEach(split, [&](const Row& row) {
+          lfs[s].map_fn(row, ctxs[0], &cur);
+        });
         for (size_t i = 1; i < k; ++i) {
           // Account + validate the boundary feeding stage s+i (the last
           // stage's output is validated below, after the merge).
@@ -327,11 +370,13 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     return Status::InvalidArgument("UDF has no local functions: " + udf.name);
   }
   Schema cur_schema = input.schema();
-  // The first stage reads the input table's rows in place; `owned` takes
-  // over once a stage produces new rows (or a leading reduce stage needs a
-  // mutable copy). This avoids duplicating the whole input up front.
+  // The first stage reads the input table in place (a columnar one batch
+  // by batch, see StageInput; null `cur_rows`); `owned` takes over once a
+  // stage produces new rows (or a leading reduce stage needs a mutable
+  // copy). This avoids duplicating the whole input up front.
   std::vector<Row> owned;
-  const std::vector<Row>* cur_rows = &input.rows();
+  const std::vector<Row>* cur_rows =
+      input.columnar() ? nullptr : &input.rows();
 
   const auto& lfs = udf.local_functions;
   for (size_t stage_i = 0; stage_i < lfs.size();) {
@@ -343,7 +388,9 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
         ++stage_e;
       }
       std::vector<Row> fused_out;
-      OPD_RETURN_NOT_OK(RunMapStages(udf, stage_i, stage_e, *cur_rows, params,
+      const StageInput in =
+          cur_rows != nullptr ? StageInput(*cur_rows) : StageInput(input);
+      OPD_RETURN_NOT_OK(RunMapStages(udf, stage_i, stage_e, in, params,
                                      exec_options, &cur_schema, &fused_out,
                                      stages));
       owned = std::move(fused_out);
@@ -354,6 +401,7 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
 
     const udf::LocalFunction& lf = lfs[stage_i];
     ++stage_i;
+    if (cur_rows == nullptr) cur_rows = &input.rows();
     OPD_ASSIGN_OR_RETURN(Schema out_schema, lf.out_schema(cur_schema, params));
     udf::LfContext ctx;
     ctx.in_schema = &cur_schema;

@@ -1,7 +1,7 @@
 #include "obs/query_log.h"
 
 #include <algorithm>
-#include <thread>
+#include <utility>
 
 #include "common/json_writer.h"
 #include "obs/metrics.h"
@@ -25,6 +25,7 @@ std::string QueryRecord::ToJson() const {
   w.Key("cross_tenant_views").UInt(cross_tenant_views);
   w.Key("views_published").UInt(views_published);
   w.Key("recycle_hits").UInt(recycle_hits);
+  w.Key("recycle_misses").UInt(recycle_misses);
   w.Key("rewrite").BeginObject();
   w.Key("candidates").UInt(rw_candidates);
   w.Key("accepted").UInt(rw_accepted);
@@ -42,57 +43,27 @@ std::string QueryRecord::ToJson() const {
 }
 
 QueryLog::QueryLog(const Options& options)
-    : options_(options), slots_(options.capacity > 0 ? options.capacity : 1) {
-  for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
+    : options_(options), ring_(options.capacity > 0 ? options.capacity : 1) {
   if (!options_.jsonl_path.empty()) {
     sink_.open(options_.jsonl_path, std::ios::out | std::ios::app);
   }
 }
 
-QueryLog::~QueryLog() {
-  // No concurrent access past destruction by contract.
-  for (auto& slot : slots_) {
-    delete slot.load(std::memory_order_relaxed);
-  }
-  for (const QueryRecord* rec : retired_) delete rec;
-}
-
-void QueryLog::ReclaimRetired(bool force) {
-  // Called under mu_. The seq_cst counter read pairs with the seq_cst slot
-  // exchange that retired these records: any reader that could still hold
-  // a retired pointer either shows up in the counter (keep the records) or
-  // started after the exchange and can only load the replacement.
-  if (force) {
-    while (readers_in_flight_.load(std::memory_order_seq_cst) != 0) {
-      std::this_thread::yield();
-    }
-  } else if (readers_in_flight_.load(std::memory_order_seq_cst) != 0) {
-    return;
-  }
-  for (const QueryRecord* rec : retired_) delete rec;
-  retired_.clear();
-}
-
-void QueryLog::Append(const QueryRecord& record) {
-  const QueryRecord* rec = new QueryRecord(record);
+void QueryLog::Append(QueryRecord record) {
+  const std::string line =
+      options_.jsonl_path.empty() ? std::string() : record.ToJson();
+  std::shared_ptr<const QueryRecord> rec =
+      std::make_shared<const QueryRecord>(std::move(record));
   bool overwrote = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t seq = next_seq_++;
-    auto& slot = slots_[seq % slots_.size()];
-    // Publishes the new record and retires the one it overwrites. Retired
-    // records are reclaimed only when no reader is in flight; readers that
-    // already loaded the old pointer stay safe until then.
-    const QueryRecord* old = slot.exchange(rec, std::memory_order_seq_cst);
-    overwrote = old != nullptr;
-    if (old != nullptr) retired_.push_back(old);
-    // Backstop: a reader storm may keep deferring reclamation; past 4x
-    // capacity, wait the (short, wait-free) readers out rather than grow.
-    ReclaimRetired(/*force=*/retired_.size() >= 4 * slots_.size());
-    if (sink_.is_open()) sink_ << record.ToJson() << "\n" << std::flush;
+    // After the swap `rec` holds the overwritten record, freed unlocked.
+    ring_[next_seq_++ % ring_.size()].swap(rec);
+    overwrote = rec != nullptr;
+    ++stats_.appended;
+    if (overwrote) ++stats_.dropped;
+    if (sink_.is_open()) sink_ << line << "\n" << std::flush;
   }
-  appended_.fetch_add(1, std::memory_order_relaxed);
-  if (overwrote) dropped_.fetch_add(1, std::memory_order_relaxed);
   if (options_.registry != nullptr) {
     options_.registry->counter("server.querylog.appended").Inc();
     if (overwrote) options_.registry->counter("server.querylog.dropped").Inc();
@@ -104,19 +75,19 @@ void QueryLog::CaptureSlow(SlowQueryProfile profile) {
   uint64_t evicted = 0;
   size_t bytes_now = 0;
   {
-    std::lock_guard<std::mutex> lock(slow_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     profiles_.push_back(std::move(profile));
-    profile_bytes_ += bytes;
-    while (profile_bytes_ > options_.slow_capture_budget_bytes &&
+    stats_.capture_bytes += bytes;
+    while (stats_.capture_bytes > options_.slow_capture_budget_bytes &&
            !profiles_.empty()) {
-      profile_bytes_ -= profiles_.front().ByteSize();
+      stats_.capture_bytes -= profiles_.front().ByteSize();
       profiles_.pop_front();
       ++evicted;
     }
-    bytes_now = profile_bytes_;
+    ++stats_.slow_captured;
+    stats_.slow_evicted += evicted;
+    bytes_now = stats_.capture_bytes;
   }
-  slow_captured_.fetch_add(1, std::memory_order_relaxed);
-  if (evicted > 0) slow_evicted_.fetch_add(evicted, std::memory_order_relaxed);
   if (options_.registry != nullptr) {
     options_.registry->counter("server.querylog.slow_captured").Inc();
     if (evicted > 0) {
@@ -128,18 +99,12 @@ void QueryLog::CaptureSlow(SlowQueryProfile profile) {
 }
 
 std::vector<std::shared_ptr<const QueryRecord>> QueryLog::Snapshot() const {
-  // Lock-free read: one atomic load per slot under the reader guard.
-  // Records are immutable once published, so a snapshot taken mid-append
-  // sees each slot either before or after its overwrite — never a torn
-  // record — and the guard keeps every loaded record un-reclaimed while it
-  // is copied out.
   std::vector<std::shared_ptr<const QueryRecord>> out;
-  out.reserve(slots_.size());
   {
-    ReaderGuard guard(readers_in_flight_);
-    for (const auto& slot : slots_) {
-      const QueryRecord* rec = slot.load(std::memory_order_seq_cst);
-      if (rec != nullptr) out.push_back(std::make_shared<QueryRecord>(*rec));
+    std::lock_guard<std::mutex> lock(mu_);
+    out.reserve(ring_.size());
+    for (const auto& rec : ring_) {
+      if (rec != nullptr) out.push_back(rec);
     }
   }
   // Slots wrap, so slot order is not age order; tickets are monotone in
@@ -158,18 +123,15 @@ std::vector<std::shared_ptr<const QueryRecord>> QueryLog::Snapshot() const {
 }
 
 std::shared_ptr<const QueryRecord> QueryLog::Find(uint64_t ticket) const {
-  ReaderGuard guard(readers_in_flight_);
-  for (const auto& slot : slots_) {
-    const QueryRecord* rec = slot.load(std::memory_order_seq_cst);
-    if (rec != nullptr && rec->ticket == ticket) {
-      return std::make_shared<QueryRecord>(*rec);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& rec : ring_) {
+    if (rec != nullptr && rec->ticket == ticket) return rec;
   }
   return nullptr;
 }
 
 std::optional<SlowQueryProfile> QueryLog::FindProfile(uint64_t ticket) const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   // Newest first: if a ticket somehow repeats, prefer the latest capture.
   for (auto it = profiles_.rbegin(); it != profiles_.rend(); ++it) {
     if (it->ticket == ticket) return *it;
@@ -178,16 +140,8 @@ std::optional<SlowQueryProfile> QueryLog::FindProfile(uint64_t ticket) const {
 }
 
 QueryLog::Stats QueryLog::stats() const {
-  Stats s;
-  s.appended = appended_.load(std::memory_order_relaxed);
-  s.dropped = dropped_.load(std::memory_order_relaxed);
-  s.slow_captured = slow_captured_.load(std::memory_order_relaxed);
-  s.slow_evicted = slow_evicted_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(slow_mu_);
-    s.capture_bytes = profile_bytes_;
-  }
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 }  // namespace opd::obs

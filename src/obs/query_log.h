@@ -6,24 +6,15 @@
 // and why" across every tenant (DESIGN.md §3, "Introspection & query
 // history").
 //
-// Concurrency: the ring is lock-free for readers. Each slot is an
-// std::atomic<const QueryRecord*> over immutable records; Snapshot()/Find()
-// bump a reader in-flight counter, perform atomic slot loads, and copy the
-// records out — they never take the append mutex, so a stalled reader
-// cannot block query completion (and vice versa). Appends are serialized by
-// a writer mutex (they also feed the JSONL sink, which must stay in append
-// order); an overwritten record is retired, not freed — the writer reclaims
-// retired records only when the in-flight counter reads zero, so no reader
-// ever dereferences a freed record (all four handoff operations are seq_cst
-// to rule out the store-buffer reordering where the writer misses a fresh
-// reader AND that reader still loads the retired slot). Slow-query profiles
-// live behind their own mutex — they are big, rare, and read by humans, not
-// hot paths.
+// Concurrency: one mutex guards the ring, the JSONL sink, the stats and the
+// slow-profile store. The ring holds shared pointers to immutable records,
+// so an append swaps one pointer and Snapshot()/Find() copy pointers under
+// the lock and read the records after releasing it. The serving path only
+// appends, once per completed query.
 
 #ifndef OPD_OBS_QUERY_LOG_H_
 #define OPD_OBS_QUERY_LOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <fstream>
@@ -43,8 +34,9 @@ class MetricRegistry;
 /// between a concurrent run and its serial replay under pinned admission
 /// epochs: tenant, epochs, status, rows, jobs, view counts, rewrite
 /// decision counts, exec_time_s (modeled simulation time), max residual.
-/// *Timing* fields (ticket, queue_wait_s, wall_time_s, recycle_hits) depend
-/// on scheduling and are excluded from determinism comparisons.
+/// *Timing* fields (ticket, queue_wait_s, wall_time_s, recycle_hits,
+/// recycle_misses) depend on scheduling and are excluded from determinism
+/// comparisons.
 struct QueryRecord {
   std::string tenant;
   std::string query;  ///< Source text as submitted (whitespace-trimmed).
@@ -64,7 +56,8 @@ struct QueryRecord {
   uint64_t views_used = 0;
   uint64_t cross_tenant_views = 0;  ///< Subset of views_used from others.
   uint64_t views_published = 0;
-  uint64_t recycle_hits = 0;  ///< Hash-table cache hits (timing-dependent).
+  uint64_t recycle_hits = 0;    ///< Hash-table cache hits (timing-dependent).
+  uint64_t recycle_misses = 0;  ///< Hash-table cache misses (timing-dependent).
 
   /// Rewrite decision counts (rewrite::DecisionCounts, flattened).
   uint64_t rw_candidates = 0;
@@ -128,14 +121,13 @@ class QueryLog {
   };
 
   explicit QueryLog(const Options& options);
-  ~QueryLog();
 
   QueryLog(const QueryLog&) = delete;
   QueryLog& operator=(const QueryLog&) = delete;
 
   /// Appends a completed-query record (and its JSONL line, if a sink is
-  /// configured). Thread-safe; appenders serialize on a writer mutex.
-  void Append(const QueryRecord& record);
+  /// configured). Thread-safe.
+  void Append(QueryRecord record);
 
   /// Whether `wall_time_s` crosses the slow-query threshold.
   bool ShouldCapture(double wall_time_s) const {
@@ -148,9 +140,8 @@ class QueryLog {
   /// (counted captured then evicted) rather than blowing the bound.
   void CaptureSlow(SlowQueryProfile profile);
 
-  /// The retained records, oldest first (copies — safe to hold across
-  /// later appends). Lock-free with respect to appenders: readers only
-  /// bump the in-flight counter and perform atomic slot loads.
+  /// The retained records, oldest first. Records are immutable, so the
+  /// pointers stay valid and unchanged across later appends.
   std::vector<std::shared_ptr<const QueryRecord>> Snapshot() const;
 
   /// The retained record with the given admission ticket, or nullptr.
@@ -163,49 +154,15 @@ class QueryLog {
   size_t capacity() const { return options_.capacity; }
 
  private:
-  // RAII reader registration: entered before any slot load, left after the
-  // last dereference of a loaded record.
-  class ReaderGuard {
-   public:
-    explicit ReaderGuard(const std::atomic<uint64_t>& counter)
-        : counter_(const_cast<std::atomic<uint64_t>&>(counter)) {
-      counter_.fetch_add(1, std::memory_order_seq_cst);
-    }
-    ~ReaderGuard() { counter_.fetch_sub(1, std::memory_order_seq_cst); }
-    ReaderGuard(const ReaderGuard&) = delete;
-    ReaderGuard& operator=(const ReaderGuard&) = delete;
-
-   private:
-    std::atomic<uint64_t>& counter_;
-  };
-
-  // Frees retired records when no reader is in flight; called under mu_.
-  // When `force`, waits (yielding) for readers to drain first — the
-  // backstop that bounds retired_ against a pathological reader storm.
-  void ReclaimRetired(bool force);
-
   const Options options_;
 
-  // Ring slots; slot i holds the record with sequence s where
-  // s % capacity == i. Records are heap-allocated, immutable once
-  // published, owned by the slot until overwritten and by retired_ after.
-  // Readers load atomically under a ReaderGuard; writers exchange under
-  // mu_.
-  std::vector<std::atomic<const QueryRecord*>> slots_;
-  mutable std::atomic<uint64_t> readers_in_flight_{0};
-
-  mutable std::mutex mu_;        // serializes Append (slots + sink + seq)
-  uint64_t next_seq_ = 0;        // under mu_
-  std::vector<const QueryRecord*> retired_;  // overwritten, await reclaim
-  std::ofstream sink_;           // under mu_
-  std::atomic<uint64_t> appended_{0};
-  std::atomic<uint64_t> dropped_{0};
-
-  mutable std::mutex slow_mu_;   // profiles are cold-path; plain lock
-  std::deque<SlowQueryProfile> profiles_;  // oldest first, under slow_mu_
-  size_t profile_bytes_ = 0;               // under slow_mu_
-  std::atomic<uint64_t> slow_captured_{0};
-  std::atomic<uint64_t> slow_evicted_{0};
+  mutable std::mutex mu_;  // guards everything below
+  // Slot seq % capacity holds the record appended as sequence number seq.
+  std::vector<std::shared_ptr<const QueryRecord>> ring_;
+  uint64_t next_seq_ = 0;
+  std::ofstream sink_;
+  Stats stats_;
+  std::deque<SlowQueryProfile> profiles_;  // oldest first
 };
 
 }  // namespace opd::obs

@@ -1,7 +1,7 @@
-// Point-in-time snapshot and diff of the metric registry, with JSON and
-// Prometheus-style text exposition. Session::Run captures a snapshot before
-// and after each query so a RunResult can report exactly what that run
-// contributed to the process-wide metrics (counters and histogram mass are
+// Point-in-time snapshot and diff of a metric registry, with JSON and
+// Prometheus-style text exposition. Diffing two snapshots taken around a
+// window of work (e.g. Server::TenantSnapshot before and after) reports
+// exactly what that window contributed (counters and histogram mass are
 // diffed; gauges are levels and report their current value).
 
 #ifndef OPD_OBS_SNAPSHOT_H_

@@ -58,7 +58,7 @@ void CostAccountant::Record(const JobResidual& residual) {
   registry.histogram("costmodel.job.residual_pct")
       .Observe(std::fabs(residual.residual_pct));
   if (residual.op_class.rfind("UDF:", 0) == 0) {
-    // Per-UDF drift gauge plus the worst-offender summary gauge Session
+    // Per-UDF drift gauge plus the worst-offender summary gauge that
     // dashboards can alert on. Name built outside the gauge() call so the
     // metric-name lint sees no (necessarily incomplete) literal prefix.
     const std::string per_udf_gauge =

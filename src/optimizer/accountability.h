@@ -4,8 +4,8 @@
 // The signed residual of that comparison is the measure of how much the
 // estimation layer — cardinality estimates, view statistics, calibrated UDF
 // scalars — drifts from reality. The CostAccountant keeps an EWMA of the
-// residual per operator class so a Session can report when calibration has
-// gone stale, and publishes `costmodel.job.residual_pct` /
+// residual per operator class so the server can report when calibration
+// has gone stale, and publishes `costmodel.job.residual_pct` /
 // `costmodel.udf.drift` into the global MetricRegistry.
 
 #ifndef OPD_OPTIMIZER_ACCOUNTABILITY_H_

@@ -74,7 +74,10 @@ Result<std::string> ClientSession::ExplainRewrite(const std::string& oql) {
 // --- Server ----------------------------------------------------------------
 
 Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
-  options = options.Resolve();
+  // The obs toggles are the single source of truth for the engine's own
+  // metrics and per-task-span knobs.
+  options.engine.metrics = options.obs.metrics;
+  options.engine.trace_tasks = options.obs.trace_tasks;
 
   auto server = std::unique_ptr<Server>(new Server());
   server->options_ = options;
@@ -210,53 +213,54 @@ Result<RunResult> Server::RunWithSource(const std::string& tenant_in,
           .count();
   admission_->Release(tenant);
 
-  // --- Query history ------------------------------------------------------
-  // Every completion — success or failure — leaves a record. The record is
-  // assembled before the early error return so failed queries are visible
-  // to SHOW QUERIES too.
-  if (query_log_ != nullptr) {
-    obs::QueryRecord rec;
-    rec.tenant = tenant;
-    rec.query = source;
-    rec.ticket = ticket;
-    rec.admission_epoch = admission_epoch;
-    rec.queue_wait_s = queue_wait_s;
-    rec.wall_time_s = wall_time_s;
-    if (run.ok()) {
-      rec.publish_epoch = run->publish_epoch;
-      rec.exec_time_s = run->metrics.TotalTime();
-      rec.rows_in = run->metrics.rows_read;
-      rec.rows_out = run->table != nullptr ? run->table->num_rows() : 0;
-      rec.jobs = static_cast<uint64_t>(run->metrics.jobs);
-      rec.views_used = run->views_used.size();
-      for (const ViewUse& use : run->views_used) {
-        if (!use.tenant.empty() && use.tenant != tenant) {
-          ++rec.cross_tenant_views;
-        }
+  // --- The query's record ------------------------------------------------
+  // Every completion — success or failure — yields one QueryRecord, and
+  // every observability surface reads it: the server.* counters, the query
+  // log and the slow-query capture. Failed queries get a record too, so
+  // they stay visible to SHOW QUERIES.
+  obs::QueryRecord rec;
+  rec.tenant = tenant;
+  rec.query = source;
+  rec.ticket = ticket;
+  rec.admission_epoch = admission_epoch;
+  rec.queue_wait_s = queue_wait_s;
+  rec.wall_time_s = wall_time_s;
+  if (run.ok()) {
+    rec.publish_epoch = run->publish_epoch;
+    rec.exec_time_s = run->metrics.TotalTime();
+    rec.rows_in = run->metrics.rows_read;
+    rec.rows_out = run->table != nullptr ? run->table->num_rows() : 0;
+    rec.jobs = static_cast<uint64_t>(run->metrics.jobs);
+    rec.views_used = run->views_used.size();
+    for (const ViewUse& use : run->views_used) {
+      if (!use.tenant.empty() && use.tenant != tenant) {
+        ++rec.cross_tenant_views;
       }
-      rec.views_published =
-          static_cast<uint64_t>(run->metrics.views_created);
-      for (const exec::JobRun& jr : run->jobs) {
-        rec.recycle_hits += jr.recycle_hits;
-        if (std::fabs(jr.residual_pct) > std::fabs(rec.max_residual_pct)) {
-          rec.max_residual_pct = jr.residual_pct;
-        }
-      }
-      if (run->rewritten) {
-        const rewrite::DecisionCounts counts =
-            run->rewrite.decisions.Counts();
-        rec.rw_candidates = counts.candidates;
-        rec.rw_accepted = counts.accepted;
-        rec.rw_signature_mismatch = counts.signature_mismatch;
-        rec.rw_afk_containment = counts.afk_containment;
-        rec.rw_not_cost_improving = counts.not_cost_improving;
-        rec.rw_pruned_by_bound = counts.pruned_by_bound;
-      }
-    } else {
-      rec.status = "error";
-      rec.error = run.status().ToString();
     }
-    query_log_->Append(rec);
+    rec.views_published = static_cast<uint64_t>(run->metrics.views_created);
+    for (const exec::JobRun& jr : run->jobs) {
+      rec.recycle_hits += jr.recycle_hits;
+      rec.recycle_misses += jr.recycle_misses;
+      if (std::fabs(jr.residual_pct) > std::fabs(rec.max_residual_pct)) {
+        rec.max_residual_pct = jr.residual_pct;
+      }
+    }
+    if (run->rewritten) {
+      const rewrite::DecisionCounts counts = run->rewrite.decisions.Counts();
+      rec.rw_candidates = counts.candidates;
+      rec.rw_accepted = counts.accepted;
+      rec.rw_signature_mismatch = counts.signature_mismatch;
+      rec.rw_afk_containment = counts.afk_containment;
+      rec.rw_not_cost_improving = counts.not_cost_improving;
+      rec.rw_pruned_by_bound = counts.pruned_by_bound;
+    }
+  } else {
+    rec.status = "error";
+    rec.error = run.status().ToString();
+  }
+  CountCompletion(rec);
+  if (query_log_ != nullptr) {
+    query_log_->Append(std::move(rec));
     if (run.ok() && query_log_->ShouldCapture(wall_time_s)) {
       obs::SlowQueryProfile profile;
       profile.ticket = ticket;
@@ -277,16 +281,30 @@ Result<RunResult> Server::RunWithSource(const std::string& tenant_in,
   run->tenant = tenant;
   run->admission_ticket = ticket;
   run->queue_wait_s = queue_wait_s;
-  if (options_.obs.metrics) {
-    obs::MetricRegistry& global = obs::MetricRegistry::Global();
-    obs::MetricRegistry& scope = TenantRegistry(tenant);
-    for (obs::MetricRegistry* reg : {&global, &scope}) {
-      reg->histogram("server.queue.wait_s").Observe(queue_wait_s);
-      reg->histogram("server.slo.latency_s").Observe(wall_time_s);
-      RefreshSloGauges(*reg);
-    }
-  }
   return run;
+}
+
+void Server::CountCompletion(const obs::QueryRecord& rec) {
+  // Registers the tenant (Tenants()) even when metrics are off or it failed.
+  obs::MetricRegistry& scope = TenantRegistry(rec.tenant);
+  if (!options_.obs.metrics || rec.status != "ok") return;
+  obs::MetricRegistry& global = obs::MetricRegistry::Global();
+  if (rec.views_published > 0) {
+    global.counter("engine.views_created").Inc(rec.views_published);
+  }
+  for (obs::MetricRegistry* reg : {&global, &scope}) {
+    reg->counter("server.queries.completed").Inc();
+    reg->counter("server.views.published").Inc(rec.views_published);
+    reg->counter("server.views.cross_reuse").Inc(rec.cross_tenant_views);
+    // Per-tenant recycler attribution: the engine's engine.recycle.*
+    // counters are global (pool threads can't know the tenant), so the
+    // per-job outcomes are re-attributed here in the tenant scope.
+    reg->counter("server.recycle.hits").Inc(rec.recycle_hits);
+    reg->counter("server.recycle.misses").Inc(rec.recycle_misses);
+    reg->histogram("server.queue.wait_s").Observe(rec.queue_wait_s);
+    reg->histogram("server.slo.latency_s").Observe(rec.wall_time_s);
+    RefreshSloGauges(*reg);
+  }
 }
 
 void Server::RefreshSloGauges(obs::MetricRegistry& scope) {
@@ -305,15 +323,6 @@ Result<RunResult> Server::RunAdmitted(const std::string& tenant,
                                       catalog::Epoch admission_epoch) {
   RunResult out;
   out.admission_epoch = admission_epoch;
-
-  obs::MetricRegistry& global = obs::MetricRegistry::Global();
-  obs::MetricRegistry& scope = TenantRegistry(tenant);
-  obs::MetricsSnapshot before;
-  obs::MetricsSnapshot tenant_before;
-  if (options_.obs.metrics) {
-    before = obs::MetricsSnapshot::Capture(global);
-    tenant_before = obs::MetricsSnapshot::Capture(scope);
-  }
   if (options_.obs.tracing) out.trace = std::make_shared<obs::Trace>();
   obs::Trace* trace = out.trace.get();
   obs::TraceSpan query_span(trace, 0, "query:" + plan.name(), "query");
@@ -351,18 +360,27 @@ Result<RunResult> Server::RunAdmitted(const std::string& tenant,
   // --- Atomic view publication at completion ------------------------------
   // One PublishBatch per query — also when the batch is empty — so the
   // epoch sequence counts completed queries and a recorded schedule can be
-  // replayed serially, epoch for epoch.
-  for (catalog::ViewDefinition& def : exec.pending_views) def.tenant = tenant;
+  // replayed serially, epoch for epoch. A view the store deduplicates
+  // leaves the copy the engine already wrote to the DFS unreferenced, so
+  // each pending view's path is kept to delete that copy.
+  std::vector<std::string> paths;
+  paths.reserve(exec.pending_views.size());
+  for (catalog::ViewDefinition& def : exec.pending_views) {
+    def.tenant = tenant;
+    paths.push_back(def.dfs_path);
+  }
   catalog::Epoch publish_epoch = 0;
   const std::vector<catalog::ViewStore::PublishResult> published =
       views_->PublishBatch(std::move(exec.pending_views), &publish_epoch);
   exec.pending_views.clear();
   out.publish_epoch = publish_epoch;
-  uint64_t views_added = 0;
-  for (const auto& pub : published) {
-    if (pub.added) ++views_added;
+  for (size_t i = 0; i < published.size(); ++i) {
+    if (published[i].added) {
+      ++exec.metrics.views_created;
+    } else {
+      (void)dfs_->Delete(paths[i]);  // cannot fail: the engine wrote it
+    }
   }
-  exec.metrics.views_created += views_added;
   // Publication can evict or supersede views (retention runs inside
   // PublishBatch); sweep recycled builds whose source view is gone. Entries
   // keyed at older epochs of a still-alive view die naturally: their
@@ -372,42 +390,10 @@ Result<RunResult> Server::RunAdmitted(const std::string& tenant,
       [this](int64_t id) { return views_->Has(id); });
   query_span.End();
 
-  uint64_t cross_tenant_hits = 0;
-  for (const ViewUse& use : out.views_used) {
-    if (!use.tenant.empty() && use.tenant != tenant) ++cross_tenant_hits;
-  }
-  uint64_t recycle_hits = 0;
-  uint64_t recycle_misses = 0;
-  for (const exec::JobRun& jr : exec.jobs) {
-    recycle_hits += jr.recycle_hits;
-    recycle_misses += jr.recycle_misses;
-  }
-  if (options_.obs.metrics) {
-    if (views_added > 0) {
-      global.counter("engine.views_created").Inc(views_added);
-    }
-    for (obs::MetricRegistry* reg : {&global, &scope}) {
-      reg->counter("server.queries.completed").Inc();
-      reg->counter("server.views.published").Inc(views_added);
-      reg->counter("server.views.cross_reuse").Inc(cross_tenant_hits);
-      // Per-tenant recycler attribution: the engine's engine.recycle.*
-      // counters are global (pool threads can't know the tenant), so the
-      // per-job outcomes are re-attributed here in the tenant scope.
-      reg->counter("server.recycle.hits").Inc(recycle_hits);
-      reg->counter("server.recycle.misses").Inc(recycle_misses);
-    }
-  }
-
   out.table = std::move(exec.table);
   out.metrics = exec.metrics;
   out.jobs = std::move(exec.jobs);
   out.plan = std::move(plan);
-  if (options_.obs.metrics) {
-    out.metrics_delta =
-        obs::MetricsSnapshot::Capture(global).DiffFrom(before);
-    out.tenant_delta =
-        obs::MetricsSnapshot::Capture(scope).DiffFrom(tenant_before);
-  }
   out.cost_drifts = accountant_->Drifts();
   return out;
 }

@@ -4,7 +4,7 @@
 // catalog, opportunistic ViewStore, UDF registry, optimizer, MR engine,
 // BFREWRITE rewriter, cost accountant, and the admission gate. Named
 // tenants connect with `Connect(tenant)` and get a lightweight
-// ClientSession handle whose Run/Explain surface mirrors opd::Session.
+// ClientSession handle; `Create` + `Connect` is the only way to run a query.
 //
 // Concurrency model:
 //   * Admission control (AdmissionController) bounds concurrent queries
@@ -16,9 +16,10 @@
 //     one atomic batch at completion — one epoch bump per query, so no
 //     query ever observes a half-published view, and a recorded schedule
 //     replays deterministically by pinning admission epochs.
-//   * Per-tenant metrics: each tenant gets a private MetricRegistry scope
-//     receiving the server.* counters, alongside the shared global
-//     registry, so per-tenant deltas stay exact under concurrency.
+//   * One record per query: every completion builds one obs::QueryRecord,
+//     and the server.* counters (global and the tenant's private
+//     MetricRegistry scope), the query log and the slow-query capture all
+//     read it.
 
 #ifndef OPD_SERVER_SERVER_H_
 #define OPD_SERVER_SERVER_H_
@@ -47,6 +48,8 @@
 #include "udf/udf_registry.h"
 
 namespace opd {
+
+class Server;
 
 /// \brief A tenant's handle onto a Server. Lightweight and copyable; all
 /// state lives in the Server, which must outlive the handle. One handle
@@ -104,7 +107,7 @@ class Server {
   /// Runs a query as `tenant`: admission -> epoch snapshot -> rewrite ->
   /// execute -> atomic view publish. Blocks while queued (unless
   /// opts.admission.fail_fast). Thread-safe; this is the one serving path,
-  /// used by ClientSession and (via the wrapper) Session.
+  /// behind every ClientSession.
   Result<RunResult> Run(const std::string& tenant, plan::Plan plan,
                         const RunOptions& opts = {});
   Result<RunResult> Run(const std::string& tenant, const std::string& oql,
@@ -165,6 +168,11 @@ class Server {
   Result<RunResult> RunAdmitted(const std::string& tenant, plan::Plan plan,
                                 const RunOptions& opts,
                                 catalog::Epoch admission_epoch);
+
+  /// Adds one completion to the server.* metrics of the global registry and
+  /// of the record's tenant scope (successful queries only). The only place
+  /// those counters move.
+  void CountCompletion(const obs::QueryRecord& rec);
 
   /// Recomputes the p50/p95/p99 latency and queue-wait gauges of `scope`
   /// from its live sketches (called on every completion).

@@ -1,10 +1,8 @@
 #include "session/session.h"
 
 #include <cstdio>
-#include <utility>
 
 #include "common/json_writer.h"
-#include "server/server.h"
 
 namespace opd {
 
@@ -17,60 +15,6 @@ std::string FormatSeconds(double v) {
 }
 
 }  // namespace
-
-Result<std::unique_ptr<Session>> Session::Create(SessionOptions options) {
-  auto session = std::unique_ptr<Session>(new Session());
-  OPD_ASSIGN_OR_RETURN(session->server_, Server::Create(std::move(options)));
-  session->client_ =
-      std::make_unique<ClientSession>(session->server_->Connect("default"));
-  return session;
-}
-
-Session::~Session() = default;
-
-Status Session::RegisterTable(const storage::TablePtr& table,
-                              const std::vector<std::string>& key_columns) {
-  return server_->RegisterTable(table, key_columns);
-}
-
-Result<RunResult> Session::Run(const std::string& oql,
-                               const RunOptions& opts) {
-  return client_->Run(oql, opts);
-}
-
-Result<RunResult> Session::Run(plan::Plan plan, const RunOptions& opts) {
-  return client_->Run(std::move(plan), opts);
-}
-
-Result<std::string> Session::ExplainAnalyze(const std::string& oql,
-                                            const RunOptions& opts) {
-  return client_->ExplainAnalyze(oql, opts);
-}
-
-Result<rewrite::RewriteOutcome> Session::Rewrite(const std::string& oql) {
-  return client_->Rewrite(oql);
-}
-
-Result<std::string> Session::ExplainRewrite(const std::string& oql) {
-  return client_->ExplainRewrite(oql);
-}
-
-Server& Session::server() { return *server_; }
-storage::Dfs& Session::dfs() { return server_->dfs(); }
-catalog::Catalog& Session::catalog() { return server_->catalog(); }
-catalog::ViewStore& Session::views() { return server_->views(); }
-udf::UdfRegistry& Session::udfs() { return server_->udfs(); }
-const optimizer::Optimizer& Session::optimizer() const {
-  return server_->optimizer();
-}
-exec::Engine& Session::engine() { return server_->engine(); }
-const rewrite::BfRewriter& Session::rewriter() const {
-  return server_->rewriter();
-}
-const optimizer::CostAccountant& Session::accountant() const {
-  return server_->accountant();
-}
-const SessionOptions& Session::options() const { return server_->options(); }
 
 std::string RunResult::ExplainAnalyze(
     const exec::AnalyzeOptions& options) const {
@@ -144,13 +88,8 @@ std::string RunResult::MetricsJson() const {
   }
   w.EndArray();
   w.EndObject();
-  w.Key("registry_delta").Raw(metrics_delta.ToJson());
   w.EndObject();
   return w.Take();
-}
-
-std::string RunResult::MetricsPrometheus() const {
-  return metrics_delta.ToPrometheus();
 }
 
 std::string RenderExplainRewrite(const rewrite::RewriteOutcome& outcome,

@@ -1,16 +1,14 @@
-// opd::Session — the single-tenant entry point into the system.
+// The vocabulary of the serving path: the options a Server is created with
+// (SessionOptions), the per-query knobs (RunOptions), and what one query
+// returns (RunResult).
 //
-// Since the serving-layer redesign (DESIGN.md §3) the full stack (simulated
-// DFS, catalog, opportunistic view store, UDF registry, optimizer, MR
-// engine, BFREWRITE rewriter, admission control) is owned by opd::Server;
-// a Session is a thin wrapper holding a private Server plus one connected
-// ClientSession for the "default" tenant, so single-tenant embedders keep
-// the familiar surface while multi-tenant embedders call Server::Connect
-// directly.
-//
-// `Session::Run` takes an OQL program or a plan and returns the result
-// table together with the run's metrics, the per-job observations, the
-// rewrite outcome, and — when tracing is on — the query's span trace.
+// The full stack (simulated DFS, catalog, opportunistic view store, UDF
+// registry, optimizer, MR engine, BFREWRITE rewriter, admission control) is
+// owned by opd::Server (server/server.h); queries run through the
+// ClientSession handle that `Server::Connect(tenant)` returns. A run yields
+// the result table together with the run's metrics, the per-job
+// observations, the rewrite outcome, and — when tracing is on — the query's
+// span trace.
 
 #ifndef OPD_SESSION_SESSION_H_
 #define OPD_SESSION_SESSION_H_
@@ -19,26 +17,18 @@
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
 #include "catalog/view_store.h"
-#include "common/status.h"
 #include "exec/analyze.h"
 #include "exec/engine.h"
-#include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "optimizer/accountability.h"
 #include "optimizer/optimizer.h"
 #include "plan/plan.h"
 #include "rewrite/bf_rewrite.h"
-#include "storage/dfs.h"
-#include "udf/udf_registry.h"
 
 namespace opd {
 
-class Server;
-class ClientSession;
-
-/// Observability knobs, session-wide.
+/// Observability knobs, server-wide.
 struct ObsOptions {
   /// Record a span trace per Run (query -> rewrite/job -> phase -> task).
   bool tracing = false;
@@ -68,7 +58,8 @@ struct ServerOptions {
   // --- continuous observability (obs::QueryLog; DESIGN.md §3) ----------
   /// Completed-query records retained in the server's history ring
   /// (newest-wins overwrite). 0 disables the query log entirely — no
-  /// records, no SLO gauges, no slow capture.
+  /// history, no JSONL sink, no slow capture; the server.* counters and SLO
+  /// gauges still count every query.
   size_t query_log_capacity = 1024;
   /// When nonempty, every QueryRecord is also appended to this file as one
   /// JSON line (the durable query-history sink).
@@ -81,9 +72,10 @@ struct ServerOptions {
   size_t slow_query_capture_bytes = 4u << 20;
 };
 
-/// Every knob of a session/server, grouped by subsystem. The nested structs
-/// are the same ones the subsystems take directly (EngineOptions,
-/// RewriteOptions, ...), so existing code keeps compiling.
+/// Every knob of a server, grouped by subsystem. The nested structs are the
+/// same ones the subsystems take directly (EngineOptions, RewriteOptions,
+/// ...). The `obs` toggles are the single source of truth for the engine's
+/// own metrics/trace_tasks knobs: Server::Create mirrors them over.
 struct SessionOptions {
   optimizer::CostParams cost;
   optimizer::OptimizerOptions optimizer;
@@ -91,17 +83,6 @@ struct SessionOptions {
   rewrite::RewriteOptions rewrite;
   ObsOptions obs;
   ServerOptions server;
-
-  /// The session-level obs toggles are the single source of truth; Resolve
-  /// mirrors them into the engine's own knobs. Server::Create and
-  /// Session::Create both construct from Resolve() so the two entry points
-  /// cannot drift.
-  SessionOptions Resolve() const {
-    SessionOptions r = *this;
-    r.engine.metrics = r.obs.metrics;
-    r.engine.trace_tasks = r.obs.trace_tasks;
-    return r;
-  }
 };
 
 /// Per-Run admission knobs (serving layer).
@@ -120,8 +101,7 @@ struct AdmissionOptions {
 struct RunOptions {
   /// Rewrite against the view store (BFREWRITE) before executing.
   bool rewrite = true;
-  /// Tenant override; empty means the handle's tenant (ClientSession) or
-  /// "default" (Session).
+  /// Tenant override; empty means the ClientSession's tenant.
   std::string tenant;
   AdmissionOptions admission;
 };
@@ -150,14 +130,6 @@ struct RunResult {
   bool rewritten = false;
   /// The query's span trace; non-null iff ObsOptions::tracing.
   std::shared_ptr<obs::Trace> trace;
-  /// What this run contributed to the global MetricRegistry (snapshot diff
-  /// across the run); empty when ObsOptions::metrics is off. Under
-  /// concurrent serving the global delta includes other tenants' traffic —
-  /// use `tenant_delta` for isolation.
-  obs::MetricsSnapshot metrics_delta;
-  /// This run's contribution to its tenant's private registry scope
-  /// (server.* counters only; exact even under concurrency).
-  obs::MetricsSnapshot tenant_delta;
   /// Cost-model calibration state after this run (per-operator-class EWMA
   /// residuals from the session's CostAccountant).
   std::vector<optimizer::CostAccountant::ClassDrift> cost_drifts;
@@ -183,68 +155,14 @@ struct RunResult {
 
   /// One machine-readable export of everything observed in this run: exec
   /// metrics, per-job predicted_cost_s/observed_proxy_cost_s/residual_pct,
-  /// rewrite decision counts, cost-model drift, and the registry delta.
+  /// rewrite decision counts, cost-model drift, and the serving fields.
   std::string MetricsJson() const;
-  /// The run's registry delta in Prometheus text exposition.
-  std::string MetricsPrometheus() const;
 };
 
 /// Renders the EXPLAIN REWRITE report (header + decision log) of a rewrite
 /// outcome. `views_in_store` is the store size the search ran against.
 std::string RenderExplainRewrite(const rewrite::RewriteOutcome& outcome,
                                  size_t views_in_store);
-
-/// \brief Single-tenant facade over a private Server.
-///
-/// Owns the Server; every call is delegated as tenant "default". Use
-/// `server()` (or Server::Create directly) for multi-tenant serving.
-class Session {
- public:
-  static Result<std::unique_ptr<Session>> Create(SessionOptions options = {});
-  ~Session();
-
-  /// Registers `table` as a base relation keyed on `key_columns` (writes its
-  /// data to the session DFS and computes exact statistics).
-  Status RegisterTable(const storage::TablePtr& table,
-                       const std::vector<std::string>& key_columns);
-
-  /// Parses and runs an OQL program.
-  Result<RunResult> Run(const std::string& oql, const RunOptions& opts = {});
-  /// Runs a plan (prepared in place).
-  Result<RunResult> Run(plan::Plan plan, const RunOptions& opts = {});
-
-  /// Runs `oql` and renders the observed per-job stats as a tree.
-  Result<std::string> ExplainAnalyze(const std::string& oql,
-                                     const RunOptions& opts = {});
-
-  /// Rewrites `oql` against the current view store WITHOUT executing it (no
-  /// views are credited, nothing materializes). The outcome carries the
-  /// search's DecisionLog. Deterministic: independent of engine options and
-  /// thread counts.
-  Result<rewrite::RewriteOutcome> Rewrite(const std::string& oql);
-
-  /// EXPLAIN REWRITE: Rewrite() rendered as the decision-log report.
-  Result<std::string> ExplainRewrite(const std::string& oql);
-
-  /// The underlying server (for Connect-ing further tenants).
-  Server& server();
-  storage::Dfs& dfs();
-  catalog::Catalog& catalog();
-  catalog::ViewStore& views();
-  udf::UdfRegistry& udfs();
-  const optimizer::Optimizer& optimizer() const;
-  exec::Engine& engine();
-  const rewrite::BfRewriter& rewriter() const;
-  /// Cost-model accountability state (per-class residual EWMAs).
-  const optimizer::CostAccountant& accountant() const;
-  const SessionOptions& options() const;
-
- private:
-  Session() = default;
-
-  std::unique_ptr<Server> server_;
-  std::unique_ptr<ClientSession> client_;
-};
 
 }  // namespace opd
 

@@ -34,19 +34,19 @@ Result<std::unique_ptr<TestBed>> TestBed::Create(TestBedConfig config) {
   }
   if (std::getenv("OPD_TRACE") != nullptr) sopts.obs.tracing = true;
 
-  OPD_ASSIGN_OR_RETURN(bed->session_, Session::Create(sopts));
-  OPD_RETURN_NOT_OK(udf::RegisterBuiltinUdfs(&bed->session_->udfs()));
-  OPD_RETURN_NOT_OK(bed->session_->RegisterTable(twtr, {"tweet_id"}));
-  OPD_RETURN_NOT_OK(bed->session_->RegisterTable(fsq, {"checkin_id"}));
-  OPD_RETURN_NOT_OK(bed->session_->RegisterTable(land, {"location_id"}));
+  OPD_ASSIGN_OR_RETURN(bed->server_, Server::Create(sopts));
+  bed->session_ = bed->server_->Connect("default");
+  OPD_RETURN_NOT_OK(udf::RegisterBuiltinUdfs(&bed->udfs()));
+  OPD_RETURN_NOT_OK(bed->server_->RegisterTable(twtr, {"tweet_id"}));
+  OPD_RETURN_NOT_OK(bed->server_->RegisterTable(fsq, {"checkin_id"}));
+  OPD_RETURN_NOT_OK(bed->server_->RegisterTable(land, {"location_id"}));
 
-  // The comparison rewriters (ablations) share the session's optimizer and
+  // The comparison rewriters (ablations) share the server's optimizer and
   // view store.
   bed->dp_ = std::make_unique<rewrite::DpRewriter>(
-      &bed->session_->optimizer(), &bed->session_->views(),
-      config.session.rewrite);
+      &bed->optimizer(), &bed->views(), config.session.rewrite);
   bed->syntactic_ = std::make_unique<rewrite::SyntacticRewriter>(
-      &bed->session_->optimizer(), &bed->session_->views());
+      &bed->optimizer(), &bed->views());
 
   if (config.calibrate_udfs) {
     OPD_RETURN_NOT_OK(bed->Calibrate());
@@ -118,8 +118,8 @@ void TestBed::DropAllViews() {
 
 Result<exec::ExecResult> TestBed::RunOriginal(int analyst, int version) {
   OPD_ASSIGN_OR_RETURN(plan::Plan plan, BuildQuery(analyst, version));
-  OPD_ASSIGN_OR_RETURN(RunResult run, session_->Run(std::move(plan),
-                                                    RunOptions{.rewrite = false}));
+  OPD_ASSIGN_OR_RETURN(RunResult run, session_.Run(std::move(plan),
+                                                   RunOptions{.rewrite = false}));
   exec::ExecResult exec;
   exec.table = std::move(run.table);
   exec.metrics = run.metrics;
@@ -130,7 +130,7 @@ Result<exec::ExecResult> TestBed::RunOriginal(int analyst, int version) {
 Result<TestBed::RewrittenRun> TestBed::RunRewritten(int analyst,
                                                     int version) {
   OPD_ASSIGN_OR_RETURN(plan::Plan plan, BuildQuery(analyst, version));
-  OPD_ASSIGN_OR_RETURN(RunResult run, session_->Run(std::move(plan)));
+  OPD_ASSIGN_OR_RETURN(RunResult run, session_.Run(std::move(plan)));
   exec::ExecResult exec;
   exec.table = std::move(run.table);
   exec.metrics = run.metrics;
@@ -139,7 +139,7 @@ Result<TestBed::RewrittenRun> TestBed::RunRewritten(int analyst,
 }
 
 Status TestBed::RegisterPlanViews(plan::Plan* plan) {
-  OPD_RETURN_NOT_OK(session_->optimizer().Prepare(plan));
+  OPD_RETURN_NOT_OK(optimizer().Prepare(plan));
   static int synth_counter = 0;
   for (const plan::OpNodePtr& node : plan->TopoOrder()) {
     if (node->kind == plan::OpKind::kScan) continue;

@@ -18,6 +18,7 @@
 #include "rewrite/bf_rewrite.h"
 #include "rewrite/dp_rewrite.h"
 #include "rewrite/syntactic.h"
+#include "server/server.h"
 #include "session/session.h"
 #include "storage/dfs.h"
 #include "udf/udf_registry.h"
@@ -28,8 +29,8 @@ namespace opd::workload {
 
 struct TestBedConfig {
   DataGenConfig data;
-  /// Every subsystem knob (cost params, optimizer, engine, rewrite, obs),
-  /// consolidated under the session they configure.
+  /// Every subsystem knob (cost params, optimizer, engine, rewrite, obs,
+  /// server), consolidated under the server they configure.
   SessionOptions session;
   /// Calibrate UDF cost scalars on 1% samples at startup (Section 4.2).
   bool calibrate_udfs = true;
@@ -38,13 +39,14 @@ struct TestBedConfig {
   double modeled_twtr_gb = 800.0;
 };
 
-/// \brief The experiment environment: an opd::Session loaded with the
-/// paper's synthetic data and UDF workload, plus the two comparison
-/// rewriters (DP and syntactic caching) used by the ablation studies.
+/// \brief The experiment environment: an opd::Server loaded with the
+/// paper's synthetic data and UDF workload, a ClientSession for tenant
+/// "default", plus the two comparison rewriters (DP and syntactic caching)
+/// used by the ablation studies.
 class TestBed {
  public:
   /// Creates the bed. Setting the OPD_TRACE environment variable turns on
-  /// session tracing (used by scripts/check.sh to exercise traced runs).
+  /// server tracing (used by scripts/check.sh to exercise traced runs).
   static Result<std::unique_ptr<TestBed>> Create(TestBedConfig config = {});
 
   /// Drops all views (metadata + DFS files). Base tables survive.
@@ -73,15 +75,16 @@ class TestBed {
   /// scalability study to populate large view stores cheaply).
   Status RegisterPlanViews(plan::Plan* plan);
 
-  /// The underlying session; everything below delegates to it.
-  Session& session() { return *session_; }
-  storage::Dfs& dfs() { return session_->dfs(); }
-  catalog::Catalog& catalog() { return session_->catalog(); }
-  catalog::ViewStore& views() { return session_->views(); }
-  udf::UdfRegistry& udfs() { return session_->udfs(); }
-  const optimizer::Optimizer& optimizer() { return session_->optimizer(); }
-  exec::Engine& engine() { return session_->engine(); }
-  const rewrite::BfRewriter& bfr() { return session_->rewriter(); }
+  /// The "default" tenant's handle; `session().server()` is the server
+  /// everything below delegates to.
+  ClientSession& session() { return session_; }
+  storage::Dfs& dfs() { return server_->dfs(); }
+  catalog::Catalog& catalog() { return server_->catalog(); }
+  catalog::ViewStore& views() { return server_->views(); }
+  udf::UdfRegistry& udfs() { return server_->udfs(); }
+  const optimizer::Optimizer& optimizer() { return server_->optimizer(); }
+  exec::Engine& engine() { return server_->engine(); }
+  const rewrite::BfRewriter& bfr() { return server_->rewriter(); }
   const rewrite::DpRewriter& dp() { return *dp_; }
   const rewrite::SyntacticRewriter& syntactic() { return *syntactic_; }
   const TestBedConfig& config() const { return config_; }
@@ -91,7 +94,8 @@ class TestBed {
   Status Calibrate();
 
   TestBedConfig config_;
-  std::unique_ptr<Session> session_;
+  std::unique_ptr<Server> server_;
+  ClientSession session_;
   std::unique_ptr<rewrite::DpRewriter> dp_;
   std::unique_ptr<rewrite::SyntacticRewriter> syntactic_;
 };

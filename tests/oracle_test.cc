@@ -21,6 +21,7 @@
 #include "random_plans.h"
 #include "reference_interpreter.h"
 #include "rewrite/bf_rewrite.h"
+#include "server/server.h"
 #include "session/session.h"
 #include "storage/dfs.h"
 #include "udf/builtin_udfs.h"
@@ -141,8 +142,9 @@ TEST(OracleTest, PropertyPlansMatchOracle) {
 TEST(OracleTest, IntegerSumIsExactAndWraps) {
   constexpr int64_t kTwo53 = int64_t{1} << 53;
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  auto session = Session::Create();
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto server = Server::Create();
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ClientSession client = (*server)->Connect("default");
   auto big = std::make_shared<storage::Table>(
       "BIG", storage::Schema({{"k", storage::DataType::kInt64},
                               {"v", storage::DataType::kInt64}}));
@@ -151,7 +153,7 @@ TEST(OracleTest, IntegerSumIsExactAndWraps) {
   for (const auto& [k, v] : rows) {
     ASSERT_TRUE(big->AppendRow({storage::Value(k), storage::Value(v)}).ok());
   }
-  ASSERT_TRUE((*session)->RegisterTable(big, {"k"}).ok());
+  ASSERT_TRUE((*server)->RegisterTable(big, {"k"}).ok());
 
   const plan::Plan query(
       plan::GroupBy(plan::Scan("BIG"), {"k"},
@@ -159,18 +161,18 @@ TEST(OracleTest, IntegerSumIsExactAndWraps) {
       "g");
   RunOptions no_rewrite;
   no_rewrite.rewrite = false;
-  auto run = (*session)->Run(plan::Plan(plan::CloneTree(query.root()), "g"),
-                             no_rewrite);
+  auto run = client.Run(plan::Plan(plan::CloneTree(query.root()), "g"),
+                        no_rewrite);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const std::vector<Row> got = run->table->rows();
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0][1].as_int64(), kTwo53 + 2);
   EXPECT_EQ(got[1][1].as_int64(), std::numeric_limits<int64_t>::min());
 
-  const plan::AnnotationContext ctx{&(*session)->catalog(),
-                                    &(*session)->views(), &(*session)->udfs()};
+  const plan::AnnotationContext ctx{&(*server)->catalog(),
+                                    &(*server)->views(), &(*server)->udfs()};
   EXPECT_EQ(Multiset(got), Multiset(OracleRows(query, ctx,
-                                               &(*session)->dfs())));
+                                               &(*server)->dfs())));
 }
 
 }  // namespace

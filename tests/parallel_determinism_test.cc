@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "server/server.h"
 #include "session/session.h"
 #include "storage/table.h"
 #include "workload/scenarios.h"
@@ -121,8 +122,9 @@ TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
     SessionOptions options;
     options.engine.num_threads = num_threads;
     options.engine.num_reduce_tasks = 7;
-    auto session = Session::Create(options);
-    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    auto server = Server::Create(options);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    ClientSession client = (*server)->Connect("default");
 
     auto skew = std::make_shared<storage::Table>(
         "SKEW",
@@ -136,11 +138,11 @@ TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
               .ok());
     }
     EXPECT_TRUE(
-        (*session)
+        (*server)
             ->RegisterTable(storage::TablePtr(std::move(skew)), {"k"})
             .ok());
 
-    auto run = (*session)->Run(
+    auto run = client.Run(
         "g = scan SKEW | groupby k count(*) as n, sum(v) as s;",
         RunOptions{.rewrite = false});
     EXPECT_TRUE(run.ok()) << run.status().ToString();

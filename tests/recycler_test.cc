@@ -277,6 +277,7 @@ TEST(RecyclerServingTest, CrossTenantJoinBuildIsSharedOnce) {
   // A different tenant running the same join probes alice's cached build
   // instead of rebuilding — one build serves the whole server.
   ClientSession bob = (*server)->Connect("bob");
+  const obs::MetricsSnapshot bob_before = (*server)->TenantSnapshot("bob");
   auto r2 = bob.Run(oql, opts);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   ASSERT_NE(r2->table, nullptr);
@@ -286,8 +287,10 @@ TEST(RecyclerServingTest, CrossTenantJoinBuildIsSharedOnce) {
   EXPECT_EQ(TableFingerprint(*r2->table), TableFingerprint(*r1->table));
 
   // The hit is attributed to bob's private metric scope.
-  auto it = r2->tenant_delta.counters.find("server.recycle.hits");
-  ASSERT_NE(it, r2->tenant_delta.counters.end());
+  const obs::MetricsSnapshot bob_delta =
+      (*server)->TenantSnapshot("bob").DiffFrom(bob_before);
+  auto it = bob_delta.counters.find("server.recycle.hits");
+  ASSERT_NE(it, bob_delta.counters.end());
   EXPECT_GE(it->second, 1u);
 
   const auto stats = (*server)->recycler().stats();
@@ -299,26 +302,27 @@ TEST(RecyclerServingTest, CrossTenantJoinBuildIsSharedOnce) {
 TEST(RecyclerServingTest, ViewKeyedEntriesAreSweptWhenViewsDie) {
   SessionOptions options;
   options.engine.num_threads = 1;
-  auto session = Session::Create(options);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto server = Server::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ClientSession client = (*server)->Connect("default");
   ASSERT_TRUE(
-      (*session)->RegisterTable(MakeKV("VG", 4000, 1, 0, 64), {"k"}).ok());
+      (*server)->RegisterTable(MakeKV("VG", 4000, 1, 0, 64), {"k"}).ok());
   ASSERT_TRUE(
-      (*session)->RegisterTable(MakeKV("VP0", 2000, 31, 0, 64, "pv"), {"k"}).ok());
+      (*server)->RegisterTable(MakeKV("VP0", 2000, 31, 0, 64, "pv"), {"k"}).ok());
   ASSERT_TRUE(
-      (*session)->RegisterTable(MakeKV("VP1", 2000, 31, 1, 64, "pv"), {"k"}).ok());
+      (*server)->RegisterTable(MakeKV("VP1", 2000, 31, 1, 64, "pv"), {"k"}).ok());
 
-  HashRecycler& recycler = (*session)->server().recycler();
+  HashRecycler& recycler = (*server)->recycler();
 
   // Query 0 materializes the group-by as an opportunistic view.
-  auto r0 = (*session)->Run("a = scan VG | groupby k sum(v) as s;");
+  auto r0 = client.Run("a = scan VG | groupby k sum(v) as s;");
   ASSERT_TRUE(r0.ok()) << r0.status().ToString();
-  ASSERT_GT((*session)->views().size(), 0u);
+  ASSERT_GT((*server)->views().size(), 0u);
 
   // Query 1's group-by subtree rewrites to a scan of that view; the join's
   // build side is then the view scan, so its built table is cached under a
   // view:<id>@<epoch> identity.
-  auto r1 = (*session)->Run(
+  auto r1 = client.Run(
       "a = scan VG | groupby k sum(v) as s;"
       "p = scan VP0;"
       "r = join p a on k = k;");
@@ -329,7 +333,7 @@ TEST(RecyclerServingTest, ViewKeyedEntriesAreSweptWhenViewsDie) {
 
   // Proof the view-keyed entry is live: a second rewritten query (distinct
   // probe, same group-by subtree) hits it instead of rebuilding.
-  auto r2 = (*session)->Run(
+  auto r2 = client.Run(
       "a = scan VG | groupby k sum(v) as s;"
       "p = scan VP1;"
       "r = join p a on k = k;");
@@ -339,10 +343,10 @@ TEST(RecyclerServingTest, ViewKeyedEntriesAreSweptWhenViewsDie) {
   // Kill every view, then run any query: RunAdmitted's publish-time sweep
   // must drop the view-keyed entries (their identity can never match
   // again) while base-keyed entries survive.
-  (*session)->views().DropAll();
+  (*server)->views().DropAll();
   RunOptions no_rewrite;
   no_rewrite.rewrite = false;
-  auto sweep = (*session)->Run("r = scan VG;", no_rewrite);
+  auto sweep = client.Run("r = scan VG;", no_rewrite);
   ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
   EXPECT_LT(recycler.stats().entries, entries_cached);
 }
@@ -363,30 +367,29 @@ TEST(RecyclerDeterminismTest, RecycleMatrixIsByteIdentical) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SessionOptions options;
     options.engine.num_threads = threads;
-    auto session = Session::Create(options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto server = Server::Create(options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    ClientSession client = (*server)->Connect("default");
     ASSERT_TRUE(
-        (*session)->RegisterTable(MakeKV("MB", 1500, 1, 0, 0, "bv"), {"k"}).ok());
+        (*server)->RegisterTable(MakeKV("MB", 1500, 1, 0, 0, "bv"), {"k"}).ok());
     ASSERT_TRUE(
-        (*session)->RegisterTable(MakeKV("MP", 2000, 7, 0, 3000), {"k"}).ok());
+        (*server)->RegisterTable(MakeKV("MP", 2000, 7, 0, 3000), {"k"}).ok());
     ASSERT_TRUE(
-        (*session)->RegisterTable(MakeKV("MG", 3000, 1, 0, 64), {"k"}).ok());
-    const plan::AnnotationContext ctx{&(*session)->catalog(),
-                                      &(*session)->views(),
-                                      &(*session)->udfs()};
+        (*server)->RegisterTable(MakeKV("MG", 3000, 1, 0, 64), {"k"}).ok());
+    const plan::AnnotationContext ctx{&(*server)->catalog(),
+                                      &(*server)->views(),
+                                      &(*server)->udfs()};
     for (const plan::Plan& query : queries) {
       SCOPED_TRACE(query.name());
       auto expected = reference::Evaluate(
-          plan::Plan(plan::CloneTree(query.root())), ctx, &(*session)->dfs());
+          plan::Plan(plan::CloneTree(query.root())), ctx, &(*server)->dfs());
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
       ASSERT_FALSE(expected->empty());
       RunOptions opts;
       opts.rewrite = false;
-      auto cold = (*session)->Run(plan::Plan(plan::CloneTree(query.root())),
-                                  opts);
+      auto cold = client.Run(plan::Plan(plan::CloneTree(query.root())), opts);
       ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-      auto warm = (*session)->Run(plan::Plan(plan::CloneTree(query.root())),
-                                  opts);
+      auto warm = client.Run(plan::Plan(plan::CloneTree(query.root())), opts);
       ASSERT_TRUE(warm.ok()) << warm.status().ToString();
       EXPECT_EQ(RecycleCounts(*cold), std::make_pair(uint64_t{0}, uint64_t{1}));
       EXPECT_EQ(RecycleCounts(*warm), std::make_pair(uint64_t{1}, uint64_t{0}));

@@ -319,6 +319,7 @@ TEST_F(ServingTest, SnapshotVisibilityAndCrossTenantReuse) {
   // A second tenant running the identical query reuses alice's views —
   // and sees exactly the store as of its own admission epoch.
   ClientSession bob = server.Connect("bob");
+  const obs::MetricsSnapshot bob_before = server.TenantSnapshot("bob");
   auto r2 = bob.Run(MustBuildQuery(1, 1));
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r2->admission_epoch, e0 + 1);
@@ -329,8 +330,10 @@ TEST_F(ServingTest, SnapshotVisibilityAndCrossTenantReuse) {
     EXPECT_GE(use.publish_epoch, e0 + 1);
     EXPECT_LE(use.publish_epoch, r2->admission_epoch);
   }
-  auto cross = r2->tenant_delta.counters.find("server.views.cross_reuse");
-  ASSERT_NE(cross, r2->tenant_delta.counters.end());
+  const obs::MetricsSnapshot bob_delta =
+      server.TenantSnapshot("bob").DiffFrom(bob_before);
+  auto cross = bob_delta.counters.find("server.views.cross_reuse");
+  ASSERT_NE(cross, bob_delta.counters.end());
   EXPECT_GE(cross->second, 1u);
   ASSERT_NE(r2->table, nullptr);
   EXPECT_EQ(TableFingerprint(*r2->table), baseline);
@@ -359,14 +362,8 @@ TEST_F(ServingTest, PerTenantMetricDeltasAreIsolated) {
   auto d2 = dave.Run(MustBuildQuery(3, 2));
   ASSERT_TRUE(d2.ok()) << d2.status().ToString();
 
-  // Every run's tenant delta shows exactly one completed query — its own —
-  // even though the shared global registry saw three.
-  for (const RunResult* r : {&*c1, &*d1, &*d2}) {
-    auto it = r->tenant_delta.counters.find("server.queries.completed");
-    ASSERT_NE(it, r->tenant_delta.counters.end());
-    EXPECT_EQ(it->second, 1u);
-  }
-  // Cumulative per-tenant scopes count only the tenant's own traffic.
+  // Cumulative per-tenant scopes count only the tenant's own traffic, even
+  // though the shared global registry saw all three queries.
   EXPECT_EQ(server.TenantSnapshot("carol")
                 .counters.at("server.queries.completed"),
             1u);
@@ -377,6 +374,28 @@ TEST_F(ServingTest, PerTenantMetricDeltasAreIsolated) {
   const auto tenants = server.Tenants();
   EXPECT_TRUE(std::count(tenants.begin(), tenants.end(), "carol"));
   EXPECT_TRUE(std::count(tenants.begin(), tenants.end(), "dave"));
+}
+
+// A publish the view store deduplicates must not leave the engine's copy of
+// the duplicate behind: every DFS file under views/ belongs to a view.
+TEST_F(ServingTest, DeduplicatedPublishLeavesNoOrphanFile) {
+  Server& server = bed_->session().server();
+  bed_->DropAllViews();
+  ClientSession frank = server.Connect("frank");
+  RunOptions no_rewrite;
+  no_rewrite.rewrite = false;
+  auto first = frank.Run(MustBuildQuery(1, 1), no_rewrite);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GT(first->metrics.views_created, 0);
+  auto second = frank.Run(MustBuildQuery(1, 1), no_rewrite);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->metrics.views_created, 0);  // all duplicates
+
+  size_t view_files = 0;
+  for (const std::string& path : server.dfs().ListPaths()) {
+    if (path.rfind("views/", 0) == 0) ++view_files;
+  }
+  EXPECT_EQ(view_files, server.views().size());
 }
 
 TEST_F(ServingTest, AdmissionTicketsAreSequential) {
@@ -562,6 +581,7 @@ TEST(ServerStressTest, InterleavedOutputsMatchSerialReplay) {
           copy.queue_wait_s = 0;
           copy.wall_time_s = 0;
           copy.recycle_hits = 0;
+          copy.recycle_misses = 0;
           out += copy.ToJson();
           out += '\n';
         }
@@ -668,9 +688,25 @@ TEST(ServerIntrospectionTest, QueryLogDisabledByZeroCapacity) {
   ASSERT_NE(bed, nullptr);
   Server& server = bed->session().server();
   EXPECT_EQ(server.query_log(), nullptr);
+  obs::MetricRegistry& global = obs::MetricRegistry::Global();
+  const uint64_t completed_before =
+      global.counter("server.queries.completed").value();
+  const uint64_t published_before =
+      global.counter("server.views.published").value();
   ClientSession ana = server.Connect("ana");
   auto run = ana.Run(MustBuildQuery(1, 1));
-  EXPECT_TRUE(run.ok()) << run.status().ToString();  // serving unaffected
+  ASSERT_TRUE(run.ok()) << run.status().ToString();  // serving unaffected
+
+  // The counters read the query's record, which exists without the log.
+  const auto published = static_cast<uint64_t>(run->metrics.views_created);
+  EXPECT_GT(published, 0u);
+  EXPECT_EQ(global.counter("server.queries.completed").value(),
+            completed_before + 1);
+  EXPECT_EQ(global.counter("server.views.published").value(),
+            published_before + published);
+  const obs::MetricsSnapshot ana_scope = server.TenantSnapshot("ana");
+  EXPECT_EQ(ana_scope.counters.at("server.queries.completed"), 1u);
+  EXPECT_EQ(ana_scope.counters.at("server.views.published"), published);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Tests for the opd::Session facade: wiring, Run over OQL and plans, option
-// consolidation, the EXPLAIN ANALYZE rendering (golden shape), and the
-// ExecMetrics serializations shared by bench --json and the trace export.
+// Tests for the serving entry point as one tenant sees it (Server::Create +
+// Connect): wiring, Run over OQL and plans, option consolidation, the
+// EXPLAIN ANALYZE rendering (golden shape), and the ExecMetrics
+// serializations shared by bench --json and the trace export.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "exec/metrics.h"
 #include "oql/parser.h"
+#include "server/server.h"
 #include "session/session.h"
 #include "udf/builtin_udfs.h"
 #include "workload/datagen.h"
@@ -17,29 +19,38 @@
 namespace opd {
 namespace {
 
-std::unique_ptr<Session> MakeSession(SessionOptions options = {}) {
-  auto session = Session::Create(options);
-  EXPECT_TRUE(session.ok()) << session.status().ToString();
+// A server holding a small TWTR log, plus the "default" tenant's handle.
+struct TestServer {
+  std::unique_ptr<Server> server;
+  ClientSession client;
+};
+
+TestServer MakeServer(SessionOptions options = {}) {
+  auto server = Server::Create(options);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
   workload::DataGenConfig data;
   data.n_tweets = 500;
   data.n_checkins = 200;
   data.n_locations = 50;
   storage::TablePtr twtr = workload::GenerateTwitterLog(data);
-  EXPECT_TRUE(udf::RegisterBuiltinUdfs(&(*session)->udfs()).ok());
-  EXPECT_TRUE((*session)->RegisterTable(twtr, {"tweet_id"}).ok());
-  return std::move(session).value();
+  EXPECT_TRUE(udf::RegisterBuiltinUdfs(&(*server)->udfs()).ok());
+  EXPECT_TRUE((*server)->RegisterTable(twtr, {"tweet_id"}).ok());
+  TestServer out{std::move(server).value(), {}};
+  out.client = out.server->Connect("default");
+  return out;
 }
 
 TEST(SessionTest, CreateWiresTheWholeStack) {
-  auto session = MakeSession();
-  EXPECT_TRUE(session->catalog().Has("TWTR"));
-  EXPECT_GE(session->udfs().size(), 10u);
-  EXPECT_EQ(session->views().size(), 0u);
+  auto s = MakeServer();
+  EXPECT_TRUE(s.server->catalog().Has("TWTR"));
+  EXPECT_GE(s.server->udfs().size(), 10u);
+  EXPECT_EQ(s.server->views().size(), 0u);
+  EXPECT_EQ(s.client.tenant(), "default");
 }
 
 TEST(SessionTest, RunOqlReturnsTableMetricsAndJobs) {
-  auto session = MakeSession();
-  auto run = session->Run(
+  auto s = MakeServer();
+  auto run = s.client.Run(
       "counts = scan TWTR | groupby user_id count(*) as n;");
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_NE(run->table, nullptr);
@@ -49,20 +60,20 @@ TEST(SessionTest, RunOqlReturnsTableMetricsAndJobs) {
   EXPECT_TRUE(run->rewritten);
   EXPECT_EQ(run->trace, nullptr);  // tracing is off by default
   // Executing retained the job outputs as opportunistic views.
-  EXPECT_GT(session->views().size(), 0u);
+  EXPECT_GT(s.server->views().size(), 0u);
 }
 
 TEST(SessionTest, RunParseErrorsPropagate) {
-  auto session = MakeSession();
-  auto run = session->Run("this is not OQL");
+  auto s = MakeServer();
+  auto run = s.client.Run("this is not OQL");
   EXPECT_FALSE(run.ok());
 }
 
 TEST(SessionTest, TracingProducesQueryRootedSpans) {
   SessionOptions options;
   options.obs.tracing = true;
-  auto session = MakeSession(options);
-  auto run = session->Run(
+  auto s = MakeServer(options);
+  auto run = s.client.Run(
       "counts = scan TWTR | groupby user_id count(*) as n;",
       RunOptions{.rewrite = false});
   ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -81,10 +92,10 @@ TEST(SessionTest, ObsOptionsMirrorIntoEngineOptions) {
   SessionOptions options;
   options.obs.metrics = false;
   options.obs.trace_tasks = false;
-  auto session = Session::Create(options);
-  ASSERT_TRUE(session.ok());
-  EXPECT_FALSE((*session)->options().engine.metrics);
-  EXPECT_FALSE((*session)->options().engine.trace_tasks);
+  auto server = Server::Create(options);
+  ASSERT_TRUE(server.ok());
+  EXPECT_FALSE((*server)->options().engine.metrics);
+  EXPECT_FALSE((*server)->options().engine.trace_tasks);
 }
 
 // Masks every number (and byte-unit suffix) so the golden pins the layout
@@ -112,8 +123,8 @@ std::string MaskNumbers(const std::string& s) {
 }
 
 TEST(SessionTest, ExplainAnalyzeGoldenShape) {
-  auto session = MakeSession();
-  auto run = session->Run(
+  auto s = MakeServer();
+  auto run = s.client.Run(
       "counts = scan TWTR | groupby user_id count(*) as n;",
       RunOptions{.rewrite = false});
   ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -127,7 +138,7 @@ TEST(SessionTest, ExplainAnalyzeGoldenShape) {
   // The residual sign is deterministic here: the estimator undershoots this
   // groupby (observed proxy cost > prediction), so resid renders "+".
   // The groupby input is a direct base-table scan, so it is recyclable; a
-  // cold session's first run records a recycler miss.
+  // cold server's first run records a recycler miss.
   const std::string expected =
       pad("GROUPBY(user_id)") +
       "  [job #] time=#s pred=#s resid=+#% rows=#-># read=# shuffled=# "
@@ -139,8 +150,8 @@ TEST(SessionTest, ExplainAnalyzeGoldenShape) {
 }
 
 TEST(SessionTest, ExplainAnalyzeOverOqlIncludesWallStats) {
-  auto session = MakeSession();
-  auto text = session->ExplainAnalyze(
+  auto s = MakeServer();
+  auto text = s.client.ExplainAnalyze(
       "r = scan TWTR | project user_id, retweets | "
       "filter retweets > 1;");
   ASSERT_TRUE(text.ok()) << text.status().ToString();
@@ -183,8 +194,8 @@ TEST(ExecMetricsTest, ToJsonHasEveryField) {
 TEST(ExecMetricsTest, StatsWallTimeMeasuredWhenStatsOn) {
   SessionOptions options;
   options.engine.collect_stats = true;
-  auto session = MakeSession(options);
-  auto run = session->Run(
+  auto s = MakeServer(options);
+  auto run = s.client.Run(
       "counts = scan TWTR | groupby user_id count(*) as n;");
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   // The StatsCollector pass really ran, so its measured wall time is > 0
@@ -265,21 +276,21 @@ TEST(OqlTest, ConsumeShowPrefixKinds) {
 
 // --- EXPLAIN REWRITE --------------------------------------------------------
 
-// Warms a session's view store with two queries, then renders EXPLAIN
+// Warms a server's view store with two queries, then renders EXPLAIN
 // REWRITE for a query that can reuse the first one's views. The engine
 // thread count is a parameter precisely so tests can prove it does NOT
 // matter: the rewrite search is serial and engine-independent.
 std::string WarmExplainRewrite(int threads) {
   SessionOptions options;
   options.engine.num_threads = threads;
-  auto session = MakeSession(options);
-  auto warm1 = session->Run(
+  auto s = MakeServer(options);
+  auto warm1 = s.client.Run(
       "w = scan TWTR | project user_id, retweets;");
   EXPECT_TRUE(warm1.ok()) << warm1.status().ToString();
-  auto warm2 = session->Run(
+  auto warm2 = s.client.Run(
       "v = scan TWTR | groupby user_id count(*) as n;");
   EXPECT_TRUE(warm2.ok()) << warm2.status().ToString();
-  auto text = session->ExplainRewrite(
+  auto text = s.client.ExplainRewrite(
       "q = scan TWTR | project user_id, retweets;");
   EXPECT_TRUE(text.ok()) << text.status().ToString();
   return text.ok() ? *text : std::string();
@@ -316,26 +327,26 @@ TEST(SessionTest, ExplainRewriteByteIdenticalAcrossEngineConfigs) {
 }
 
 TEST(SessionTest, RewriteDoesNotExecuteOrCreditViews) {
-  auto session = MakeSession();
-  auto warm = session->Run("w = scan TWTR | project user_id, retweets;");
+  auto s = MakeServer();
+  auto warm = s.client.Run("w = scan TWTR | project user_id, retweets;");
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  const size_t views_before = session->views().size();
-  const uint64_t clock_before = session->views().clock();
+  const size_t views_before = s.server->views().size();
+  const uint64_t clock_before = s.server->views().clock();
   auto outcome =
-      session->Rewrite("q = scan TWTR | project user_id, retweets;");
+      s.client.Rewrite("q = scan TWTR | project user_id, retweets;");
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_TRUE(outcome->improved);
   EXPECT_FALSE(outcome->decisions.targets.empty());
   // Pure analysis: no new views, no access credit.
-  EXPECT_EQ(session->views().size(), views_before);
-  EXPECT_EQ(session->views().clock(), clock_before);
+  EXPECT_EQ(s.server->views().size(), views_before);
+  EXPECT_EQ(s.server->views().clock(), clock_before);
 }
 
 // --- Run metrics export -----------------------------------------------------
 
 TEST(SessionTest, MetricsJsonCarriesPerJobResidualsAndDecisions) {
-  auto session = MakeSession();
-  auto run = session->Run(
+  auto s = MakeServer();
+  auto run = s.client.Run(
       "counts = scan TWTR | groupby user_id count(*) as n;");
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const std::string json = run->MetricsJson();
@@ -348,46 +359,11 @@ TEST(SessionTest, MetricsJsonCarriesPerJobResidualsAndDecisions) {
   EXPECT_NE(json.find("\"decisions\":{\"candidates\":"), std::string::npos);
   EXPECT_NE(json.find("\"cost_model\":{\"classes\":["), std::string::npos);
   EXPECT_NE(json.find("\"op_class\":\"GROUPBY\""), std::string::npos);
-  EXPECT_NE(json.find("\"registry_delta\":{\"counters\":{"),
-            std::string::npos);
-  // The run's registry delta saw this run's jobs.
-  EXPECT_NE(json.find("\"engine.jobs\":"), std::string::npos);
-}
-
-TEST(SessionTest, MetricsPrometheusExposition) {
-  auto session = MakeSession();
-  auto run = session->Run(
-      "counts = scan TWTR | groupby user_id count(*) as n;");
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  const std::string text = run->MetricsPrometheus();
-  EXPECT_NE(text.find("# TYPE opd_engine_jobs counter\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("opd_engine_jobs "), std::string::npos);
-  EXPECT_NE(text.find("# TYPE opd_costmodel_job_residual_pct summary\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("opd_costmodel_job_residual_pct_count "),
-            std::string::npos);
-}
-
-TEST(SessionTest, MetricsDeltaIsPerRunNotCumulative) {
-  auto session = MakeSession();
-  const std::string q = "counts = scan TWTR | groupby user_id count(*) as n;";
-  auto first = session->Run(q, RunOptions{.rewrite = false});
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = session->Run(q, RunOptions{.rewrite = false});
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  // Identical work => identical per-run counter deltas, even though the
-  // global registry doubled.
-  ASSERT_EQ(first->metrics_delta.counters.count("engine.jobs"), 1u);
-  EXPECT_EQ(first->metrics_delta.counters.at("engine.jobs"),
-            second->metrics_delta.counters.at("engine.jobs"));
-  EXPECT_EQ(first->metrics_delta.counters.at("engine.bytes_read"),
-            second->metrics_delta.counters.at("engine.bytes_read"));
 }
 
 TEST(SessionTest, CostDriftsTrackExecutedOperatorClasses) {
-  auto session = MakeSession();
-  auto run = session->Run(
+  auto s = MakeServer();
+  auto run = s.client.Run(
       "counts = scan TWTR | groupby user_id count(*) as n;",
       RunOptions{.rewrite = false});
   ASSERT_TRUE(run.ok()) << run.status().ToString();
