@@ -25,10 +25,13 @@
 # instrumented one, whose overhead would make any timing floor meaningless —
 # and then the metric-name lint (scripts/lint_metrics.py), which diffs the
 # metric literals in src/ against the names `micro_engine --dump-metrics`
-# actually registers. Last, a one-second traced perfbench run
-# (perfbench/run.py) guards the benchmark's API surface: perfbench compiles
+# actually registers. Last, one-second traced perfbench runs
+# (perfbench/run.py) guard the benchmark's API surface: perfbench compiles
 # against src/, so an API change could otherwise break the benchmark
-# without any test noticing. It must exit 0 and report "correct": true.
+# without any test noticing. `warm_500v` is the rewriter-bound workload;
+# `evolve` is the one whose timed queries publish views, and its traced
+# half calls Engine::Execute and ViewStore::PublishBatch itself. Each must
+# exit 0 and report "correct": true.
 #
 # Usage: scripts/check.sh [ctest-args...]
 
@@ -75,7 +78,9 @@ trap 'rm -f "${dump}"' EXIT
 python3 scripts/lint_metrics.py "${dump}" src
 echo "== perfbench smoke (benchmark builds against src/ and answers correctly) =="
 # run.py prints only opd_perfbench's JSON result line on stdout.
-result="$(python3 perfbench/run.py --workload warm_500v --seed 1 --seconds 1 \
-  --trace 1)"
-python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
-  "${result}"
+for workload in warm_500v evolve; do
+  result="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
+    --seconds 1 --trace 1)"
+  python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
+    "${result}"
+done

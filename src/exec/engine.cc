@@ -229,12 +229,28 @@ class ColumnGatherer {
   std::vector<DictRemap> remaps_;
 };
 
+// DFS directory of one Execute run's job outputs ("views/run<N>/").
+std::string RunDir(int run_id) {
+  return "views/run" + std::to_string(run_id) + "/";
+}
+
 }  // namespace
 
 Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
                                    uint64_t parent_span) {
   OPD_RETURN_NOT_OK(optimizer_->Prepare(plan));
   const int run_id = run_counter_++;
+  Result<ExecResult> result = ExecuteRun(plan, trace, parent_span, run_id);
+  // A failed query leaves no DFS output: jobs finalized before the failure
+  // already wrote their outputs, and nothing will ever publish them.
+  if (!result.ok()) {
+    dfs_->DeletePrefix(RunDir(run_id));
+  }
+  return result;
+}
+
+Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
+                                      uint64_t parent_span, int run_id) {
   const auto& ctx = optimizer_->context();
   const auto& model = optimizer_->cost_model();
   const uint64_t block_size = dfs_->block_size_bytes();
@@ -302,8 +318,8 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
   // --- Plan the run ---------------------------------------------------------
   // Scans resolve serially up front (catalog/DFS lookups); every other
   // operator becomes one job. Job indices — and therefore DFS output paths
-  // and ViewStore insertion order — are fixed here, in topological order, so
-  // they cannot depend on the execution schedule below.
+  // and the order of pending_views — are fixed here, in topological order,
+  // so they cannot depend on the execution schedule below.
   const std::vector<OpNodePtr> topo = plan->TopoOrder();
   struct JobSpec {
     const OpNodePtr* node = nullptr;    // owned by `topo`
@@ -335,8 +351,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
     }
     JobSpec spec;
     spec.node = &node_ptr;
-    spec.path = "views/run" + std::to_string(run_id) + "/job" +
-                std::to_string(specs.size());
+    spec.path = RunDir(run_id) + "job" + std::to_string(specs.size());
     for (const OpNodePtr& child : node->children) {
       if (child->kind == OpKind::kScan) continue;
       auto it = job_of.find(child.get());
@@ -415,8 +430,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
 
     size_t job_tasks = 0;
     const uint64_t span_id = job_span != nullptr ? job_span->id() : 0;
-    const PipelineCtx pipe{pool_.get(), trace, span_id, options_.trace_tasks,
-                           &job_tasks};
+    const PipelineCtx pipe{pool_.get(), trace, span_id, &job_tasks};
     const auto job_wall_start = std::chrono::steady_clock::now();
 
     Table out("", node->out_schema);
@@ -1024,7 +1038,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         udf_opts.num_reduce_tasks = options_.num_reduce_tasks;
         udf_opts.trace = trace;
         udf_opts.parent_span = span_id;
-        udf_opts.trace_tasks = options_.trace_tasks;
         udf_opts.tasks = &job_tasks;
         OPD_RETURN_NOT_OK(RunLocalFunctions(*def, *inputs[0],
                                             node->udf.params, &out,
@@ -1077,8 +1090,8 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
   // --- Serial finalize ------------------------------------------------------
   // Every ordering-sensitive side effect happens here, in job-index (topo)
   // order, regardless of the execution schedule: DFS writes, metric and
-  // JobRun accumulation, and ViewStore insertion (ViewIds are assigned in
-  // insertion order and must not depend on thread timing).
+  // JobRun accumulation, and the pending_views list (the publisher assigns
+  // ViewIds in list order, which must not depend on thread timing).
   auto finalize_job = [&](size_t j, obs::TraceSpan* job_span) -> Status {
     JobState& st = states[j];
     const OpNodePtr& node_ptr = *specs[j].node;
@@ -1172,8 +1185,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         def.stats.avg_row_bytes = st.table->AvgRowBytes();
       }
       // The definition is complete here (data in DFS, stats collected) but
-      // is not yet visible: the whole run's views publish as one atomic
-      // batch below (or by the serving layer, when deferred).
+      // is not visible: the caller publishes the run's views as one batch.
       result.pending_views.push_back(std::move(def));
     }
     return Status::OK();
@@ -1233,19 +1245,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
   auto sink = results.find(plan->root().get());
   if (sink == results.end()) {
     return Status::Internal("plan produced no sink result");
-  }
-
-  // Publish the run's retained views as one atomic batch (one epoch bump
-  // per Execute), unless the caller — the serving layer — asked to defer
-  // publication to query completion.
-  if (options_.retain_views && !options_.defer_view_publish) {
-    const auto published = views_->PublishBatch(std::move(result.pending_views));
-    result.pending_views.clear();
-    for (const auto& pub : published) {
-      if (!pub.added) continue;
-      metrics.views_created += 1;
-      if (options_.metrics) registry.counter("engine.views_created").Inc();
-    }
   }
 
   result.table = sink->second;

@@ -1,11 +1,14 @@
 // The MapReduce execution simulator.
 //
 // Executes an annotated plan job by job: every non-scan operator runs as one
-// MR job over real rows, materializes its output to the simulated DFS, and —
-// as in Hive — that materialization is retained as an opportunistic view
-// (with its AFK annotation, plan fingerprint, and sampled statistics) in the
-// ViewStore. Modeled cluster time is computed by applying the cost model to
-// the *observed* byte counts of each job.
+// MR job over real rows and materializes its output to the simulated DFS.
+// As in Hive, that materialization is retained as an opportunistic view
+// (with its AFK annotation, plan fingerprint, and sampled statistics), but
+// the engine never publishes it: each run hands its view definitions back
+// in ExecResult::pending_views, and the serving layer (Server::RunAdmitted)
+// decides what becomes visible in the ViewStore. Modeled cluster time is
+// computed by applying the cost model to the *observed* byte counts of each
+// job.
 
 #ifndef OPD_EXEC_ENGINE_H_
 #define OPD_EXEC_ENGINE_H_
@@ -15,10 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
-#include "common/thread_pool.h"
 #include "catalog/view_store.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "exec/metrics.h"
 #include "exec/stats_collector.h"
 #include "obs/trace.h"
@@ -44,13 +46,12 @@ class HashRecycler;
 /// UDFs and UDF local functions run row-at-a-time. Hash tables are recycled
 /// across queries when a recycler is attached (Engine::set_recycler).
 struct EngineOptions {
-  /// Retain job outputs as opportunistic views (Section 2.1). Always true in
-  /// the paper's system; switchable for ablation.
+  /// Retain job outputs as opportunistic views (Section 2.1), i.e. return
+  /// them in ExecResult::pending_views. Always true in the paper's system;
+  /// switchable for ablation.
   bool retain_views = true;
   /// Run the sampling stats job for each retained view.
   bool collect_stats = true;
-  double stats_sample_fraction = 0.05;
-  uint64_t stats_seed = 42;
   /// Worker threads for map/reduce task execution. 0 means one per core;
   /// 1 runs every task inline on the calling thread (the pre-parallel
   /// behavior). Results are byte-identical for every setting.
@@ -62,16 +63,6 @@ struct EngineOptions {
   /// Publish per-job observations (shuffle skew, hash-table load factors,
   /// dictionary compression, byte counts) into obs::MetricRegistry::Global().
   bool metrics = true;
-  /// Emit one span per pipeline/reduce task when a Trace is attached to
-  /// Execute. Off keeps only the job/phase spans (cheaper for huge jobs).
-  bool trace_tasks = true;
-  /// Defer view publication to the caller: instead of inserting retained
-  /// views into the ViewStore inline (one by one, mid-query), Execute
-  /// collects the fully-materialized definitions in
-  /// ExecResult::pending_views. The serving layer publishes them as one
-  /// atomic batch at query completion (snapshot-consistent visibility,
-  /// DESIGN.md §3). Only meaningful when `retain_views`.
-  bool defer_view_publish = false;
 };
 
 /// Observed execution record of one MR job — the raw material for
@@ -109,37 +100,36 @@ struct ExecResult {
   ExecMetrics metrics;
   /// One record per executed MR job, in submission order.
   std::vector<JobRun> jobs;
-  /// Materialized-view definitions awaiting publication, in job order
-  /// (only populated under EngineOptions::defer_view_publish; the data is
-  /// already in the DFS, the metadata just isn't visible yet).
+  /// Materialized-view definitions awaiting publication, one per job in job
+  /// order when retention is on. The data is already in the DFS; the
+  /// metadata becomes visible only when the caller publishes the batch
+  /// (ViewStore::PublishBatch).
   std::vector<catalog::ViewDefinition> pending_views;
 };
 
 /// \brief Executes plans over the simulated cluster.
 class Engine {
  public:
-  Engine(storage::Dfs* dfs, catalog::ViewStore* views,
-         const optimizer::Optimizer* optimizer, EngineOptions options = {})
-      : dfs_(dfs),
-        views_(views),
-        optimizer_(optimizer),
-        options_(options),
-        stats_(options.stats_sample_fraction, options.stats_seed) {
+  Engine(storage::Dfs* dfs, const optimizer::Optimizer* optimizer,
+         EngineOptions options = {})
+      : dfs_(dfs), optimizer_(optimizer), options_(options) {
     const int threads = ThreadPool::DefaultThreads(options_.num_threads);
     if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
 
-  /// Prepares (annotates/costs) and executes `plan`. The sink's output table
-  /// and the run's metrics are returned; intermediate materializations are
-  /// registered as opportunistic views when retention is on.
+  /// Prepares (annotates/costs) and executes `plan`. Returns the sink's
+  /// output table, the run's metrics, and — when retention is on — the
+  /// definitions of the run's materializations in `pending_views`. Nothing
+  /// becomes visible in the ViewStore: publishing is the caller's job. A
+  /// failed run deletes every DFS file it wrote ("views/run<N>/...").
   ///
   /// When `trace` is non-null each MR job opens a "job:<op>" span under
   /// `parent_span`, with nested phase spans (pipeline, plus reduce with
-  /// per-bucket spans for shuffles) and task spans if
-  /// EngineOptions::trace_tasks. Span structure is deterministic:
-  /// identical at every thread count; only durations vary. Tracing forces
-  /// jobs to execute serially (cross-job DAG scheduling is an untraced
-  /// optimization), so the span tree is also job-order deterministic.
+  /// per-bucket spans for shuffles) and one span per task. Span structure
+  /// is deterministic: identical at every thread count; only durations
+  /// vary. Tracing forces jobs to execute serially (cross-job DAG
+  /// scheduling is an untraced optimization), so the span tree is also
+  /// job-order deterministic.
   Result<ExecResult> Execute(plan::Plan* plan, obs::Trace* trace = nullptr,
                              uint64_t parent_span = 0);
 
@@ -162,8 +152,12 @@ class Engine {
   void set_recycler(hash::HashRecycler* recycler) { recycler_ = recycler; }
 
  private:
+  /// Execute's body for run number `run_id`; Execute deletes the run's
+  /// DFS output when this fails.
+  Result<ExecResult> ExecuteRun(plan::Plan* plan, obs::Trace* trace,
+                                uint64_t parent_span, int run_id);
+
   storage::Dfs* dfs_;
-  catalog::ViewStore* views_;
   const optimizer::Optimizer* optimizer_;
   optimizer::CostAccountant* accountant_ = nullptr;
   hash::HashRecycler* recycler_ = nullptr;

@@ -38,7 +38,6 @@ Status RunWave(const PipelineCtx& ctx, const char* name, size_t n,
   if (ctx.trace == nullptr) return ParallelFor(ctx.pool, n, fn, max_task_seconds);
   obs::TraceSpan span(ctx.trace, ctx.parent_span, name, "phase");
   span.AddArg("tasks", static_cast<uint64_t>(n));
-  if (!ctx.trace_tasks) return ParallelFor(ctx.pool, n, fn, max_task_seconds);
   return obs::TracedParallelFor(ctx.pool, n, ctx.trace, span.id(), name, fn,
                                 max_task_seconds);
 }
@@ -63,17 +62,16 @@ Status RunPipelinedShuffle(const PipelineCtx& ctx, size_t num_producers,
   obs::TraceSpan consumer_span;
   uint64_t producer_ids = 0;
   uint64_t consumer_ids = 0;
-  const bool trace_tasks = trace != nullptr && ctx.trace_tasks;
   if (trace != nullptr) {
     producer_span =
         obs::TraceSpan(trace, ctx.parent_span, "pipeline", "phase");
     producer_span.AddArg("tasks", static_cast<uint64_t>(num_producers));
-    if (trace_tasks) producer_ids = trace->AllocSpanIds(num_producers);
+    producer_ids = trace->AllocSpanIds(num_producers);
     if (num_buckets > 0) {
       consumer_span =
           obs::TraceSpan(trace, ctx.parent_span, "reduce", "phase");
       consumer_span.AddArg("tasks", static_cast<uint64_t>(num_buckets));
-      if (trace_tasks) consumer_ids = trace->AllocSpanIds(num_buckets);
+      consumer_ids = trace->AllocSpanIds(num_buckets);
     }
   }
 
@@ -86,7 +84,7 @@ Status RunPipelinedShuffle(const PipelineCtx& ctx, size_t num_producers,
 
   auto run_producer = [&](size_t p) {
     obs::TraceSpan span;
-    if (trace_tasks) {
+    if (trace != nullptr) {
       span = obs::TraceSpan::Adopt(trace, producer_ids + p,
                                    producer_span.id(),
                                    "pipeline:" + std::to_string(p), "task",
@@ -99,7 +97,7 @@ Status RunPipelinedShuffle(const PipelineCtx& ctx, size_t num_producers,
   };
   auto run_consumer = [&](size_t b) {
     obs::TraceSpan span;
-    if (trace_tasks) {
+    if (trace != nullptr) {
       span = obs::TraceSpan::Adopt(trace, consumer_ids + b,
                                    consumer_span.id(),
                                    "bucket:" + std::to_string(b), "task",

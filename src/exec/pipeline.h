@@ -29,19 +29,19 @@
 namespace opd::exec {
 
 /// Execution context for one pipelined shuffle: the task pool plus the
-/// observability hooks. A null trace makes all span work vanish.
+/// observability hooks. A null trace makes all span work vanish; under a
+/// trace every task gets its own span.
 struct PipelineCtx {
   ThreadPool* pool = nullptr;  // null => run every task inline
   obs::Trace* trace = nullptr;
   uint64_t parent_span = 0;  // job (or UDF stage) span
-  bool trace_tasks = true;
   size_t* tasks = nullptr;  // accumulates producer + consumer task counts
 };
 
 /// \brief Runs one wave of `n` independent tasks (a map-only pass, or a
 /// reduce-only replay) under a `name` phase span, with "<name>:<i>" task
-/// spans when `ctx.trace_tasks`. Span ids are allocated before the wave, so
-/// the span structure is identical at every thread count.
+/// spans. Span ids are allocated before the wave, so the span structure is
+/// identical at every thread count.
 Status RunWave(const PipelineCtx& ctx, const char* name, size_t n,
                const std::function<Status(size_t)>& fn,
                double* max_task_seconds = nullptr);

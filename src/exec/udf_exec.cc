@@ -42,8 +42,7 @@ size_t DeriveReduceTasks(int requested, uint64_t in_bytes,
 
 // Task pool + tracing hooks for the waves of one stage.
 PipelineCtx StageCtx(const UdfExecOptions& opts, uint64_t stage_span) {
-  return PipelineCtx{opts.pool, opts.trace, stage_span, opts.trace_tasks,
-                     opts.tasks};
+  return PipelineCtx{opts.pool, opts.trace, stage_span, opts.tasks};
 }
 
 // One key group gathered during the shuffle, and what the reduce call over

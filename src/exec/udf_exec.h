@@ -38,11 +38,10 @@ struct UdfExecOptions {
   uint64_t block_size_bytes = 64 * 1024;  // map split size (Dfs default)
   int num_reduce_tasks = 0;       // 0 => derived from stage input size
   /// Tracing hooks (see obs/trace.h): each fused map run and each reduce
-  /// stage opens a "stage:<name>" span under `parent_span`, with phase spans
-  /// (and task spans when `trace_tasks`). Null trace = no overhead.
+  /// stage opens a "stage:<name>" span under `parent_span`, with phase and
+  /// task spans. Null trace = no overhead.
   obs::Trace* trace = nullptr;
   uint64_t parent_span = 0;
-  bool trace_tasks = true;
   /// Optional accumulator for the number of tasks launched across stages.
   size_t* tasks = nullptr;
 };

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cmath>
 
-#include "common/json_writer.h"
 #include "obs/metrics.h"
 
 namespace opd::optimizer {
@@ -42,8 +41,8 @@ void CostAccountant::Record(const JobResidual& residual) {
     if (state.samples == 0) {
       state.ewma = residual.residual_pct;
     } else {
-      state.ewma = options_.ewma_alpha * residual.residual_pct +
-                   (1.0 - options_.ewma_alpha) * state.ewma;
+      state.ewma = kEwmaAlpha * residual.residual_pct +
+                   (1.0 - kEwmaAlpha) * state.ewma;
     }
     state.samples += 1;
     ewma = state.ewma;
@@ -78,39 +77,10 @@ std::vector<CostAccountant::ClassDrift> CostAccountant::Drifts() const {
     d.op_class = name;
     d.ewma_pct = state.ewma;
     d.samples = state.samples;
-    d.stale = std::fabs(state.ewma) > options_.stale_threshold_pct;
+    d.stale = std::fabs(state.ewma) > kStalePct;
     out.push_back(std::move(d));
   }
   return out;
-}
-
-std::vector<std::string> CostAccountant::StaleClasses() const {
-  std::vector<std::string> out;
-  for (const ClassDrift& d : Drifts()) {
-    if (d.stale) out.push_back(d.op_class);
-  }
-  return out;
-}
-
-std::string CostAccountant::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("stale_threshold_pct").Double(options_.stale_threshold_pct);
-  w.Key("classes").BeginArray();
-  for (const ClassDrift& d : Drifts()) {
-    w.BeginObject();
-    w.Key("op_class").String(d.op_class);
-    w.Key("ewma_residual_pct").Double(d.ewma_pct);
-    w.Key("samples").UInt(d.samples);
-    w.Key("stale").Bool(d.stale);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("stale").BeginArray();
-  for (const std::string& name : StaleClasses()) w.String(name);
-  w.EndArray();
-  w.EndObject();
-  return w.Take();
 }
 
 void CostAccountant::Reset() {

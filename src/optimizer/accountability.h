@@ -41,11 +41,12 @@ struct JobResidual {
 /// order (the engine finalizes jobs in topological order).
 class CostAccountant {
  public:
+  /// EWMA weight of the newest residual.
+  static constexpr double kEwmaAlpha = 0.2;
+  /// |EWMA| above this marks the class's calibration stale.
+  static constexpr double kStalePct = 25.0;
+
   struct Options {
-    /// EWMA weight of the newest residual.
-    double ewma_alpha = 0.2;
-    /// |EWMA| above this marks the class's calibration stale.
-    double stale_threshold_pct = 25.0;
     /// Publish into obs::MetricRegistry::Global() on every Record().
     bool publish_metrics = true;
   };
@@ -65,12 +66,6 @@ class CostAccountant {
   };
   /// Every class seen so far, ordered by class name.
   std::vector<ClassDrift> Drifts() const;
-  /// Classes whose |EWMA residual| exceeds the stale threshold.
-  std::vector<std::string> StaleClasses() const;
-
-  /// {"classes":[{"op_class":...,"ewma_residual_pct":...,...}],
-  ///  "stale":[...]}.
-  std::string ToJson() const;
 
   void Reset();
 

@@ -23,13 +23,11 @@ void Render(const OpNodePtr& node, int depth, const ExplainOptions& options,
     std::snprintf(buf, sizeof(buf), " rows=%-10.0f %9.1fs", node->est_rows,
                   node->cost.total_s);
     line += buf;
-    if (options.show_cost_breakdown) {
-      std::snprintf(buf, sizeof(buf),
-                    "  (read %.1f  cpu %.1f  shuffle %.1f  write %.1f)",
-                    node->cost.read_s, node->cost.cpu_s,
-                    node->cost.shuffle_s, node->cost.write_s);
-      line += buf;
-    }
+    std::snprintf(buf, sizeof(buf),
+                  "  (read %.1f  cpu %.1f  shuffle %.1f  write %.1f)",
+                  node->cost.read_s, node->cost.cpu_s, node->cost.shuffle_s,
+                  node->cost.write_s);
+    line += buf;
   }
   out->append(line);
   out->push_back('\n');

@@ -14,8 +14,6 @@ namespace opd::plan {
 struct ExplainOptions {
   /// Include each node's (A, F, K) annotation.
   bool show_afk = false;
-  /// Include the per-phase cost breakdown columns.
-  bool show_cost_breakdown = true;
 };
 
 /// \brief Renders `plan` (which must already be prepared by the optimizer)

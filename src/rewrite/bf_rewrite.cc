@@ -210,7 +210,7 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
       }
     }
     if (!hit) {
-      entry.target = MakeTargetContext(dag.job(i).op, options_);
+      entry.target = MakeTargetContext(dag.job(i).op);
       entry.useful_sigs = UsefulSignatures(entry.target.afk);
       std::lock_guard<std::mutex> lock(memo_mu_);
       target_memo_.emplace(fp, entry);

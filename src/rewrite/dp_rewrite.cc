@@ -67,7 +67,7 @@ Result<RewriteOutcome> DpRewriter::Rewrite(plan::Plan* plan) const {
   // target" with no OPTCOST guidance and no early termination).
   std::vector<std::optional<EnumResult>> found(n);
   for (size_t i = 0; i < n && !budget.exceeded; ++i) {
-    TargetContext target = MakeTargetContext(dag.job(i).op, options_);
+    TargetContext target = MakeTargetContext(dag.job(i).op);
     const auto useful = UsefulSignatures(target.afk);
 
     std::vector<CandidateView> space;

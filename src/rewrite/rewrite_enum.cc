@@ -1,6 +1,5 @@
 #include "rewrite/rewrite_enum.h"
 
-#include <algorithm>
 #include <set>
 
 #include "plan/annotate.h"
@@ -45,11 +44,11 @@ std::string CompOpId(const CompOp& op) {
   return "?";
 }
 
-void CollectOps(const OpNodePtr& node, const RewriteOptions& options,
-                std::set<std::string>* seen, std::vector<CompOp>* out) {
+void CollectOps(const OpNodePtr& node, std::set<std::string>* seen,
+                std::vector<CompOp>* out) {
   if (node == nullptr) return;
   for (const OpNodePtr& child : node->children) {
-    CollectOps(child, options, seen, out);
+    CollectOps(child, seen, out);
   }
   CompOp op;
   bool usable = false;
@@ -64,18 +63,12 @@ void CollectOps(const OpNodePtr& node, const RewriteOptions& options,
       op.group = node->group;
       usable = true;
       break;
-    case OpKind::kUdf: {
-      const auto& allowed = options.rewrite_udfs;
-      if (allowed.empty() ||
-          std::find(allowed.begin(), allowed.end(), node->udf.udf_name) !=
-              allowed.end()) {
-        op.kind = CompOp::Kind::kUdf;
-        op.udf_name = node->udf.udf_name;
-        op.udf_params = node->udf.params;
-        usable = true;
-      }
+    case OpKind::kUdf:
+      op.kind = CompOp::Kind::kUdf;
+      op.udf_name = node->udf.udf_name;
+      op.udf_params = node->udf.params;
+      usable = true;
       break;
-    }
     default:
       break;  // scans/projects/joins are handled by MERGE + final projection
   }
@@ -86,13 +79,12 @@ void CollectOps(const OpNodePtr& node, const RewriteOptions& options,
 
 }  // namespace
 
-TargetContext MakeTargetContext(const plan::OpNodePtr& target_root,
-                                const RewriteOptions& options) {
+TargetContext MakeTargetContext(const plan::OpNodePtr& target_root) {
   TargetContext ctx;
   ctx.afk = target_root->afk;
   ctx.out_attrs = target_root->out_attrs;
   std::set<std::string> seen;
-  CollectOps(target_root, options, &seen, &ctx.ops);
+  CollectOps(target_root, &seen, &ctx.ops);
   return ctx;
 }
 

@@ -53,9 +53,10 @@ struct EnumDeps {
 };
 
 /// Extracts the target context (annotation + compensation ops) from an
-/// annotated target subtree.
-TargetContext MakeTargetContext(const plan::OpNodePtr& target_root,
-                                const RewriteOptions& options);
+/// annotated target subtree. Every filter, group-by and UDF of the subtree
+/// is a compensation op (they are by construction the most relevant
+/// operators for compensating that target).
+TargetContext MakeTargetContext(const plan::OpNodePtr& target_root);
 
 /// Applies one compensation op symbolically; error Status if inapplicable in
 /// the current state.

@@ -22,10 +22,6 @@ struct RewriteOptions {
   /// k: maximum number of times one operator instance may appear in a
   /// rewrite's compensation.
   int max_op_repetition = 2;
-  /// UDF names admitted as rewrite operators. Empty means "every UDF that
-  /// appears in the target plan" (those are by construction the most relevant
-  /// operators for compensating that target).
-  std::vector<std::string> rewrite_udfs;
   /// Ablation switch: when false, the ViewFinder queue degenerates to
   /// insertion order instead of OPTCOST order.
   bool use_optcost_ordering = true;

@@ -22,20 +22,14 @@ bool AdmissionController::AdmitEligibleLocked() {
   bool any = false;
   while (running_ < options_.max_concurrent) {
     // Pick the next grant: among quota-eligible waiters, the one whose
-    // tenant holds the fewest slots (fair) or simply the oldest (FIFO).
-    // Tie-break is always arrival order, so the choice is deterministic
-    // for a given arrival sequence.
+    // tenant holds the fewest slots. Tie-break is arrival order, so the
+    // choice is deterministic for a given arrival sequence.
     Waiter* pick = nullptr;
     size_t pick_pos = 0;
     int pick_running = 0;
     for (size_t i = 0; i < waiting_.size(); ++i) {
       Waiter* w = waiting_[i];
       if (!QuotaAllowsLocked(w->tenant)) continue;
-      if (!options_.fair) {
-        pick = w;
-        pick_pos = i;
-        break;
-      }
       auto it = running_by_tenant_.find(w->tenant);
       const int running = it == running_by_tenant_.end() ? 0 : it->second;
       if (pick == nullptr || running < pick_running) {

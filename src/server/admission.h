@@ -3,9 +3,9 @@
 // A fixed number of query slots is shared by all tenants. Admit() blocks
 // until a slot is granted; the grant order is deterministic given the
 // arrival order: free slots go to the waiting tenant with the fewest
-// running queries (fair round-robin), FIFO within and across tenants as
-// the tie-break. A per-tenant quota caps how many slots one tenant may
-// hold, so a burst from one analyst cannot starve the others.
+// running queries (fair round-robin), and arrival order breaks ties. A
+// per-tenant quota caps how many slots one tenant may hold, so a burst
+// from one analyst cannot starve the others.
 
 #ifndef OPD_SERVER_ADMISSION_H_
 #define OPD_SERVER_ADMISSION_H_
@@ -30,9 +30,6 @@ class AdmissionController {
     int max_concurrent = 4;
     /// Max slots one tenant may hold (0 = unlimited).
     int per_tenant_quota = 0;
-    /// Fewest-running-tenant-first scheduling; false = strict global FIFO
-    /// (quota still enforced).
-    bool fair = true;
   };
 
   /// Aggregate gate statistics (consistent snapshot).
@@ -72,7 +69,8 @@ class AdmissionController {
     uint64_t ticket = 0;
   };
 
-  /// Grants free slots to eligible waiters per policy; caller holds mu_.
+  /// Grants free slots to eligible waiters, fewest-running tenant first;
+  /// caller holds mu_.
   /// Returns true if anyone was admitted (caller must notify).
   bool AdmitEligibleLocked();
   bool QuotaAllowsLocked(const std::string& tenant) const;

@@ -74,10 +74,8 @@ Result<std::string> ClientSession::ExplainRewrite(const std::string& oql) {
 // --- Server ----------------------------------------------------------------
 
 Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
-  // The obs toggles are the single source of truth for the engine's own
-  // metrics and per-task-span knobs.
+  // obs.metrics is the single source of truth for the engine's own metrics.
   options.engine.metrics = options.obs.metrics;
-  options.engine.trace_tasks = options.obs.trace_tasks;
 
   auto server = std::unique_ptr<Server>(new Server());
   server->options_ = options;
@@ -94,13 +92,10 @@ Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
       ctx, optimizer::CostModel(options.cost), options.optimizer);
 
   // The serving path owns view publication: the engine hands each run's
-  // retained views back (defer_view_publish) and Run publishes them as one
-  // atomic batch at query completion.
-  exec::EngineOptions engine_opts = options.engine;
-  engine_opts.defer_view_publish = true;
+  // retained views back and RunAdmitted publishes them as one atomic batch
+  // at query completion.
   server->engine_ = std::make_unique<exec::Engine>(
-      server->dfs_.get(), server->views_.get(), server->optimizer_.get(),
-      engine_opts);
+      server->dfs_.get(), server->optimizer_.get(), options.engine);
 
   optimizer::CostAccountant::Options acc_opts;
   acc_opts.publish_metrics = options.obs.metrics;
@@ -121,7 +116,6 @@ Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
   server::AdmissionController::Options adm;
   adm.max_concurrent = options.server.max_concurrent_queries;
   adm.per_tenant_quota = options.server.per_tenant_quota;
-  adm.fair = options.server.fair_scheduling;
   server->admission_ = std::make_unique<server::AdmissionController>(adm);
 
   if (options.server.query_log_capacity > 0) {

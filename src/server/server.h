@@ -12,9 +12,9 @@
 //   * View visibility is snapshot-consistent: at admission a query reads
 //     the store's publish epoch and rewrites only against
 //     SnapshotAt(admission_epoch); the views it materializes stay
-//     invisible (EngineOptions::defer_view_publish) until they publish as
-//     one atomic batch at completion — one epoch bump per query, so no
-//     query ever observes a half-published view, and a recorded schedule
+//     invisible (the engine never publishes) until RunAdmitted publishes
+//     them as one atomic batch at completion — one epoch bump per query, so
+//     no query ever observes a half-published view, and a recorded schedule
 //     replays deterministically by pinning admission epochs.
 //   * One record per query: every completion builds one obs::QueryRecord,
 //     and the server.* counters (global and the tenant's private

@@ -30,12 +30,11 @@ namespace opd {
 
 /// Observability knobs, server-wide.
 struct ObsOptions {
-  /// Record a span trace per Run (query -> rewrite/job -> phase -> task).
+  /// Record a span trace per Run (query -> rewrite/job -> phase -> task;
+  /// every map and reduce task gets its own span).
   bool tracing = false;
   /// Publish counters/gauges/histograms into obs::MetricRegistry::Global().
   bool metrics = true;
-  /// Emit per-task spans inside traced phases (tracing only).
-  bool trace_tasks = true;
 };
 
 /// Serving-layer knobs (admission control and scheduling of concurrent
@@ -44,11 +43,9 @@ struct ServerOptions {
   /// Queries executing at once; further admissions queue. Minimum 1.
   int max_concurrent_queries = 4;
   /// Maximum queries one tenant may have running at once (0 = no quota).
+  /// Waiting queries are admitted fairly: the tenant with the fewest
+  /// running queries goes first, arrival order breaks ties.
   int per_tenant_quota = 0;
-  /// Pick the next admission round-robin across waiting tenants (the
-  /// tenant with the fewest running queries goes first, FIFO tie-break)
-  /// instead of strict global FIFO.
-  bool fair_scheduling = true;
   /// Byte budget of the shared hash-table recycler (HashStash-style reuse
   /// of built join/group-by tables across queries and tenants; see
   /// src/exec/hash/recycler.h). 0 = unbounded. The server attaches it to
@@ -74,8 +71,8 @@ struct ServerOptions {
 
 /// Every knob of a server, grouped by subsystem. The nested structs are the
 /// same ones the subsystems take directly (EngineOptions, RewriteOptions,
-/// ...). The `obs` toggles are the single source of truth for the engine's
-/// own metrics/trace_tasks knobs: Server::Create mirrors them over.
+/// ...). `obs.metrics` is the single source of truth for the engine's own
+/// metrics knob: Server::Create copies it into the engine options.
 struct SessionOptions {
   optimizer::CostParams cost;
   optimizer::OptimizerOptions optimizer;

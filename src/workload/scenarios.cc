@@ -14,6 +14,8 @@ namespace opd::workload {
 namespace {
 
 constexpr double kGB = 1024.0 * 1024.0 * 1024.0;
+/// Modeled size of the TWTR log (the paper's 800 GB Twitter log).
+constexpr double kModeledTwtrGb = 800.0;
 
 }  // namespace
 
@@ -30,7 +32,7 @@ Result<std::unique_ptr<TestBed>> TestBed::Create(TestBedConfig config) {
   SessionOptions sopts = config.session;
   const double twtr_bytes = static_cast<double>(twtr->ByteSize());
   if (twtr_bytes > 0) {
-    sopts.cost.data_scale = config.modeled_twtr_gb * kGB / twtr_bytes;
+    sopts.cost.data_scale = kModeledTwtrGb * kGB / twtr_bytes;
   }
   if (std::getenv("OPD_TRACE") != nullptr) sopts.obs.tracing = true;
 

@@ -34,9 +34,6 @@ struct TestBedConfig {
   SessionOptions session;
   /// Calibrate UDF cost scalars on 1% samples at startup (Section 4.2).
   bool calibrate_udfs = true;
-  /// Modeled size of the TWTR log; data_scale is derived so the synthetic
-  /// table models this many bytes (paper: 800 GB).
-  double modeled_twtr_gb = 800.0;
 };
 
 /// \brief The experiment environment: an opd::Server loaded with the

@@ -200,7 +200,7 @@ TEST(FailureInjectionTest, EngineSurfacesDfsCapacityExhaustion) {
   catalog::ViewStore views;
   plan::AnnotationContext ctx{&cat, &views, &udfs};
   optimizer::Optimizer optimizer(ctx, optimizer::CostModel());
-  exec::Engine engine(&dfs, &views, &optimizer);
+  exec::Engine engine(&dfs, &optimizer);
 
   plan::Plan p(plan::Project(plan::Scan("TWTR"),
                              {"tweet_id", "user_id", "tweet_text"}));

@@ -5,6 +5,7 @@
 
 #include "catalog/catalog.h"
 #include "exec/engine.h"
+#include "execute_and_publish.h"
 #include "plan/job.h"
 #include "rewrite/candidate.h"
 #include "storage/dfs.h"
@@ -45,8 +46,7 @@ class CandidateTest : public ::testing::Test {
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
         ctx, optimizer::CostModel());
-    engine_ = std::make_unique<exec::Engine>(&dfs_, &views_,
-                                             optimizer_.get());
+    engine_ = std::make_unique<exec::Engine>(&dfs_, optimizer_.get());
   }
 
   plan::Plan WineJoinQuery() {
@@ -126,7 +126,7 @@ TEST_F(CandidateTest, IsRelevantFiltersForeignViews) {
 
 TEST_F(CandidateTest, BuildCandidateScanSingleView) {
   plan::Plan q = WineJoinQuery();
-  auto run = engine_->Execute(&q);
+  auto run = testing_exec::ExecuteAndPublish(*engine_, views_, &q);
   ASSERT_TRUE(run.ok());
   ASSERT_GT(views_.size(), 0u);
   const auto* def = views_.All()[0];
@@ -143,8 +143,8 @@ TEST_F(CandidateTest, BuildCandidateScanRejectsUnjoinableParts) {
                     "tweets");
   plan::Plan places(plan::Project(plan::Scan("LAND"), {"location_id", "name"}),
                     "places");
-  ASSERT_TRUE(engine_->Execute(&tweets).ok());
-  ASSERT_TRUE(engine_->Execute(&places).ok());
+  ASSERT_TRUE(testing_exec::ExecuteAndPublish(*engine_, views_, &tweets).ok());
+  ASSERT_TRUE(testing_exec::ExecuteAndPublish(*engine_, views_, &places).ok());
   ASSERT_EQ(views_.size(), 2u);
   const catalog::ViewDefinition* a = views_.All()[0];
   const catalog::ViewDefinition* b = views_.All()[1];

@@ -7,6 +7,7 @@
 #include "catalog/view_store.h"
 #include "exec/engine.h"
 #include "exec/stats_collector.h"
+#include "execute_and_publish.h"
 #include "plan/plan.h"
 #include "storage/dfs.h"
 #include "udf/builtin_udfs.h"
@@ -45,11 +46,11 @@ class EngineTest : public ::testing::Test {
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
         ctx, optimizer::CostModel());
-    engine_ = std::make_unique<Engine>(&dfs_, &views_, optimizer_.get());
+    engine_ = std::make_unique<Engine>(&dfs_, optimizer_.get());
   }
 
   storage::TablePtr Run(plan::Plan plan) {
-    auto result = engine_->Execute(&plan);
+    auto result = testing_exec::ExecuteAndPublish(*engine_, views_, &plan);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     last_metrics_ = result->metrics;
     return result->table;
@@ -122,6 +123,23 @@ TEST_F(EngineTest, JoinPreservesMultiplicity) {
       plan::Project(plan::Scan("TWTR"), {"tweet_id", "user_id"}), counts,
       {{"user_id", "user_id"}})));
   EXPECT_EQ(t->num_rows(), 60u);
+}
+
+// The engine never publishes: a two-job run leaves the view store
+// untouched and hands one pending view per job back to the caller.
+TEST_F(EngineTest, ExecuteNeverPublishes) {
+  const size_t size_before = views_.size();
+  const catalog::Epoch epoch_before = views_.epoch();
+  plan::Plan plan(plan::GroupBy(
+      plan::Project(plan::Scan("TWTR"), {"user_id"}), {"user_id"},
+      {AggSpec{AggFn::kCount, "", "cnt"}}));
+  auto result = engine_->Execute(&plan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(views_.size(), size_before);
+  EXPECT_EQ(views_.epoch(), epoch_before);
+  ASSERT_EQ(result->jobs.size(), 2u);
+  EXPECT_EQ(result->pending_views.size(), result->jobs.size());
+  EXPECT_EQ(result->metrics.views_created, 0);
 }
 
 TEST_F(EngineTest, EveryJobMaterializesAView) {

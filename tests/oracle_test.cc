@@ -18,6 +18,7 @@
 #include "catalog/catalog.h"
 #include "common/rng.h"
 #include "exec/engine.h"
+#include "execute_and_publish.h"
 #include "random_plans.h"
 #include "reference_interpreter.h"
 #include "rewrite/bf_rewrite.h"
@@ -112,7 +113,7 @@ TEST(OracleTest, PropertyPlansMatchOracle) {
       optimizer::Optimizer optimizer(ctx, optimizer::CostModel());
       exec::EngineOptions options;
       options.num_threads = threads;
-      exec::Engine engine(&dfs, &views, &optimizer, options);
+      exec::Engine engine(&dfs, &optimizer, options);
       rewrite::BfRewriter bfr(&optimizer, &views);
 
       Rng rng(seed * 6151 + 17);
@@ -120,7 +121,7 @@ TEST(OracleTest, PropertyPlansMatchOracle) {
         SCOPED_TRACE("trial=" + std::to_string(trial));
         plan::Plan base = testing_plans::RandomPlan(&rng);
         const auto base_expected = Multiset(OracleRows(base, ctx, &dfs));
-        auto orig = engine.Execute(&base);
+        auto orig = testing_exec::ExecuteAndPublish(engine, views, &base);
         ASSERT_TRUE(orig.ok()) << orig.status().ToString();
         EXPECT_EQ(Multiset(orig->table->rows()), base_expected) << "ORIG";
 
@@ -129,7 +130,7 @@ TEST(OracleTest, PropertyPlansMatchOracle) {
         auto outcome = bfr.Rewrite(&revised);
         ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
         plan::Plan best = outcome->plan;
-        auto rewr = engine.Execute(&best);
+        auto rewr = testing_exec::ExecuteAndPublish(engine, views, &best);
         ASSERT_TRUE(rewr.ok()) << rewr.status().ToString();
         EXPECT_EQ(Multiset(rewr->table->rows()), expected) << "REWR";
       }

@@ -11,6 +11,7 @@
 #include "catalog/catalog.h"
 #include "common/rng.h"
 #include "exec/engine.h"
+#include "execute_and_publish.h"
 #include "plan/fingerprint.h"
 #include "random_plans.h"
 #include "rewrite/bf_rewrite.h"
@@ -33,9 +34,13 @@ class PropertyTest : public ::testing::TestWithParam<int> {
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
         ctx, optimizer::CostModel());
-    engine_ = std::make_unique<exec::Engine>(&dfs_, &views_,
-                                             optimizer_.get());
+    engine_ = std::make_unique<exec::Engine>(&dfs_, optimizer_.get());
     bfr_ = std::make_unique<rewrite::BfRewriter>(optimizer_.get(), &views_);
+  }
+
+  // Executes `plan` and publishes its views, as a served query would.
+  Result<exec::ExecResult> Run(plan::Plan* plan) {
+    return testing_exec::ExecuteAndPublish(*engine_, views_, plan);
   }
 
   std::vector<storage::Row> SortedRows(const storage::TablePtr& t) {
@@ -65,8 +70,8 @@ TEST_P(PropertyTest, ExecutionIsDeterministic) {
   for (int trial = 0; trial < 5; ++trial) {
     plan::Plan p1 = RandomPlan(&rng);
     plan::Plan p2(plan::CloneTree(p1.root()), "copy");
-    auto r1 = engine_->Execute(&p1);
-    auto r2 = engine_->Execute(&p2);
+    auto r1 = Run(&p1);
+    auto r2 = Run(&p2);
     ASSERT_TRUE(r1.ok() && r2.ok());
     ASSERT_EQ(r1.value().table->num_rows(), r2.value().table->num_rows());
     EXPECT_EQ(r1.value().table->rows(), r2.value().table->rows());
@@ -93,7 +98,7 @@ TEST_P(PropertyTest, RewritesAreAlwaysEquivalent) {
   int improved_count = 0;
   for (int trial = 0; trial < 6; ++trial) {
     plan::Plan base = RandomPlan(&rng);
-    auto seed_run = engine_->Execute(&base);  // populate views
+    auto seed_run = Run(&base);  // populate views
     ASSERT_TRUE(seed_run.ok());
 
     plan::Plan revised = Mutate(base, &rng);
@@ -104,8 +109,8 @@ TEST_P(PropertyTest, RewritesAreAlwaysEquivalent) {
     if (outcome->improved) ++improved_count;
 
     plan::Plan best = outcome->plan;
-    auto rewr_run = engine_->Execute(&best);
-    auto orig_run = engine_->Execute(&revised_copy);
+    auto rewr_run = Run(&best);
+    auto orig_run = Run(&revised_copy);
     ASSERT_TRUE(rewr_run.ok() && orig_run.ok());
     EXPECT_EQ(SortedRows(orig_run.value().table),
               SortedRows(rewr_run.value().table))
@@ -122,7 +127,7 @@ TEST_P(PropertyTest, RewriteNeverCostsMoreThanOriginal) {
   Rng rng(GetParam() * 31 + 5);
   for (int trial = 0; trial < 6; ++trial) {
     plan::Plan base = RandomPlan(&rng);
-    ASSERT_TRUE(engine_->Execute(&base).ok());
+    ASSERT_TRUE(Run(&base).ok());
     plan::Plan revised = Mutate(base, &rng);
     auto outcome = bfr_->Rewrite(&revised);
     ASSERT_TRUE(outcome.ok());

@@ -9,6 +9,7 @@
 #include "catalog/catalog.h"
 #include "catalog/view_store.h"
 #include "exec/engine.h"
+#include "execute_and_publish.h"
 #include "obs/metrics.h"
 #include "plan/annotate.h"
 #include "plan/fingerprint.h"
@@ -59,8 +60,7 @@ class RewriteTest : public ::testing::Test {
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
         ctx, optimizer::CostModel());
-    engine_ = std::make_unique<exec::Engine>(&dfs_, &views_,
-                                             optimizer_.get());
+    engine_ = std::make_unique<exec::Engine>(&dfs_, optimizer_.get());
     bfr_ = std::make_unique<BfRewriter>(optimizer_.get(), &views_);
     dp_ = std::make_unique<DpRewriter>(optimizer_.get(), &views_);
     syntactic_ =
@@ -82,12 +82,12 @@ class RewriteTest : public ::testing::Test {
   }
 
   void Execute(plan::Plan plan) {
-    auto result = engine_->Execute(&plan);
+    auto result = testing_exec::ExecuteAndPublish(*engine_, views_, &plan);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
 
   storage::TablePtr ExecuteGet(plan::Plan plan) {
-    auto result = engine_->Execute(&plan);
+    auto result = testing_exec::ExecuteAndPublish(*engine_, views_, &plan);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result->table;
   }
@@ -194,7 +194,7 @@ TEST_F(RewriteTest, OptCostLowerBoundsEveryFoundRewrite) {
   Execute(WineQuery(0.8, 3));
   plan::Plan q = WineQuery(1.0, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  TargetContext target = MakeTargetContext(q.root(), RewriteOptions{});
+  TargetContext target = MakeTargetContext(q.root());
   EnumDeps deps = Deps();
   size_t verified = 0;
   for (const auto* def : views_.All()) {
@@ -273,7 +273,7 @@ TEST_F(RewriteTest, RewriteEnumExactMatchIsBareScan) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(0.5, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  TargetContext target = MakeTargetContext(q.root(), RewriteOptions{});
+  TargetContext target = MakeTargetContext(q.root());
   for (const auto* def : views_.All()) {
     if (!(def->afk == q.root()->afk)) continue;
     auto result = RewriteEnum(target, MakeBaseCandidate(*def), Deps());
@@ -292,7 +292,7 @@ TEST_F(RewriteTest, RewriteEnumCompensatesUdfThreshold) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(1.0, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  TargetContext target = MakeTargetContext(q.root(), RewriteOptions{});
+  TargetContext target = MakeTargetContext(q.root());
   bool found = false;
   for (const auto* def : views_.All()) {
     if (!def->schema.Has("wine_score") || !def->schema.Has("cnt")) continue;
@@ -308,7 +308,7 @@ TEST_F(RewriteTest, RewriteEnumRejectsIncompatibleView) {
   Execute(WineQuery(1.0, 5));
   plan::Plan q = WineQuery(0.5, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  TargetContext target = MakeTargetContext(q.root(), RewriteOptions{});
+  TargetContext target = MakeTargetContext(q.root());
   for (const auto* def : views_.All()) {
     if (!def->schema.Has("wine_score") || !def->schema.Has("cnt")) continue;
     // These joined views carry the >1.0 filter; the query wants >0.5.
@@ -327,7 +327,7 @@ TEST_F(RewriteTest, ViewFinderOrdersByOptCost) {
   RewriteStats stats;
   ViewFinder finder;
   EnumDeps deps = Deps();
-  finder.Init(MakeTargetContext(q.root(), deps.options), deps, views_.All(),
+  finder.Init(MakeTargetContext(q.root()), deps, views_.All(),
               &stats);
   double prev = -1;
   int pops = 0;
@@ -349,7 +349,7 @@ TEST_F(RewriteTest, ViewFinderPeekInfinityWhenExhausted) {
   plan::Plan q = WineQuery(0.5, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
   EnumDeps deps = Deps();
-  finder.Init(MakeTargetContext(q.root(), deps.options), deps, {}, &stats);
+  finder.Init(MakeTargetContext(q.root()), deps, {}, &stats);
   EXPECT_TRUE(std::isinf(finder.Peek()));
   EXPECT_FALSE(finder.Refine().has_value());
 }
@@ -489,8 +489,7 @@ TEST_F(RewriteTest, GuessCompleteHasNoFalseNegatives) {
     ASSERT_TRUE(dag.ok());
     EnumDeps deps = Deps();
     for (size_t i = 0; i < dag->size(); ++i) {
-      TargetContext target =
-          MakeTargetContext(dag->job(i).op, RewriteOptions{});
+      TargetContext target = MakeTargetContext(dag->job(i).op);
       for (const auto* def : views_.All()) {
         CandidateView c = MakeBaseCandidate(*def);
         if (GuessComplete(target.afk, c.afk)) continue;

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "session/session.h"
 #include "storage/table.h"
 #include "storage/value.h"
+#include "udf/builtin_udfs.h"
 #include "workload/queries.h"
 #include "workload/scenarios.h"
 
@@ -134,7 +136,6 @@ TEST(AdmissionControllerTest, TryAdmitEnforcesCapacityAndQuota) {
 TEST(AdmissionControllerTest, FairSchedulingFavorsLeastLoadedTenant) {
   server::AdmissionController::Options opts;
   opts.max_concurrent = 2;
-  opts.fair = true;
   server::AdmissionController ctrl(opts);
 
   EXPECT_EQ(ctrl.Admit("a"), 1u);
@@ -163,34 +164,6 @@ TEST(AdmissionControllerTest, FairSchedulingFavorsLeastLoadedTenant) {
   const auto stats = ctrl.stats();
   EXPECT_EQ(stats.admitted, 4u);
   EXPECT_EQ(stats.queued, 2u);
-  ctrl.Release("a");
-  ctrl.Release("b");
-}
-
-TEST(AdmissionControllerTest, FifoSchedulingGrantsInArrivalOrder) {
-  server::AdmissionController::Options opts;
-  opts.max_concurrent = 2;
-  opts.fair = false;
-  server::AdmissionController ctrl(opts);
-
-  EXPECT_EQ(ctrl.Admit("a"), 1u);
-  EXPECT_EQ(ctrl.Admit("a"), 2u);
-  std::thread wa([&] { ctrl.Admit("a"); });
-  ASSERT_TRUE(WaitUntil([&] { return ctrl.stats().waiting == 1; }));
-  std::thread wb([&] { ctrl.Admit("b"); });
-  ASSERT_TRUE(WaitUntil([&] { return ctrl.stats().waiting == 2; }));
-
-  // FIFO: the earlier-arrived "a" wins the free slot despite holding more.
-  ctrl.Release("a");
-  ASSERT_TRUE(WaitUntil([&] { return ctrl.stats().waiting == 1; }));
-  EXPECT_EQ(ctrl.admission_log(),
-            (std::vector<std::string>{"a", "a", "a"}));
-  ctrl.Release("a");
-  ASSERT_TRUE(WaitUntil([&] { return ctrl.stats().waiting == 0; }));
-  wa.join();
-  wb.join();
-  EXPECT_EQ(ctrl.admission_log(),
-            (std::vector<std::string>{"a", "a", "a", "b"}));
   ctrl.Release("a");
   ctrl.Release("b");
 }
@@ -396,6 +369,49 @@ TEST_F(ServingTest, DeduplicatedPublishLeavesNoOrphanFile) {
     if (path.rfind("views/", 0) == 0) ++view_files;
   }
   EXPECT_EQ(view_files, server.views().size());
+}
+
+// A query that fails after an earlier job was finalized must not orphan
+// that job's output: the group-by (job 0) writes views/run<N>/job0, then
+// the UDF job's map function throws. The failed run leaves the DFS as it
+// found it, releases its admission slot, and is logged as an error.
+TEST_F(ServingTest, FailedQueryLeavesNoDfsOutput) {
+  Server& server = bed_->session().server();
+  const std::string kUdf = "UDF_CLASSIFY_WINE_SCORE_THROWS";
+  if (!server.udfs().Find(kUdf).ok()) {
+    udf::UdfDefinition broken = udf::MakeClassifyWineScoreUdf();
+    broken.name = kUdf;
+    ASSERT_EQ(broken.local_functions.front().kind, udf::LfKind::kMap);
+    broken.local_functions.front().map_fn =
+        [](const storage::Row&, const udf::LfContext&,
+           std::vector<storage::Row>*) {
+          throw std::runtime_error("injected map failure");
+        };
+    ASSERT_TRUE(server.udfs().Register(std::move(broken)).ok());
+  }
+  plan::Plan plan(
+      plan::Udf(plan::GroupBy(plan::Scan("TWTR"), {"user_id", "tweet_text"},
+                              {plan::AggSpec{plan::AggFn::kCount, "", "n"}}),
+                kUdf, {}),
+      "failing");
+
+  const std::vector<std::string> before = server.dfs().ListPaths();
+  ClientSession gina = server.Connect("gina");
+  RunOptions no_rewrite;  // run both jobs as written, whatever the store holds
+  no_rewrite.rewrite = false;
+  auto run = gina.Run(std::move(plan), no_rewrite);
+  ASSERT_FALSE(run.ok());
+
+  EXPECT_EQ(server.dfs().ListPaths(), before);
+  EXPECT_EQ(server.admission_stats().running, 0);
+  ASSERT_NE(server.query_log(), nullptr);
+  const auto history = server.query_log()->Snapshot();
+  ASSERT_FALSE(history.empty());
+  const auto newest = *std::max_element(
+      history.begin(), history.end(),
+      [](const auto& a, const auto& b) { return a->ticket < b->ticket; });
+  EXPECT_EQ(newest->tenant, "gina");
+  EXPECT_EQ(newest->status, "error");
 }
 
 TEST_F(ServingTest, AdmissionTicketsAreSequential) {

@@ -91,11 +91,9 @@ TEST(SessionTest, TracingProducesQueryRootedSpans) {
 TEST(SessionTest, ObsOptionsMirrorIntoEngineOptions) {
   SessionOptions options;
   options.obs.metrics = false;
-  options.obs.trace_tasks = false;
   auto server = Server::Create(options);
   ASSERT_TRUE(server.ok());
   EXPECT_FALSE((*server)->options().engine.metrics);
-  EXPECT_FALSE((*server)->options().engine.trace_tasks);
 }
 
 // Masks every number (and byte-unit suffix) so the golden pins the layout
