@@ -192,20 +192,12 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
       run.metrics += result.value().metrics;
       if (it == 0 && result.value().table != nullptr) {
         // Determinism receipt: every thread count must produce the same
-        // bytes in the same order, so hash rows in order. Columnar outputs
-        // hash through HashRowAt (== RowHash over the materialized row, per
-        // the batch-layer contract) so the receipt never forces a row
-        // materialization the engine itself didn't pay for.
+        // bytes in the same order, so hash rows in order, through HashRowAt
+        // (== RowHash over the row, per the batch-layer contract).
         const storage::TablePtr& table = result.value().table;
-        if (table->columnar()) {
-          for (const storage::RowBatch& b : *table->ToBatches()) {
-            for (size_t r = 0; r < b.num_rows(); ++r) {
-              HashCombine(&run.output_hash, b.HashRowAt(r));
-            }
-          }
-        } else {
-          for (const storage::Row& r : table->rows()) {
-            HashCombine(&run.output_hash, storage::RowHash{}(r));
+        for (const storage::RowBatch& b : *table->ToBatches()) {
+          for (size_t r = 0; r < b.num_rows(); ++r) {
+            HashCombine(&run.output_hash, b.HashRowAt(r));
           }
         }
       }
@@ -302,14 +294,8 @@ RewritePass RunRewritePass(workload::TestBed* bed, size_t n_tweets,
           HashCombine(&pass.ordered_hash, h);
           pass.unordered_hash += h;  // commutative: order-insensitive
         };
-        if (table->columnar()) {
-          for (const storage::RowBatch& b : *table->ToBatches()) {
-            for (size_t r = 0; r < b.num_rows(); ++r) absorb(b.HashRowAt(r));
-          }
-        } else {
-          for (const storage::Row& r : table->rows()) {
-            absorb(storage::RowHash{}(r));
-          }
+        for (const storage::RowBatch& b : *table->ToBatches()) {
+          for (size_t r = 0; r < b.num_rows(); ++r) absorb(b.HashRowAt(r));
         }
       }
       rows_processed += n_tweets;

@@ -59,9 +59,7 @@ uint64_t TableFingerprint(const storage::Table& t) {
   uint64_t h = 0xcbf29ce484222325ULL;
   HashCombine(&h, t.num_rows());
   const storage::RowHash row_hash;
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    HashCombine(&h, row_hash(t.row(i)));
-  }
+  for (const storage::Row& row : t.ToRows()) HashCombine(&h, row_hash(row));
   return h;
 }
 

@@ -219,10 +219,11 @@ int RunProgram(workload::TestBed* bed, ClientSession* client,
   // Print a small sample of the result.
   const auto& table = *run->table;
   std::printf("   %s\n", table.schema().ToString().c_str());
-  for (size_t i = 0; i < std::min<size_t>(table.num_rows(), 5); ++i) {
+  const std::vector<storage::Row> rows = table.ToRows();
+  for (size_t i = 0; i < std::min<size_t>(rows.size(), 5); ++i) {
     std::printf("   ");
-    for (size_t c = 0; c < table.row(i).size(); ++c) {
-      std::printf("%s%s", c ? ", " : "", table.row(i)[c].ToString().c_str());
+    for (size_t c = 0; c < rows[i].size(); ++c) {
+      std::printf("%s%s", c ? ", " : "", rows[i][c].ToString().c_str());
     }
     std::printf("\n");
   }

@@ -30,7 +30,8 @@
 # against src/, so an API change could otherwise break the benchmark
 # without any test noticing. `warm_500v` is the rewriter-bound workload;
 # `evolve` is the one whose timed queries publish views, and its traced
-# half calls Engine::Execute and ViewStore::PublishBatch itself. Each must
+# half calls Engine::Execute and ViewStore::PublishBatch itself; `orig` is
+# engine-bound, so its UDF and group-by outputs carry the load. Each must
 # exit 0 and report "correct": true.
 #
 # Usage: scripts/check.sh [ctest-args...]
@@ -78,7 +79,7 @@ trap 'rm -f "${dump}"' EXIT
 python3 scripts/lint_metrics.py "${dump}" src
 echo "== perfbench smoke (benchmark builds against src/ and answers correctly) =="
 # run.py prints only opd_perfbench's JSON result line on stdout.
-for workload in warm_500v evolve; do
+for workload in warm_500v evolve orig; do
   result="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
     --seconds 1 --trace 1)"
   python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \

@@ -21,12 +21,17 @@ TableStats ComputeExactStats(const storage::Table& table) {
   stats.rows = static_cast<double>(table.num_rows());
   stats.avg_row_bytes = table.AvgRowBytes();
   const auto& schema = table.schema();
+  const auto batches = table.ToBatches();
   for (size_t c = 0; c < schema.num_columns(); ++c) {
+    // HashAt / CellByteSize equal Value::Hash / ByteSize of the cell.
     std::set<uint64_t> hashes;
     size_t width = 0;
-    for (const auto& row : table.rows()) {
-      hashes.insert(row[c].Hash());
-      width += row[c].ByteSize();
+    for (const storage::RowBatch& batch : *batches) {
+      const storage::ColumnVector& col = batch.column(c);
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        hashes.insert(col.HashAt(r));
+        width += col.CellByteSize(r);
+      }
     }
     const std::string& name = schema.column(c).name;
     stats.distinct[name] = static_cast<double>(hashes.size());

@@ -33,7 +33,6 @@ using storage::DictRemap;
 using storage::PartitionBuffer;
 using storage::Row;
 using storage::RowBatch;
-using storage::RowRange;
 using storage::Schema;
 using storage::Table;
 using storage::TablePtr;
@@ -110,26 +109,6 @@ Result<size_t> ColIndex(const Schema& schema, const std::string& name) {
   return *idx;
 }
 
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      if (a[i] < b[i]) return true;
-      if (b[i] < a[i]) return false;
-    }
-    return a.size() < b.size();
-  }
-};
-
-size_t DeriveReduceTasks(int requested, uint64_t shuffle_bytes,
-                         uint64_t block_size_bytes) {
-  if (requested > 0) return static_cast<size_t>(requested);
-  if (block_size_bytes == 0) return 1;
-  // One reduce task per block of shuffle input (mirrors the map-side block
-  // split rule), capped so tiny jobs don't pay per-bucket overhead. Derived
-  // from bytes only, so the bucketing is thread-count invariant.
-  return std::min<uint64_t>(shuffle_bytes / block_size_bytes + 1, 64);
-}
-
 // Ratio of the fullest shuffle bucket to the mean bucket (1.0 = perfectly
 // balanced); negative when there is nothing to measure.
 template <typename T>
@@ -145,54 +124,18 @@ double BufferSkew(const PartitionBuffer<T>& buf) {
          static_cast<double>(buf.num_buckets()) / static_cast<double>(total);
 }
 
-// Runs an opaque per-row predicate (the one operator without a batch
-// kernel): the input is split into block-sized map tasks, `per_row` streams
-// each task's rows into a task-local output, and the partials are
-// concatenated in task order — byte-identical to a serial pass.
-Status RunMapTasks(const PipelineCtx& ctx, const Table& in,
-                   uint64_t block_size_bytes,
-                   const std::function<Status(const Row&, std::vector<Row>*)>&
-                       per_row,
-                   Table* out, double* max_task_seconds) {
-  // Force row materialization once, outside the parallel region.
-  const std::vector<Row>& rows = in.rows();
-  const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      rows.size(), in.AvgRowBytes(), block_size_bytes);
-  std::vector<std::vector<Row>> partials(splits.size());
-  OPD_RETURN_NOT_OK(RunWave(
-      ctx, "pipeline", splits.size(),
-      [&](size_t t) -> Status {
-        std::vector<Row>& local = partials[t];
-        local.reserve(splits[t].size());
-        for (size_t r = splits[t].begin; r < splits[t].end; ++r) {
-          OPD_RETURN_NOT_OK(per_row(rows[r], &local));
-        }
-        return Status::OK();
-      },
-      max_task_seconds));
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  out->Reserve(total);
-  for (auto& p : partials) {
-    for (Row& r : p) OPD_RETURN_NOT_OK(out->AppendRow(std::move(r)));
-  }
-  return Status::OK();
-}
-
-// A table's columnar payload plus flat-row-index bookkeeping.
+// A table's batches plus its flat-row-index bookkeeping.
 struct BatchList {
-  std::shared_ptr<const std::vector<RowBatch>> batches;
-  std::vector<size_t> offsets;  // global row index of each batch's first row
-  size_t num_rows = 0;
+  explicit BatchList(const Table& t)
+      : batches(t.ToBatches()),
+        offsets(t.batch_offsets()),
+        num_rows(t.num_rows()) {}
 
-  explicit BatchList(const Table& t) {
-    batches = t.ToBatches();
-    offsets.reserve(batches->size());
-    for (const RowBatch& b : *batches) {
-      offsets.push_back(num_rows);
-      num_rows += b.num_rows();
-    }
-  }
+  std::shared_ptr<const std::vector<RowBatch>> batches;
+  const std::vector<size_t>& offsets;  // global row index of each batch's
+                                       // first row (owned by the table)
+  size_t num_rows;
+
   size_t size() const { return batches->size(); }
   const RowBatch& batch(size_t b) const { return (*batches)[b]; }
 };
@@ -510,8 +453,10 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
           out = Table::FromBatches("", node->out_schema,
                                    std::move(out_batches));
         } else {
-          // Opaque predicate UDFs are per-row black boxes: row-at-a-time
-          // (see DESIGN.md "Columnar batches").
+          // Opaque predicate UDFs are per-row black boxes, one task per
+          // batch: each task calls the predicate on the argument cells of
+          // every row into a selection vector, then gathers it (full-batch
+          // selections are zero-copy).
           OPD_ASSIGN_OR_RETURN(const udf::PredicateFn* fn,
                                ctx.udfs->FindPredicate(cond.fn_name));
           std::vector<size_t> idx;
@@ -521,16 +466,29 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
           }
           udf::Params params;  // opaque predicate params are pre-bound strings
           if (!cond.params.empty()) params["params"] = Value(cond.params);
-          OPD_RETURN_NOT_OK(RunMapTasks(
-              pipe, in, block_size,
-              [&](const Row& row, std::vector<Row>* local) -> Status {
-                std::vector<Value> args;
-                args.reserve(idx.size());
-                for (size_t i : idx) args.push_back(row[i]);
-                if ((*fn)(args, params)) local->push_back(row);
+          const BatchList in_list(in);
+          std::vector<RowBatch> out_batches(in_list.size());
+          OPD_RETURN_NOT_OK(RunWave(
+              pipe, "pipeline", in_list.size(),
+              [&](size_t t) -> Status {
+                const RowBatch& batch = in_list.batch(t);
+                std::vector<Value> args(idx.size());
+                std::vector<uint32_t> sel;
+                sel.reserve(batch.num_rows());
+                for (size_t r = 0; r < batch.num_rows(); ++r) {
+                  for (size_t a = 0; a < idx.size(); ++a) {
+                    args[a] = batch.column(idx[a]).GetValue(r);
+                  }
+                  if ((*fn)(args, params)) {
+                    sel.push_back(static_cast<uint32_t>(r));
+                  }
+                }
+                out_batches[t] = batch.Gather(sel);
                 return Status::OK();
               },
-              &out, &job_max_task_s));
+              &job_max_task_s));
+          out = Table::FromBatches("", node->out_schema,
+                                   std::move(out_batches));
         }
         break;
       }
@@ -1010,7 +968,6 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
                     return RowLess()(a->first, b->first);
                   });
         const auto& out_cols = node->out_schema.columns();
-        out.Reserve(ordered.size());
         for (GroupEntry* g : ordered) {
           Row r = std::move(g->first);
           const size_t key_size = r.size();
@@ -1019,16 +976,16 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
             r.push_back(FinishAgg(node->group.aggs[a], g->second[a],
                                   out_cols[key_size + a].type));
           }
-          OPD_RETURN_NOT_OK(out.AppendRow(std::move(r)));
+          OPD_RETURN_NOT_OK(out.AppendRow(r));
         }
         break;
       }
       case OpKind::kUdf: {
-        // UDF local functions are opaque per-row/per-group user code: the
-        // engine falls back to row-at-a-time execution at this boundary
-        // (batch-primary inputs materialize their rows lazily). Consecutive
-        // map stages fuse into one row loop and reduce stages use the
-        // latch-scheduled shuffle.
+        // UDF local functions are opaque per-row/per-group user code: each
+        // map task builds the rows of its own input split from the batches,
+        // and the final stage's rows are cut back into batches.
+        // Consecutive map stages fuse into one row loop and reduce stages
+        // use the latch-scheduled shuffle.
         OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
                              ctx.udfs->Find(node->udf.udf_name));
         std::vector<LfStageRun> stage_runs;

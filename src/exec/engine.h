@@ -43,8 +43,10 @@ class HashRecycler;
 /// buffers, and a bucket's reduce starts as soon as its producers finish —
 /// over flat open-addressing tables (src/exec/hash/); independent jobs of a
 /// plan run concurrently on the shared pool when untraced. Opaque predicate
-/// UDFs and UDF local functions run row-at-a-time. Hash tables are recycled
-/// across queries when a recycler is attached (Engine::set_recycler).
+/// UDFs run one task per batch, called on each row's argument cells; UDF
+/// local functions run row-at-a-time over rows built split by split, and
+/// their output is cut back into batches. Hash tables are recycled across
+/// queries when a recycler is attached (Engine::set_recycler).
 struct EngineOptions {
   /// Retain job outputs as opportunistic views (Section 2.1), i.e. return
   /// them in ExecResult::pending_views. Always true in the paper's system;

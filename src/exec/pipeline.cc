@@ -31,6 +31,13 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
+size_t DeriveReduceTasks(int requested, uint64_t shuffle_bytes,
+                         uint64_t block_size_bytes) {
+  if (requested > 0) return static_cast<size_t>(requested);
+  if (block_size_bytes == 0) return 1;
+  return std::min<uint64_t>(shuffle_bytes / block_size_bytes + 1, 64);
+}
+
 Status RunWave(const PipelineCtx& ctx, const char* name, size_t n,
                const std::function<Status(size_t)>& fn,
                double* max_task_seconds) {

@@ -25,6 +25,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
+#include "storage/value.h"
 
 namespace opd::exec {
 
@@ -37,6 +38,26 @@ struct PipelineCtx {
   uint64_t parent_span = 0;  // job (or UDF stage) span
   size_t* tasks = nullptr;  // accumulates producer + consumer task counts
 };
+
+/// Lexicographic order on rows (shorter rows first on a common prefix): the
+/// key order in which shuffles merge their groups, so outputs do not depend
+/// on bucket or thread counts.
+struct RowLess {
+  bool operator()(const storage::Row& a, const storage::Row& b) const {
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      if (a[i] < b[i]) return true;
+      if (b[i] < a[i]) return false;
+    }
+    return a.size() < b.size();
+  }
+};
+
+/// Reduce tasks (shuffle buckets) of one shuffle: `requested` when positive,
+/// else one per block of shuffle input — the map-side split rule — capped
+/// at 64 so tiny jobs don't pay per-bucket overhead. Derived from bytes
+/// only, so the bucketing is thread-count invariant.
+size_t DeriveReduceTasks(int requested, uint64_t shuffle_bytes,
+                         uint64_t block_size_bytes);
 
 /// \brief Runs one wave of `n` independent tasks (a map-only pass, or a
 /// reduce-only replay) under a `name` phase span, with "<name>:<i>" task

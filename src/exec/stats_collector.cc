@@ -16,24 +16,16 @@ catalog::TableStats StatsCollector::Collect(const storage::Table& table,
   stats.avg_row_bytes = table.AvgRowBytes();
   if (table.num_rows() == 0) return stats;
 
-  // Draw the sample serially from the seeded RNG: the sampled set is a
-  // function of (seed, table) only, never of threading. A columnar table is
-  // sampled straight from its batches, in the same row order: materializing
-  // every row for a small sample would keep a row copy of the whole table
-  // alive as long as the table (and make freeing it slow).
+  // Draw the sample serially from the seeded RNG, in row order: the sampled
+  // set is a function of (seed, table) only, never of threading. Only the
+  // sampled rows are built from the batches.
   Rng rng(seed_ ^ table.num_rows());
   std::vector<storage::Row> sample;
   sample.reserve(static_cast<size_t>(
       fraction_ * static_cast<double>(table.num_rows()) + 1));
-  if (table.columnar()) {
-    for (const storage::RowBatch& batch : *table.ToBatches()) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        if (rng.Bernoulli(fraction_)) sample.push_back(batch.RowAt(r));
-      }
-    }
-  } else {
-    for (const storage::Row& row : table.rows()) {
-      if (rng.Bernoulli(fraction_)) sample.push_back(row);
+  for (const storage::RowBatch& batch : *table.ToBatches()) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      if (rng.Bernoulli(fraction_)) sample.push_back(batch.RowAt(r));
     }
   }
   if (sample.empty()) {

@@ -20,26 +20,6 @@ using storage::Table;
 
 namespace {
 
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    // Lexicographic; arities are equal within one grouping.
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      if (a[i] < b[i]) return true;
-      if (b[i] < a[i]) return false;
-    }
-    return a.size() < b.size();
-  }
-};
-
-size_t DeriveReduceTasks(int requested, uint64_t in_bytes,
-                         uint64_t block_size_bytes) {
-  if (requested > 0) return static_cast<size_t>(requested);
-  if (block_size_bytes == 0) return 1;
-  // One reduce task per block of shuffle input, like the map-side split
-  // rule; capped so tiny jobs don't pay per-bucket overhead.
-  return std::min<uint64_t>(in_bytes / block_size_bytes + 1, 64);
-}
-
 // Task pool + tracing hooks for the waves of one stage.
 PipelineCtx StageCtx(const UdfExecOptions& opts, uint64_t stage_span) {
   return PipelineCtx{opts.pool, opts.trace, stage_span, opts.tasks};
@@ -175,65 +155,42 @@ Status CheckArity(const udf::LocalFunction& lf, const Row& r,
                           std::to_string(out_schema.num_columns()));
 }
 
-// The rows a fused map group reads: a row vector, or a columnar table read
-// batch by batch. Reading the batches keeps the first stage from
-// materializing a row copy of its whole input, which the shared table would
-// otherwise cache for as long as it lives; each task builds only the rows
-// of its own split.
-class StageInput {
- public:
-  explicit StageInput(const std::vector<Row>& rows) : rows_(&rows) {
-    for (const Row& r : rows) bytes_ += storage::RowByteSize(r);
+// Calls fn(row) for the rows of `range` of `table`, in order, building each
+// row from its batch. Map tasks read their own split this way, so a UDF
+// never keeps a row copy of its (shared) input table.
+template <typename Fn>
+void ForEachRow(const Table& table, const RowRange& range, Fn&& fn) {
+  const auto batches = table.ToBatches();
+  const std::vector<size_t>& offsets = table.batch_offsets();
+  // The last batch starting at or before range.begin covers it.
+  auto first = std::upper_bound(offsets.begin(), offsets.end(), range.begin);
+  size_t b = static_cast<size_t>(first - offsets.begin()) - 1;
+  for (size_t r = range.begin; r < range.end; ++r) {
+    while (r >= offsets[b] + (*batches)[b].num_rows()) ++b;
+    fn((*batches)[b].RowAt(r - offsets[b]));
   }
-  explicit StageInput(const Table& table)
-      : batches_(table.ToBatches()), bytes_(table.ByteSize()) {
-    for (const storage::RowBatch& b : *batches_) {
-      offsets_.push_back(num_rows_);
-      num_rows_ += b.num_rows();
-    }
-  }
-
-  size_t size() const { return rows_ != nullptr ? rows_->size() : num_rows_; }
-  uint64_t bytes() const { return bytes_; }
-
-  /// Calls fn(row) for the rows of `range`, in order.
-  template <typename Fn>
-  void ForEach(const RowRange& range, Fn&& fn) const {
-    if (rows_ != nullptr) {
-      for (size_t r = range.begin; r < range.end; ++r) fn((*rows_)[r]);
-      return;
-    }
-    size_t b = 0;
-    for (size_t r = range.begin; r < range.end; ++r) {
-      while (r >= offsets_[b] + (*batches_)[b].num_rows()) ++b;
-      fn((*batches_)[b].RowAt(r - offsets_[b]));
-    }
-  }
-
- private:
-  const std::vector<Row>* rows_ = nullptr;
-  std::shared_ptr<const std::vector<storage::RowBatch>> batches_;
-  std::vector<size_t> offsets_;  // global row index of each batch's first row
-  size_t num_rows_ = 0;
-  uint64_t bytes_ = 0;
-};
+}
 
 // Runs the maximal run of consecutive map stages [s, e) of `udf` as ONE
-// fused wave over `rows`: each task streams its input split through every
-// stage's map function in turn (ping-pong buffers), so intermediate stage
-// outputs never materialize globally. Task-order concatenation of the final
-// partials is identical to running the stages one at a time over the whole
-// input, because map functions are applied row-at-a-time in order.
+// fused wave over `in_rows` input rows of `in_bytes` total width, which
+// `read(range, fn)` passes to fn one at a time: each task streams its input
+// split through every stage's map function in turn (ping-pong buffers), so
+// intermediate stage outputs never materialize globally. Task-order
+// concatenation of the final partials is identical to running the stages
+// one at a time over the whole input, because map functions are applied
+// row-at-a-time in order.
 //
 // Accounting stays per stage: boundary row/byte counts are summed across
 // tasks, and the group's wall/straggler time is attributed to the first
 // stage of the group (so per-kind wall sums, which calibration consumes,
 // are preserved). Appends one LfStageRun per fused stage and leaves the
-// group's output in `*out`.
+// group's output rows in `*out` and their total width in `*out_bytes`.
+template <typename Read>
 Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
-                    const StageInput& rows, const udf::Params& params,
-                    const UdfExecOptions& opts, Schema* cur_schema,
-                    std::vector<Row>* out, std::vector<LfStageRun>* stages) {
+                    size_t in_rows, uint64_t in_bytes, const Read& read,
+                    const udf::Params& params, const UdfExecOptions& opts,
+                    Schema* cur_schema, std::vector<Row>* out,
+                    uint64_t* out_bytes, std::vector<LfStageRun>* stages) {
   const auto& lfs = udf.local_functions;
   const size_t k = e - s;
 
@@ -260,13 +217,12 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
     ctxs[i].params = &params;
   }
 
-  const uint64_t in_bytes = rows.bytes();
   const double avg_row_bytes =
-      rows.size() == 0 ? 0.0
-                       : static_cast<double>(in_bytes) /
-                             static_cast<double>(rows.size());
+      in_rows == 0 ? 0.0
+                   : static_cast<double>(in_bytes) /
+                         static_cast<double>(in_rows);
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      rows.size(), avg_row_bytes, opts.block_size_bytes);
+      in_rows, avg_row_bytes, opts.block_size_bytes);
 
   obs::TraceSpan stage_span(opts.trace, opts.parent_span,
                             "stage:" + fused_name, "stage");
@@ -286,7 +242,7 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
         mid_bytes[t].assign(k - 1, 0);
         std::vector<Row> cur, next;
         cur.reserve(split.size());
-        rows.ForEach(split, [&](const Row& row) {
+        read(split, [&](const Row& row) {
           lfs[s].map_fn(row, ctxs[0], &cur);
         });
         for (size_t i = 1; i < k; ++i) {
@@ -316,14 +272,14 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
   for (auto& p : partials) {
     for (Row& r : p) out->push_back(std::move(r));
   }
-  uint64_t out_bytes = 0;
+  *out_bytes = 0;
   for (const Row& r : *out) {
     OPD_RETURN_NOT_OK(CheckArity(lfs[e - 1], r, schemas[k]));
-    out_bytes += storage::RowByteSize(r);
+    *out_bytes += storage::RowByteSize(r);
   }
 
   if (stage_span) {
-    stage_span.AddArg("in_rows", static_cast<uint64_t>(rows.size()));
+    stage_span.AddArg("in_rows", static_cast<uint64_t>(in_rows));
     stage_span.AddArg("in_bytes", in_bytes);
     stage_span.AddArg("fused_stages", static_cast<uint64_t>(k));
     stage_span.End();
@@ -335,7 +291,7 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
       run.lf_name = lfs[s + i].name;
       run.kind = udf::LfKind::kMap;
       if (i == 0) {
-        run.in_rows = rows.size();
+        run.in_rows = in_rows;
         run.in_bytes = in_bytes;
         run.wall_seconds = wall_s;
         run.max_task_seconds = wave_max_s;
@@ -345,7 +301,7 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
       }
       if (i == k - 1) {
         run.out_rows = out->size();
-        run.out_bytes = out_bytes;
+        run.out_bytes = *out_bytes;
       } else {
         for (const auto& m : mid_rows) run.out_rows += m[i];
         for (const auto& m : mid_bytes) run.out_bytes += m[i];
@@ -369,13 +325,19 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     return Status::InvalidArgument("UDF has no local functions: " + udf.name);
   }
   Schema cur_schema = input.schema();
-  // The first stage reads the input table in place (a columnar one batch
-  // by batch, see StageInput; null `cur_rows`); `owned` takes over once a
-  // stage produces new rows (or a leading reduce stage needs a mutable
-  // copy). This avoids duplicating the whole input up front.
-  std::vector<Row> owned;
-  const std::vector<Row>* cur_rows =
-      input.columnar() ? nullptr : &input.rows();
+  // Every stage reads the previous stage's output `rows`, of total width
+  // `rows_bytes`, except the first, which reads the input table in place: a
+  // map run split by split (ForEachRow), a reduce from a row copy it owns.
+  bool from_input = true;
+  std::vector<Row> rows;
+  uint64_t rows_bytes = input.ByteSize();
+  auto read = [&](const RowRange& range, const auto& fn) {
+    if (from_input) {
+      ForEachRow(input, range, fn);
+    } else {
+      for (size_t r = range.begin; r < range.end; ++r) fn(rows[r]);
+    }
+  };
 
   const auto& lfs = udf.local_functions;
   for (size_t stage_i = 0; stage_i < lfs.size();) {
@@ -387,20 +349,24 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
         ++stage_e;
       }
       std::vector<Row> fused_out;
-      const StageInput in =
-          cur_rows != nullptr ? StageInput(*cur_rows) : StageInput(input);
-      OPD_RETURN_NOT_OK(RunMapStages(udf, stage_i, stage_e, in, params,
-                                     exec_options, &cur_schema, &fused_out,
-                                     stages));
-      owned = std::move(fused_out);
-      cur_rows = &owned;
+      OPD_RETURN_NOT_OK(RunMapStages(
+          udf, stage_i, stage_e, from_input ? input.num_rows() : rows.size(),
+          rows_bytes, read, params, exec_options, &cur_schema, &fused_out,
+          &rows_bytes, stages));
+      rows = std::move(fused_out);
+      from_input = false;
       stage_i = stage_e;
       continue;
     }
 
     const udf::LocalFunction& lf = lfs[stage_i];
     ++stage_i;
-    if (cur_rows == nullptr) cur_rows = &input.rows();
+    if (from_input) {
+      rows.reserve(input.num_rows());
+      ForEachRow(input, RowRange{0, input.num_rows()},
+                 [&](Row row) { rows.push_back(std::move(row)); });
+      from_input = false;
+    }
     OPD_ASSIGN_OR_RETURN(Schema out_schema, lf.out_schema(cur_schema, params));
     udf::LfContext ctx;
     ctx.in_schema = &cur_schema;
@@ -410,8 +376,8 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     LfStageRun run;
     run.lf_name = lf.name;
     run.kind = lf.kind;
-    run.in_rows = cur_rows->size();
-    for (const Row& r : *cur_rows) run.in_bytes += storage::RowByteSize(r);
+    run.in_rows = rows.size();
+    run.in_bytes = rows_bytes;
 
     obs::TraceSpan stage_span(exec_options.trace, exec_options.parent_span,
                               "stage:" + lf.name, "stage");
@@ -421,11 +387,7 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
       return Status::Internal("reduce local function missing body: " +
                               lf.name);
     }
-    if (cur_rows != &owned) {
-      owned = *cur_rows;  // reduce consumes its input rows
-      cur_rows = &owned;
-    }
-    OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, cur_schema, &owned, run.in_bytes,
+    OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, cur_schema, &rows, run.in_bytes,
                                      exec_options, stage_span.id(), &next_rows,
                                      &run.max_task_seconds));
     auto end = std::chrono::steady_clock::now();
@@ -444,16 +406,12 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     if (stages != nullptr) stages->push_back(run);
 
     cur_schema = std::move(out_schema);
-    owned = std::move(next_rows);
-    cur_rows = &owned;
+    rows = std::move(next_rows);
+    rows_bytes = run.out_bytes;
   }
 
-  Table result("", cur_schema);
-  result.Reserve(owned.size());
-  for (Row& row : owned) {
-    OPD_RETURN_NOT_OK(result.AppendRow(std::move(row)));
-  }
-  *output = std::move(result);
+  *output = Table::FromRows("", std::move(cur_schema), rows,
+                            exec_options.pool);
   return Status::OK();
 }
 

@@ -12,15 +12,20 @@ storage::Table SampleTable(const storage::Table& table, double fraction,
                            uint64_t seed) {
   storage::Table sample(table.name() + "_sample", table.schema());
   Rng rng(seed);
-  for (const auto& row : table.rows()) {
-    if (rng.Bernoulli(fraction)) {
-      (void)sample.AppendRow(row);
+  const auto batches = table.ToBatches();
+  for (const storage::RowBatch& batch : *batches) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      if (rng.Bernoulli(fraction)) (void)sample.AppendRow(batch.RowAt(r));
     }
   }
-  // Guarantee a non-empty sample for tiny inputs.
-  if (sample.num_rows() == 0 && table.num_rows() > 0) {
+  // Guarantee a non-empty sample for tiny inputs: the first rows.
+  if (sample.num_rows() == 0) {
     size_t take = std::min<size_t>(table.num_rows(), 16);
-    for (size_t i = 0; i < take; ++i) (void)sample.AppendRow(table.row(i));
+    for (const storage::RowBatch& batch : *batches) {
+      for (size_t r = 0; r < batch.num_rows() && take > 0; ++r, --take) {
+        (void)sample.AppendRow(batch.RowAt(r));
+      }
+    }
   }
   return sample;
 }
@@ -29,9 +34,10 @@ double MeasureBaselineThroughput(const storage::Table& table) {
   auto start = std::chrono::steady_clock::now();
   uint64_t bytes = 0;
   // A trivial type-1 operation: copy rows and tally widths.
-  for (const auto& row : table.rows()) {
-    storage::Row copy = row;
-    bytes += storage::RowByteSize(copy);
+  for (const storage::RowBatch& batch : *table.ToBatches()) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      bytes += storage::RowByteSize(batch.RowAt(r));
+    }
   }
   auto end = std::chrono::steady_clock::now();
   double secs = std::chrono::duration<double>(end - start).count();

@@ -213,6 +213,10 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
       entry.target = MakeTargetContext(dag.job(i).op);
       entry.useful_sigs = UsefulSignatures(entry.target.afk);
       std::lock_guard<std::mutex> lock(memo_mu_);
+      if (target_memo_.size() >= kMaxTargetMemo &&
+          target_memo_.count(fp) == 0) {
+        target_memo_.clear();
+      }
       target_memo_.emplace(fp, entry);
     }
     registry

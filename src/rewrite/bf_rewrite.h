@@ -56,6 +56,10 @@ class BfRewriter {
 
   const RewriteOptions& options() const { return options_; }
 
+  /// Most target-memo entries kept: an insert that would exceed it clears
+  /// the memo first, so a long-running server's memo stays bounded.
+  static constexpr size_t kMaxTargetMemo = 4096;
+
  private:
   const optimizer::Optimizer* optimizer_;
   const catalog::ViewStore* views_;
@@ -67,8 +71,9 @@ class BfRewriter {
   /// useful-signature set — depends only on the subplan and the fixed
   /// RewriteOptions, never on the (growing) view store, so it is safe to
   /// reuse across Rewrite() calls. Hits/misses are published as
-  /// `rewrite.viewfinder.memo_hit` / `..._miss`. Guarded by `memo_mu_`
-  /// (Rewrite is const and may run from concurrent sessions).
+  /// `rewrite.viewfinder.memo_hit` / `..._miss`. Holds at most
+  /// kMaxTargetMemo entries. Guarded by `memo_mu_` (Rewrite is const and
+  /// may run from concurrent sessions).
   struct TargetMemoEntry {
     TargetContext target;
     std::vector<std::string> useful_sigs;

@@ -110,16 +110,19 @@ std::string ToCsv(const Table& table, const CsvOptions& options) {
     }
     out.push_back('\n');
   }
-  for (const Row& row : table.rows()) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out.push_back(options.delimiter);
-      if (row[c].is_null()) {
-        out += options.null_token;
-      } else {
-        out += QuoteCell(row[c].ToString(), options.delimiter);
+  for (const RowBatch& batch : *table.ToBatches()) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        if (c > 0) out.push_back(options.delimiter);
+        const ColumnVector& col = batch.column(c);
+        if (col.IsNull(r)) {
+          out += options.null_token;
+        } else {
+          out += QuoteCell(col.GetValue(r).ToString(), options.delimiter);
+        }
       }
+      out.push_back('\n');
     }
-    out.push_back('\n');
   }
   return out;
 }

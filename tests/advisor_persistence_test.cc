@@ -151,7 +151,7 @@ TEST_F(PersistenceTest, DfsRoundTrip) {
   auto reread = loaded->Read("views/run0/job1");
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ((*reread)->num_rows(), 25u);
-  EXPECT_EQ((*reread)->row(7)[1].as_string(), "row 7");
+  EXPECT_EQ((*reread)->ToRows()[7][1].as_string(), "row 7");
   EXPECT_TRUE((*reread)->schema() == schema);
 }
 

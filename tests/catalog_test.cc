@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "catalog/catalog.h"
 #include "catalog/view_store.h"
 #include "storage/dfs.h"
@@ -60,6 +64,46 @@ TEST(CatalogTest, ExactStatsWidths) {
   EXPECT_DOUBLE_EQ(stats.ColBytesOr("id", 0), 8.0);
   EXPECT_DOUBLE_EQ(stats.ColBytesOr("txt", 0), 7.0);  // 3 chars + 4 prefix
   EXPECT_DOUBLE_EQ(stats.DistinctOr("id", 0), 50.0);
+}
+
+// ComputeExactStats reads columns; its figures must equal the definition
+// over rows (Value::Hash distincts, mean Value::ByteSize widths) for nulls,
+// dictionary strings, and a column demoted to the variant lane by one
+// mistyped cell, across several batches.
+TEST(CatalogTest, ExactStatsMatchRowDefinition) {
+  Table t("M", Schema({Column{"id", DataType::kInt64},
+                       Column{"name", DataType::kString},
+                       Column{"score", DataType::kDouble}}));
+  const int n = 2500;
+  for (int i = 0; i < n; ++i) {
+    Value name = i % 7 == 0 ? Value::Null() : Value("n" + std::to_string(i % 40));
+    Value score = i % 11 == 0 ? Value::Null() : Value(0.5 * (i % 90));
+    if (i == 1500) score = Value("mistyped");  // demotes that batch's column
+    ASSERT_TRUE(t.AppendRow({Value(int64_t{i % 600}), name, score}).ok());
+  }
+  bool demoted = false;
+  for (const storage::RowBatch& b : *t.ToBatches()) {
+    demoted = demoted || !b.column(2).is_native();
+  }
+  ASSERT_TRUE(demoted);
+
+  const TableStats stats = ComputeExactStats(t);
+  const std::vector<storage::Row> rows = t.ToRows();
+  for (size_t c = 0; c < t.schema().num_columns(); ++c) {
+    const std::string& name = t.schema().column(c).name;
+    SCOPED_TRACE(name);
+    std::set<uint64_t> hashes;
+    size_t width = 0;
+    for (const storage::Row& row : rows) {
+      hashes.insert(row[c].Hash());
+      width += row[c].ByteSize();
+    }
+    EXPECT_EQ(stats.DistinctOr(name, -1), static_cast<double>(hashes.size()));
+    EXPECT_EQ(stats.ColBytesOr(name, -1),
+              static_cast<double>(width) / static_cast<double>(n));
+  }
+  EXPECT_EQ(stats.DistinctOr("id", -1), 600.0);
+  EXPECT_EQ(stats.DistinctOr("name", -1), 41.0);  // 40 strings + null
 }
 
 ViewDefinition MakeView(const std::string& rel, const std::string& attr) {

@@ -36,10 +36,12 @@ TEST(CsvTest, RoundTrip) {
   auto parsed = FromCsv(csv, TestSchema(), "t2");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->num_rows(), original.num_rows());
-  for (size_t i = 0; i < original.num_rows(); ++i) {
-    for (size_t c = 0; c < original.row(i).size(); ++c) {
+  const std::vector<Row> want = original.ToRows();
+  const std::vector<Row> got = parsed->ToRows();
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t c = 0; c < want[i].size(); ++c) {
       // Doubles round-trip through ToString; compare via string form.
-      EXPECT_EQ(original.row(i)[c].ToString(), parsed->row(i)[c].ToString())
+      EXPECT_EQ(want[i][c].ToString(), got[i][c].ToString())
           << "cell " << i << "," << c;
     }
   }
@@ -72,8 +74,9 @@ TEST(CsvTest, NullsRoundTrip) {
   std::string csv = ToCsv(t);
   auto parsed = FromCsv(csv, schema, "t");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->row(0)[0].is_null());
-  EXPECT_EQ(parsed->row(1)[0].as_int64(), 5);
+  const std::vector<Row> rows = parsed->ToRows();
+  EXPECT_TRUE(rows[0][0].is_null());
+  EXPECT_EQ(rows[1][0].as_int64(), 5);
 }
 
 TEST(CsvTest, TypeErrorsCarryRowNumbers) {

@@ -94,12 +94,13 @@ TEST_F(EngineTest, GroupByCountSumAvgMinMax) {
        AggSpec{AggFn::kMax, "score", "mx"}})));
   ASSERT_EQ(t->num_rows(), 6u);
   // Groups ordered by key; user 0 has tweets 0,6,...,54.
-  EXPECT_EQ(t->row(0)[0].as_int64(), 0);
-  EXPECT_EQ(t->row(0)[1].as_int64(), 10);
-  EXPECT_NEAR(t->row(0)[2].as_double(), 27.0, 1e-9);  // 0+0.6+...+5.4
-  EXPECT_NEAR(t->row(0)[3].as_double(), 2.7, 1e-9);
-  EXPECT_NEAR(t->row(0)[4].as_double(), 0.0, 1e-9);
-  EXPECT_NEAR(t->row(0)[5].as_double(), 5.4, 1e-9);
+  const storage::Row row = t->ToRows()[0];
+  EXPECT_EQ(row[0].as_int64(), 0);
+  EXPECT_EQ(row[1].as_int64(), 10);
+  EXPECT_NEAR(row[2].as_double(), 27.0, 1e-9);  // 0+0.6+...+5.4
+  EXPECT_NEAR(row[3].as_double(), 2.7, 1e-9);
+  EXPECT_NEAR(row[4].as_double(), 0.0, 1e-9);
+  EXPECT_NEAR(row[5].as_double(), 5.4, 1e-9);
 }
 
 TEST_F(EngineTest, JoinExecution) {
@@ -212,9 +213,7 @@ TEST_F(EngineTest, RewrittenEquivalentPlansProduceSameResult) {
       FilterCond::Compare("cnt", CmpOp::kGt, Value(5.0))));
   auto rewr_result = Run(std::move(rewr));
   ASSERT_EQ(orig_result->num_rows(), rewr_result->num_rows());
-  for (size_t i = 0; i < orig_result->num_rows(); ++i) {
-    EXPECT_EQ(orig_result->row(i), rewr_result->row(i));
-  }
+  EXPECT_EQ(orig_result->ToRows(), rewr_result->ToRows());
 }
 
 TEST(StatsCollectorTest, EstimatesRowsExactly) {

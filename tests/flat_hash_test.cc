@@ -242,12 +242,13 @@ TEST(HashKernelsTest, BatchHashKeysMatchesRowHashAcrossLanes) {
   }
   const std::vector<size_t> cols{0, 1, 2};
   auto batches = t.ToBatches();
+  const std::vector<Row> rows = t.ToRows();
   size_t global = 0;
   for (const RowBatch& b : *batches) {
     std::vector<uint64_t> hashes(b.num_rows());
     HashKeys(b, cols, hashes.data());
     for (size_t i = 0; i < b.num_rows(); ++i, ++global) {
-      ASSERT_EQ(hashes[i], FlatRowKeyHash(t.row(global), cols))
+      ASSERT_EQ(hashes[i], FlatRowKeyHash(rows[global], cols))
           << "row " << global;
     }
   }
@@ -317,7 +318,7 @@ TEST(KeyCodecTest, DifferentDictionariesFallBackToStringBytes) {
   EXPECT_EQ(std::string(s1.data(), s1.size()),
             std::string(s2.data(), s2.size()));
   // And both equal the generic row encoding.
-  EXPECT_EQ(std::string(s1.data(), s1.size()), KeyBytes(t1.row(0), cols));
+  EXPECT_EQ(std::string(s1.data(), s1.size()), KeyBytes(t1.ToRows()[0], cols));
 }
 
 }  // namespace

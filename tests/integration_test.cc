@@ -34,7 +34,7 @@ class IntegrationTest : public ::testing::Test {
   void SetUp() override { bed_->DropAllViews(); }
 
   static std::vector<storage::Row> SortedRows(const storage::TablePtr& t) {
-    std::vector<storage::Row> rows = t->rows();
+    std::vector<storage::Row> rows = t->ToRows();
     std::sort(rows.begin(), rows.end(),
               [](const storage::Row& a, const storage::Row& b) {
                 for (size_t i = 0; i < a.size() && i < b.size(); ++i) {

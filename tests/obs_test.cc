@@ -365,7 +365,7 @@ TracedRun RunTraced(int num_threads, bool tracing) {
     out.structure = run->trace->StructureString();
     out.chrome_json = run->trace->ToChromeJson();
   }
-  out.rows = run->table->rows();
+  out.rows = run->table->ToRows();
   std::sort(out.rows.begin(), out.rows.end(),
             [](const storage::Row& a, const storage::Row& b) {
               for (size_t i = 0; i < a.size() && i < b.size(); ++i) {

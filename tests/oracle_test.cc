@@ -80,11 +80,11 @@ TEST(OracleTest, WorkloadQueriesMatchOracle) {
         auto rewr = (*bed)->RunRewritten(analyst, version);
         ASSERT_TRUE(rewr.ok()) << rewr.status().ToString();
         if (rewr->outcome.improved) ++improved;
-        EXPECT_EQ(Multiset(rewr->exec.table->rows()), expected) << "REWR";
+        EXPECT_EQ(Multiset(rewr->exec.table->ToRows()), expected) << "REWR";
 
         auto orig = (*bed)->RunOriginal(analyst, version);
         ASSERT_TRUE(orig.ok()) << orig.status().ToString();
-        EXPECT_EQ(Multiset(orig->table->rows()), expected) << "ORIG";
+        EXPECT_EQ(Multiset(orig->table->ToRows()), expected) << "ORIG";
       }
     }
     // The comparisons must not be vacuous: most answers are non-empty at
@@ -123,7 +123,7 @@ TEST(OracleTest, PropertyPlansMatchOracle) {
         const auto base_expected = Multiset(OracleRows(base, ctx, &dfs));
         auto orig = testing_exec::ExecuteAndPublish(engine, views, &base);
         ASSERT_TRUE(orig.ok()) << orig.status().ToString();
-        EXPECT_EQ(Multiset(orig->table->rows()), base_expected) << "ORIG";
+        EXPECT_EQ(Multiset(orig->table->ToRows()), base_expected) << "ORIG";
 
         plan::Plan revised = testing_plans::Mutate(base, &rng);
         const auto expected = Multiset(OracleRows(revised, ctx, &dfs));
@@ -132,9 +132,43 @@ TEST(OracleTest, PropertyPlansMatchOracle) {
         plan::Plan best = outcome->plan;
         auto rewr = testing_exec::ExecuteAndPublish(engine, views, &best);
         ASSERT_TRUE(rewr.ok()) << rewr.status().ToString();
-        EXPECT_EQ(Multiset(rewr->table->rows()), expected) << "REWR";
+        EXPECT_EQ(Multiset(rewr->table->ToRows()), expected) << "REWR";
       }
     }
+  }
+}
+
+// An opaque predicate (a per-row black box) over enough tweets for several
+// batches and map tasks: valid_geo keeps the tweets whose geo string parses,
+// some but not all of them.
+TEST(OracleTest, OpaqueFilterMatchesReference) {
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    workload::TestBedConfig config;
+    config.data.n_tweets = 6000;
+    config.calibrate_udfs = false;
+    config.session.engine.num_threads = threads;
+    auto bed = workload::TestBed::Create(config);
+    ASSERT_TRUE(bed.ok()) << bed.status().ToString();
+    const plan::AnnotationContext ctx{&(*bed)->catalog(), &(*bed)->views(),
+                                      &(*bed)->udfs()};
+    const plan::Plan query(
+        plan::Filter(plan::Scan("TWTR"),
+                     plan::FilterCond::Opaque("valid_geo", {"geo"})),
+        "opaque");
+    const auto expected = Multiset(OracleRows(query, ctx, &(*bed)->dfs()));
+
+    RunOptions no_rewrite;
+    no_rewrite.rewrite = false;
+    auto run = (*bed)->session().Run(
+        plan::Plan(plan::CloneTree(query.root()), "opaque"), no_rewrite);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run->jobs.size(), 1u);
+    EXPECT_GT(run->jobs[0].rows_in, storage::RowBatch::kDefaultRows);
+    EXPECT_GT(run->jobs[0].map_tasks, 1u);
+    EXPECT_GT(run->table->num_rows(), 0u);
+    EXPECT_LT(run->table->num_rows(), run->jobs[0].rows_in);
+    EXPECT_EQ(Multiset(run->table->ToRows()), expected);
   }
 }
 
@@ -165,7 +199,7 @@ TEST(OracleTest, IntegerSumIsExactAndWraps) {
   auto run = client.Run(plan::Plan(plan::CloneTree(query.root()), "g"),
                         no_rewrite);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  const std::vector<Row> got = run->table->rows();
+  const std::vector<Row> got = run->table->ToRows();
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0][1].as_int64(), kTwo53 + 2);
   EXPECT_EQ(got[1][1].as_int64(), std::numeric_limits<int64_t>::min());

@@ -50,7 +50,7 @@ WorkloadSnapshot RunWorkload(int num_threads, int num_reduce_tasks = 0) {
 
   WorkloadSnapshot snap;
   auto record = [&snap](const exec::ExecResult& run) {
-    snap.tables.push_back(run.table->rows());
+    snap.tables.push_back(run.table->ToRows());
     snap.bytes.push_back(run.metrics.bytes_read);
     snap.bytes.push_back(run.metrics.bytes_shuffled);
     snap.bytes.push_back(run.metrics.bytes_written);
@@ -147,7 +147,7 @@ TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
         RunOptions{.rewrite = false});
     EXPECT_TRUE(run.ok()) << run.status().ToString();
     std::vector<storage::Row> rows;
-    if (run.ok() && run->table != nullptr) rows = run->table->rows();
+    if (run.ok() && run->table != nullptr) rows = run->table->ToRows();
     return rows;
   };
 

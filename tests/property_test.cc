@@ -44,7 +44,7 @@ class PropertyTest : public ::testing::TestWithParam<int> {
   }
 
   std::vector<storage::Row> SortedRows(const storage::TablePtr& t) {
-    std::vector<storage::Row> rows = t->rows();
+    std::vector<storage::Row> rows = t->ToRows();
     std::sort(rows.begin(), rows.end(),
               [](const storage::Row& a, const storage::Row& b) {
                 for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -74,7 +74,7 @@ TEST_P(PropertyTest, ExecutionIsDeterministic) {
     auto r2 = Run(&p2);
     ASSERT_TRUE(r1.ok() && r2.ok());
     ASSERT_EQ(r1.value().table->num_rows(), r2.value().table->num_rows());
-    EXPECT_EQ(r1.value().table->rows(), r2.value().table->rows());
+    EXPECT_EQ(r1.value().table->ToRows(), r2.value().table->ToRows());
   }
 }
 

@@ -213,9 +213,7 @@ uint64_t TableFingerprint(const storage::Table& t) {
   }
   HashCombine(&h, t.num_rows());
   const storage::RowHash row_hash;
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    HashCombine(&h, row_hash(t.row(i)));
-  }
+  for (const storage::Row& row : t.ToRows()) HashCombine(&h, row_hash(row));
   return h;
 }
 
@@ -394,9 +392,9 @@ TEST(RecyclerDeterminismTest, RecycleMatrixIsByteIdentical) {
       EXPECT_EQ(RecycleCounts(*cold), std::make_pair(uint64_t{0}, uint64_t{1}));
       EXPECT_EQ(RecycleCounts(*warm), std::make_pair(uint64_t{1}, uint64_t{0}));
       const auto want = reference::Multiset(*expected);
-      EXPECT_EQ(reference::Multiset(cold->table->rows()), want);
-      EXPECT_EQ(reference::Multiset(warm->table->rows()), want);
-      EXPECT_EQ(warm->table->rows(), cold->table->rows());  // and in order
+      EXPECT_EQ(reference::Multiset(cold->table->ToRows()), want);
+      EXPECT_EQ(reference::Multiset(warm->table->ToRows()), want);
+      EXPECT_EQ(warm->table->ToRows(), cold->table->ToRows());  // and in order
     }
   }
 }

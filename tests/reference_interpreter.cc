@@ -162,7 +162,7 @@ class Interpreter {
                              ctx_.catalog->Find(node.table));
         OPD_ASSIGN_OR_RETURN(storage::TablePtr table,
                              dfs_->Read(entry->dfs_path));
-        *out = table->rows();
+        *out = table->ToRows();
         return Status::OK();
       }
       case OpKind::kProject: {

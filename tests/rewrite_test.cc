@@ -394,6 +394,31 @@ TEST_F(RewriteTest, BfrMemoizesTargetSetupOnFingerprint) {
   EXPECT_EQ(hits.value(), hits1 + (misses1 - misses0));
 }
 
+// The target memo is bounded: once kMaxTargetMemo + 1 distinct targets
+// have been set up, the first one has been dropped and misses again.
+TEST_F(RewriteTest, BfrTargetMemoIsBounded) {
+  auto& misses =
+      obs::MetricRegistry::Global().counter("rewrite.viewfinder.memo_miss");
+  auto rewrite = [&](int i) {
+    plan::Plan q(plan::Filter(plan::Scan("TWTR"),
+                              FilterCond::Compare("user_id", CmpOp::kGt,
+                                                  Value(int64_t{i}))),
+                 "memo");
+    ASSERT_TRUE(bfr_->Rewrite(&q).ok());
+  };
+  rewrite(0);
+  uint64_t before = misses.value();
+  rewrite(0);  // memoized: no miss
+  EXPECT_EQ(misses.value(), before);
+
+  for (int i = 1; i <= static_cast<int>(BfRewriter::kMaxTargetMemo); ++i) {
+    rewrite(i);
+  }
+  before = misses.value();
+  rewrite(0);
+  EXPECT_EQ(misses.value(), before + 1);
+}
+
 TEST_F(RewriteTest, BfrCompensatedRewriteExecutesEquivalently) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(1.0, 5);
@@ -410,8 +435,8 @@ TEST_F(RewriteTest, BfrCompensatedRewriteExecutesEquivalently) {
             rewr_result->schema().ToString());
   // Row-level equality (both engines produce deterministic order after
   // grouping; join order may differ, so compare as multisets).
-  std::vector<storage::Row> a = orig_result->rows();
-  std::vector<storage::Row> b = rewr_result->rows();
+  std::vector<storage::Row> a = orig_result->ToRows();
+  std::vector<storage::Row> b = rewr_result->ToRows();
   auto row_less = [](const storage::Row& x, const storage::Row& y) {
     for (size_t i = 0; i < x.size() && i < y.size(); ++i) {
       if (x[i] < y[i]) return true;

@@ -52,9 +52,7 @@ uint64_t TableFingerprint(const Table& t) {
   }
   HashCombine(&h, t.num_rows());
   const storage::RowHash row_hash;
-  for (size_t i = 0; i < t.num_rows(); ++i) {
-    HashCombine(&h, row_hash(t.row(i)));
-  }
+  for (const storage::Row& row : t.ToRows()) HashCombine(&h, row_hash(row));
   return h;
 }
 

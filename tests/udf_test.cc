@@ -193,8 +193,9 @@ TEST_F(UdfExecTest, WineScoreFiltersAndAggregates) {
   // user 1 has strong wine signal; user 3 has one wine word (0.30 < 0.5);
   // user 2 has none.
   ASSERT_EQ(out.num_rows(), 1u);
-  EXPECT_EQ(out.row(0)[0].as_int64(), 1);
-  EXPECT_GT(out.row(0)[1].as_double(), 0.5);
+  const Row row = out.ToRows()[0];
+  EXPECT_EQ(row[0].as_int64(), 1);
+  EXPECT_GT(row[1].as_double(), 0.5);
 }
 
 TEST_F(UdfExecTest, ThresholdParameterRespected) {
@@ -214,9 +215,10 @@ TEST_F(UdfExecTest, FriendshipNormalizesPairs) {
       exec::RunLocalFunctions(udf, TweetTable(), params, &out).ok());
   // (1->2) twice and (2->1) once normalize to pair (1,2) with strength 3.
   ASSERT_EQ(out.num_rows(), 1u);
-  EXPECT_EQ(out.row(0)[0].as_int64(), 1);
-  EXPECT_EQ(out.row(0)[1].as_int64(), 2);
-  EXPECT_DOUBLE_EQ(out.row(0)[2].as_double(), 3.0);
+  const Row row = out.ToRows()[0];
+  EXPECT_EQ(row[0].as_int64(), 1);
+  EXPECT_EQ(row[1].as_int64(), 2);
+  EXPECT_DOUBLE_EQ(row[2].as_double(), 3.0);
 }
 
 TEST_F(UdfExecTest, TokenizeExplodesRows) {
@@ -310,7 +312,7 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
   }
 
   auto expected =
-      reference::RunUdfStages(udf, t.schema(), t.rows(), /*params=*/{});
+      reference::RunUdfStages(udf, t.schema(), t.ToRows(), /*params=*/{});
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   ASSERT_EQ(expected->size(), 3u);
   // Each x yields y=2x (even, kept) and y+1 (odd, dropped): 200 rows.
@@ -330,11 +332,12 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
     std::vector<exec::LfStageRun> stages;
     ASSERT_TRUE(
         exec::RunLocalFunctions(udf, t, {}, &fused_out, &stages, opts).ok());
-    EXPECT_EQ(fused_out.rows(), expected->back());
+    EXPECT_EQ(fused_out.ToRows(), expected->back());
 
     // Fusion must not change the per-stage observations.
     ASSERT_EQ(stages.size(), expected->size());
-    const std::vector<Row>* in = &t.rows();
+    const std::vector<Row> input = t.ToRows();
+    const std::vector<Row>* in = &input;
     for (size_t s = 0; s < stages.size(); ++s) {
       SCOPED_TRACE(stages[s].lf_name);
       const std::vector<Row>& out = (*expected)[s];
@@ -420,9 +423,10 @@ TEST_F(HashtagTrendsTest, ThreeStagesExecute) {
   ASSERT_EQ(stages.size(), 3u);
   // Only #wine passes min_users = 2 (4 distinct users).
   ASSERT_EQ(out.num_rows(), 1u);
-  EXPECT_EQ(out.row(0)[0].as_string(), "wine");
-  EXPECT_EQ(out.row(0)[1].as_int64(), 4);
-  EXPECT_EQ(out.row(0)[2].as_string(), "rising");  // 4 <= 4*2
+  const Row row = out.ToRows()[0];
+  EXPECT_EQ(row[0].as_string(), "wine");
+  EXPECT_EQ(row[1].as_int64(), 4);
+  EXPECT_EQ(row[2].as_string(), "rising");  // 4 <= 4*2
 }
 
 TEST_F(HashtagTrendsTest, DistinctUsersNotOccurrences) {

@@ -36,9 +36,7 @@ TEST(DataGenTest, Deterministic) {
   auto a = GenerateTwitterLog(config);
   auto b = GenerateTwitterLog(config);
   ASSERT_EQ(a->num_rows(), b->num_rows());
-  for (size_t i = 0; i < a->num_rows(); ++i) {
-    EXPECT_EQ(a->row(i), b->row(i));
-  }
+  EXPECT_EQ(a->ToRows(), b->ToRows());
 }
 
 TEST(DataGenTest, DifferentSeedsDiffer) {
@@ -47,11 +45,7 @@ TEST(DataGenTest, DifferentSeedsDiffer) {
   c2.seed = c1.seed + 1;
   auto a = GenerateTwitterLog(c1);
   auto b = GenerateTwitterLog(c2);
-  bool any_diff = false;
-  for (size_t i = 0; i < a->num_rows() && !any_diff; ++i) {
-    if (!(a->row(i) == b->row(i))) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff);
+  EXPECT_NE(a->ToRows(), b->ToRows());
 }
 
 TEST(DataGenTest, MentionsCreateRepeatedPairs) {
@@ -61,7 +55,7 @@ TEST(DataGenTest, MentionsCreateRepeatedPairs) {
   size_t uid = *t->schema().IndexOf("user_id");
   size_t mid = *t->schema().IndexOf("mention_user");
   std::map<std::pair<int64_t, int64_t>, int> pair_counts;
-  for (const auto& row : t->rows()) {
+  for (const auto& row : t->ToRows()) {
     int64_t m = row[mid].as_int64();
     if (m < 0) continue;
     int64_t u = row[uid].as_int64();
@@ -80,7 +74,7 @@ TEST(DataGenTest, SomeGeoValidSomeNot) {
   auto t = GenerateTwitterLog(config);
   size_t gi = *t->schema().IndexOf("geo");
   int valid = 0, invalid = 0;
-  for (const auto& row : t->rows()) {
+  for (const auto& row : t->ToRows()) {
     double lat, lon;
     if (udf::ParseLatLon(row[gi].as_string(), &lat, &lon)) {
       ++valid;
@@ -101,7 +95,7 @@ TEST(DataGenTest, LandmarksHaveCategoriesAndMenus) {
   size_t mi = *t->schema().IndexOf("menu_text");
   std::set<std::string> categories;
   int menus = 0;
-  for (const auto& row : t->rows()) {
+  for (const auto& row : t->ToRows()) {
     categories.insert(row[ci].as_string());
     if (!row[mi].as_string().empty()) ++menus;
   }
@@ -116,7 +110,7 @@ TEST(DataGenTest, CheckinsReferenceValidEntities) {
   auto t = GenerateFoursquareLog(config);
   size_t ui = *t->schema().IndexOf("user_id");
   size_t li = *t->schema().IndexOf("location_id");
-  for (const auto& row : t->rows()) {
+  for (const auto& row : t->ToRows()) {
     EXPECT_GE(row[ui].as_int64(), 0);
     EXPECT_LT(row[ui].as_int64(),
               static_cast<int64_t>(config.n_users));
