@@ -1,5 +1,6 @@
 #include "storage/column_vector.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/hash.h"
@@ -22,33 +23,59 @@ uint64_t NumericHash(double d) {
 
 constexpr uint64_t kNullHash = 0x6e756c6cULL;  // Value::Hash() of null
 
+// First slot to probe for hash `h` in an index of `mask + 1` slots. The
+// multiply mixes FNV's weak low bits before masking.
+size_t SlotOf(uint64_t h, size_t mask) {
+  return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+}
+
 }  // namespace
 
-uint32_t Dictionary::Intern(const std::string& s) {
-  auto [it, inserted] =
-      lookup.try_emplace(s, static_cast<uint32_t>(entries.size()));
-  if (inserted) {
-    entries.push_back(s);
-    hashes.push_back(HashString(s));
-    lengths.push_back(s.size());
+size_t Dictionary::Probe(const std::string& s, uint64_t h) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = SlotOf(h, mask);; i = (i + 1) & mask) {
+    const uint32_t slot = slots_[i];
+    if (slot == 0 || (hashes[slot - 1] == h && entries[slot - 1] == s)) {
+      return i;
+    }
   }
-  return it->second;
 }
 
-DictionaryPtr Dictionary::Clone() const {
-  auto copy = std::make_shared<Dictionary>();
-  copy->entries = entries;
-  copy->hashes = hashes;
-  copy->lengths = lengths;
-  copy->lookup = lookup;
-  return copy;
+size_t Dictionary::SlotForInsert(const std::string& s, uint64_t h) {
+  if (2 * (entries.size() + 1) > slots_.size()) {
+    std::vector<uint32_t> slots(std::max<size_t>(16, 2 * slots_.size()));
+    const size_t mask = slots.size() - 1;
+    for (uint32_t code = 0; code < entries.size(); ++code) {
+      size_t i = SlotOf(hashes[code], mask);
+      while (slots[i] != 0) i = (i + 1) & mask;
+      slots[i] = code + 1;
+    }
+    slots_ = std::move(slots);
+  }
+  return Probe(s, h);
 }
 
-ColumnVector ColumnVector::StringWithSharedDict(DictionaryPtr dict) {
-  ColumnVector col(DataType::kString);
-  col.dict_ = std::move(dict);
-  col.owns_dict_ = true;  // builder contract: serial appends are intended
-  return col;
+uint32_t Dictionary::Intern(const std::string& s) {
+  const uint64_t h = HashString(s);
+  const size_t i = SlotForInsert(s, h);
+  if (slots_[i] == 0) return Intern(std::string(s), h);
+  return slots_[i] - 1;
+}
+
+uint32_t Dictionary::Intern(std::string&& s, uint64_t h) {
+  const size_t i = SlotForInsert(s, h);
+  if (slots_[i] == 0) {
+    slots_[i] = static_cast<uint32_t>(entries.size()) + 1;
+    hashes.push_back(h);
+    lengths.push_back(s.size());
+    entries.push_back(std::move(s));
+  }
+  return slots_[i] - 1;
+}
+
+int64_t Dictionary::Find(const std::string& s) const {
+  if (slots_.empty()) return -1;
+  return static_cast<int64_t>(slots_[Probe(s, HashString(s))]) - 1;
 }
 
 void ColumnVector::Reserve(size_t n) {
@@ -92,7 +119,7 @@ void ColumnVector::EnsureOwnedDict() {
   if (!owns_dict_) {
     // Copy-on-write: this column only referenced a dictionary built (and
     // possibly still shared) by other columns; never mutate it in place.
-    dict_ = dict_->Clone();
+    dict_ = std::make_shared<Dictionary>(*dict_);
     owns_dict_ = true;
   }
 }
@@ -101,11 +128,30 @@ uint32_t ColumnVector::Intern(const std::string& s) {
   // Interning a string that is already present never mutates, so a shared
   // dictionary can answer it directly without triggering copy-on-write.
   if (dict_ != nullptr && !owns_dict_) {
-    auto it = dict_->lookup.find(s);
-    if (it != dict_->lookup.end()) return it->second;
+    const int64_t code = dict_->Find(s);
+    if (code >= 0) return static_cast<uint32_t>(code);
   }
   EnsureOwnedDict();
   return dict_->Intern(s);
+}
+
+void ColumnVector::MergeDictInto(const DictionaryPtr& dict) {
+  if (!native_ || type_ != DataType::kString) return;
+  if (dict_ != nullptr) {
+    const bool sole = dict_.use_count() == 1;
+    std::vector<uint32_t> remap(dict_->size());
+    for (size_t e = 0; e < remap.size(); ++e) {
+      std::string& entry = dict_->entries[e];
+      remap[e] = dict->Intern(sole ? std::move(entry) : std::string(entry),
+                              dict_->hashes[e]);
+    }
+    // Null cells keep their placeholder code 0.
+    for (size_t i = 0; i < size_; ++i) {
+      if (ValidBit(i)) codes_[i] = remap[codes_[i]];
+    }
+  }
+  dict_ = dict;
+  owns_dict_ = true;
 }
 
 void ColumnVector::DemoteToVariant() {
