@@ -16,9 +16,11 @@
 # (concurrent tenants racing lookups/inserts on the shared recycler), and
 # the query-log suite (concurrent appends racing ring snapshots,
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
-# ServerStress), and the oracle suite (the engine's pool, pipelined shuffle
-# and cross-job DAG schedule at 8 threads). TSan and ASan cannot share a build, hence the separate
-# tree.
+# ServerStress), the oracle suite (the engine's pool, pipelined shuffle
+# and cross-job DAG schedule at 8 threads), and the view-store stress test
+# (publishes, drops and access recording racing snapshots that rewrite
+# against the store's copy-on-write versions and their lazy index). TSan
+# and ASan cannot share a build, hence the separate tree.
 #
 # Then runs the perf-floor gate
 # (scripts/bench.sh --check) against the REGULAR build — never the
@@ -49,10 +51,10 @@ cd ..
 echo "== ThreadSanitizer pass (serving layer + parallel determinism) =="
 cmake -B build-tsan -S . -DOPD_TSAN=ON >/dev/null
 cmake --build build-tsan --target server_test parallel_determinism_test \
-  recycler_test query_log_test oracle_test -j
+  recycler_test query_log_test oracle_test catalog_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

@@ -1,26 +1,89 @@
 #include "catalog/view_store.h"
 
+#include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace opd::catalog {
 
+/// The published views at one point in the store's history. Immutable once
+/// installed, except for the lazily built signature index.
+struct ViewVersion {
+  /// Published views in id order; ids and publish epochs both ascend.
+  std::vector<std::shared_ptr<ViewDefinition>> views;
+
+  /// Attribute signature -> ascending positions in `views` of the views
+  /// carrying it. Built on first use: versions that are never rewritten
+  /// against (a store grown with rewriting off, or replaced before the next
+  /// rewrite) never pay for it.
+  const std::unordered_map<std::string, std::vector<uint32_t>>& Index()
+      const {
+    std::call_once(index_once_, [this] {
+      for (size_t pos = 0; pos < views.size(); ++pos) {
+        for (const afk::Attribute& a : views[pos]->afk.attrs()) {
+          index_[a.signature()].push_back(static_cast<uint32_t>(pos));
+        }
+      }
+    });
+    return index_;
+  }
+
+ private:
+  mutable std::once_flag index_once_;
+  mutable std::unordered_map<std::string, std::vector<uint32_t>> index_;
+};
+
+namespace {
+
+/// Position of view `id` among the first `size` views of `version`, or -1.
+int64_t FindPosition(const ViewVersion& version, size_t size, ViewId id) {
+  auto end = version.views.begin() + static_cast<std::ptrdiff_t>(size);
+  auto it = std::lower_bound(
+      version.views.begin(), end, id,
+      [](const std::shared_ptr<ViewDefinition>& def, ViewId v) {
+        return def->id < v;
+      });
+  if (it == end || (*it)->id != id) return -1;
+  return it - version.views.begin();
+}
+
+}  // namespace
+
 std::vector<const ViewDefinition*> ViewSnapshot::All() const {
   std::vector<const ViewDefinition*> out;
-  out.reserve(views_.size());
-  for (const auto& def : views_) out.push_back(def.get());
+  out.reserve(size_);
+  for (size_t i = 0; i < size_; ++i) out.push_back(version_->views[i].get());
   return out;
 }
 
-Result<const ViewDefinition*> ViewSnapshot::Find(ViewId id) const {
-  // Snapshots are small and id-ordered; a linear scan keeps them trivially
-  // copyable and allocation-free on the lookup path.
-  for (const auto& def : views_) {
-    if (def->id == id) return def.get();
-  }
-  return Status::NotFound("no such view in snapshot: " + std::to_string(id));
+const ViewDefinition& ViewSnapshot::at(size_t pos) const {
+  return *version_->views[pos];
 }
+
+std::span<const uint32_t> ViewSnapshot::Postings(const std::string& sig) const {
+  if (size_ == 0) return {};
+  const auto& index = version_->Index();
+  auto it = index.find(sig);
+  if (it == index.end()) return {};
+  const std::vector<uint32_t>& all = it->second;
+  // Positions ascend, so this snapshot's postings are a prefix of the list.
+  auto end = std::lower_bound(all.begin(), all.end(),
+                              static_cast<uint32_t>(size_));
+  return {all.data(), static_cast<size_t>(end - all.begin())};
+}
+
+Result<const ViewDefinition*> ViewSnapshot::Find(ViewId id) const {
+  const int64_t pos =
+      version_ == nullptr ? -1 : FindPosition(*version_, size_, id);
+  if (pos < 0) {
+    return Status::NotFound("no such view in snapshot: " + std::to_string(id));
+  }
+  return version_->views[static_cast<size_t>(pos)].get();
+}
+
+ViewStore::ViewStore() : version_(std::make_shared<const ViewVersion>()) {}
 
 ViewStore::ViewStore(const ViewStore& other) {
   std::lock_guard<std::mutex> lock(other.mu_);
@@ -28,9 +91,12 @@ ViewStore::ViewStore(const ViewStore& other) {
   clock_ = other.clock_;
   epoch_ = other.epoch_;
   by_canonical_ = other.by_canonical_;
-  for (const auto& [id, def] : other.views_) {
-    views_.emplace(id, std::make_shared<ViewDefinition>(*def));
+  std::vector<std::shared_ptr<ViewDefinition>> views;
+  views.reserve(other.version_->views.size());
+  for (const auto& def : other.version_->views) {
+    views.push_back(std::make_shared<ViewDefinition>(*def));
   }
+  InstallLocked(std::move(views));
 }
 
 ViewStore& ViewStore::operator=(const ViewStore& other) {
@@ -44,7 +110,7 @@ ViewStore::ViewStore(ViewStore&& other) noexcept {
   next_id_ = other.next_id_;
   clock_ = other.clock_;
   epoch_ = other.epoch_;
-  views_ = std::move(other.views_);
+  version_ = std::exchange(other.version_, std::make_shared<const ViewVersion>());
   by_canonical_ = std::move(other.by_canonical_);
 }
 
@@ -54,40 +120,54 @@ ViewStore& ViewStore::operator=(ViewStore&& other) noexcept {
   next_id_ = other.next_id_;
   clock_ = other.clock_;
   epoch_ = other.epoch_;
-  views_ = std::move(other.views_);
+  version_ = std::exchange(other.version_, std::make_shared<const ViewVersion>());
   by_canonical_ = std::move(other.by_canonical_);
   return *this;
 }
 
-ViewStore::PublishResult ViewStore::PublishLocked(ViewDefinition def,
-                                                  Epoch epoch) {
-  const std::string canonical = def.afk.CanonicalString();
-  auto& registry = obs::MetricRegistry::Global();
-  auto it = by_canonical_.find(canonical);
-  if (it != by_canonical_.end()) {
-    // An equivalent view already exists — the new materialization is a
-    // duplicate (a reuse opportunity the store deduplicates).
-    registry.counter("viewstore.add.dedup").Inc();
-    return PublishResult{it->second, false};
-  }
-  registry.counter("viewstore.add.new").Inc();
-  ViewId id = next_id_++;
-  def.id = id;
-  def.created_at = ++clock_;
-  def.publish_epoch = epoch;
-  by_canonical_[canonical] = id;
-  views_.emplace(id, std::make_shared<ViewDefinition>(std::move(def)));
-  return PublishResult{id, true};
+int64_t ViewStore::PositionLocked(ViewId id) const {
+  return FindPosition(*version_, version_->views.size(), id);
+}
+
+void ViewStore::InstallLocked(
+    std::vector<std::shared_ptr<ViewDefinition>> views) {
+  auto version = std::make_shared<ViewVersion>();
+  version->views = std::move(views);
+  version_ = std::move(version);
 }
 
 std::vector<ViewStore::PublishResult> ViewStore::PublishBatch(
     std::vector<ViewDefinition> defs, Epoch* epoch_out) {
+  auto& registry = obs::MetricRegistry::Global();
   std::lock_guard<std::mutex> lock(mu_);
   const Epoch epoch = ++epoch_;
   std::vector<PublishResult> out;
   out.reserve(defs.size());
+  std::vector<std::shared_ptr<ViewDefinition>> added;
   for (ViewDefinition& def : defs) {
-    out.push_back(PublishLocked(std::move(def), epoch));
+    const std::string canonical = def.afk.CanonicalString();
+    auto it = by_canonical_.find(canonical);
+    if (it != by_canonical_.end()) {
+      // An equivalent view already exists — the new materialization is a
+      // duplicate (a reuse opportunity the store deduplicates).
+      registry.counter("viewstore.add.dedup").Inc();
+      out.push_back(PublishResult{it->second, false});
+      continue;
+    }
+    registry.counter("viewstore.add.new").Inc();
+    def.id = next_id_++;
+    def.created_at = ++clock_;
+    def.publish_epoch = epoch;
+    by_canonical_[canonical] = def.id;
+    out.push_back(PublishResult{def.id, true});
+    added.push_back(std::make_shared<ViewDefinition>(std::move(def)));
+  }
+  if (!added.empty()) {
+    std::vector<std::shared_ptr<ViewDefinition>> views;
+    views.reserve(version_->views.size() + added.size());
+    views = version_->views;
+    for (auto& def : added) views.push_back(std::move(def));
+    InstallLocked(std::move(views));
   }
   if (epoch_out != nullptr) *epoch_out = epoch;
   return out;
@@ -110,9 +190,14 @@ ViewSnapshot ViewStore::SnapshotAt(Epoch at) const {
   std::lock_guard<std::mutex> lock(mu_);
   ViewSnapshot snap;
   snap.epoch_ = at;
-  for (const auto& [_, def] : views_) {
-    if (def->publish_epoch <= at) snap.views_.push_back(def);
-  }
+  snap.version_ = version_;
+  const auto& views = version_->views;
+  snap.size_ = static_cast<size_t>(
+      std::upper_bound(views.begin(), views.end(), at,
+                       [](Epoch e, const std::shared_ptr<ViewDefinition>& def) {
+                         return e < def->publish_epoch;
+                       }) -
+      views.begin());
   return snap;
 }
 
@@ -120,55 +205,51 @@ ViewSnapshot ViewStore::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   ViewSnapshot snap;
   snap.epoch_ = epoch_;
-  for (const auto& [_, def] : views_) snap.views_.push_back(def);
+  snap.version_ = version_;
+  snap.size_ = version_->views.size();
   return snap;
 }
 
 Status ViewStore::RecordAccess(ViewId id, double benefit_s) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = views_.find(id);
-  if (it == views_.end()) {
-    return Status::NotFound("no such view: " + std::to_string(id));
-  }
-  it->second->access_count += 1;
-  it->second->last_access = ++clock_;
-  it->second->cumulative_benefit_s += benefit_s;
+  const int64_t pos = PositionLocked(id);
+  if (pos < 0) return Status::NotFound("no such view: " + std::to_string(id));
+  ViewDefinition& def = *version_->views[static_cast<size_t>(pos)];
+  def.access_count += 1;
+  def.last_access = ++clock_;
+  def.cumulative_benefit_s += benefit_s;
   return Status::OK();
 }
 
 Result<const ViewDefinition*> ViewStore::Find(ViewId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = views_.find(id);
-  if (it == views_.end()) {
+  const int64_t pos = PositionLocked(id);
+  if (pos < 0) {
     obs::MetricRegistry::Global().counter("viewstore.find.miss").Inc();
     return Status::NotFound("no such view: " + std::to_string(id));
   }
   obs::MetricRegistry::Global().counter("viewstore.find.hit").Inc();
-  return it->second.get();
+  return version_->views[static_cast<size_t>(pos)].get();
 }
 
 bool ViewStore::Has(ViewId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return views_.count(id) > 0;
+  return PositionLocked(id) >= 0;
 }
 
 std::vector<const ViewDefinition*> ViewStore::All() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const ViewDefinition*> out;
-  out.reserve(views_.size());
-  for (const auto& [_, def] : views_) out.push_back(def.get());
-  return out;
+  return Snapshot().All();
 }
 
 size_t ViewStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return views_.size();
+  return version_->views.size();
 }
 
 uint64_t ViewStore::TotalBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& [_, def] : views_) total += def->bytes;
+  for (const auto& def : version_->views) total += def->bytes;
   return total;
 }
 
@@ -179,33 +260,33 @@ uint64_t ViewStore::clock() const {
 
 Status ViewStore::Drop(ViewId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = views_.find(id);
-  if (it == views_.end()) {
-    return Status::NotFound("no such view: " + std::to_string(id));
-  }
-  by_canonical_.erase(it->second->afk.CanonicalString());
-  views_.erase(it);
+  const int64_t pos = PositionLocked(id);
+  if (pos < 0) return Status::NotFound("no such view: " + std::to_string(id));
+  std::vector<std::shared_ptr<ViewDefinition>> views = version_->views;
+  by_canonical_.erase(views[static_cast<size_t>(pos)]->afk.CanonicalString());
+  views.erase(views.begin() + pos);
+  InstallLocked(std::move(views));
   return Status::OK();
 }
 
 void ViewStore::DropAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  views_.clear();
+  InstallLocked({});
   by_canonical_.clear();
 }
 
 size_t ViewStore::DropIdentical(const afk::Afk& afk) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t dropped = 0;
-  for (auto it = views_.begin(); it != views_.end();) {
-    if (it->second->afk == afk) {
-      by_canonical_.erase(it->second->afk.CanonicalString());
-      it = views_.erase(it);
-      ++dropped;
+  std::vector<std::shared_ptr<ViewDefinition>> kept;
+  for (const auto& def : version_->views) {
+    if (def->afk == afk) {
+      by_canonical_.erase(def->afk.CanonicalString());
     } else {
-      ++it;
+      kept.push_back(def);
     }
   }
+  const size_t dropped = version_->views.size() - kept.size();
+  if (dropped > 0) InstallLocked(std::move(kept));
   return dropped;
 }
 

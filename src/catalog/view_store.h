@@ -13,15 +13,28 @@
 //     A query admitted at epoch e rewrites only against that snapshot, so
 //     it can never observe a half-published view.
 //
-// Snapshots hold shared ownership of their definitions: a snapshot stays
-// valid even if views are dropped from the live store afterwards.
+// The published views form an immutable *version*: the views in id order
+// plus a signature -> views index over their attributes. A change to the
+// set of views (a batch that adds a view, or a drop) installs a new version
+// copy-on-write; a batch that adds nothing only advances the epoch. Ids and
+// publish epochs both grow in publish order, so the views of any epoch are
+// a prefix of the current version, and a snapshot is that version plus the
+// prefix length: taking one copies no view and touches no per-view
+// refcount. A snapshot stays valid, with its index, after views are
+// dropped from the live store.
+//
+// The access bookkeeping of a definition (RecordAccess) is the one
+// mutable part; it is written under the store mutex on the definition that
+// every version holding the view shares.
 
 #ifndef OPD_CATALOG_VIEW_STORE_H_
 #define OPD_CATALOG_VIEW_STORE_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,29 +87,43 @@ struct ViewDefinition {
   uint64_t created_at = 0;
 };
 
+/// One immutable published state of the store (defined in view_store.cc).
+struct ViewVersion;
+
 /// \brief An immutable, epoch-consistent view of the store.
 ///
 /// Produced by ViewStore::SnapshotAt/Snapshot; contains exactly the views
 /// published at epochs <= epoch(), in id order, and keeps them alive
-/// independently of the live store.
+/// independently of the live store. Copying a snapshot copies one pointer.
 class ViewSnapshot {
  public:
   ViewSnapshot() = default;
 
   Epoch epoch() const { return epoch_; }
-  size_t size() const { return views_.size(); }
+  size_t size() const { return size_; }
 
   /// Borrowed pointers, valid for the snapshot's lifetime, ordered by id.
   std::vector<const ViewDefinition*> All() const;
 
+  /// The view at position `pos` (0 <= pos < size()) of the id order.
+  const ViewDefinition& at(size_t pos) const;
+
+  /// Ascending positions of the views of this snapshot whose annotation
+  /// carries an attribute with signature `sig` (empty when none). Reads the
+  /// version's signature index, which the first call builds.
+  std::span<const uint32_t> Postings(const std::string& sig) const;
+
   /// Finds a view *within this snapshot* (NotFound for views published
   /// after the snapshot's epoch, even if they exist in the live store).
+  /// Binary search over the id order.
   Result<const ViewDefinition*> Find(ViewId id) const;
 
  private:
   friend class ViewStore;
   Epoch epoch_ = 0;
-  std::vector<std::shared_ptr<const ViewDefinition>> views_;
+  std::shared_ptr<const ViewVersion> version_;
+  /// Length of the version's prefix this snapshot sees.
+  size_t size_ = 0;
 };
 
 /// \brief The system's view metadata store.
@@ -106,7 +133,7 @@ class ViewSnapshot {
 /// Section 8.3.3). All methods are thread-safe.
 class ViewStore {
  public:
-  ViewStore() = default;
+  ViewStore();
 
   /// Copy/move are DEEP: every ViewDefinition is cloned (never aliased), so
   /// a copied store is a true checkpoint — later RecordAccess/Drop on one
@@ -181,14 +208,18 @@ class ViewStore {
   uint64_t clock() const;
 
  private:
-  /// Inserts (or dedups) one definition; caller holds mu_.
-  PublishResult PublishLocked(ViewDefinition def, Epoch epoch);
+  /// Position of view `id` in the current version, or -1; caller holds mu_.
+  int64_t PositionLocked(ViewId id) const;
+  /// Installs a version holding `views`; caller holds mu_.
+  void InstallLocked(std::vector<std::shared_ptr<ViewDefinition>> views);
 
   mutable std::mutex mu_;
   ViewId next_id_ = 1;       // guarded by mu_
   uint64_t clock_ = 0;       // guarded by mu_
   Epoch epoch_ = 0;          // guarded by mu_
-  std::map<ViewId, std::shared_ptr<ViewDefinition>> views_;  // guarded by mu_
+  /// The published views; never null. Guarded by mu_ (the pointer; the
+  /// version itself is immutable).
+  std::shared_ptr<const ViewVersion> version_;
   std::map<std::string, ViewId> by_canonical_;  // AFK canonical -> id
 };
 

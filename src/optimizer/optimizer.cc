@@ -32,7 +32,8 @@ void CapDistinct(OpNode* node) {
 
 }  // namespace
 
-Status Optimizer::EstimateNode(plan::OpNode* node) const {
+Status Optimizer::EstimateNode(plan::OpNode* node,
+                               const plan::AnnotationContext& ctx) const {
   node->est_col_bytes.clear();
   node->est_distinct.clear();
   switch (node->kind) {
@@ -40,7 +41,7 @@ Status Optimizer::EstimateNode(plan::OpNode* node) const {
       const catalog::TableStats* stats = nullptr;
       if (node->view_id >= 0) {
         OPD_ASSIGN_OR_RETURN(const catalog::ViewDefinition* def,
-                             ctx_.views->Find(node->view_id));
+                             ctx.FindView(node->view_id));
         stats = &def->stats;
       } else {
         OPD_ASSIGN_OR_RETURN(const catalog::BaseTableEntry* entry,
@@ -195,17 +196,21 @@ Status Optimizer::CostNode(plan::OpNode* node) const {
   return Status::OK();
 }
 
-Status Optimizer::Prepare(plan::Plan* plan) const {
-  OPD_RETURN_NOT_OK(plan::AnnotatePlan(*plan, ctx_));
+Status Optimizer::Prepare(plan::Plan* plan,
+                          const catalog::ViewSnapshot* views) const {
+  plan::AnnotationContext ctx = ctx_;
+  ctx.snapshot = views;
+  OPD_RETURN_NOT_OK(plan::AnnotatePlan(*plan, ctx));
   for (const plan::OpNodePtr& node : plan->TopoOrder()) {
-    OPD_RETURN_NOT_OK(EstimateNode(node.get()));
+    OPD_RETURN_NOT_OK(EstimateNode(node.get(), ctx));
     OPD_RETURN_NOT_OK(CostNode(node.get()));
   }
   return Status::OK();
 }
 
-Result<double> Optimizer::PlanCost(plan::Plan* plan) const {
-  OPD_RETURN_NOT_OK(Prepare(plan));
+Result<double> Optimizer::PlanCost(plan::Plan* plan,
+                                   const catalog::ViewSnapshot* views) const {
+  OPD_RETURN_NOT_OK(Prepare(plan, views));
   double total = 0;
   for (const plan::OpNodePtr& node : plan->TopoOrder()) {
     total += node->cost.total_s;

@@ -35,18 +35,22 @@ class Optimizer {
       : ctx_(ctx), model_(model), options_(options) {}
 
   /// Annotates (AFK + schema), estimates cardinalities, and costs every node
-  /// of `plan`. Idempotent; resets previous estimates.
-  Status Prepare(plan::Plan* plan) const;
+  /// of `plan`. Idempotent; resets previous estimates. View scans resolve in
+  /// `views` when given, else in the live store.
+  Status Prepare(plan::Plan* plan,
+                 const catalog::ViewSnapshot* views = nullptr) const;
 
   /// Total estimated cost of the plan (sum of its jobs' costs); runs Prepare.
-  Result<double> PlanCost(plan::Plan* plan) const;
+  Result<double> PlanCost(plan::Plan* plan,
+                          const catalog::ViewSnapshot* views = nullptr) const;
 
   const CostModel& cost_model() const { return model_; }
   const plan::AnnotationContext& context() const { return ctx_; }
   const OptimizerOptions& options() const { return options_; }
 
  private:
-  Status EstimateNode(plan::OpNode* node) const;
+  Status EstimateNode(plan::OpNode* node,
+                      const plan::AnnotationContext& ctx) const;
   Status CostNode(plan::OpNode* node) const;
 
   plan::AnnotationContext ctx_;

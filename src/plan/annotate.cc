@@ -111,7 +111,7 @@ Status AnnotateNode(OpNode* node, const AnnotationContext& ctx) {
     case OpKind::kScan: {
       if (node->view_id >= 0) {
         OPD_ASSIGN_OR_RETURN(const catalog::ViewDefinition* def,
-                             ctx.views->Find(node->view_id));
+                             ctx.FindView(node->view_id));
         node->afk = def->afk;
         node->out_attrs = def->out_attrs;
         node->out_schema = def->schema;

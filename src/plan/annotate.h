@@ -25,6 +25,14 @@ struct AnnotationContext {
   const catalog::Catalog* catalog = nullptr;
   const catalog::ViewStore* views = nullptr;
   const udf::UdfRegistry* udfs = nullptr;
+  /// When set, view scans resolve in this snapshot instead of the live
+  /// store: a rewrite costs its candidate plans against the snapshot it
+  /// searches, so a concurrent Drop cannot fail it.
+  const catalog::ViewSnapshot* snapshot = nullptr;
+
+  Result<const catalog::ViewDefinition*> FindView(catalog::ViewId id) const {
+    return snapshot != nullptr ? snapshot->Find(id) : views->Find(id);
+  }
 };
 
 /// Annotates every node of `plan` (idempotent per node). Fails on unresolved

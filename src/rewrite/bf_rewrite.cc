@@ -20,6 +20,16 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
+/// The target-memo counters, resolved once: MetricRegistry::ResetAll
+/// zeroes counters but never frees them.
+obs::Counter& MemoCounter(bool hit) {
+  static obs::Counter& hits =
+      obs::MetricRegistry::Global().counter("rewrite.viewfinder.memo_hit");
+  static obs::Counter& misses =
+      obs::MetricRegistry::Global().counter("rewrite.viewfinder.memo_miss");
+  return hit ? hits : misses;
+}
+
 /// Per-run search state (Algorithms 1-3 operate over this).
 struct SearchState {
   const plan::JobDag* dag = nullptr;
@@ -92,23 +102,21 @@ struct SearchState {
     const bool improves =
         result.has_value() && result->cost + kEps < best_cost[i];
     if (log != nullptr && result.has_value()) {
-      // Refine() appended the decision for the candidate it just popped;
-      // only the search loop knows whether the rewrite actually beat the
-      // target's running best.
+      // Refine() recorded the candidate it just popped; only the search
+      // loop knows whether the rewrite actually beat the target's running
+      // best.
       TargetDecision& td = log->targets[static_cast<size_t>(i)];
-      CandidateDecision& cd = td.candidates.back();
       if (improves) {
         // Demote the previously accepted candidate (if any): it is no
         // longer cheaper than the best, which is this one's definition of
         // rejection. Keeps the invariant "at most one accepted per target".
-        for (CandidateDecision& prev : td.candidates) {
-          if (&prev != &cd && prev.reject == RejectReason::kNone) {
-            prev.reject = RejectReason::kNotCostImproving;
-          }
+        if (td.chosen >= 0) {
+          td.pops[static_cast<size_t>(td.chosen)].reject =
+              RejectReason::kNotCostImproving;
         }
-        td.chosen_id = cd.candidate_id;
+        td.chosen = static_cast<int>(td.pops.size()) - 1;
       } else {
-        cd.reject = RejectReason::kNotCostImproving;
+        td.pops.back().reject = RejectReason::kNotCostImproving;
       }
     }
     if (improves) {
@@ -173,19 +181,18 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
 
   EnumDeps deps;
   deps.optimizer = optimizer_;
-  deps.views = views_;
+  deps.views = &snapshot;
   deps.udfs = optimizer_->context().udfs;
   deps.options = options_;
 
-  const auto all_views = snapshot.All();
   state.best_plan.resize(n);
   state.best_cost.resize(n);
   state.finders.resize(n);
   if (options_.log_decisions) {
+    outcome.decisions.views = snapshot;
     outcome.decisions.targets.resize(n);
     state.log = &outcome.decisions;
   }
-  auto& registry = obs::MetricRegistry::Global();
   for (size_t i = 0; i < n; ++i) {
     state.best_plan[i] = dag.job(i).op;
     state.best_cost[i] = dag.TargetCost(i);
@@ -199,32 +206,23 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
     // bf_rewrite.h): repeated structurally identical targets skip the
     // TargetContext derivation and the useful-signature computation.
     const std::string fp = plan::Fingerprint(dag.job(i).op);
-    TargetMemoEntry entry;
-    bool hit = false;
+    std::shared_ptr<const TargetSetup> setup;
     {
       std::lock_guard<std::mutex> lock(memo_mu_);
       auto it = target_memo_.find(fp);
-      if (it != target_memo_.end()) {
-        entry = it->second;
-        hit = true;
-      }
+      if (it != target_memo_.end()) setup = it->second;
     }
-    if (!hit) {
-      entry.target = MakeTargetContext(dag.job(i).op);
-      entry.useful_sigs = UsefulSignatures(entry.target.afk);
+    MemoCounter(setup != nullptr).Inc();
+    if (setup == nullptr) {
+      setup = MakeTargetSetup(dag.job(i).op);
       std::lock_guard<std::mutex> lock(memo_mu_);
       if (target_memo_.size() >= kMaxTargetMemo &&
           target_memo_.count(fp) == 0) {
         target_memo_.clear();
       }
-      target_memo_.emplace(fp, entry);
+      target_memo_.emplace(fp, setup);
     }
-    registry
-        .counter(hit ? "rewrite.viewfinder.memo_hit"
-                     : "rewrite.viewfinder.memo_miss")
-        .Inc();
-    state.finders[i].Init(std::move(entry.target), deps, all_views,
-                          &outcome.stats, std::move(entry.useful_sigs),
+    state.finders[i].Init(std::move(setup), deps, &outcome.stats,
                           state.log != nullptr ? &state.log->targets[i]
                                                : nullptr);
   }

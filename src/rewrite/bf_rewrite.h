@@ -10,6 +10,7 @@
 #ifndef OPD_REWRITE_BF_REWRITE_H_
 #define OPD_REWRITE_BF_REWRITE_H_
 
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -23,6 +24,7 @@
 #include "plan/plan.h"
 #include "rewrite/rewrite_enum.h"
 #include "rewrite/rewriter.h"
+#include "rewrite/view_finder.h"
 
 namespace opd::rewrite {
 
@@ -70,16 +72,14 @@ class BfRewriter {
   /// the target side of ViewFinder::Init — the TargetContext and its
   /// useful-signature set — depends only on the subplan and the fixed
   /// RewriteOptions, never on the (growing) view store, so it is safe to
-  /// reuse across Rewrite() calls. Hits/misses are published as
+  /// reuse across Rewrite() calls. Entries are immutable and shared with
+  /// the finders, so a hit copies one pointer. Hits/misses are published as
   /// `rewrite.viewfinder.memo_hit` / `..._miss`. Holds at most
   /// kMaxTargetMemo entries. Guarded by `memo_mu_` (Rewrite is const and
   /// may run from concurrent sessions).
-  struct TargetMemoEntry {
-    TargetContext target;
-    std::vector<std::string> useful_sigs;
-  };
   mutable std::mutex memo_mu_;
-  mutable std::unordered_map<std::string, TargetMemoEntry> target_memo_;
+  mutable std::unordered_map<std::string, std::shared_ptr<const TargetSetup>>
+      target_memo_;
 };
 
 }  // namespace opd::rewrite

@@ -45,9 +45,10 @@ CandidateView MakeBaseCandidate(const catalog::ViewDefinition& def);
 
 /// Builds the scan(+join) plan fragment reading this candidate: a left-deep
 /// chain of equi-joins on the common attributes between the accumulated
-/// result and each next part.
+/// result and each next part. Parts are resolved in `views`, the snapshot
+/// the search runs against.
 Result<plan::OpNodePtr> BuildCandidateScan(const CandidateView& candidate,
-                                           const catalog::ViewStore& views);
+                                           const catalog::ViewSnapshot& views);
 
 /// The attribute signatures a target could possibly use: its output
 /// attributes, the transitive input dependencies of its derived attributes,

@@ -51,16 +51,17 @@ Result<RewriteOutcome> DpRewriter::Rewrite(plan::Plan* plan) const {
   RewriteOutcome outcome;
   auto start = std::chrono::steady_clock::now();
 
+  const catalog::ViewSnapshot snapshot = views_->Snapshot();
   EnumDeps deps;
   deps.optimizer = optimizer_;
-  deps.views = views_;
+  deps.views = &snapshot;
   deps.udfs = optimizer_->context().udfs;
   deps.options = options_;
 
   Budget budget{options_.dp_candidate_budget, options_.dp_time_budget_s,
                 start};
 
-  const auto all_views = views_->All();
+  const auto all_views = snapshot.All();
 
   // Per-target exhaustive search: every view is a candidate (no relevance
   // screening — the paper's DP "searches exhaustively for rewrites at every

@@ -29,6 +29,12 @@ namespace opd::rewrite {
 double OptCost(const afk::Afk& q, const CandidateView& candidate,
                const optimizer::CostModel& model);
 
+/// The same bound from a candidate's parts: its annotation `v`, the summed
+/// bytes of its views and their number. Lets INIT cost a stored view
+/// without building its candidate.
+double OptCost(const afk::Afk& q, const afk::Afk& v, double total_bytes,
+               size_t num_parts, const optimizer::CostModel& model);
+
 }  // namespace opd::rewrite
 
 #endif  // OPD_REWRITE_OPT_COST_H_

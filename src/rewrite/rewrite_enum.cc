@@ -231,7 +231,7 @@ void Dfs(DfsEnv* env, const Afk& state) {
         BuildRewritePlan(*env->candidate, env->seq, *env->target, *env->deps);
     if (!plan_result.ok()) return;
     plan::Plan plan = std::move(plan_result).value();
-    auto cost = env->deps->optimizer->PlanCost(&plan);
+    auto cost = env->deps->optimizer->PlanCost(&plan, env->deps->views);
     if (!cost.ok()) return;
     env->found += 1;
     if (!env->best.has_value() || *cost < env->best->cost) {

@@ -47,7 +47,8 @@ struct TargetContext {
 /// Shared dependencies of the enumeration.
 struct EnumDeps {
   const optimizer::Optimizer* optimizer = nullptr;
-  const catalog::ViewStore* views = nullptr;
+  /// The snapshot the search runs against; candidate parts resolve here.
+  const catalog::ViewSnapshot* views = nullptr;
   const udf::UdfRegistry* udfs = nullptr;
   RewriteOptions options;
 };

@@ -130,7 +130,7 @@ TEST_F(CandidateTest, BuildCandidateScanSingleView) {
   ASSERT_TRUE(run.ok());
   ASSERT_GT(views_.size(), 0u);
   const auto* def = views_.All()[0];
-  auto scan = BuildCandidateScan(MakeBaseCandidate(*def), views_);
+  auto scan = BuildCandidateScan(MakeBaseCandidate(*def), views_.Snapshot());
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ((*scan)->kind, plan::OpKind::kScan);
   EXPECT_EQ((*scan)->view_id, def->id);
@@ -152,7 +152,7 @@ TEST_F(CandidateTest, BuildCandidateScanRejectsUnjoinableParts) {
 
   CandidateView c;
   c.parts = {a->id, b->id};
-  auto scan = BuildCandidateScan(c, views_);
+  auto scan = BuildCandidateScan(c, views_.Snapshot());
   ASSERT_FALSE(scan.ok());
   EXPECT_NE(scan.status().ToString().find("share no attributes"),
             std::string::npos)
@@ -162,7 +162,7 @@ TEST_F(CandidateTest, BuildCandidateScanRejectsUnjoinableParts) {
 TEST_F(CandidateTest, MissingViewIdFails) {
   CandidateView c;
   c.parts = {424242};
-  EXPECT_FALSE(BuildCandidateScan(c, views_).ok());
+  EXPECT_FALSE(BuildCandidateScan(c, views_.Snapshot()).ok());
 }
 
 TEST_F(CandidateTest, JobDagTargetCostIsPrefixSum) {
