@@ -33,8 +33,9 @@ struct RewriteOptions {
   double dp_time_budget_s = 300.0;
   /// Record a per-target DecisionLog (candidates enumerated, reject reasons,
   /// OPTCOST estimates, chosen rewrite) in the RewriteOutcome — the audit
-  /// trail behind EXPLAIN REWRITE. Cheap (one small record per candidate);
-  /// off reverts to the pre-observability behaviour.
+  /// trail behind EXPLAIN REWRITE. Cheap: it stores codes, and builds
+  /// strings only when rendered (decision_log.h); off reverts to the
+  /// pre-observability behaviour.
   bool log_decisions = true;
 };
 
