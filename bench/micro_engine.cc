@@ -3,8 +3,9 @@
 //
 // `micro_engine --json` instead runs a fixed engine workload at 1, 2, 4 and
 // 8 threads and prints one JSON line with wall-clock ms and rows/sec per
-// thread count, plus a warm-rewrite line — the BENCH_engine.json perf
-// trajectory (scripts/bench.sh wraps this).
+// thread count — the BENCH_engine.json perf trajectory (scripts/bench.sh
+// wraps this). `micro_engine --dump-metrics` prints every registered metric
+// name after a cold and a warm rewrite pass (scripts/lint_metrics.py).
 
 #include <benchmark/benchmark.h>
 
@@ -135,8 +136,31 @@ namespace {
 // meaning; scripts/bench.sh quarantines records predating the tag.
 constexpr int kBenchSchemaVersion = 3;
 
-// The --json engine workload: one pass of every operator class (map-only,
-// shuffle join, shuffle aggregation, UDF pipeline) over the synthetic log.
+// The five-plan workload: one of every operator class (map-only project and
+// filter, shuffle aggregation, shuffle join, UDF pipeline) over the
+// synthetic log.
+std::vector<plan::Plan> FivePlans() {
+  std::vector<plan::Plan> plans;
+  plans.emplace_back(
+      plan::Project(plan::Scan("TWTR"), {"user_id", "tweet_text"}));
+  plans.emplace_back(plan::Filter(
+      plan::Scan("TWTR"),
+      plan::FilterCond::Compare("retweets", afk::CmpOp::kGt,
+                                storage::Value(int64_t{1}))));
+  plans.emplace_back(
+      plan::GroupBy(plan::Scan("TWTR"), {"user_id"},
+                    {plan::AggSpec{plan::AggFn::kCount, "", "c"},
+                     plan::AggSpec{plan::AggFn::kAvg, "retweets", "avg"}}));
+  auto counts = plan::GroupBy(plan::Scan("TWTR"), {"user_id"},
+                              {plan::AggSpec{plan::AggFn::kCount, "", "c"}});
+  plans.emplace_back(plan::Join(
+      plan::Project(plan::Scan("TWTR"), {"tweet_id", "user_id"}), counts,
+      {{"user_id", "user_id"}}));
+  plans.emplace_back(plan::Udf(plan::Scan("TWTR"), "UDF_TOKENIZE", {}));
+  return plans;
+}
+
+// The --json engine workload: FivePlans, run with rewriting off.
 struct JsonRun {
   double wall_ms = 0;
   double rows_per_sec = 0;        // aggregate over all iterations
@@ -168,26 +192,9 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
   const auto start = std::chrono::steady_clock::now();
   for (int it = 0; it < iterations; ++it) {
     const auto iter_start = std::chrono::steady_clock::now();
-    plan::Plan project(
-        plan::Project(plan::Scan("TWTR"), {"user_id", "tweet_text"}));
-    plan::Plan filter(plan::Filter(
-        plan::Scan("TWTR"),
-        plan::FilterCond::Compare("retweets", afk::CmpOp::kGt,
-                                  storage::Value(int64_t{1}))));
-    plan::Plan group(
-        plan::GroupBy(plan::Scan("TWTR"), {"user_id"},
-                      {plan::AggSpec{plan::AggFn::kCount, "", "c"},
-                       plan::AggSpec{plan::AggFn::kAvg, "retweets", "avg"}}));
-    auto counts =
-        plan::GroupBy(plan::Scan("TWTR"), {"user_id"},
-                      {plan::AggSpec{plan::AggFn::kCount, "", "c"}});
-    plan::Plan join(plan::Join(
-        plan::Project(plan::Scan("TWTR"), {"tweet_id", "user_id"}), counts,
-        {{"user_id", "user_id"}}));
-    plan::Plan udf(plan::Udf(plan::Scan("TWTR"), "UDF_TOKENIZE", {}));
-    for (plan::Plan* p : {&project, &filter, &group, &join, &udf}) {
+    for (plan::Plan& p : FivePlans()) {
       auto result =
-          bed->session().Run(std::move(*p), RunOptions{.rewrite = false});
+          bed->session().Run(std::move(p), RunOptions{.rewrite = false});
       if (!result.ok()) std::abort();
       run.metrics += result.value().metrics;
       if (it == 0 && result.value().table != nullptr) {
@@ -231,168 +238,21 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
   return run;
 }
 
-// One warmed-rewrite pass over the five-plan workload: every plan runs with
-// BFREWRITE enabled against whatever the view store currently holds, so the
-// first pass over a fresh bed creates the opportunistic views (cold) and the
-// next one rewrites against them (warm). Accumulates the rewrite decision
-// counts, the cost-model residuals, and both an order-sensitive and an
-// order-insensitive output hash (a rewritten plan must produce the same row
-// *set*; its row order may legitimately differ from the original plan's).
-struct RewritePass {
-  double wall_ms = 0;
-  double rows_per_sec = 0;
-  uint64_t ordered_hash = 0;
-  uint64_t unordered_hash = 0;
-  exec::ExecMetrics metrics;
-  rewrite::DecisionCounts decisions;
-  double max_residual_pct = 0;  // max |residual| over executed jobs
-};
-
-RewritePass RunRewritePass(workload::TestBed* bed, size_t n_tweets,
-                           int iterations) {
-  RewritePass pass;
-  uint64_t rows_processed = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (int it = 0; it < iterations; ++it) {
-    plan::Plan project(
-        plan::Project(plan::Scan("TWTR"), {"user_id", "tweet_text"}));
-    plan::Plan filter(plan::Filter(
-        plan::Scan("TWTR"),
-        plan::FilterCond::Compare("retweets", afk::CmpOp::kGt,
-                                  storage::Value(int64_t{1}))));
-    plan::Plan group(
-        plan::GroupBy(plan::Scan("TWTR"), {"user_id"},
-                      {plan::AggSpec{plan::AggFn::kCount, "", "c"},
-                       plan::AggSpec{plan::AggFn::kAvg, "retweets", "avg"}}));
-    auto counts =
-        plan::GroupBy(plan::Scan("TWTR"), {"user_id"},
-                      {plan::AggSpec{plan::AggFn::kCount, "", "c"}});
-    plan::Plan join(plan::Join(
-        plan::Project(plan::Scan("TWTR"), {"tweet_id", "user_id"}), counts,
-        {{"user_id", "user_id"}}));
-    plan::Plan udf(plan::Udf(plan::Scan("TWTR"), "UDF_TOKENIZE", {}));
-    for (plan::Plan* p : {&project, &filter, &group, &join, &udf}) {
-      auto result = bed->session().Run(std::move(*p));
-      if (!result.ok()) std::abort();
-      pass.metrics += result.value().metrics;
-      const rewrite::DecisionCounts c =
-          result.value().rewrite.decisions.Counts();
-      pass.decisions.candidates += c.candidates;
-      pass.decisions.accepted += c.accepted;
-      pass.decisions.signature_mismatch += c.signature_mismatch;
-      pass.decisions.afk_containment += c.afk_containment;
-      pass.decisions.not_cost_improving += c.not_cost_improving;
-      pass.decisions.pruned_by_bound += c.pruned_by_bound;
-      for (const exec::JobRun& jr : result.value().jobs) {
-        const double r =
-            jr.residual_pct < 0 ? -jr.residual_pct : jr.residual_pct;
-        if (r > pass.max_residual_pct) pass.max_residual_pct = r;
-      }
-      if (it == 0 && result.value().table != nullptr) {
-        const storage::TablePtr& table = result.value().table;
-        auto absorb = [&pass](uint64_t h) {
-          HashCombine(&pass.ordered_hash, h);
-          pass.unordered_hash += h;  // commutative: order-insensitive
-        };
-        for (const storage::RowBatch& b : *table->ToBatches()) {
-          for (size_t r = 0; r < b.num_rows(); ++r) absorb(b.HashRowAt(r));
-        }
-      }
-      rows_processed += n_tweets;
-    }
+// One rewrite pass over FivePlans: every plan runs with BFREWRITE against
+// whatever the view store holds, so the first pass over a fresh bed creates
+// the opportunistic views (cold) and the next one rewrites against them
+// (warm).
+void RunRewritePass(workload::TestBed* bed) {
+  for (plan::Plan& p : FivePlans()) {
+    if (!bed->session().Run(std::move(p)).ok()) std::abort();
   }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  pass.wall_ms = wall_s * 1000.0;
-  pass.rows_per_sec =
-      wall_s > 0 ? static_cast<double>(rows_processed) / wall_s : 0;
-  return pass;
-}
-
-std::unique_ptr<workload::TestBed> MakeRewriteBed(size_t n_tweets,
-                                                  int num_threads,
-                                                  bool log_decisions) {
-  workload::TestBedConfig config;
-  config.data.n_tweets = n_tweets;
-  config.data.n_checkins = n_tweets / 2;
-  config.data.n_locations = 300;
-  config.calibrate_udfs = false;
-  config.session.engine.collect_stats = true;  // feeds the residual metrics
-  config.session.engine.num_threads = num_threads;
-  config.session.rewrite.log_decisions = log_decisions;
-  auto bed_result = workload::TestBed::Create(config);
-  if (!bed_result.ok()) std::abort();
-  return std::move(bed_result).value();
-}
-
-// The second --json record, mode "warm_rewrite": the record that exercises
-// the paper's actual reuse loop. A cold pass materializes the opportunistic
-// views, a warm pass over the same plans rewrites against them; the record
-// carries the view/decision/residual observability the cold-only engine
-// record cannot produce, plus the decision-logging overhead (warm-pass wall
-// with the DecisionLog on vs off).
-void PrintWarmRewriteRecord(size_t n_tweets, int iterations, int hw_cores,
-                            int num_threads) {
-  auto bed = MakeRewriteBed(n_tweets, num_threads, /*log_decisions=*/true);
-  const RewritePass cold = RunRewritePass(bed.get(), n_tweets, 1);
-  const RewritePass warm = RunRewritePass(bed.get(), n_tweets, iterations);
-
-  auto unlogged =
-      MakeRewriteBed(n_tweets, num_threads, /*log_decisions=*/false);
-  RunRewritePass(unlogged.get(), n_tweets, 1);  // cold: populate the store
-  const RewritePass warm_unlogged =
-      RunRewritePass(unlogged.get(), n_tweets, iterations);
-  const double overhead_pct =
-      warm_unlogged.wall_ms > 0
-          ? 100.0 * (warm.wall_ms - warm_unlogged.wall_ms) /
-                warm_unlogged.wall_ms
-          : 0;
-
-  exec::ExecMetrics total = cold.metrics;
-  total += warm.metrics;
-  const double max_resid = cold.max_residual_pct > warm.max_residual_pct
-                               ? cold.max_residual_pct
-                               : warm.max_residual_pct;
-
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("bench").String("micro_engine");
-  w.Key("schema_version").Int(kBenchSchemaVersion);
-  w.Key("mode").String("warm_rewrite");
-  w.Key("n_tweets").UInt(n_tweets);
-  w.Key("iterations").Int(iterations);
-  w.Key("hw_cores").Int(hw_cores);
-  w.Key("threads").BeginArray().Int(num_threads).EndArray();
-  w.Key("cold_wall_ms").Double(cold.wall_ms);
-  w.Key("wall_ms").BeginArray().Double(warm.wall_ms).EndArray();
-  w.Key("rows_per_sec").BeginArray().Double(warm.rows_per_sec).EndArray();
-  w.Key("views_created").Int(total.views_created);
-  w.Key("rewrite_decisions").BeginObject();
-  w.Key("candidates").UInt(warm.decisions.candidates);
-  w.Key("accepted").UInt(warm.decisions.accepted);
-  w.Key("signature_mismatch").UInt(warm.decisions.signature_mismatch);
-  w.Key("afk_containment").UInt(warm.decisions.afk_containment);
-  w.Key("not_cost_improving").UInt(warm.decisions.not_cost_improving);
-  w.Key("pruned_by_bound").UInt(warm.decisions.pruned_by_bound);
-  w.EndObject();
-  w.Key("max_residual_pct").Double(max_resid);
-  w.Key("decision_log_overhead_pct").Double(overhead_pct);
-  w.Key("output_hash").UInt(warm.ordered_hash);
-  // Row *sets* must match; a rewritten plan may emit rows in another order.
-  w.Key("outputs_match_cold_pass")
-      .Bool(warm.unordered_hash == cold.unordered_hash);
-  w.Key("metrics").Raw(total.ToJson());
-  w.EndObject();
-  std::printf("%s\n", w.str().c_str());
 }
 
 // Prints the "pipelined" record (the name earlier trajectory records gave
 // the path that is now the engine's only one): the five-job workload,
 // sweeping thread counts {1, 2, 4, 8} untraced plus one traced run at
 // the top thread count (the traced-vs-untraced delta is the tracing
-// overhead), then the "warm_rewrite" record. The pipelined record carries an
-// order-sensitive hash of the result tables; `outputs_match_threads`
+// overhead). The record carries an order-sensitive hash of the result tables; `outputs_match_threads`
 // asserts the determinism contract across thread counts, and `hw_cores`
 // records how much real parallelism backed the numbers (speedups are
 // meaningless on a 1-core runner). scripts/bench.sh timestamps and appends
@@ -470,8 +330,6 @@ int RunJsonMode(const char* trace_path) {
   w.EndObject();
   std::printf("%s\n", w.str().c_str());
 
-  PrintWarmRewriteRecord(kTweets, kIters, hw_cores,
-                         kThreads[kNumThreads - 1]);
   if (trace_path != nullptr) {
     std::vector<const obs::Trace*> ptrs;
     ptrs.reserve(traces.size());
@@ -492,11 +350,18 @@ int RunJsonMode(const char* trace_path) {
 // scripts/lint_metrics.py diffs this against the metric-name literals in
 // src/ to catch dead or misnamed metrics.
 int RunDumpMetricsMode() {
-  auto bed = MakeRewriteBed(/*n_tweets=*/2000, /*num_threads=*/2,
-                            /*log_decisions=*/true);
-  constexpr size_t kTweets = 2000;
-  RunRewritePass(bed.get(), kTweets, 1);  // cold: create views
-  RunRewritePass(bed.get(), kTweets, 1);  // warm: rewrite hits, residuals
+  workload::TestBedConfig config;
+  config.data.n_tweets = 2000;
+  config.data.n_checkins = 1000;
+  config.data.n_locations = 300;
+  config.calibrate_udfs = false;
+  config.session.engine.collect_stats = true;  // feeds the residual metrics
+  config.session.engine.num_threads = 2;
+  auto bed_result = workload::TestBed::Create(config);
+  if (!bed_result.ok()) std::abort();
+  auto bed = std::move(bed_result).value();
+  RunRewritePass(bed.get());  // cold: create views
+  RunRewritePass(bed.get());  // warm: rewrite hits, residuals
   {
     // A join that carries a string column through the vectorized gather —
     // the only path that publishes the storage.dict.* metrics.

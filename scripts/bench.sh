@@ -4,8 +4,7 @@
 # execution engine across PRs — never overwritten). micro_engine --json
 # emits one "pipelined" record for the engine's single execution path,
 # sweeping threads {1, 2, 4, 8} untraced plus one traced run at 8 threads
-# (traced_rows_per_sec vs untraced_rows_per_sec = tracing overhead), and
-# one "warm_rewrite" record (the view-reuse loop).
+# (traced_rows_per_sec vs untraced_rows_per_sec = tracing overhead).
 # micro_eval --json contributes one expression-kernel record (fused
 # project/filter throughput without engine overheads). micro_serve --json
 # contributes one serving-layer record, "serve_observed" (the
@@ -26,8 +25,6 @@
 # runs the benchmarks once and fails (exit 1) if
 #   * the pipelined record's output hash differs between thread counts
 #     (determinism),
-#   * the warm_rewrite record shows no view reuse (views_created == 0, no
-#     accepted rewrites, or warm outputs diverging from the cold pass),
 #   * micro_eval's fused_int64_rows_per_sec falls below EVAL_FLOOR_ROWS_PER_SEC
 #     or its fused outputs diverge from per-row evaluation,
 #   * the pipelined record's speedup_8v1 falls below its recorded
@@ -101,25 +98,6 @@ for rec in records:
         modes["eval"] = rec
     else:
         modes[rec.get("mode")] = rec
-
-warm = modes.get("warm_rewrite")
-if warm is None:
-    failures.append("no 'warm_rewrite' record in benchmark output")
-else:
-    if warm.get("views_created", 0) <= 0:
-        failures.append("warm_rewrite: no opportunistic views were created")
-    if warm.get("rewrite_decisions", {}).get("accepted", 0) <= 0:
-        failures.append("warm_rewrite: the warm pass accepted no rewrites "
-                        "(view reuse is not being exercised)")
-    if not warm.get("outputs_match_cold_pass", False):
-        failures.append("warm_rewrite: rewritten outputs diverge from the "
-                        "cold pass (rewrite correctness regression)")
-    print(f"bench --check: warm_rewrite views_created="
-          f"{warm.get('views_created')} accepted="
-          f"{warm.get('rewrite_decisions', {}).get('accepted')} "
-          f"max_residual_pct={warm.get('max_residual_pct'):.1f} "
-          f"decision_log_overhead_pct="
-          f"{warm.get('decision_log_overhead_pct'):.1f}")
 
 engine = modes.get("pipelined")
 if engine is None:

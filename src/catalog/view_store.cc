@@ -85,46 +85,6 @@ Result<const ViewDefinition*> ViewSnapshot::Find(ViewId id) const {
 
 ViewStore::ViewStore() : version_(std::make_shared<const ViewVersion>()) {}
 
-ViewStore::ViewStore(const ViewStore& other) {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  next_id_ = other.next_id_;
-  clock_ = other.clock_;
-  epoch_ = other.epoch_;
-  by_canonical_ = other.by_canonical_;
-  std::vector<std::shared_ptr<ViewDefinition>> views;
-  views.reserve(other.version_->views.size());
-  for (const auto& def : other.version_->views) {
-    views.push_back(std::make_shared<ViewDefinition>(*def));
-  }
-  InstallLocked(std::move(views));
-}
-
-ViewStore& ViewStore::operator=(const ViewStore& other) {
-  if (this == &other) return *this;
-  ViewStore tmp(other);  // deep copy without holding our own lock
-  return *this = std::move(tmp);
-}
-
-ViewStore::ViewStore(ViewStore&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  next_id_ = other.next_id_;
-  clock_ = other.clock_;
-  epoch_ = other.epoch_;
-  version_ = std::exchange(other.version_, std::make_shared<const ViewVersion>());
-  by_canonical_ = std::move(other.by_canonical_);
-}
-
-ViewStore& ViewStore::operator=(ViewStore&& other) noexcept {
-  if (this == &other) return *this;
-  std::scoped_lock lock(mu_, other.mu_);
-  next_id_ = other.next_id_;
-  clock_ = other.clock_;
-  epoch_ = other.epoch_;
-  version_ = std::exchange(other.version_, std::make_shared<const ViewVersion>());
-  by_canonical_ = std::move(other.by_canonical_);
-  return *this;
-}
-
 int64_t ViewStore::PositionLocked(ViewId id) const {
   return FindPosition(*version_, version_->views.size(), id);
 }

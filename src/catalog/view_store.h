@@ -135,15 +135,6 @@ class ViewStore {
  public:
   ViewStore();
 
-  /// Copy/move are DEEP: every ViewDefinition is cloned (never aliased), so
-  /// a copied store is a true checkpoint — later RecordAccess/Drop on one
-  /// side never leaks into the other. Both sides are locked; intended for
-  /// offline experiment checkpoint/rollback, not for serving traffic.
-  ViewStore(const ViewStore& other);
-  ViewStore& operator=(const ViewStore& other);
-  ViewStore(ViewStore&& other) noexcept;
-  ViewStore& operator=(ViewStore&& other) noexcept;
-
   /// Outcome of publishing one definition.
   struct PublishResult {
     ViewId id = -1;

@@ -97,17 +97,22 @@ std::string OpNode::DisplayName() const {
   return out;
 }
 
+OpNodePtr CopyOperator(const OpNode& node) {
+  auto copy = std::make_shared<OpNode>();
+  copy->kind = node.kind;
+  copy->table = node.table;
+  copy->view_id = node.view_id;
+  copy->project = node.project;
+  copy->filter = node.filter;
+  copy->join = node.join;
+  copy->group = node.group;
+  copy->udf = node.udf;
+  return copy;
+}
+
 OpNodePtr CloneTree(const OpNodePtr& node) {
   if (node == nullptr) return nullptr;
-  auto copy = std::make_shared<OpNode>();
-  copy->kind = node->kind;
-  copy->table = node->table;
-  copy->view_id = node->view_id;
-  copy->project = node->project;
-  copy->filter = node->filter;
-  copy->join = node->join;
-  copy->group = node->group;
-  copy->udf = node->udf;
+  OpNodePtr copy = CopyOperator(*node);
   for (const OpNodePtr& child : node->children) {
     copy->children.push_back(CloneTree(child));
   }

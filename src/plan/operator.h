@@ -128,6 +128,10 @@ struct OpNode {
   std::string DisplayName() const;
 };
 
+/// Copies the node's operator (kind and payload) into a new node with no
+/// children and no annotation. The one place that lists the payload fields.
+OpNodePtr CopyOperator(const OpNode& node);
+
 /// Creates a deep structural copy of the node (annotation cleared) sharing no
 /// OpNode with the original. Used when grafting plan fragments.
 OpNodePtr CloneTree(const OpNodePtr& node);

@@ -37,8 +37,8 @@ struct SearchState {
   std::vector<double> best_cost;
   std::vector<ViewFinder> finders;
   RewriteStats* stats = nullptr;
-  /// Decision audit trail; null when RewriteOptions::log_decisions is off.
-  /// targets is pre-sized to the DAG, so element pointers stay stable.
+  /// The search's record; targets is pre-sized to the DAG, so element
+  /// pointers stay stable.
   DecisionLog* log = nullptr;
   std::chrono::steady_clock::time_point start;
 
@@ -52,18 +52,9 @@ struct SearchState {
   /// best plans of its producers (used by PROPBESTREWRITE).
   plan::OpNodePtr Compose(int i) const {
     const plan::Job& job = dag->job(i);
-    auto node = std::make_shared<plan::OpNode>();
-    const plan::OpNode& orig = *job.op;
-    node->kind = orig.kind;
-    node->table = orig.table;
-    node->view_id = orig.view_id;
-    node->project = orig.project;
-    node->filter = orig.filter;
-    node->join = orig.join;
-    node->group = orig.group;
-    node->udf = orig.udf;
+    plan::OpNodePtr node = plan::CopyOperator(*job.op);
     size_t producer_idx = 0;
-    for (const plan::OpNodePtr& child : orig.children) {
+    for (const plan::OpNodePtr& child : job.op->children) {
       if (child->kind == plan::OpKind::kScan) {
         node->children.push_back(child);
       } else {
@@ -99,32 +90,30 @@ struct SearchState {
   Status RefineTarget(int i) {
     auto result = finders[i].Refine();
     OPD_RETURN_NOT_OK(finders[i].status());
-    const bool improves =
-        result.has_value() && result->cost + kEps < best_cost[i];
-    if (log != nullptr && result.has_value()) {
-      // Refine() recorded the candidate it just popped; only the search
-      // loop knows whether the rewrite actually beat the target's running
-      // best.
-      TargetDecision& td = log->targets[static_cast<size_t>(i)];
-      if (improves) {
-        // Demote the previously accepted candidate (if any): it is no
-        // longer cheaper than the best, which is this one's definition of
-        // rejection. Keeps the invariant "at most one accepted per target".
-        if (td.chosen >= 0) {
-          td.pops[static_cast<size_t>(td.chosen)].reject =
-              RejectReason::kNotCostImproving;
-        }
-        td.chosen = static_cast<int>(td.pops.size()) - 1;
-      } else {
-        td.pops.back().reject = RejectReason::kNotCostImproving;
-      }
+    // Refine() recorded the candidate it just popped.
+    TargetDecision& td = log->targets[static_cast<size_t>(i)];
+    stats->candidates_considered += 1;
+    if (td.pops.back().guess_complete) stats->rewrite_attempts += 1;
+    if (!result.has_value()) return Status::OK();
+    stats->rewrites_found += result->rewrites_found;
+    // Only the search loop knows whether the rewrite actually beat the
+    // target's running best.
+    if (!(result->cost + kEps < best_cost[i])) {
+      td.pops.back().reject = RejectReason::kNotCostImproving;
+      return Status::OK();
     }
-    if (improves) {
-      best_cost[i] = result->cost;
-      best_plan[i] = result->plan.root();
-      if (i == dag->sink()) RecordSinkImprovement();
-      for (int k : dag->job(i).consumers) PropBestRewrite(k);
+    // Demote the previously accepted candidate (if any): it is no longer
+    // cheaper than the best, which is this one's definition of rejection.
+    // Keeps the invariant "at most one accepted per target".
+    if (td.chosen >= 0) {
+      td.pops[static_cast<size_t>(td.chosen)].reject =
+          RejectReason::kNotCostImproving;
     }
+    td.chosen = static_cast<int>(td.pops.size()) - 1;
+    best_cost[i] = result->cost;
+    best_plan[i] = result->plan.root();
+    if (i == dag->sink()) RecordSinkImprovement();
+    for (int k : dag->job(i).consumers) PropBestRewrite(k);
     return Status::OK();
   }
 
@@ -188,20 +177,16 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
   state.best_plan.resize(n);
   state.best_cost.resize(n);
   state.finders.resize(n);
-  if (options_.log_decisions) {
-    outcome.decisions.views = snapshot;
-    outcome.decisions.targets.resize(n);
-    state.log = &outcome.decisions;
-  }
+  outcome.decisions.views = snapshot;
+  outcome.decisions.targets.resize(n);
+  state.log = &outcome.decisions;
   for (size_t i = 0; i < n; ++i) {
     state.best_plan[i] = dag.job(i).op;
     state.best_cost[i] = dag.TargetCost(i);
-    if (state.log != nullptr) {
-      TargetDecision& td = state.log->targets[i];
-      td.target_index = static_cast<int>(i);
-      td.target_op = dag.job(i).op->DisplayName();
-      td.original_cost = state.best_cost[i];
-    }
+    TargetDecision& td = outcome.decisions.targets[i];
+    td.target_index = static_cast<int>(i);
+    td.target_op = dag.job(i).op->DisplayName();
+    td.original_cost = state.best_cost[i];
     // Target-side setup is memoized on the subplan fingerprint (see
     // bf_rewrite.h): repeated structurally identical targets skip the
     // TargetContext derivation and the useful-signature computation.
@@ -222,9 +207,7 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
       }
       target_memo_.emplace(fp, setup);
     }
-    state.finders[i].Init(std::move(setup), deps, &outcome.stats,
-                          state.log != nullptr ? &state.log->targets[i]
-                                               : nullptr);
+    state.finders[i].Init(std::move(setup), deps, &td);
   }
   outcome.original_cost = state.best_cost[dag.sink()];
   outcome.stats.convergence.emplace_back(0.0, outcome.original_cost);
@@ -242,15 +225,23 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
     round_span.AddArg("best_cost", state.best_cost[dag.sink()]);
   }
 
-  if (state.log != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      state.finders[i].DrainPrunedDecisions();
-      TargetDecision& td = state.log->targets[i];
-      td.best_cost = state.best_cost[i];
-      td.predicted_benefit_s =
-          std::max(td.original_cost - td.best_cost, 0.0);
-    }
+  for (size_t i = 0; i < n; ++i) {
+    state.finders[i].DrainPrunedDecisions();
+    TargetDecision& td = outcome.decisions.targets[i];
+    td.best_cost = state.best_cost[i];
+    td.predicted_benefit_s = std::max(td.original_cost - td.best_cost, 0.0);
   }
+  // The process-wide search-effort counters, resolved once like
+  // MemoCounter, advance by this rewrite's RewriteStats.
+  static obs::Counter& candidates =
+      obs::MetricRegistry::Global().counter("rewrite.candidates_considered");
+  static obs::Counter& attempts =
+      obs::MetricRegistry::Global().counter("rewrite.attempts");
+  static obs::Counter& found =
+      obs::MetricRegistry::Global().counter("rewrite.found");
+  candidates.Inc(outcome.stats.candidates_considered);
+  attempts.Inc(outcome.stats.rewrite_attempts);
+  found.Inc(outcome.stats.rewrites_found);
   outcome.plan = plan::Plan(state.best_plan[dag.sink()], plan->name());
   outcome.est_cost = state.best_cost[dag.sink()];
   outcome.improved = outcome.est_cost + kEps < outcome.original_cost;

@@ -31,12 +31,6 @@ struct RewriteOptions {
   /// Safety caps for the exhaustive DP baseline.
   size_t dp_candidate_budget = 200000;
   double dp_time_budget_s = 300.0;
-  /// Record a per-target DecisionLog (candidates enumerated, reject reasons,
-  /// OPTCOST estimates, chosen rewrite) in the RewriteOutcome — the audit
-  /// trail behind EXPLAIN REWRITE. Cheap: it stores codes, and builds
-  /// strings only when rendered (decision_log.h); off reverts to the
-  /// pre-observability behaviour.
-  bool log_decisions = true;
 };
 
 /// Search-effort counters (the paper's Figure 9 metrics).
@@ -65,9 +59,10 @@ struct RewriteOutcome {
   double original_cost = 0;
   bool improved = false;
   RewriteStats stats;
-  /// Per-target decision audit trail; populated by BFREWRITE when
-  /// RewriteOptions::log_decisions (empty otherwise, and for the baseline
-  /// rewriters).
+  /// Per-target decision audit trail (candidates enumerated, reject
+  /// reasons, OPTCOST estimates, chosen rewrite), the record behind EXPLAIN
+  /// REWRITE. Always filled by BFREWRITE; empty for the DP and syntactic
+  /// baselines.
   DecisionLog decisions;
 };
 

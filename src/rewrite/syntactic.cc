@@ -47,18 +47,9 @@ Result<RewriteOutcome> SyntacticRewriter::Rewrite(plan::Plan* plan) const {
       if (dp_plan[p] != dag.job(p).op) any_rewritten = true;
     }
     if (any_rewritten) {
-      auto node = std::make_shared<plan::OpNode>();
-      const plan::OpNode& orig = *job.op;
-      node->kind = orig.kind;
-      node->table = orig.table;
-      node->view_id = orig.view_id;
-      node->project = orig.project;
-      node->filter = orig.filter;
-      node->join = orig.join;
-      node->group = orig.group;
-      node->udf = orig.udf;
+      plan::OpNodePtr node = plan::CopyOperator(*job.op);
       size_t producer_idx = 0;
-      for (const plan::OpNodePtr& child : orig.children) {
+      for (const plan::OpNodePtr& child : job.op->children) {
         if (child->kind == plan::OpKind::kScan) {
           node->children.push_back(child);
         } else {

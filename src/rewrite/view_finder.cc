@@ -2,34 +2,11 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "rewrite/guess_complete.h"
 #include "rewrite/merge.h"
 #include "rewrite/opt_cost.h"
 
 namespace opd::rewrite {
-
-namespace {
-
-/// The search-effort counters, resolved once: MetricRegistry::ResetAll
-/// zeroes counters but never frees them.
-struct SearchCounters {
-  obs::Counter& candidates_considered;
-  obs::Counter& attempts;
-  obs::Counter& found;
-};
-
-const SearchCounters& Counters() {
-  static const SearchCounters counters = [] {
-    auto& registry = obs::MetricRegistry::Global();
-    return SearchCounters{registry.counter("rewrite.candidates_considered"),
-                          registry.counter("rewrite.attempts"),
-                          registry.counter("rewrite.found")};
-  }();
-  return counters;
-}
-
-}  // namespace
 
 std::shared_ptr<const TargetSetup> MakeTargetSetup(
     const plan::OpNodePtr& target_root) {
@@ -46,10 +23,9 @@ std::span<const catalog::ViewId> ViewFinder::Parts(
 }
 
 void ViewFinder::Init(std::shared_ptr<const TargetSetup> setup, EnumDeps deps,
-                      RewriteStats* stats, TargetDecision* decision) {
+                      TargetDecision* decision) {
   setup_ = std::move(setup);
   deps_ = std::move(deps);
-  stats_ = stats;
   decision_ = decision;
   relevant_.clear();
   masks_.clear();
@@ -132,18 +108,9 @@ std::optional<EnumResult> ViewFinder::Refine() {
     v = std::move(merged_[e.slot]);
   }
   v.opt_cost = e.opt_cost;
-  if (stats_ != nullptr) stats_->candidates_considered += 1;
-  PoppedCandidate* cd = nullptr;
-  if (decision_ != nullptr) {
-    decision_->pops.emplace_back();
-    cd = &decision_->pops.back();
-    cd->parts = v.parts;
-    cd->opt_cost = v.opt_cost;
-  }
-  // Mirror the per-search stats into the process-wide registry so cumulative
-  // search effort is visible across queries.
-  const SearchCounters& counters = Counters();
-  counters.candidates_considered.Inc();
+  PoppedCandidate& cd = decision_->pops.emplace_back();
+  cd.parts = v.parts;
+  cd.opt_cost = v.opt_cost;
 
   // Grow the space: merge v with every previously-seen candidate. MiniCon-
   // style pruning: a merge is only created when each side contributes a
@@ -167,36 +134,27 @@ std::optional<EnumResult> ViewFinder::Refine() {
 
   if (deps_.options.use_guess_complete_filter &&
       !GuessComplete(setup_->target.afk, v.afk)) {
-    if (cd != nullptr) cd->reject = RejectReason::kAfkContainment;
+    cd.reject = RejectReason::kAfkContainment;
     return std::nullopt;
   }
-  if (cd != nullptr) cd->guess_complete = true;
-  if (stats_ != nullptr) stats_->rewrite_attempts += 1;
-  counters.attempts.Inc();
+  cd.guess_complete = true;
   auto result = RewriteEnum(setup_->target, v, deps_);
   if (!result.ok()) {
     status_ = result.status();
     return std::nullopt;
   }
   if (result.value().has_value()) {
-    if (stats_ != nullptr) {
-      stats_->rewrites_found += result.value()->rewrites_found;
-    }
-    counters.found.Inc(result.value()->rewrites_found);
-    if (cd != nullptr) {
-      cd->rewrite_found = true;
-      cd->rewrite_cost = result.value()->cost;
-    }
-  } else if (cd != nullptr) {
+    cd.rewrite_found = true;
+    cd.rewrite_cost = result.value()->cost;
+  } else {
     // GUESSCOMPLETE said maybe, the exact enumeration said no: a confirmed
     // containment failure.
-    cd->reject = RejectReason::kAfkContainment;
+    cd.reject = RejectReason::kAfkContainment;
   }
   return std::move(result).value();
 }
 
 void ViewFinder::DrainPrunedDecisions() {
-  if (decision_ == nullptr) return;
   decision_->relevant = std::move(relevant_);
   decision_->pruned = std::move(heap_);
   decision_->merges.reserve(merged_.size());

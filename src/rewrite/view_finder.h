@@ -61,13 +61,14 @@ class ViewFinder {
   /// w.r.t. the target. `setup` is shared, read-only, for the finder's
   /// lifetime.
   ///
-  /// `decision` (optional, caller-owned, must outlive the finder) receives
-  /// the per-candidate audit trail: REFINE records every pop with its
-  /// OPTCOST and containment outcome, and DrainPrunedDecisions the relevant
-  /// set and the leftovers. The caller classifies accepted vs
-  /// not-cost-improving (only it knows the running best cost).
+  /// `decision` (required, caller-owned, must outlive the finder) is the
+  /// search's only record: REFINE appends every pop with its OPTCOST and
+  /// containment outcome, and DrainPrunedDecisions adds the relevant set
+  /// and the leftovers. The caller classifies accepted vs
+  /// not-cost-improving (only it knows the running best cost) and derives
+  /// its RewriteStats from the pops.
   void Init(std::shared_ptr<const TargetSetup> setup, EnumDeps deps,
-            RewriteStats* stats, TargetDecision* decision = nullptr);
+            TargetDecision* decision);
 
   /// PEEK: the OPTCOST of the next candidate, or +inf when exhausted.
   double Peek() const;
@@ -84,8 +85,8 @@ class ViewFinder {
 
   /// Completes the decision record: hands it the relevant view positions
   /// and every candidate still queued (pruned by the bound: the search
-  /// ended before refining them). No-op without a decision sink; call
-  /// once, when the search is over: it leaves the finder exhausted.
+  /// ended before refining them). Call once, when the search is over: it
+  /// leaves the finder exhausted.
   void DrainPrunedDecisions();
 
  private:
@@ -108,7 +109,6 @@ class ViewFinder {
 
   std::shared_ptr<const TargetSetup> setup_;
   EnumDeps deps_;
-  RewriteStats* stats_ = nullptr;
   TargetDecision* decision_ = nullptr;
   Status status_;
 

@@ -375,8 +375,9 @@ Result<RunResult> Server::RunAdmitted(const std::string& tenant,
       (void)dfs_->Delete(paths[i]);  // cannot fail: the engine wrote it
     }
   }
-  // Publication can evict or supersede views (retention runs inside
-  // PublishBatch); sweep recycled builds whose source view is gone. Entries
+  // Publishing never drops a view, but Drop, DropAll, DropIdentical and
+  // ViewRetention can drop views between queries; sweep the recycled builds
+  // of every view dropped since the last query. Entries
   // keyed at older epochs of a still-alive view die naturally: their
   // RecycleKey embeds the publish epoch, so nothing can look them up, and
   // the byte budget reclaims them as their benefit-per-byte decays.

@@ -247,10 +247,16 @@ Result<std::vector<double>> RunAnalystAccumulation(TestBed* bed) {
                            bed->RunOriginal(analyst, version));
       (void)ignored;
     }
-    // Measure, then roll back the measurement run's own view contributions.
-    catalog::ViewStore snapshot = bed->views();
+    // Measure, then roll back the measurement run's own views: drop every
+    // view it published, with its DFS file.
+    const catalog::Epoch before = bed->views().epoch();
     OPD_ASSIGN_OR_RETURN(TestBed::RewrittenRun rewr, bed->RunRewritten(5, 3));
-    bed->views() = std::move(snapshot);
+    const catalog::ViewSnapshot after = bed->views().Snapshot();
+    for (const catalog::ViewDefinition* view : after.All()) {
+      if (view->publish_epoch <= before) continue;
+      OPD_RETURN_NOT_OK(bed->views().Drop(view->id));
+      OPD_RETURN_NOT_OK(bed->dfs().Delete(view->dfs_path));
+    }
     double improvement =
         baseline_time <= 0
             ? 0

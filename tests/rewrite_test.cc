@@ -334,10 +334,10 @@ TEST_F(RewriteTest, ViewFinderOrdersByOptCost) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(1.0, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  RewriteStats stats;
+  TargetDecision decision;
   ViewFinder finder;
   EnumDeps deps = Deps();
-  finder.Init(MakeTargetSetup(q.root()), deps, &stats);
+  finder.Init(MakeTargetSetup(q.root()), deps, &decision);
   double prev = -1;
   int pops = 0;
   while (!finder.exhausted() && pops < 100) {
@@ -349,18 +349,19 @@ TEST_F(RewriteTest, ViewFinderOrdersByOptCost) {
     ++pops;
   }
   EXPECT_GT(pops, 0);
-  EXPECT_EQ(stats.candidates_considered, static_cast<size_t>(pops));
+  EXPECT_EQ(decision.pops.size(), static_cast<size_t>(pops));
 }
 
 TEST_F(RewriteTest, ViewFinderPeekInfinityWhenExhausted) {
-  RewriteStats stats;
+  TargetDecision decision;
   ViewFinder finder;
   plan::Plan q = WineQuery(0.5, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
   EnumDeps deps = Deps();
-  finder.Init(MakeTargetSetup(q.root()), deps, &stats);
+  finder.Init(MakeTargetSetup(q.root()), deps, &decision);
   EXPECT_TRUE(std::isinf(finder.Peek()));
   EXPECT_FALSE(finder.Refine().has_value());
+  EXPECT_TRUE(decision.pops.empty());
 }
 
 // --- BFR end-to-end -----------------------------------------------------------
@@ -428,6 +429,29 @@ TEST_F(RewriteTest, BfrMemoizesTargetSetupOnFingerprint) {
   ASSERT_TRUE(bfr_->Rewrite(&q2).ok());
   EXPECT_EQ(misses.value(), misses1);
   EXPECT_EQ(hits.value(), hits1 + (misses1 - misses0));
+}
+
+// The process-wide search counters advance once per rewrite, by exactly
+// the outcome's RewriteStats.
+TEST_F(RewriteTest, SearchCountersAdvanceByRewriteStats) {
+  auto& registry = obs::MetricRegistry::Global();
+  auto& candidates = registry.counter("rewrite.candidates_considered");
+  auto& attempts = registry.counter("rewrite.attempts");
+  auto& found = registry.counter("rewrite.found");
+  Execute(WineQuery(0.5, 5));
+  const uint64_t candidates0 = candidates.value();
+  const uint64_t attempts0 = attempts.value();
+  const uint64_t found0 = found.value();
+
+  plan::Plan q = WineQuery(1.0, 5);
+  auto outcome = bfr_->Rewrite(&q);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_TRUE(outcome->improved);
+  const RewriteStats& stats = outcome->stats;
+  EXPECT_GT(stats.rewrites_found, 0u);
+  EXPECT_EQ(candidates.value() - candidates0, stats.candidates_considered);
+  EXPECT_EQ(attempts.value() - attempts0, stats.rewrite_attempts);
+  EXPECT_EQ(found.value() - found0, stats.rewrites_found);
 }
 
 // The target memo is bounded: once kMaxTargetMemo + 1 distinct targets
@@ -615,18 +639,6 @@ TEST_F(RewriteTest, RejectReasonCodesAreStable) {
                "not_cost_improving");
   EXPECT_STREQ(RejectReasonCode(RejectReason::kPrunedByBound),
                "pruned_by_bound");
-}
-
-TEST_F(RewriteTest, DecisionLogEmptyWhenLoggingOff) {
-  Execute(WineQuery(0.5, 5));
-  RewriteOptions options;
-  options.log_decisions = false;
-  BfRewriter quiet(optimizer_.get(), &views_, options);
-  plan::Plan q = WineQuery(0.5, 5);
-  auto outcome = quiet.Rewrite(&q);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->improved);  // behaviour unchanged, log just absent
-  EXPECT_TRUE(outcome->decisions.targets.empty());
 }
 
 TEST_F(RewriteTest, DecisionLogAccountsForEveryCandidate) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "workload/scenarios.h"
 
 namespace opd::workload {
@@ -76,6 +79,17 @@ TEST_F(ScenarioTest, AnalystAccumulationMonotoneShape) {
   for (double v : *improvements) {
     EXPECT_GE(v, -5.0);
     EXPECT_LE(v, 100.0);
+  }
+  // Rolling back a measured run also deletes its views' DFS files: every
+  // view file left belongs to a live view.
+  std::set<std::string> live;
+  for (const catalog::ViewDefinition* view : bed_->views().All()) {
+    live.insert(view->dfs_path);
+  }
+  for (const std::string& path : bed_->dfs().ListPaths()) {
+    if (path.starts_with("views/")) {
+      EXPECT_TRUE(live.count(path) > 0) << "orphaned " << path;
+    }
   }
 }
 
