@@ -39,8 +39,6 @@ struct Env {
     config.data.n_checkins = 2000;
     config.data.n_locations = 300;
     config.calibrate_udfs = false;
-    config.session.engine.retain_views = false;
-    config.session.engine.collect_stats = false;
     auto result = workload::TestBed::Create(config);
     if (!result.ok()) std::abort();
     bed = std::move(result).value();
@@ -178,8 +176,6 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
   config.data.n_checkins = n_tweets / 2;
   config.data.n_locations = 300;
   config.calibrate_udfs = false;
-  config.session.engine.retain_views = false;
-  config.session.engine.collect_stats = false;
   config.session.engine.num_threads = num_threads;
   config.session.obs.tracing = traced;
   auto bed_result = workload::TestBed::Create(config);
@@ -355,7 +351,6 @@ int RunDumpMetricsMode() {
   config.data.n_checkins = 1000;
   config.data.n_locations = 300;
   config.calibrate_udfs = false;
-  config.session.engine.collect_stats = true;  // feeds the residual metrics
   config.session.engine.num_threads = 2;
   auto bed_result = workload::TestBed::Create(config);
   if (!bed_result.ok()) std::abort();

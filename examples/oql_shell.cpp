@@ -178,8 +178,7 @@ int RunProgram(workload::TestBed* bed, ClientSession* client,
                    outcome.status().ToString().c_str());
       return 1;
     }
-    std::printf("%s\n",
-                RenderExplainRewrite(*outcome, bed->views().size()).c_str());
+    std::printf("%s\n", RenderExplainRewrite(*outcome).c_str());
     g_decision_logs.emplace_back(label, outcome->decisions.ToJson());
     return 0;
   }

@@ -25,9 +25,11 @@
 # Then runs the perf-floor gate
 # (scripts/bench.sh --check) against the REGULAR build — never the
 # instrumented one, whose overhead would make any timing floor meaningless —
-# and then the metric-name lint (scripts/lint_metrics.py), which diffs the
-# metric literals in src/ against the names `micro_engine --dump-metrics`
-# actually registers. Last, one-second traced perfbench runs
+# then Figure 10's scalability bench (bench/fig10_scalability), whose
+# store is grown by executing queries and whose paper-shape checks gate the
+# BFR/DP gap, and then the metric-name lint (scripts/lint_metrics.py), which
+# diffs the metric literals in src/ against the names
+# `micro_engine --dump-metrics` actually registers. Last, one-second traced perfbench runs
 # (perfbench/run.py) guard the benchmark's API surface: perfbench compiles
 # against src/, so an API change could otherwise break the benchmark
 # without any test noticing. `warm_500v` is the rewriter-bound workload;
@@ -74,6 +76,11 @@ echo "== micro_recycle under ASan+UBSan (hash recycling, correctness only) =="
 ASAN_OPTIONS=detect_leaks=0 ./build-asan/bench/micro_recycle --json >/dev/null
 echo "== perf-floor gate (regular build, see scripts/bench.sh --check) =="
 scripts/bench.sh --check
+echo "== Figure 10 on executed views (regular build) =="
+# Grows a store of ~1000 views by executing the workload and its variants
+# through the serving path, then times BFR against DP on A3v1 at five
+# store sizes (~30 s on 4 cores). Exits 1 on any failed paper-shape check.
+./build/bench/fig10_scalability
 echo "== metric-name lint (scripts/lint_metrics.py) =="
 dump="$(mktemp)"
 trap 'rm -f "${dump}"' EXIT

@@ -139,8 +139,6 @@ ViewStore::PublishResult ViewStore::Publish(ViewDefinition def) {
   return PublishBatch(std::move(batch))[0];
 }
 
-ViewId ViewStore::Add(ViewDefinition def) { return Publish(std::move(def)).id; }
-
 Epoch ViewStore::epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   return epoch_;
@@ -233,21 +231,6 @@ void ViewStore::DropAll() {
   std::lock_guard<std::mutex> lock(mu_);
   InstallLocked({});
   by_canonical_.clear();
-}
-
-size_t ViewStore::DropIdentical(const afk::Afk& afk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::shared_ptr<ViewDefinition>> kept;
-  for (const auto& def : version_->views) {
-    if (def->afk == afk) {
-      by_canonical_.erase(def->afk.CanonicalString());
-    } else {
-      kept.push_back(def);
-    }
-  }
-  const size_t dropped = version_->views.size() - kept.size();
-  if (dropped > 0) InstallLocked(std::move(kept));
-  return dropped;
 }
 
 }  // namespace opd::catalog

@@ -8,7 +8,12 @@
 //
 //   * `Publish`/`PublishBatch` insert fully-materialized views atomically
 //     and advance the epoch — a batch (one completed query's views) becomes
-//     visible all at once or not at all.
+//     visible all at once or not at all. In `src/`, `Server::RunAdmitted` is
+//     the only publisher: every view is the output of an executed job.
+//     `Publish` serves tests that build a store by hand.
+//   * `Drop`/`DropAll` remove views from the live store (and from every
+//     later snapshot); they never touch the DFS, whose files the caller
+//     deletes.
 //   * `SnapshotAt(e)` returns exactly the views published at epochs <= e.
 //     A query admitted at epoch e rewrites only against that snapshot, so
 //     it can never observe a half-published view.
@@ -157,11 +162,6 @@ class ViewStore {
   /// Publishes a single view (one-element batch; one epoch bump).
   PublishResult Publish(ViewDefinition def);
 
-  /// Adds a view. If a view with an identical AFK annotation exists, returns
-  /// that existing view's id and does not add (deduplication). Equivalent
-  /// to Publish(def).id — the historical single-view interface.
-  ViewId Add(ViewDefinition def);
-
   /// The epoch of the most recent publish batch (0 before the first).
   /// A query admitted now sees exactly SnapshotAt(epoch()).
   Epoch epoch() const;
@@ -183,13 +183,9 @@ class ViewStore {
   /// Total bytes of all retained views.
   uint64_t TotalBytes() const;
 
+  /// Remove views' metadata only; the caller deletes their DFS files.
   Status Drop(ViewId id);
   void DropAll();
-
-  /// Removes every view whose AFK annotation exactly matches `afk`
-  /// (used by the "discard identical views" experiment, Table 2).
-  /// Returns the number removed.
-  size_t DropIdentical(const afk::Afk& afk);
 
   /// Records that a rewrite used view `id`, attributing `benefit_s` of
   /// estimated savings. Advances the logical access clock.

@@ -1117,34 +1117,29 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
       if (st.skew > 0) skew_hist->Observe(st.skew);
     }
 
-    if (options_.retain_views) {
-      catalog::ViewDefinition def;
-      def.dfs_path = specs[j].path;
-      def.afk = node->afk;
-      def.out_attrs = node->out_attrs;
-      def.schema = node->out_schema;
-      def.fingerprint = plan::Fingerprint(node_ptr);
-      def.bytes = st.out_bytes;
-      def.producer = plan->name();
-      if (options_.collect_stats) {
-        obs::TraceSpan stats_span(trace,
-                                  job_span != nullptr ? job_span->id() : 0,
-                                  "stats", "phase");
-        const auto stats_start = std::chrono::steady_clock::now();
-        def.stats = stats_.Collect(*st.table, pool_.get());
-        metrics.stats_wall_time_s +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          stats_start)
-                .count();
-        metrics.stats_time_s += stats_.JobTime(*st.table, model);
-      } else {
-        def.stats.rows = static_cast<double>(st.table->num_rows());
-        def.stats.avg_row_bytes = st.table->AvgRowBytes();
-      }
-      // The definition is complete here (data in DFS, stats collected) but
-      // is not visible: the caller publishes the run's views as one batch.
-      result.pending_views.push_back(std::move(def));
+    catalog::ViewDefinition def;
+    def.dfs_path = specs[j].path;
+    def.afk = node->afk;
+    def.out_attrs = node->out_attrs;
+    def.schema = node->out_schema;
+    def.fingerprint = plan::Fingerprint(node_ptr);
+    def.bytes = st.out_bytes;
+    def.producer = plan->name();
+    {
+      obs::TraceSpan stats_span(trace,
+                                job_span != nullptr ? job_span->id() : 0,
+                                "stats", "phase");
+      const auto stats_start = std::chrono::steady_clock::now();
+      def.stats = stats_.Collect(*st.table, pool_.get());
+      metrics.stats_wall_time_s +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        stats_start)
+              .count();
+      metrics.stats_time_s += stats_.JobTime(*st.table, model);
     }
+    // The definition is complete here (data in DFS, stats collected) but is
+    // not visible: the caller publishes the run's views as one batch.
+    result.pending_views.push_back(std::move(def));
     return Status::OK();
   };
 

@@ -46,14 +46,10 @@ class HashRecycler;
 /// UDFs run one task per batch, called on each row's argument cells; UDF
 /// local functions run row-at-a-time over rows built split by split, and
 /// their output is cut back into batches. Hash tables are recycled across
-/// queries when a recycler is attached (Engine::set_recycler).
+/// queries when a recycler is attached (Engine::set_recycler). Every job's
+/// output is retained as an opportunistic view (Section 2.1) with sampled
+/// statistics; there is no switch for either.
 struct EngineOptions {
-  /// Retain job outputs as opportunistic views (Section 2.1), i.e. return
-  /// them in ExecResult::pending_views. Always true in the paper's system;
-  /// switchable for ablation.
-  bool retain_views = true;
-  /// Run the sampling stats job for each retained view.
-  bool collect_stats = true;
   /// Worker threads for map/reduce task execution. 0 means one per core;
   /// 1 runs every task inline on the calling thread (the pre-parallel
   /// behavior). Results are byte-identical for every setting.
@@ -103,9 +99,9 @@ struct ExecResult {
   /// One record per executed MR job, in submission order.
   std::vector<JobRun> jobs;
   /// Materialized-view definitions awaiting publication, one per job in job
-  /// order when retention is on. The data is already in the DFS; the
-  /// metadata becomes visible only when the caller publishes the batch
-  /// (ViewStore::PublishBatch).
+  /// order, each with its sampled statistics. The data is already in the
+  /// DFS; the metadata becomes visible only when the caller publishes the
+  /// batch (ViewStore::PublishBatch).
   std::vector<catalog::ViewDefinition> pending_views;
 };
 
@@ -120,10 +116,10 @@ class Engine {
   }
 
   /// Prepares (annotates/costs) and executes `plan`. Returns the sink's
-  /// output table, the run's metrics, and — when retention is on — the
-  /// definitions of the run's materializations in `pending_views`. Nothing
-  /// becomes visible in the ViewStore: publishing is the caller's job. A
-  /// failed run deletes every DFS file it wrote ("views/run<N>/...").
+  /// output table, the run's metrics, and the definitions of the run's
+  /// materializations in `pending_views`. Nothing becomes visible in the
+  /// ViewStore: publishing is the caller's job. A failed run deletes every
+  /// DFS file it wrote ("views/run<N>/...").
   ///
   /// When `trace` is non-null each MR job opens a "job:<op>" span under
   /// `parent_span`, with nested phase spans (pipeline, plus reduce with

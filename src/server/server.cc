@@ -68,7 +68,7 @@ Result<rewrite::RewriteOutcome> ClientSession::Rewrite(
 
 Result<std::string> ClientSession::ExplainRewrite(const std::string& oql) {
   OPD_ASSIGN_OR_RETURN(rewrite::RewriteOutcome outcome, Rewrite(oql));
-  return RenderExplainRewrite(outcome, server_->views().size());
+  return RenderExplainRewrite(outcome);
 }
 
 // --- Server ----------------------------------------------------------------
@@ -375,12 +375,12 @@ Result<RunResult> Server::RunAdmitted(const std::string& tenant,
       (void)dfs_->Delete(paths[i]);  // cannot fail: the engine wrote it
     }
   }
-  // Publishing never drops a view, but Drop, DropAll, DropIdentical and
-  // ViewRetention can drop views between queries; sweep the recycled builds
-  // of every view dropped since the last query. Entries
-  // keyed at older epochs of a still-alive view die naturally: their
-  // RecycleKey embeds the publish epoch, so nothing can look them up, and
-  // the byte budget reclaims them as their benefit-per-byte decays.
+  // Publishing never drops a view, but Drop, DropAll and ViewRetention can
+  // drop views between queries; sweep the recycled builds of every view
+  // dropped since the last query. Entries keyed at older epochs of a
+  // still-alive view die naturally: their RecycleKey embeds the publish
+  // epoch, so nothing can look them up, and the byte budget reclaims them
+  // as their benefit-per-byte decays.
   recycler_->InvalidateViews(
       [this](int64_t id) { return views_->Has(id); });
   query_span.End();

@@ -92,10 +92,10 @@ std::string RunResult::MetricsJson() const {
   return w.Take();
 }
 
-std::string RenderExplainRewrite(const rewrite::RewriteOutcome& outcome,
-                                 size_t views_in_store) {
+std::string RenderExplainRewrite(const rewrite::RewriteOutcome& outcome) {
   std::string out = "EXPLAIN REWRITE " + outcome.plan.name() + "\n";
-  out += "views in store: " + std::to_string(views_in_store) + "\n";
+  out += "views in store: " + std::to_string(outcome.decisions.views.size()) +
+         "\n";
   out += "original cost: " + FormatSeconds(outcome.original_cost) +
          "  best cost: " + FormatSeconds(outcome.est_cost) +
          "  improved: " + (outcome.improved ? "yes" : "no") + "\n";

@@ -157,9 +157,9 @@ struct RunResult {
 };
 
 /// Renders the EXPLAIN REWRITE report (header + decision log) of a rewrite
-/// outcome. `views_in_store` is the store size the search ran against.
-std::string RenderExplainRewrite(const rewrite::RewriteOutcome& outcome,
-                                 size_t views_in_store);
+/// outcome. The header's view count is the size of the snapshot the search
+/// ran against, not of the live store.
+std::string RenderExplainRewrite(const rewrite::RewriteOutcome& outcome);
 
 }  // namespace opd
 

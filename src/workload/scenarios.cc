@@ -5,7 +5,6 @@
 
 #include "catalog/eviction.h"
 #include "exec/udf_exec.h"
-#include "plan/fingerprint.h"
 #include "plan/job.h"
 #include "udf/builtin_udfs.h"
 
@@ -115,7 +114,6 @@ Status TestBed::Calibrate() {
 void TestBed::DropAllViews() {
   views().DropAll();
   dfs().DeletePrefix("views/");
-  dfs().DeletePrefix("synth/");
 }
 
 Result<exec::ExecResult> TestBed::RunOriginal(int analyst, int version) {
@@ -140,37 +138,23 @@ Result<TestBed::RewrittenRun> TestBed::RunRewritten(int analyst,
   return RewrittenRun{std::move(exec), std::move(run.rewrite)};
 }
 
-Status TestBed::RegisterPlanViews(plan::Plan* plan) {
-  OPD_RETURN_NOT_OK(optimizer().Prepare(plan));
-  static int synth_counter = 0;
-  for (const plan::OpNodePtr& node : plan->TopoOrder()) {
-    if (node->kind == plan::OpKind::kScan) continue;
-    catalog::ViewDefinition def;
-    def.dfs_path = "synth/" + std::to_string(synth_counter++);
-    def.afk = node->afk;
-    def.out_attrs = node->out_attrs;
-    def.schema = node->out_schema;
-    def.fingerprint = plan::Fingerprint(node);
-    def.bytes = static_cast<uint64_t>(node->est_out_bytes);
-    def.producer = plan->name();
-    def.stats.rows = node->est_rows;
-    def.stats.avg_row_bytes =
-        node->est_rows > 0 ? node->est_out_bytes / node->est_rows : 0;
-    def.stats.distinct = node->est_distinct;
-    def.stats.col_bytes = node->est_col_bytes;
-    // A placeholder (empty) table keeps the DFS consistent; the scalability
-    // study never executes these plans.
-    auto placeholder =
-        std::make_shared<const storage::Table>(def.dfs_path, def.schema);
-    OPD_RETURN_NOT_OK(dfs().Write(def.dfs_path, placeholder));
-    views().Add(std::move(def));
-  }
-  return Status::OK();
-}
-
 // --- Scenario drivers -------------------------------------------------------
 
 namespace {
+
+/// Drops every view of the current store that `drop` selects, with its DFS
+/// file.
+template <typename Pred>
+Status DropViewsWhere(TestBed* bed, Pred drop) {
+  // The snapshot keeps each definition alive across its own Drop.
+  const catalog::ViewSnapshot snapshot = bed->views().Snapshot();
+  for (const catalog::ViewDefinition* view : snapshot.All()) {
+    if (!drop(*view)) continue;
+    OPD_RETURN_NOT_OK(bed->views().Drop(view->id));
+    OPD_RETURN_NOT_OK(bed->dfs().Delete(view->dfs_path));
+  }
+  return Status::OK();
+}
 
 ComparisonRow MakeRow(int analyst, int version,
                       const exec::ExecResult& orig,
@@ -251,12 +235,10 @@ Result<std::vector<double>> RunAnalystAccumulation(TestBed* bed) {
     // view it published, with its DFS file.
     const catalog::Epoch before = bed->views().epoch();
     OPD_ASSIGN_OR_RETURN(TestBed::RewrittenRun rewr, bed->RunRewritten(5, 3));
-    const catalog::ViewSnapshot after = bed->views().Snapshot();
-    for (const catalog::ViewDefinition* view : after.All()) {
-      if (view->publish_epoch <= before) continue;
-      OPD_RETURN_NOT_OK(bed->views().Drop(view->id));
-      OPD_RETURN_NOT_OK(bed->dfs().Delete(view->dfs_path));
-    }
+    OPD_RETURN_NOT_OK(DropViewsWhere(
+        bed, [before](const catalog::ViewDefinition& view) {
+          return view.publish_epoch > before;
+        }));
     double improvement =
         baseline_time <= 0
             ? 0
@@ -266,16 +248,34 @@ Result<std::vector<double>> RunAnalystAccumulation(TestBed* bed) {
   return improvements;
 }
 
+Result<plan::Plan> BuildVariantQuery(TestBed* bed, int analyst, int version,
+                                     int round) {
+  OPD_ASSIGN_OR_RETURN(plan::Plan plan, BuildQuery(analyst, version));
+  if (round == 0) return plan;
+  // Annotate to learn the root's first column.
+  OPD_RETURN_NOT_OK(bed->optimizer().Prepare(&plan));
+  const std::string column = plan.root()->out_schema.column(0).name;
+  return plan::Plan(
+      plan::Filter(plan.root(),
+                   plan::FilterCond::Compare(
+                       column, afk::CmpOp::kNe,
+                       storage::Value(-1000.0 - round))),
+      plan.name() + "_r" + std::to_string(round));
+}
+
 Status DropIdenticalViews(TestBed* bed, int analyst, int version) {
   OPD_ASSIGN_OR_RETURN(plan::Plan plan, BuildQuery(analyst, version));
   // Annotation is enough; no costing needed to compare AFK annotations.
   plan::AnnotationContext ctx = bed->optimizer().context();
   OPD_RETURN_NOT_OK(plan::AnnotatePlan(plan, ctx));
+  std::vector<afk::Afk> targets;
   for (const plan::OpNodePtr& node : plan.TopoOrder()) {
-    if (node->kind == plan::OpKind::kScan) continue;
-    bed->views().DropIdentical(node->afk);
+    if (node->kind != plan::OpKind::kScan) targets.push_back(node->afk);
   }
-  return Status::OK();
+  return DropViewsWhere(bed, [&targets](const catalog::ViewDefinition& view) {
+    return std::find(targets.begin(), targets.end(), view.afk) !=
+           targets.end();
+  });
 }
 
 }  // namespace opd::workload

@@ -67,11 +67,6 @@ class TestBed {
   };
   Result<RewrittenRun> RunRewritten(int analyst, int version);
 
-  /// Registers every job of the plan as a view *without executing it*, using
-  /// optimizer estimates for statistics (used only by the Figure 10
-  /// scalability study to populate large view stores cheaply).
-  Status RegisterPlanViews(plan::Plan* plan);
-
   /// The "default" tenant's handle; `session().server()` is the server
   /// everything below delegates to.
   ClientSession& session() { return session_; }
@@ -132,7 +127,16 @@ Result<std::vector<ComparisonRow>> RunUserEvolution(
 /// run with no views).
 Result<std::vector<double>> RunAnalystAccumulation(TestBed* bed);
 
-/// Discards from the store every view identical to some target of `plan`.
+/// Query A<analyst>v<version> for variant round `round`. Round 0 is the
+/// query itself; round r > 0 puts the vacuous, round-specific filter
+/// `col != -1000 - r` on its root (`col` is the root's first column), which
+/// gives the variant a new AFK annotation. Executing rounds of variants
+/// grows a store of distinct views (Figure 10).
+Result<plan::Plan> BuildVariantQuery(TestBed* bed, int analyst, int version,
+                                     int round);
+
+/// Discards every view whose AFK annotation is identical to some target of
+/// query A<analyst>v<version>, with its DFS file (Table 2, Figure 10).
 Status DropIdenticalViews(TestBed* bed, int analyst, int version);
 
 }  // namespace opd::workload

@@ -124,7 +124,7 @@ ViewDefinition MakeView(const std::string& rel, const std::string& attr) {
 
 TEST(ViewStoreTest, AddFindDrop) {
   ViewStore store;
-  ViewId id = store.Add(MakeView("R", "a"));
+  ViewId id = store.Publish(MakeView("R", "a")).id;
   EXPECT_GE(id, 0);
   EXPECT_TRUE(store.Has(id));
   auto def = store.Find(id);
@@ -137,38 +137,28 @@ TEST(ViewStoreTest, AddFindDrop) {
 
 TEST(ViewStoreTest, DeduplicatesByAfk) {
   ViewStore store;
-  ViewId a = store.Add(MakeView("R", "a"));
-  ViewId b = store.Add(MakeView("R", "a"));  // identical AFK
+  ViewId a = store.Publish(MakeView("R", "a")).id;
+  ViewId b = store.Publish(MakeView("R", "a")).id;  // identical AFK
   EXPECT_EQ(a, b);
   EXPECT_EQ(store.size(), 1u);
-  ViewId c = store.Add(MakeView("R", "b"));
+  ViewId c = store.Publish(MakeView("R", "b")).id;
   EXPECT_NE(a, c);
   EXPECT_EQ(store.size(), 2u);
 }
 
 TEST(ViewStoreTest, DropReenablesAdd) {
   ViewStore store;
-  ViewId a = store.Add(MakeView("R", "a"));
+  ViewId a = store.Publish(MakeView("R", "a")).id;
   ASSERT_TRUE(store.Drop(a).ok());
-  ViewId b = store.Add(MakeView("R", "a"));
+  ViewId b = store.Publish(MakeView("R", "a")).id;
   EXPECT_NE(a, b);  // new id
   EXPECT_EQ(store.size(), 1u);
 }
 
-TEST(ViewStoreTest, DropIdentical) {
-  ViewStore store;
-  store.Add(MakeView("R", "a"));
-  store.Add(MakeView("R", "b"));
-  ViewDefinition probe = MakeView("R", "a");
-  EXPECT_EQ(store.DropIdentical(probe.afk), 1u);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.DropIdentical(probe.afk), 0u);
-}
-
 TEST(ViewStoreTest, TotalBytesAndAll) {
   ViewStore store;
-  store.Add(MakeView("R", "a"));
-  store.Add(MakeView("R", "b"));
+  store.Publish(MakeView("R", "a"));
+  store.Publish(MakeView("R", "b"));
   EXPECT_EQ(store.TotalBytes(), 200u);
   EXPECT_EQ(store.All().size(), 2u);
   store.DropAll();
@@ -188,14 +178,14 @@ std::vector<ViewId> Ids(const std::vector<const ViewDefinition*>& defs) {
 // and signature index. An old snapshot survives DropAll.
 TEST(ViewStoreTest, SnapshotAtIsEpochPrefix) {
   ViewStore store;
-  store.Add(MakeView("R", "a"));
+  store.Publish(MakeView("R", "a"));
   store.PublishBatch({});  // empty batch: epoch only
   store.PublishBatch({MakeView("R", "b"), MakeView("R", "c")});
-  store.Add(MakeView("R", "a"));  // dedup: epoch only
-  const ViewId d = store.Add(MakeView("R", "d"));
+  store.Publish(MakeView("R", "a"));  // dedup: epoch only
+  const ViewId d = store.Publish(MakeView("R", "d")).id;
   store.PublishBatch({MakeView("R", "b"), MakeView("R", "e")});  // half dedup
   ASSERT_TRUE(store.Drop(d).ok());
-  store.Add(MakeView("R", "f"));
+  store.Publish(MakeView("R", "f"));
   store.PublishBatch({});
 
   const std::vector<const ViewDefinition*> live = store.All();

@@ -31,7 +31,7 @@ class EvictionTest : public ::testing::Test {
     def.schema = table->schema();
     def.bytes = table->ByteSize();
     (void)dfs_.Write(def.dfs_path, table);
-    return store_.Add(std::move(def));
+    return store_.Publish(std::move(def)).id;
   }
 
   ViewStore store_;

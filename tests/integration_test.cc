@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "workload/scenarios.h"
 
@@ -50,6 +52,19 @@ class IntegrationTest : public ::testing::Test {
 };
 
 TestBed* IntegrationTest::bed_ = nullptr;
+
+// Every "views/" file in the DFS belongs to a live view.
+void ExpectNoOrphanViewFiles(TestBed& bed) {
+  std::set<std::string> live;
+  for (const catalog::ViewDefinition* view : bed.views().All()) {
+    live.insert(view->dfs_path);
+  }
+  for (const std::string& path : bed.dfs().ListPaths()) {
+    if (path.starts_with("views/")) {
+      EXPECT_TRUE(live.count(path) > 0) << "orphaned " << path;
+    }
+  }
+}
 
 TEST_F(IntegrationTest, TestBedWiring) {
   EXPECT_TRUE(bed_->catalog().Has("TWTR"));
@@ -160,23 +175,63 @@ TEST_F(IntegrationTest, DropIdenticalViewsRemovesTargets) {
   auto outcome = bed_->syntactic().Rewrite(&p);
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->improved);
+  // The dropped views' DFS files went with them.
+  ExpectNoOrphanViewFiles(*bed_);
 }
 
-TEST_F(IntegrationTest, RegisterPlanViewsWithoutExecution) {
-  auto q = BuildQuery(3, 1);
-  plan::Plan p = std::move(q).value();
-  ASSERT_TRUE(bed_->RegisterPlanViews(&p).ok());
-  EXPECT_GT(bed_->views().size(), 2u);
-  // The registered views carry estimated statistics usable by the rewriter.
-  for (const auto* def : bed_->views().All()) {
-    EXPECT_GE(def->stats.rows, 0.0);
+// The Figure 10 store: views grown by executing a cold pass and two
+// rewrite-off variant rounds, minus those identical to A3v1's targets.
+// BFR finds DP's optimum while considering fewer candidates, and every view
+// holds the rows its statistics describe (none is an estimated
+// placeholder). Built on its own small, uncalibrated bed so that the store
+// is the same on every run.
+TEST_F(IntegrationTest, ExecutedVariantStoreBfrMatchesDp) {
+  TestBedConfig config;
+  config.data.n_tweets = 2000;
+  config.data.n_checkins = 1200;
+  config.data.n_locations = 200;
+  config.data.n_users = 100;
+  config.calibrate_udfs = false;
+  // DP's merge closure charges every pair against its budget; lift the cap
+  // as Figure 10 does, so DP finishes its exhaustive search.
+  config.session.rewrite.dp_candidate_budget = 200'000'000;
+  auto created = TestBed::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TestBed& bed = **created;
+  RunOptions off;
+  off.rewrite = false;
+  for (int round = 0; round <= 2; ++round) {
+    for (int a = 1; a <= kNumAnalysts; ++a) {
+      for (int v = 1; v <= kNumVersions; ++v) {
+        auto variant = BuildVariantQuery(&bed, a, v, round);
+        ASSERT_TRUE(variant.ok()) << variant.status().ToString();
+        auto run = bed.session().Run(std::move(variant).value(), off);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+      }
+    }
   }
-  // And a rewrite of the same query now finds an exact match.
-  auto q2 = BuildQuery(3, 1);
-  plan::Plan p2 = std::move(q2).value();
-  auto outcome = bed_->bfr().Rewrite(&p2);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->improved);
+  ASSERT_TRUE(DropIdenticalViews(&bed, 3, 1).ok());
+  ASSERT_GT(bed.views().size(), 50u);
+
+  plan::Plan q_bfr = *BuildQuery(3, 1);
+  auto bfr = bed.bfr().Rewrite(&q_bfr);
+  ASSERT_TRUE(bfr.ok()) << bfr.status().ToString();
+  plan::Plan q_dp = *BuildQuery(3, 1);
+  auto dp = bed.dp().Rewrite(&q_dp);
+  ASSERT_TRUE(dp.ok()) << dp.status().ToString();
+  EXPECT_TRUE(bfr->improved);
+  EXPECT_FALSE(dp->stats.budget_exceeded);
+  EXPECT_NEAR(bfr->est_cost, dp->est_cost, 1e-9);
+  EXPECT_LT(bfr->stats.candidates_considered,
+            dp->stats.candidates_considered);
+
+  for (const catalog::ViewDefinition* view : bed.views().All()) {
+    auto table = bed.dfs().Peek(view->dfs_path);
+    ASSERT_TRUE(table.ok()) << view->dfs_path;
+    EXPECT_EQ(static_cast<double>((*table)->num_rows()), view->stats.rows)
+        << view->dfs_path;
+  }
+  ExpectNoOrphanViewFiles(bed);
 }
 
 TEST_F(IntegrationTest, SessionRunsOqlEndToEnd) {

@@ -616,8 +616,16 @@ TEST_F(RewriteTest, SyntacticZeroAfterDroppingIdenticalViews) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(0.5, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  for (const auto& node : q.TopoOrder()) {
-    if (node->kind != plan::OpKind::kScan) views_.DropIdentical(node->afk);
+  const std::vector<plan::OpNodePtr> nodes = q.TopoOrder();
+  const catalog::ViewSnapshot snapshot = views_.Snapshot();
+  for (const catalog::ViewDefinition* view : snapshot.All()) {
+    const bool identical = std::any_of(
+        nodes.begin(), nodes.end(), [view](const plan::OpNodePtr& node) {
+          return node->kind != plan::OpKind::kScan && node->afk == view->afk;
+        });
+    if (identical) {
+      ASSERT_TRUE(views_.Drop(view->id).ok());
+    }
   }
   plan::Plan q2 = WineQuery(0.5, 5);
   auto outcome = syntactic_->Rewrite(&q2);
@@ -639,6 +647,24 @@ TEST_F(RewriteTest, RejectReasonCodesAreStable) {
                "not_cost_improving");
   EXPECT_STREQ(RejectReasonCode(RejectReason::kPrunedByBound),
                "pruned_by_bound");
+}
+
+// The EXPLAIN REWRITE header counts the views of the snapshot the search
+// ran against, not the live store: views another query publishes after the
+// search do not change the rendered report.
+TEST_F(RewriteTest, ExplainRewriteHeaderCountsSearchedSnapshot) {
+  Execute(WineQuery(0.5, 5));
+  const size_t searched = views_.size();
+  plan::Plan q = WineQuery(0.5, 5);
+  auto outcome = bfr_->Rewrite(&q);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  Execute(plan::Plan(plan::GroupBy(plan::Scan("TWTR"), {"mention_user"},
+                                   {AggSpec{AggFn::kCount, "", "n"}})));
+  ASSERT_GT(views_.size(), searched);
+  const std::string text = RenderExplainRewrite(*outcome);
+  EXPECT_NE(text.find("views in store: " + std::to_string(searched) + "\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(RewriteTest, DecisionLogAccountsForEveryCandidate) {
@@ -805,7 +831,7 @@ TEST_F(RewriteTest, WarmDecisionLogMatchesParentDigest) {
       auto outcome = server.rewriter().Rewrite(&q, snapshot);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       const uint64_t digest =
-          HashString(RenderExplainRewrite(*outcome, snapshot.size()) +
+          HashString(RenderExplainRewrite(*outcome) +
                      outcome->decisions.ToJson() +
                      plan::Fingerprint(outcome->plan.root()));
       EXPECT_EQ(digest, kExpected[i]) << "A" << a << "v" << v;

@@ -190,9 +190,7 @@ TEST(ExecMetricsTest, ToJsonHasEveryField) {
 }
 
 TEST(ExecMetricsTest, StatsWallTimeMeasuredWhenStatsOn) {
-  SessionOptions options;
-  options.engine.collect_stats = true;
-  auto s = MakeServer(options);
+  auto s = MakeServer();
   auto run = s.client.Run(
       "counts = scan TWTR | groupby user_id count(*) as n;");
   ASSERT_TRUE(run.ok()) << run.status().ToString();
