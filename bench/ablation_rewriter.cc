@@ -1,12 +1,9 @@
-// Ablation of the rewriter's design choices (DESIGN.md Section 7):
-//   1. OPTCOST ordering of the candidate queue  (vs FIFO)
-//   2. GUESSCOMPLETE screening before REWRITEENUM  (vs attempt-everything)
-//   3. J — views per rewrite  (1, 2, 4)
-//   4. k — operator repetitions in a compensation  (1, 2)
+// Ablation of the paper's rewrite knobs (Section 5, DESIGN.md Section 7):
+//   1. J — views per rewrite  (1, 2, 4)
+//   2. k — operator repetitions in a compensation  (1, 2)
 //
-// All variants must find the same minimum-cost rewrites (the knobs control
-// effort / expressiveness, with J and k trading rewrite quality for search
-// cost); the full configuration should dominate on search effort.
+// J and k trade rewrite expressiveness for search effort: restricting
+// either can only lose rewrites, never find cheaper ones.
 
 #include <cstdio>
 
@@ -32,7 +29,7 @@ struct Totals {
 }  // namespace
 
 int main() {
-  bench::Header("Ablation: OPTCOST ordering, GUESSCOMPLETE, J, k");
+  bench::Header("Ablation: J, k");
 
   workload::TestBedConfig config;
   config.data.n_tweets = 8000;
@@ -48,16 +45,6 @@ int main() {
 
   std::vector<Variant> variants;
   variants.push_back({"FULL (J=4,k=2)", {}});
-  {
-    rewrite::RewriteOptions o;
-    o.use_optcost_ordering = false;
-    variants.push_back({"no OPTCOST order", o});
-  }
-  {
-    rewrite::RewriteOptions o;
-    o.use_guess_complete_filter = false;
-    variants.push_back({"no GUESSCOMPLETE", o});
-  }
   {
     rewrite::RewriteOptions o;
     o.max_views_per_rewrite = 1;
@@ -93,21 +80,10 @@ int main() {
                 totals[v].runtime);
   }
 
-  bool ok = true;
-  // Ordering/screening knobs must not change the found optimum.
-  ok &= bench::ShapeCheck(
-      std::abs(totals[0].cost - totals[1].cost) < 1e-6 * (1 + totals[0].cost),
-      "OPTCOST ordering changes effort, not the optimum");
-  ok &= bench::ShapeCheck(
-      std::abs(totals[0].cost - totals[2].cost) < 1e-6 * (1 + totals[0].cost),
-      "GUESSCOMPLETE screening changes effort, not the optimum");
-  ok &= bench::ShapeCheck(totals[0].attempts <= totals[2].attempts,
-                          "GUESSCOMPLETE prunes rewrite attempts");
-  ok &= bench::ShapeCheck(totals[0].candidates <= totals[1].candidates,
-                          "OPTCOST ordering prunes candidate exploration");
   // Restricting J or k can only lose rewrites (cost is weakly higher).
-  ok &= bench::ShapeCheck(totals[3].cost >= totals[0].cost - 1e-6 &&
-                              totals[5].cost >= totals[0].cost - 1e-6,
-                          "restricting J or k never finds cheaper rewrites");
+  const bool ok = bench::ShapeCheck(
+      totals[1].cost >= totals[0].cost - 1e-6 &&
+          totals[3].cost >= totals[0].cost - 1e-6,
+      "restricting J or k never finds cheaper rewrites");
   return ok ? 0 : 1;
 }

@@ -56,7 +56,12 @@ int main() {
     dp_att_total += dp.stats.rewrite_attempts;
     bfr_time_total += bfr.stats.runtime_s;
     dp_time_total += dp.stats.runtime_s;
-    // "Both algorithms produce identical rewrites (i.e., r*)."
+    // "Both algorithms produce identical rewrites (i.e., r*)." A DP cut
+    // short by its budget has not found the optimum.
+    if (dp.stats.budget_exceeded) {
+      identical_rewrites = false;
+      std::printf("  ^ DP hit its safety budget\n");
+    }
     if (std::abs(bfr.est_cost - dp.est_cost) > 1e-6 * (1 + dp.est_cost)) {
       identical_rewrites = false;
       std::printf("  ^ MISMATCH: BFR %f vs DP %f\n", bfr.est_cost,

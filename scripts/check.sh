@@ -27,7 +27,9 @@
 # instrumented one, whose overhead would make any timing floor meaningless —
 # then Figure 10's scalability bench (bench/fig10_scalability), whose
 # store is grown by executing queries and whose paper-shape checks gate the
-# BFR/DP gap, and then the metric-name lint (scripts/lint_metrics.py), which
+# BFR/DP gap, then the rewriter's J/k ablation and Figures 9 and 12, whose
+# shape checks cover the shared merge rule and job-DAG composition end to
+# end, and then the metric-name lint (scripts/lint_metrics.py), which
 # diffs the metric literals in src/ against the names
 # `micro_engine --dump-metrics` actually registers. Last, one-second traced perfbench runs
 # (perfbench/run.py) guard the benchmark's API surface: perfbench compiles
@@ -81,6 +83,13 @@ echo "== Figure 10 on executed views (regular build) =="
 # through the serving path, then times BFR against DP on A3v1 at five
 # store sizes (~30 s on 4 cores). Exits 1 on any failed paper-shape check.
 ./build/bench/fig10_scalability
+echo "== rewriter ablation, Figures 9 and 12 (regular build) =="
+# BFR, DP and BFR-SYNTACTIC share MERGE's usefulness rule and the job-DAG
+# composition; these benches compare them (~5 s together on 4 cores). Each
+# exits 1 on a failed paper-shape check.
+./build/bench/ablation_rewriter
+./build/bench/fig09_algorithm_comparison
+./build/bench/fig12_syntactic
 echo "== metric-name lint (scripts/lint_metrics.py) =="
 dump="$(mktemp)"
 trap 'rm -f "${dump}"' EXIT

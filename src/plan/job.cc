@@ -1,9 +1,14 @@
 #include "plan/job.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 namespace opd::plan {
+
+namespace {
+constexpr double kEps = 1e-9;
+}
 
 Result<JobDag> JobDag::Build(const Plan& plan) {
   if (plan.empty()) return Status::InvalidArgument("empty plan");
@@ -48,6 +53,51 @@ double JobDag::TargetCost(size_t i) const {
   double total = 0;
   for (int j : in_target) total += jobs_[j].op->cost.total_s;
   return total;
+}
+
+OpNodePtr JobDag::Compose(size_t i, std::span<const OpNodePtr> plans) const {
+  const Job& job = jobs_[i];
+  OpNodePtr node = CopyOperator(*job.op);
+  size_t producer_idx = 0;
+  for (const OpNodePtr& child : job.op->children) {
+    if (child->kind == OpKind::kScan) {
+      node->children.push_back(child);
+    } else {
+      node->children.push_back(plans[job.producers[producer_idx++]]);
+    }
+  }
+  return node;
+}
+
+double JobDag::ComposedCost(size_t i, std::span<const double> costs) const {
+  double cost = jobs_[i].op->cost.total_s;
+  for (int p : jobs_[i].producers) cost += costs[p];
+  return cost;
+}
+
+CostedPlan JobDag::BestComposition(
+    std::span<const std::optional<CostedPlan>> direct) const {
+  std::vector<OpNodePtr> plans(jobs_.size());
+  std::vector<double> costs(jobs_.size());
+  for (size_t i = 0; i < jobs_.size(); ++i) {
+    const Job& job = jobs_[i];
+    const double composed = ComposedCost(i, costs);
+    const double original = TargetCost(i);
+    const bool producer_rewritten =
+        std::any_of(job.producers.begin(), job.producers.end(),
+                    [&](int p) { return plans[p] != jobs_[p].op; });
+    if (direct[i].has_value() && direct[i]->cost <= composed) {
+      plans[i] = direct[i]->root;
+      costs[i] = direct[i]->cost;
+    } else if (producer_rewritten && composed + kEps < original) {
+      plans[i] = Compose(i, plans);
+      costs[i] = composed;
+    } else {
+      plans[i] = job.op;
+      costs[i] = std::min(composed, original);
+    }
+  }
+  return {plans.back(), costs.back()};
 }
 
 }  // namespace opd::plan

@@ -5,6 +5,8 @@
 #ifndef OPD_PLAN_JOB_H_
 #define OPD_PLAN_JOB_H_
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -22,6 +24,12 @@ struct Job {
   std::vector<int> consumers;
 };
 
+/// A plan for a target and its estimated cost.
+struct CostedPlan {
+  OpNodePtr root;
+  double cost = 0;
+};
+
 /// \brief The job DAG of a plan, topologically ordered (producers first).
 /// The sink (job n) computes the query result.
 class JobDag {
@@ -33,12 +41,22 @@ class JobDag {
   const Job& job(size_t i) const { return jobs_[i]; }
   int sink() const { return static_cast<int>(jobs_.size()) - 1; }
 
-  /// The plan computing target W_i (the job's operator subtree).
-  Plan TargetPlan(size_t i) const { return Plan(jobs_[i].op); }
-
   /// COST(W_i): sum of the optimizer cost of job i and all its upstream jobs
   /// (requires the plan to have been costed).
   double TargetCost(size_t i) const;
+
+  /// Job i's operator (scan children kept) over `plans[p]` for each
+  /// producer p, and its cost given `costs[p]`: how an upstream rewrite
+  /// propagates downstream.
+  OpNodePtr Compose(size_t i, std::span<const OpNodePtr> plans) const;
+  double ComposedCost(size_t i, std::span<const double> costs) const;
+
+  /// The cheapest sink plan by DP over the jobs, given each job's best
+  /// direct rewrite, if any: job i takes it if no costlier than the
+  /// composition over its producers' choices, else that composition if a
+  /// producer was rewritten and it beats the original, else the original.
+  CostedPlan BestComposition(
+      std::span<const std::optional<CostedPlan>> direct) const;
 
  private:
   std::vector<Job> jobs_;

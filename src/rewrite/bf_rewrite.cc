@@ -48,39 +48,16 @@ struct SearchState {
         .count();
   }
 
-  /// Composes a plan for job i from its original operator and the current
-  /// best plans of its producers (used by PROPBESTREWRITE).
-  plan::OpNodePtr Compose(int i) const {
-    const plan::Job& job = dag->job(i);
-    plan::OpNodePtr node = plan::CopyOperator(*job.op);
-    size_t producer_idx = 0;
-    for (const plan::OpNodePtr& child : job.op->children) {
-      if (child->kind == plan::OpKind::kScan) {
-        node->children.push_back(child);
-      } else {
-        node->children.push_back(best_plan[job.producers[producer_idx++]]);
-      }
-    }
-    return node;
-  }
-
-  double ComposedCost(int i) const {
-    const plan::Job& job = dag->job(i);
-    double cost = job.op->cost.total_s;
-    for (int p : job.producers) cost += best_cost[p];
-    return cost;
-  }
-
   void RecordSinkImprovement() {
     stats->convergence.emplace_back(Elapsed(), best_cost[dag->sink()]);
   }
 
-  // Algorithm 3: PROPBESTREWRITE.
+  // Algorithm 3: PROPBESTREWRITE: job i over its producers' best plans.
   void PropBestRewrite(int i) {
-    double cost = ComposedCost(i);
+    double cost = dag->ComposedCost(i, best_cost);
     if (cost + kEps < best_cost[i]) {
       best_cost[i] = cost;
-      best_plan[i] = Compose(i);
+      best_plan[i] = dag->Compose(i, best_plan);
       if (i == dag->sink()) RecordSinkImprovement();
       for (int k : dag->job(i).consumers) PropBestRewrite(k);
     }

@@ -7,8 +7,6 @@
 
 namespace opd::rewrite {
 
-std::string CandidateView::Id() const { return CandidateId(parts); }
-
 CandidateView MakeBaseCandidate(const catalog::ViewDefinition& def) {
   CandidateView c;
   c.parts = {def.id};
@@ -38,7 +36,8 @@ Result<plan::OpNodePtr> BuildCandidateScan(const CandidateView& candidate,
     }
     if (pairs.empty()) {
       return Status::InvalidArgument(
-          "candidate parts share no attributes: " + candidate.Id());
+          "candidate parts share no attributes: " +
+          CandidateId(candidate.parts));
     }
     std::vector<std::pair<afk::Attribute, afk::Attribute>> attr_pairs;
     for (const auto& [l, r] : pairs) {
@@ -98,7 +97,5 @@ Coverage CoverageUnion(const Coverage& a, const Coverage& b) {
   for (size_t i = 0; i < b.size(); ++i) out[i] |= b[i];
   return out;
 }
-
-bool CoverageEqual(const Coverage& a, const Coverage& b) { return a == b; }
 
 }  // namespace opd::rewrite

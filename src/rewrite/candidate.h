@@ -35,8 +35,6 @@ struct CandidateView {
   /// Useful-signature coverage w.r.t. the current target (set by the search).
   Coverage coverage;
 
-  /// Canonical id "3+7+12" (sorted part ids); the dedup key.
-  std::string Id() const;
   size_t NumParts() const { return parts.size(); }
 };
 
@@ -65,9 +63,6 @@ Coverage ComputeCoverage(const afk::Afk& v,
 
 /// a | b.
 Coverage CoverageUnion(const Coverage& a, const Coverage& b);
-
-/// True if a == b (same length assumed).
-bool CoverageEqual(const Coverage& a, const Coverage& b);
 
 }  // namespace opd::rewrite
 

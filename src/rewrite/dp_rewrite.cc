@@ -1,8 +1,9 @@
 #include "rewrite/dp_rewrite.h"
 
+#include <algorithm>
 #include <chrono>
-#include <limits>
 #include <set>
+#include <vector>
 
 #include "plan/job.h"
 #include "rewrite/merge.h"
@@ -14,30 +15,31 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
+/// DP's two safety caps (dp_rewrite.h).
 struct Budget {
   size_t max_candidates;
   double max_seconds;
   std::chrono::steady_clock::time_point start;
-  size_t used = 0;
+  size_t candidates = 0;
+  size_t ticks = 0;
   bool exceeded = false;
 
-  bool Charge() {
-    ++used;
-    if (used > max_candidates) {
+  /// Charges one candidate added to a target's space.
+  bool AddCandidate() {
+    if (++candidates > max_candidates) exceeded = true;
+    return Tick();
+  }
+
+  /// One step of work (a candidate added, a merge pair tried or a rewrite
+  /// attempted): reads the clock every 1024 steps.
+  bool Tick() {
+    if (!exceeded && (++ticks & 0x3ff) == 0 &&
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+                .count() > max_seconds) {
       exceeded = true;
-      return false;
     }
-    if ((used & 0x3ff) == 0) {
-      double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (elapsed > max_seconds) {
-        exceeded = true;
-        return false;
-      }
-    }
-    return true;
+    return !exceeded;
   }
 };
 
@@ -66,45 +68,41 @@ Result<RewriteOutcome> DpRewriter::Rewrite(plan::Plan* plan) const {
   // Per-target exhaustive search: every view is a candidate (no relevance
   // screening — the paper's DP "searches exhaustively for rewrites at every
   // target" with no OPTCOST guidance and no early termination).
-  std::vector<std::optional<EnumResult>> found(n);
+  std::vector<std::optional<plan::CostedPlan>> found(n);
   for (size_t i = 0; i < n && !budget.exceeded; ++i) {
     TargetContext target = MakeTargetContext(dag.job(i).op);
     const auto useful = UsefulSignatures(target.afk);
 
     std::vector<CandidateView> space;
-    std::set<std::string> ids;
     for (const catalog::ViewDefinition* def : all_views) {
+      if (!budget.AddCandidate()) break;
       CandidateView c = MakeBaseCandidate(*def);
       c.coverage = ComputeCoverage(c.afk, useful);
-      if (ids.insert(c.Id()).second) space.push_back(std::move(c));
+      space.push_back(std::move(c));
     }
     const size_t num_singles = space.size();
     // Closure: merge every candidate with every *single* view (left-deep
-    // generation covers all subsets up to J), with the standard usefulness
-    // rule: each side must contribute an attribute the other lacks.
+    // generation covers all subsets up to J) under MERGE's usefulness rule.
+    // Sorted parts of every merge added (base view ids are unique).
+    std::set<std::vector<catalog::ViewId>> merged_parts;
     for (size_t a = 0; a < space.size() && !budget.exceeded; ++a) {
       for (size_t b = 0; b < num_singles; ++b) {
-        if (!budget.Charge()) break;
-        Coverage combined =
-            CoverageUnion(space[a].coverage, space[b].coverage);
-        if (CoverageEqual(combined, space[a].coverage) ||
-            CoverageEqual(combined, space[b].coverage)) {
-          continue;
-        }
-        auto merged = MergeCandidates(space[a], space[b],
-                                      options_.max_views_per_rewrite);
+        if (!budget.Tick()) break;
+        auto merged = MergeUseful(space[a], space[b],
+                                  options_.max_views_per_rewrite);
         if (!merged.has_value()) continue;
-        if (ids.insert(merged->Id()).second) {
-          merged->coverage = std::move(combined);
-          space.push_back(std::move(*merged));
-        }
+        std::vector<catalog::ViewId> key = merged->parts;
+        std::sort(key.begin(), key.end());
+        if (!merged_parts.insert(std::move(key)).second) continue;
+        if (!budget.AddCandidate()) break;
+        space.push_back(std::move(*merged));
       }
     }
 
     // Attempt a rewrite with every candidate — no GUESSCOMPLETE screening:
     // the exhaustive baseline pays for a full REWRITEENUM on each.
     for (const CandidateView& candidate : space) {
-      if (!budget.Charge()) break;
+      if (!budget.Tick()) break;
       outcome.stats.candidates_considered += 1;
       outcome.stats.rewrite_attempts += 1;
       OPD_ASSIGN_OR_RETURN(std::optional<EnumResult> result,
@@ -112,51 +110,17 @@ Result<RewriteOutcome> DpRewriter::Rewrite(plan::Plan* plan) const {
       if (!result.has_value()) continue;
       outcome.stats.rewrites_found += result->rewrites_found;
       if (!found[i].has_value() || result->cost < found[i]->cost) {
-        found[i] = std::move(result);
+        found[i] = plan::CostedPlan{result->plan.root(), result->cost};
       }
     }
   }
 
   // Dynamic programming over the job DAG: for each job, the cheaper of the
   // best direct rewrite and the composition of its producers' solutions.
-  std::vector<double> dp_cost(n);
-  std::vector<plan::OpNodePtr> dp_plan(n);
-  for (size_t i = 0; i < n; ++i) {
-    const plan::Job& job = dag.job(i);
-    double composed = job.op->cost.total_s;
-    for (int p : job.producers) composed += dp_cost[p];
-
-    bool any_producer_rewritten = false;
-    for (int p : job.producers) {
-      if (dp_plan[p] != dag.job(p).op) any_producer_rewritten = true;
-    }
-
-    if (found[i].has_value() && found[i]->cost <= composed) {
-      dp_cost[i] = found[i]->cost;
-      dp_plan[i] = found[i]->plan.root();
-    } else if (any_producer_rewritten && composed + kEps <
-                                             dag.TargetCost(i)) {
-      // Compose the original operator over the producers' solutions.
-      plan::OpNodePtr node = plan::CopyOperator(*job.op);
-      size_t producer_idx = 0;
-      for (const plan::OpNodePtr& child : job.op->children) {
-        if (child->kind == plan::OpKind::kScan) {
-          node->children.push_back(child);
-        } else {
-          node->children.push_back(dp_plan[job.producers[producer_idx++]]);
-        }
-      }
-      dp_cost[i] = composed;
-      dp_plan[i] = std::move(node);
-    } else {
-      dp_cost[i] = std::min(composed, dag.TargetCost(i));
-      dp_plan[i] = job.op;
-    }
-  }
-
+  const plan::CostedPlan best = dag.BestComposition(found);
   outcome.original_cost = dag.TargetCost(dag.sink());
-  outcome.plan = plan::Plan(dp_plan[dag.sink()], plan->name());
-  outcome.est_cost = dp_cost[dag.sink()];
+  outcome.plan = plan::Plan(best.root, plan->name());
+  outcome.est_cost = best.cost;
   outcome.improved = outcome.est_cost + kEps < outcome.original_cost;
   outcome.stats.budget_exceeded = budget.exceeded;
   outcome.stats.runtime_s =

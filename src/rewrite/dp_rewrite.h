@@ -4,8 +4,15 @@
 // and no early termination — then composes the optimal whole-plan rewrite
 // with dynamic programming over the job DAG.
 //
-// Produces the same r* as BFREWRITE but does far more work; safety budgets
-// (candidate count / wall time) exist because the space is exponential.
+// The space grows through MergeUseful, as VIEWFINDER's does, and the DAG
+// step is plan::JobDag::BestComposition, as BFR-SYNTACTIC's is.
+//
+// Produces the same r* as BFREWRITE but does far more work, so two caps
+// bound it, either one setting `budget_exceeded`: `dp_candidate_budget`
+// counts the candidates added to the per-target spaces (views and merges,
+// each attempted once: a finished search reports that count as
+// `candidates_considered`), and `dp_time_budget_s` the wall time, checked
+// in the merge closure too.
 
 #ifndef OPD_REWRITE_DP_REWRITE_H_
 #define OPD_REWRITE_DP_REWRITE_H_

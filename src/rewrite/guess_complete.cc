@@ -6,11 +6,7 @@ namespace opd::rewrite {
 
 bool GuessComplete(const afk::Afk& q, const afk::Afk& v) {
   // (iii) depth: v must not be more aggregated than q.
-  const int dv = v.keys().agg_depth();
-  const int dq = q.keys().agg_depth();
-  if (dv > dq) return false;
-  // Same depth requires identical keying (no regrouping budget left).
-  if (dv == dq && !(v.keys() == q.keys())) return false;
+  if (v.keys().agg_depth() > q.keys().agg_depth()) return false;
 
   // (ii) every filter of v must be implied by q's filters.
   if (!q.filters().ImpliesAll(v.filters())) return false;
@@ -23,11 +19,12 @@ bool GuessComplete(const afk::Afk& q, const afk::Afk& v) {
   for (const afk::Attribute& a : q.attrs()) {
     if (!closure.count(a.signature())) return false;
   }
-  // (iii) continued: when the compensation must re-group (v is strictly less
-  // aggregated), the attributes q groups on must be obtainable. When the
-  // depths already match, K_v == K_q was checked above — the key may be a
-  // projected-out column (K survives projection) and need not be producible.
-  if (dv < dq) {
+  // (iii) continued: when the keying differs, the compensation must re-key
+  // — a group-by, or at the same depth a re-keying UDF that does not group
+  // (UDF_TOKENIZE clears K) — so the attributes q is keyed on must be
+  // obtainable. When K_v == K_q, the key may be a projected-out column (K
+  // survives projection) and need not be producible.
+  if (!(v.keys() == q.keys())) {
     for (const afk::Attribute& k : q.keys().keys()) {
       if (!closure.count(k.signature())) return false;
     }

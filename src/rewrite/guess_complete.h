@@ -13,7 +13,8 @@ namespace opd::rewrite {
 ///  (i)   v contains all attributes of q, or the attributes needed to
 ///        produce them (producibility closure);
 ///  (ii)  v has weaker-or-equal selection predicates than q;
-///  (iii) v is less aggregated than q.
+///  (iii) v is no more aggregated than q, and when v is keyed differently,
+///        q's keys are obtainable (the compensation must re-key).
 bool GuessComplete(const afk::Afk& q, const afk::Afk& v);
 
 }  // namespace opd::rewrite

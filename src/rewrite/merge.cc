@@ -63,4 +63,16 @@ std::optional<CandidateView> MergeCandidates(const CandidateView& a,
   return out;
 }
 
+std::optional<CandidateView> MergeUseful(const CandidateView& a,
+                                         const CandidateView& b,
+                                         int max_parts) {
+  Coverage combined = CoverageUnion(a.coverage, b.coverage);
+  if (combined == a.coverage || combined == b.coverage) {
+    return std::nullopt;  // one side subsumes the other's contribution
+  }
+  auto merged = MergeCandidates(a, b, max_parts);
+  if (merged.has_value()) merged->coverage = std::move(combined);
+  return merged;
+}
+
 }  // namespace opd::rewrite

@@ -18,6 +18,16 @@ std::optional<CandidateView> MergeCandidates(const CandidateView& a,
                                              const CandidateView& b,
                                              int max_parts);
 
+/// \brief MERGE under the MiniCon-style usefulness rule, the one both
+/// VIEWFINDER and the DP baseline grow their candidate spaces by: `a` and
+/// `b` merge only when each contributes a useful attribute the other lacks
+/// (their coverage union strictly exceeds both sides' coverage), since
+/// otherwise the merge can never enable a rewrite its parts could not. The
+/// merged candidate carries that union as its coverage.
+std::optional<CandidateView> MergeUseful(const CandidateView& a,
+                                         const CandidateView& b,
+                                         int max_parts);
+
 }  // namespace opd::rewrite
 
 #endif  // OPD_REWRITE_MERGE_H_

@@ -22,13 +22,7 @@ struct RewriteOptions {
   /// k: maximum number of times one operator instance may appear in a
   /// rewrite's compensation.
   int max_op_repetition = 2;
-  /// Ablation switch: when false, the ViewFinder queue degenerates to
-  /// insertion order instead of OPTCOST order.
-  bool use_optcost_ordering = true;
-  /// Ablation switch: when false, REWRITEENUM is attempted on every popped
-  /// candidate instead of only GUESSCOMPLETE survivors.
-  bool use_guess_complete_filter = true;
-  /// Safety caps for the exhaustive DP baseline.
+  /// Safety caps for the exhaustive DP baseline (see dp_rewrite.h).
   size_t dp_candidate_budget = 200000;
   double dp_time_budget_s = 300.0;
 };

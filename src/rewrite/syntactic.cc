@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "plan/fingerprint.h"
 #include "plan/job.h"
@@ -26,46 +28,21 @@ Result<RewriteOutcome> SyntacticRewriter::Rewrite(plan::Plan* plan) const {
     by_fingerprint.emplace(def->fingerprint, def);
   }
 
-  std::vector<double> dp_cost(n);
-  std::vector<plan::OpNodePtr> dp_plan(n);
+  std::vector<std::optional<plan::CostedPlan>> direct(n);
   for (size_t i = 0; i < n; ++i) {
-    const plan::Job& job = dag.job(i);
     outcome.stats.candidates_considered += views_->size() > 0 ? 1 : 0;
-    auto it = by_fingerprint.find(plan::Fingerprint(job.op));
-    if (it != by_fingerprint.end()) {
-      outcome.stats.rewrite_attempts += 1;
-      outcome.stats.rewrites_found += 1;
-      // The result is already materialized: reuse is a free scan.
-      dp_cost[i] = 0;
-      dp_plan[i] = plan::ScanView(it->second->id);
-      continue;
-    }
-    double composed = job.op->cost.total_s;
-    for (int p : job.producers) composed += dp_cost[p];
-    bool any_rewritten = false;
-    for (int p : job.producers) {
-      if (dp_plan[p] != dag.job(p).op) any_rewritten = true;
-    }
-    if (any_rewritten) {
-      plan::OpNodePtr node = plan::CopyOperator(*job.op);
-      size_t producer_idx = 0;
-      for (const plan::OpNodePtr& child : job.op->children) {
-        if (child->kind == plan::OpKind::kScan) {
-          node->children.push_back(child);
-        } else {
-          node->children.push_back(dp_plan[job.producers[producer_idx++]]);
-        }
-      }
-      dp_plan[i] = std::move(node);
-    } else {
-      dp_plan[i] = job.op;
-    }
-    dp_cost[i] = composed;
+    auto it = by_fingerprint.find(plan::Fingerprint(dag.job(i).op));
+    if (it == by_fingerprint.end()) continue;
+    outcome.stats.rewrite_attempts += 1;
+    outcome.stats.rewrites_found += 1;
+    // The result is already materialized: reuse is a free scan.
+    direct[i] = plan::CostedPlan{plan::ScanView(it->second->id), 0};
   }
 
+  const plan::CostedPlan best = dag.BestComposition(direct);
   outcome.original_cost = dag.TargetCost(dag.sink());
-  outcome.plan = plan::Plan(dp_plan[dag.sink()], plan->name());
-  outcome.est_cost = dp_cost[dag.sink()];
+  outcome.plan = plan::Plan(best.root, plan->name());
+  outcome.est_cost = best.cost;
   outcome.improved = outcome.est_cost + kEps < outcome.original_cost;
   outcome.stats.runtime_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

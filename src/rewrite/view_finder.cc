@@ -63,11 +63,9 @@ void ViewFinder::Init(std::shared_ptr<const TargetSetup> setup, EnumDeps deps,
   heap_.reserve(relevant_.size());
   for (size_t r = 0; r < relevant_.size(); ++r) {
     const catalog::ViewDefinition& def = views.at(relevant_[r]);
-    const double cost =
-        deps_.options.use_optcost_ordering
-            ? OptCost(q, def.afk, def.stats.TotalBytes(), 1, model)
-            : NextFifoCost();
-    heap_.push_back(QueuedCandidate{cost, def.id, static_cast<uint32_t>(r)});
+    heap_.push_back(
+        QueuedCandidate{OptCost(q, def.afk, def.stats.TotalBytes(), 1, model),
+                        def.id, static_cast<uint32_t>(r)});
   }
   std::make_heap(heap_.begin(), heap_.end(), HeapGreater());
 }
@@ -76,12 +74,9 @@ void ViewFinder::PushMerged(CandidateView candidate, double floor_cost) {
   std::vector<catalog::ViewId> key = candidate.parts;
   std::sort(key.begin(), key.end());
   if (!enqueued_.insert(std::move(key)).second) return;
-  candidate.opt_cost =
-      deps_.options.use_optcost_ordering
-          ? std::max(OptCost(setup_->target.afk, candidate,
-                             deps_.optimizer->cost_model()),
-                     floor_cost)
-          : NextFifoCost();
+  candidate.opt_cost = std::max(
+      OptCost(setup_->target.afk, candidate, deps_.optimizer->cost_model()),
+      floor_cost);
   heap_.push_back(QueuedCandidate{candidate.opt_cost, -1,
                                   static_cast<uint32_t>(merged_.size())});
   merged_.push_back(std::move(candidate));
@@ -112,28 +107,16 @@ std::optional<EnumResult> ViewFinder::Refine() {
   cd.parts = v.parts;
   cd.opt_cost = v.opt_cost;
 
-  // Grow the space: merge v with every previously-seen candidate. MiniCon-
-  // style pruning: a merge is only created when each side contributes a
-  // useful attribute the other lacks (otherwise the merged candidate can
-  // never enable a rewrite its parts could not). New candidates inherit v's
-  // OPTCOST as a floor, preserving the monotone exploration order
-  // Algorithm 4 relies on.
+  // Grow the space: merge v with every previously-seen candidate that
+  // passes the usefulness rule. New candidates inherit v's OPTCOST as a
+  // floor, preserving the monotone exploration order Algorithm 4 relies on.
   for (const CandidateView& s : seen_) {
-    Coverage combined = CoverageUnion(v.coverage, s.coverage);
-    if (CoverageEqual(combined, v.coverage) ||
-        CoverageEqual(combined, s.coverage)) {
-      continue;  // one side subsumes the other's contribution
-    }
-    auto merged = MergeCandidates(v, s, deps_.options.max_views_per_rewrite);
-    if (merged.has_value()) {
-      merged->coverage = std::move(combined);
-      PushMerged(std::move(*merged), v.opt_cost);
-    }
+    auto merged = MergeUseful(v, s, deps_.options.max_views_per_rewrite);
+    if (merged.has_value()) PushMerged(std::move(*merged), v.opt_cost);
   }
   seen_.push_back(v);
 
-  if (deps_.options.use_guess_complete_filter &&
-      !GuessComplete(setup_->target.afk, v.afk)) {
+  if (!GuessComplete(setup_->target.afk, v.afk)) {
     cd.reject = RejectReason::kAfkContainment;
     return std::nullopt;
   }

@@ -1,8 +1,10 @@
 // VIEWFINDER (Section 7, Algorithm 4): the stateful per-target searcher.
 // Maintains a priority queue of candidate views ordered by OPTCOST,
 // incrementally grows the candidate space by merging popped candidates with
-// previously-seen ones, and attempts REWRITEENUM only on candidates that
-// pass GUESSCOMPLETE.
+// previously-seen ones (MergeUseful, the rule the DP baseline shares), and
+// attempts REWRITEENUM only on candidates that pass GUESSCOMPLETE. Neither
+// the ordering nor the screening is optional: without them the search
+// reaches the same optimum with more effort (EXPERIMENTS.md).
 //
 // One deliberate refinement over the paper's text: a *partial* candidate
 // (GUESSCOMPLETE false) is prioritized by its read-cost bound rather than ∞,
@@ -81,7 +83,6 @@ class ViewFinder {
 
   const Status& status() const { return status_; }
   bool exhausted() const { return heap_.empty(); }
-  size_t seen_size() const { return seen_.size(); }
 
   /// Completes the decision record: hands it the relevant view positions
   /// and every candidate still queued (pruned by the bound: the search
@@ -104,8 +105,6 @@ class ViewFinder {
     };
   }
   void PushMerged(CandidateView candidate, double floor_cost);
-  /// Queue key of the next candidate in the FIFO ablation.
-  double NextFifoCost() { return static_cast<double>(fifo_counter_++) * 1e-9; }
 
   std::shared_ptr<const TargetSetup> setup_;
   EnumDeps deps_;
@@ -126,7 +125,6 @@ class ViewFinder {
   /// Sorted parts of every merged candidate queued so far (base view ids
   /// are unique, so base candidates need no dedup).
   std::set<std::vector<catalog::ViewId>> enqueued_;
-  uint64_t fifo_counter_ = 0;  // ablation ordering
 };
 
 }  // namespace opd::rewrite

@@ -1,13 +1,17 @@
 // Tests for candidate-view machinery: useful signatures, coverage masks,
-// candidate ids, scan-plan construction, and JobDag target costs.
+// candidate ids, scan-plan construction, and JobDag target costs and DP.
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "exec/engine.h"
 #include "execute_and_publish.h"
 #include "plan/job.h"
 #include "rewrite/candidate.h"
+#include "rewrite/decision_log.h"
 #include "storage/dfs.h"
 #include "udf/builtin_udfs.h"
 
@@ -72,7 +76,7 @@ class CandidateTest : public ::testing::Test {
 TEST_F(CandidateTest, IdIsSortedAndStable) {
   CandidateView c;
   c.parts = {7, 3, 12};
-  EXPECT_EQ(c.Id(), "3+7+12");
+  EXPECT_EQ(CandidateId(c.parts), "3+7+12");
   EXPECT_EQ(c.NumParts(), 3u);
 }
 
@@ -110,8 +114,8 @@ TEST_F(CandidateTest, CoverageMasksAndUnion) {
   for (uint64_t w : none) none_bits += __builtin_popcountll(w);
   EXPECT_GT(full_bits, 0u);
   EXPECT_EQ(none_bits, 0u);
-  EXPECT_TRUE(CoverageEqual(CoverageUnion(full, none), full));
-  EXPECT_FALSE(CoverageEqual(full, none));
+  EXPECT_EQ(CoverageUnion(full, none), full);
+  EXPECT_NE(full, none);
 }
 
 TEST_F(CandidateTest, IsRelevantFiltersForeignViews) {
@@ -179,6 +183,41 @@ TEST_F(CandidateTest, JobDagTargetCostIsPrefixSum) {
     EXPECT_GT(dag->TargetCost(i), 0.0);
   }
   EXPECT_NEAR(sink_cost, sum_all, 1e-9);
+}
+
+// The DP step the DP and syntactic baselines share, on a plan whose
+// extract job feeds both the wine UDF and the counts group-by.
+TEST_F(CandidateTest, JobDagBestCompositionPicksCheapestPerJob) {
+  plan::Plan q = WineJoinQuery();
+  ASSERT_TRUE(optimizer_->Prepare(&q).ok());
+  auto dag = plan::JobDag::Build(q);
+  ASSERT_TRUE(dag.ok());
+  const size_t sink = static_cast<size_t>(dag->sink());
+  size_t wine = 0;
+  while (dag->job(wine).op->kind != plan::OpKind::kUdf) ++wine;
+  std::vector<std::optional<plan::CostedPlan>> direct(dag->size());
+
+  // Nothing rewritten: the original plan at its target cost (composing
+  // the sink would count the shared extract job twice).
+  plan::CostedPlan best = dag->BestComposition(direct);
+  EXPECT_EQ(best.root, dag->job(sink).op);
+  EXPECT_NEAR(best.cost, dag->TargetCost(sink), 1e-9);
+
+  // A free rewrite of the wine job: the sink is recomposed over it.
+  const plan::OpNodePtr scan = plan::ScanView(1);
+  direct[wine] = plan::CostedPlan{scan, 0};
+  best = dag->BestComposition(direct);
+  ASSERT_NE(best.root, dag->job(sink).op);
+  EXPECT_EQ(best.root->kind, plan::OpKind::kJoin);
+  EXPECT_EQ(best.root->children[0], scan);
+  EXPECT_NEAR(best.cost,
+              dag->job(sink).op->cost.total_s +
+                  dag->TargetCost(dag->job(sink).producers[1]),
+              1e-9);
+
+  // A direct rewrite of the sink wins when it is no costlier.
+  direct[sink] = plan::CostedPlan{plan::ScanView(2), best.cost};
+  EXPECT_EQ(dag->BestComposition(direct).root, direct[sink]->root);
 }
 
 }  // namespace

@@ -8,6 +8,11 @@
 #include <set>
 #include <string>
 
+#include "plan/job.h"
+#include "rewrite/decision_log.h"
+#include "rewrite/guess_complete.h"
+#include "rewrite/merge.h"
+#include "rewrite/rewrite_enum.h"
 #include "workload/scenarios.h"
 
 namespace opd::workload {
@@ -144,11 +149,74 @@ TEST_F(IntegrationTest, DpAndBfrAgreeOnWorkloadQueries) {
     plan::Plan pd = std::move(qd).value();
     auto dp = bed_->dp().Rewrite(&pd);
     ASSERT_TRUE(dp.ok());
+    EXPECT_FALSE(dp->stats.budget_exceeded) << "version " << version;
     EXPECT_NEAR(bfr->est_cost, dp->est_cost, 1e-6 * (1 + dp->est_cost))
         << "version " << version;
     EXPECT_LE(bfr->stats.candidates_considered,
               dp->stats.candidates_considered);
   }
+}
+
+// Property (paper Section 4.1) at workload scale: GUESSCOMPLETE "will never
+// result in a false negative". Over the rewriter ablation's store (every
+// analyst's v1 and v2, executed) and every target of the 32 workload
+// queries, each single view and each two-view merge MergeUseful accepts
+// that REWRITEENUM can rewrite with must have passed GUESSCOMPLETE.
+TEST_F(IntegrationTest, GuessCompleteHasNoFalseNegativesOnWorkloadStore) {
+  for (int a = 1; a <= kNumAnalysts; ++a) {
+    ASSERT_TRUE(bed_->RunOriginal(a, 1).ok());
+    ASSERT_TRUE(bed_->RunOriginal(a, 2).ok());
+  }
+  const catalog::ViewSnapshot snapshot = bed_->views().Snapshot();
+  rewrite::EnumDeps deps;
+  deps.optimizer = &bed_->optimizer();
+  deps.views = &snapshot;
+  deps.udfs = &bed_->udfs();
+  size_t merges = 0, rewrites = 0, merge_rewrites = 0;
+  for (int a = 1; a <= kNumAnalysts; ++a) {
+    for (int v = 1; v <= kNumVersions; ++v) {
+      plan::Plan q = *BuildQuery(a, v);
+      ASSERT_TRUE(bed_->optimizer().Prepare(&q).ok());
+      auto dag = plan::JobDag::Build(q);
+      ASSERT_TRUE(dag.ok()) << dag.status().ToString();
+      for (size_t i = 0; i < dag->size(); ++i) {
+        const rewrite::TargetContext target =
+            rewrite::MakeTargetContext(dag->job(i).op);
+        const auto useful = rewrite::UsefulSignatures(target.afk);
+        std::vector<rewrite::CandidateView> candidates;
+        for (const catalog::ViewDefinition* def : snapshot.All()) {
+          candidates.push_back(rewrite::MakeBaseCandidate(*def));
+          candidates.back().coverage =
+              rewrite::ComputeCoverage(candidates.back().afk, useful);
+        }
+        const size_t num_singles = candidates.size();
+        for (size_t x = 0; x < num_singles; ++x) {
+          for (size_t y = x + 1; y < num_singles; ++y) {
+            auto merged =
+                rewrite::MergeUseful(candidates[x], candidates[y], 2);
+            if (merged.has_value()) candidates.push_back(std::move(*merged));
+          }
+        }
+        merges += candidates.size() - num_singles;
+        for (const rewrite::CandidateView& c : candidates) {
+          auto result = rewrite::RewriteEnum(target, c, deps);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          if (!result->has_value()) continue;
+          ++rewrites;
+          if (c.NumParts() == 2) ++merge_rewrites;
+          EXPECT_TRUE(rewrite::GuessComplete(target.afk, c.afk))
+              << "false negative: " << rewrite::CandidateId(c.parts)
+              << " rewrote target " << i << " of A" << a << "v" << v
+              << "\n  target " << target.afk.ToString() << "\n  view "
+              << c.afk.ToString();
+        }
+      }
+    }
+  }
+  // The property was exercised on merges, not only on single views.
+  EXPECT_GT(merges, 0u);
+  EXPECT_GT(rewrites, merge_rewrites);
+  EXPECT_GT(merge_rewrites, 0u);
 }
 
 TEST_F(IntegrationTest, ViewStorageStaysBounded) {
@@ -192,9 +260,6 @@ TEST_F(IntegrationTest, ExecutedVariantStoreBfrMatchesDp) {
   config.data.n_locations = 200;
   config.data.n_users = 100;
   config.calibrate_udfs = false;
-  // DP's merge closure charges every pair against its budget; lift the cap
-  // as Figure 10 does, so DP finishes its exhaustive search.
-  config.session.rewrite.dp_candidate_budget = 200'000'000;
   auto created = TestBed::Create(config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   TestBed& bed = **created;

@@ -542,24 +542,6 @@ TEST_F(RewriteTest, BfrWorkEfficiencyNeverBeyondDp) {
             dp->stats.candidates_considered);
 }
 
-TEST_F(RewriteTest, BfrAblationWithoutOptCostOrderingStillOptimal) {
-  Execute(WineQuery(0.5, 5));
-  RewriteOptions ablated;
-  ablated.use_optcost_ordering = false;
-  BfRewriter fifo(optimizer_.get(), &views_, ablated);
-  plan::Plan q1 = WineQuery(1.0, 5);
-  auto with = bfr_->Rewrite(&q1);
-  plan::Plan q2 = WineQuery(1.0, 5);
-  auto without = fifo.Rewrite(&q2);
-  ASSERT_TRUE(with.ok());
-  ASSERT_TRUE(without.ok());
-  EXPECT_NEAR(with->est_cost, without->est_cost,
-              1e-6 * (1 + with->est_cost));
-  // The ablated search does at least as much work.
-  EXPECT_GE(without->stats.candidates_considered,
-            with->stats.candidates_considered);
-}
-
 // Property (paper Section 4.1): GUESSCOMPLETE "may result in a false
 // positive, but will never result in a false negative" — whenever
 // REWRITEENUM finds a rewrite, GUESSCOMPLETE must have said yes.
