@@ -185,12 +185,13 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
   JsonRun run;
   uint64_t rows_processed = 0;
   double best_iter_s = 0;
+  RunOptions off;
+  off.rewrite = false;
   const auto start = std::chrono::steady_clock::now();
   for (int it = 0; it < iterations; ++it) {
     const auto iter_start = std::chrono::steady_clock::now();
     for (plan::Plan& p : FivePlans()) {
-      auto result =
-          bed->session().Run(std::move(p), RunOptions{.rewrite = false});
+      auto result = bed->session().Run(std::move(p), off);
       if (!result.ok()) std::abort();
       run.metrics += result.value().metrics;
       if (it == 0 && result.value().table != nullptr) {
@@ -366,16 +367,16 @@ int RunDumpMetricsMode() {
     plan::Plan sjoin(plan::Join(
         plan::Project(plan::Scan("TWTR"), {"user_id", "tweet_text"}),
         counts, {{"user_id", "user_id"}}));
-    if (!bed->session().Run(std::move(sjoin), RunOptions{.rewrite = false})
-             .ok()) {
+    RunOptions off;
+    off.rewrite = false;
+    if (!bed->session().Run(std::move(sjoin), off).ok()) {
       std::abort();
     }
     // Re-materializing a plan the store already holds (rewrite off, so the
     // job really executes) registers viewstore.add.dedup.
     plan::Plan dup(
         plan::Project(plan::Scan("TWTR"), {"user_id", "tweet_text"}));
-    if (!bed->session().Run(std::move(dup), RunOptions{.rewrite = false})
-             .ok()) {
+    if (!bed->session().Run(std::move(dup), off).ok()) {
       std::abort();
     }
   }

@@ -76,7 +76,9 @@ int main() {
   std::printf("== Opportunistic physical design quickstart ==\n\n");
 
   // --- 1. The analyst's first query ----------------------------------------
-  auto run1 = session.Run(FoodiesQuery(0.5), RunOptions{.rewrite = false});
+  RunOptions no_rewrite;
+  no_rewrite.rewrite = false;
+  auto run1 = session.Run(FoodiesQuery(0.5), no_rewrite);
   if (!run1.ok()) {
     std::fprintf(stderr, "v1 failed: %s\n", run1.status().ToString().c_str());
     return 1;
@@ -108,8 +110,7 @@ int main() {
               run2->ExplainAnalyze().c_str());
 
   // --- 4. Compare against running v2 from scratch --------------------------
-  auto orig_run =
-      session.Run(FoodiesQuery(1.0), RunOptions{.rewrite = false});
+  auto orig_run = session.Run(FoodiesQuery(1.0), no_rewrite);
   if (!orig_run.ok()) {
     std::fprintf(stderr, "execution failed\n");
     return 1;

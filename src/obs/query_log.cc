@@ -30,6 +30,7 @@ std::string QueryRecord::ToJson() const {
   w.Key("candidates").UInt(rw_candidates);
   w.Key("accepted").UInt(rw_accepted);
   w.Key("signature_mismatch").UInt(rw_signature_mismatch);
+  w.Key("filter_not_implied").UInt(rw_filter_not_implied);
   w.Key("afk_containment").UInt(rw_afk_containment);
   w.Key("not_cost_improving").UInt(rw_not_cost_improving);
   w.Key("pruned_by_bound").UInt(rw_pruned_by_bound);

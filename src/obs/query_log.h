@@ -63,6 +63,7 @@ struct QueryRecord {
   uint64_t rw_candidates = 0;
   uint64_t rw_accepted = 0;
   uint64_t rw_signature_mismatch = 0;
+  uint64_t rw_filter_not_implied = 0;
   uint64_t rw_afk_containment = 0;
   uint64_t rw_not_cost_improving = 0;
   uint64_t rw_pruned_by_bound = 0;

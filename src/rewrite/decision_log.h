@@ -17,6 +17,8 @@
 //     snapshot the search ran against (a cheap handle) and each target's
 //     relevant view positions; every other view of the snapshot was
 //     excluded at INIT.
+//   * filter_not_implied exclusions are the relevant views INIT never
+//     queued, stored as their snapshot positions.
 //   * refined candidates (pops) are stored with their view ids and outcome.
 //   * pruned_by_bound entries are the candidates left queued, moved in
 //     unsorted as (OPTCOST, view id or merge parts); rendering sorts them
@@ -41,6 +43,9 @@ namespace opd::rewrite {
 enum class RejectReason {
   kNone = 0,            ///< not rejected (the accepted candidate)
   kSignatureMismatch,   ///< shares no useful attribute with the target (INIT)
+  kFilterNotImplied,    ///< relevant, but the target does not imply its
+                        ///< filters, so neither it nor any merge containing
+                        ///< it passes GUESSCOMPLETE (INIT)
   kAfkContainment,      ///< GUESSCOMPLETE false, or REWRITEENUM found no
                         ///< exact-equivalence compensation
   kNotCostImproving,    ///< valid rewrite, but not cheaper than the best
@@ -60,7 +65,7 @@ struct CandidateDecision {
   std::string candidate_id;
   int num_parts = 1;
   /// OPTCOST estimate w.r.t. the target; negative when never costed
-  /// (signature-mismatch exclusions happen before costing).
+  /// (INIT exclusions happen before costing).
   double opt_cost = -1;
   bool guess_complete = false;
   bool rewrite_found = false;
@@ -103,6 +108,9 @@ struct TargetDecision {
   /// Ascending snapshot positions of the views INIT found relevant; every
   /// other view of the snapshot was a signature_mismatch.
   std::vector<uint32_t> relevant;
+  /// The subset of `relevant` INIT excluded as filter_not_implied
+  /// (ascending positions); the rest were queued.
+  std::vector<uint32_t> filter_not_implied;
   /// Refined candidates, in OPTCOST (pop) order.
   std::vector<PoppedCandidate> pops;
   /// Index into `pops` of the accepted rewrite; -1 when the target kept its
@@ -123,6 +131,7 @@ struct DecisionCounts {
   size_t candidates = 0;
   size_t accepted = 0;
   size_t signature_mismatch = 0;
+  size_t filter_not_implied = 0;
   size_t afk_containment = 0;
   size_t not_cost_improving = 0;
   size_t pruned_by_bound = 0;
@@ -130,8 +139,8 @@ struct DecisionCounts {
 
 /// \brief Everything the rewrite search decided, per target.
 struct DecisionLog {
-  /// The snapshot the search ran against (the INIT exclusions are its views
-  /// outside each target's relevant set).
+  /// The snapshot the search ran against (the signature_mismatch
+  /// exclusions are its views outside each target's relevant set).
   catalog::ViewSnapshot views;
   std::vector<TargetDecision> targets;
 
@@ -139,9 +148,9 @@ struct DecisionLog {
   /// pruned entries one by one.
   DecisionCounts Counts() const;
 
-  /// Target `t`'s decisions in search order: INIT exclusions in id order,
-  /// then refinements in OPTCOST order, then bound-pruned leftovers in
-  /// (OPTCOST, parts) order.
+  /// Target `t`'s decisions in search order: INIT exclusions (both kinds)
+  /// in id order, then refinements in OPTCOST order, then bound-pruned
+  /// leftovers in (OPTCOST, parts) order.
   std::vector<CandidateDecision> Candidates(size_t t) const;
 
   /// Human-readable rendering (the body of EXPLAIN REWRITE). Deterministic.

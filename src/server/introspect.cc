@@ -90,6 +90,7 @@ std::string RenderProfile(const obs::QueryRecord& record,
      << record.views_published << " published\n";
   os << "  rewrite: candidates=" << record.rw_candidates << " accepted="
      << record.rw_accepted << " sig_mismatch=" << record.rw_signature_mismatch
+     << " filter_not_implied=" << record.rw_filter_not_implied
      << " afk=" << record.rw_afk_containment << " not_improving="
      << record.rw_not_cost_improving << " pruned=" << record.rw_pruned_by_bound
      << "\n";

@@ -244,6 +244,7 @@ Result<RunResult> Server::RunWithSource(const std::string& tenant_in,
       rec.rw_candidates = counts.candidates;
       rec.rw_accepted = counts.accepted;
       rec.rw_signature_mismatch = counts.signature_mismatch;
+      rec.rw_filter_not_implied = counts.filter_not_implied;
       rec.rw_afk_containment = counts.afk_containment;
       rec.rw_not_cost_improving = counts.not_cost_improving;
       rec.rw_pruned_by_bound = counts.pruned_by_bound;

@@ -49,6 +49,7 @@ std::string RunResult::MetricsJson() const {
     w.Key("candidates").UInt(c.candidates);
     w.Key("accepted").UInt(c.accepted);
     w.Key("signature_mismatch").UInt(c.signature_mismatch);
+    w.Key("filter_not_implied").UInt(c.filter_not_implied);
     w.Key("afk_containment").UInt(c.afk_containment);
     w.Key("not_cost_improving").UInt(c.not_cost_improving);
     w.Key("pruned_by_bound").UInt(c.pruned_by_bound);

@@ -142,9 +142,10 @@ TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
             ->RegisterTable(storage::TablePtr(std::move(skew)), {"k"})
             .ok());
 
+    RunOptions off;
+    off.rewrite = false;
     auto run = client.Run(
-        "g = scan SKEW | groupby k count(*) as n, sum(v) as s;",
-        RunOptions{.rewrite = false});
+        "g = scan SKEW | groupby k count(*) as n, sum(v) as s;", off);
     EXPECT_TRUE(run.ok()) << run.status().ToString();
     std::vector<storage::Row> rows;
     if (run.ok() && run->table != nullptr) rows = run->table->ToRows();

@@ -73,9 +73,10 @@ TEST(SessionTest, TracingProducesQueryRootedSpans) {
   SessionOptions options;
   options.obs.tracing = true;
   auto s = MakeServer(options);
+  RunOptions off;
+  off.rewrite = false;
   auto run = s.client.Run(
-      "counts = scan TWTR | groupby user_id count(*) as n;",
-      RunOptions{.rewrite = false});
+      "counts = scan TWTR | groupby user_id count(*) as n;", off);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_NE(run->trace, nullptr);
   auto spans = run->trace->Sorted();
@@ -122,9 +123,10 @@ std::string MaskNumbers(const std::string& s) {
 
 TEST(SessionTest, ExplainAnalyzeGoldenShape) {
   auto s = MakeServer();
+  RunOptions off;
+  off.rewrite = false;
   auto run = s.client.Run(
-      "counts = scan TWTR | groupby user_id count(*) as n;",
-      RunOptions{.rewrite = false});
+      "counts = scan TWTR | groupby user_id count(*) as n;", off);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const std::string masked =
       MaskNumbers(run->ExplainAnalyze(exec::AnalyzeOptions{.show_wall = false}));
@@ -306,8 +308,8 @@ TEST(SessionTest, ExplainRewriteGoldenShape) {
       "    #             optcost=#s  rewrite=#s  accepted\n"
       "    #             optcost=#s  rejected: pruned_by_bound (never "
       "refined)\n"
-      "candidates: #  accepted: #  signature_mismatch: #  afk_containment: #"
-      "  not_cost_improving: #  pruned_by_bound: #\n";
+      "candidates: #  accepted: #  signature_mismatch: #  filter_not_implied: #"
+      "  afk_containment: #  not_cost_improving: #  pruned_by_bound: #\n";
   EXPECT_EQ(masked, expected);
 }
 
@@ -359,9 +361,10 @@ TEST(SessionTest, MetricsJsonCarriesPerJobResidualsAndDecisions) {
 
 TEST(SessionTest, CostDriftsTrackExecutedOperatorClasses) {
   auto s = MakeServer();
+  RunOptions off;
+  off.rewrite = false;
   auto run = s.client.Run(
-      "counts = scan TWTR | groupby user_id count(*) as n;",
-      RunOptions{.rewrite = false});
+      "counts = scan TWTR | groupby user_id count(*) as n;", off);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_FALSE(run->cost_drifts.empty());
   bool saw_groupby = false;
