@@ -64,20 +64,19 @@ struct SearchState {
   }
 
   // Algorithm 2: REFINETARGET.
-  Status RefineTarget(int i) {
+  void RefineTarget(int i) {
     auto result = finders[i].Refine();
-    OPD_RETURN_NOT_OK(finders[i].status());
     // Refine() recorded the candidate it just popped.
     TargetDecision& td = log->targets[static_cast<size_t>(i)];
     stats->candidates_considered += 1;
     if (td.pops.back().guess_complete) stats->rewrite_attempts += 1;
-    if (!result.has_value()) return Status::OK();
+    if (!result.has_value()) return;
     stats->rewrites_found += result->rewrites_found;
     // Only the search loop knows whether the rewrite actually beat the
     // target's running best.
     if (!(result->cost + kEps < best_cost[i])) {
       td.pops.back().reject = RejectReason::kNotCostImproving;
-      return Status::OK();
+      return;
     }
     // Demote the previously accepted candidate (if any): it is no longer
     // cheaper than the best, which is this one's definition of rejection.
@@ -91,7 +90,6 @@ struct SearchState {
     best_plan[i] = result->plan.root();
     if (i == dag->sink()) RecordSinkImprovement();
     for (int k : dag->job(i).consumers) PropBestRewrite(k);
-    return Status::OK();
   }
 
   // Algorithm 2: FINDNEXTMINTARGET. Returns (target index or -1, bound d).
@@ -198,7 +196,7 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
                               "round:" + std::to_string(iter), "rewrite");
     round_span.AddArg("target", static_cast<int64_t>(target));
     round_span.AddArg("peek_cost", d);
-    OPD_RETURN_NOT_OK(state.RefineTarget(target));
+    state.RefineTarget(target);
     round_span.AddArg("best_cost", state.best_cost[dag.sink()]);
   }
 

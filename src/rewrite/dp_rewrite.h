@@ -5,7 +5,11 @@
 // with dynamic programming over the job DAG.
 //
 // The space grows through MergeUseful, as VIEWFINDER's does, and the DAG
-// step is plan::JobDag::BestComposition, as BFR-SYNTACTIC's is.
+// step is plan::JobDag::BestComposition, as BFR-SYNTACTIC's is. Unlike
+// VIEWFINDER's INIT, DP keeps the views whose filters a target does not
+// imply: it attempts every candidate. Each target gets its own TargetSetup
+// and goes through the same memoized RewriteEnum, so candidates sharing an
+// AFK share one DFS (their attempts are still counted one by one).
 //
 // Produces the same r* as BFREWRITE but does far more work, so two caps
 // bound it, either one setting `budget_exceeded`: `dp_candidate_budget`
