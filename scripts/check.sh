@@ -81,7 +81,9 @@ scripts/bench.sh --check
 echo "== Figure 10 on executed views (regular build) =="
 # Grows a store of ~1000 views by executing the workload and its variants
 # through the serving path, then times BFR against DP on A3v1 at five
-# store sizes (~30 s on 4 cores). Exits 1 on any failed paper-shape check.
+# store sizes, and the slowest of the 32 queries under a cold BFR at each
+# (~35 s on 4 cores). Exits 1 on any failed paper-shape check, including
+# the count-based one that pops grow at most linearly in the views.
 ./build/bench/fig10_scalability
 echo "== rewriter ablation, Figures 9 and 12 (regular build) =="
 # BFR, DP and BFR-SYNTACTIC share MERGE's usefulness rule and the job-DAG
