@@ -135,6 +135,11 @@ Result<std::vector<double>> RunAnalystAccumulation(TestBed* bed);
 Result<plan::Plan> BuildVariantQuery(TestBed* bed, int analyst, int version,
                                      int round);
 
+/// The AFK annotations of query A<analyst>v<version>'s targets (its
+/// non-scan operators): a view with one of them is identical to a target.
+Result<std::vector<afk::Afk>> TargetAnnotations(TestBed* bed, int analyst,
+                                                int version);
+
 /// Discards every view whose AFK annotation is identical to some target of
 /// query A<analyst>v<version>, with its DFS file (Table 2, Figure 10).
 Status DropIdenticalViews(TestBed* bed, int analyst, int version);
