@@ -17,9 +17,11 @@
 # the query-log suite (concurrent appends racing ring snapshots,
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
 # ServerStress), the oracle suite (the engine's pool, pipelined shuffle
-# and cross-job DAG schedule at 8 threads), and the view-store stress test
+# and cross-job DAG schedule at 8 threads), the view-store stress test
 # (publishes, drops and access recording racing snapshots that rewrite
-# against the store's copy-on-write versions and their lazy index). TSan
+# against the store's copy-on-write versions and their lazy index), and the
+# view-statistics tests (the column sketch every executed job's view gets,
+# from the job's finalize step under the DAG schedule). TSan
 # and ASan cannot share a build, hence the separate tree.
 #
 # Then runs the perf-floor gate
@@ -55,10 +57,10 @@ cd ..
 echo "== ThreadSanitizer pass (serving layer + parallel determinism) =="
 cmake -B build-tsan -S . -DOPD_TSAN=ON >/dev/null
 cmake --build build-tsan --target server_test parallel_determinism_test \
-  recycler_test query_log_test oracle_test catalog_test -j
+  recycler_test query_log_test oracle_test catalog_test exec_engine_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

@@ -39,17 +39,7 @@ std::string ToLowerAscii(std::string_view s) {
 
 std::vector<std::string> TokenizeWords(std::string_view text) {
   std::vector<std::string> words;
-  std::string cur;
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      cur.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    } else if (!cur.empty()) {
-      words.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) words.push_back(std::move(cur));
+  ForEachWord(text, [&](std::string_view word) { words.emplace_back(word); });
   return words;
 }
 

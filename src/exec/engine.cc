@@ -1130,7 +1130,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
                                 job_span != nullptr ? job_span->id() : 0,
                                 "stats", "phase");
       const auto stats_start = std::chrono::steady_clock::now();
-      def.stats = stats_.Collect(*st.table, pool_.get());
+      def.stats = stats_.Collect(*st.table);
       metrics.stats_wall_time_s +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         stats_start)

@@ -1,15 +1,14 @@
 #include "exec/stats_collector.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/rng.h"
 
 namespace opd::exec {
 
-catalog::TableStats StatsCollector::Collect(const storage::Table& table,
-                                            ThreadPool* pool) const {
+catalog::TableStats StatsCollector::Collect(
+    const storage::Table& table) const {
   catalog::TableStats stats;
   // Exact from job counters.
   stats.rows = static_cast<double>(table.num_rows());
@@ -17,49 +16,51 @@ catalog::TableStats StatsCollector::Collect(const storage::Table& table,
   if (table.num_rows() == 0) return stats;
 
   // Draw the sample serially from the seeded RNG, in row order: the sampled
-  // set is a function of (seed, table) only, never of threading. Only the
-  // sampled rows are built from the batches.
+  // set is a function of (seed, table) only, never of threading. The sample
+  // is (batch, row) positions; the sketches read the columns there.
   Rng rng(seed_ ^ table.num_rows());
-  std::vector<storage::Row> sample;
+  const auto batches = table.ToBatches();
+  std::vector<std::pair<uint32_t, uint32_t>> sample;
   sample.reserve(static_cast<size_t>(
       fraction_ * static_cast<double>(table.num_rows()) + 1));
-  for (const storage::RowBatch& batch : *table.ToBatches()) {
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      if (rng.Bernoulli(fraction_)) sample.push_back(batch.RowAt(r));
+  for (size_t b = 0; b < batches->size(); ++b) {
+    for (size_t r = 0; r < (*batches)[b].num_rows(); ++r) {
+      if (rng.Bernoulli(fraction_)) {
+        sample.emplace_back(static_cast<uint32_t>(b), static_cast<uint32_t>(r));
+      }
     }
   }
   if (sample.empty()) {
     // Degenerate sample: fall back to scanning the first row only.
-    storage::Row first;
-    for (const storage::Column& col : table.schema().columns()) {
-      first.push_back(*table.Get(0, col.name));
-    }
-    sample.push_back(std::move(first));
+    size_t b = 0;
+    while ((*batches)[b].num_rows() == 0) ++b;
+    sample.emplace_back(static_cast<uint32_t>(b), 0);
   }
   const size_t sampled = sample.size();
 
-  // Per-column sketches are independent — one task per column.
+  // Per column: distinct cell hashes (sort + unique) and the width sum, in
+  // sample order. HashAt / CellByteSize equal Value::Hash / ByteSize.
   const auto& schema = table.schema();
-  std::vector<std::set<uint64_t>> hashes(schema.num_columns());
-  std::vector<double> widths(schema.num_columns(), 0);
-  Status st = ParallelFor(pool, schema.num_columns(), [&](size_t c) {
-    for (const storage::Row& row : sample) {
-      hashes[c].insert(row[c].Hash());
-      widths[c] += static_cast<double>(row[c].ByteSize());
-    }
-    return Status::OK();
-  });
-  (void)st;  // the column tasks cannot fail
   const double n = stats.rows;
   const double sn = static_cast<double>(sampled);
+  std::vector<uint64_t> hashes(sampled);
   for (size_t c = 0; c < schema.num_columns(); ++c) {
-    const std::string& name = schema.column(c).name;
-    const double ds = static_cast<double>(hashes[c].size());
+    double width = 0;
+    for (size_t k = 0; k < sampled; ++k) {
+      const auto [b, r] = sample[k];
+      const storage::ColumnVector& col = (*batches)[b].column(c);
+      hashes[k] = col.HashAt(r);
+      width += static_cast<double>(col.CellByteSize(r));
+    }
+    std::sort(hashes.begin(), hashes.end());
+    const double ds = static_cast<double>(
+        std::unique(hashes.begin(), hashes.end()) - hashes.begin());
     // Saturation heuristic: if the sample looks mostly-unique, scale to the
     // full table; if it saturated at few values, take it as the cardinality.
     double est = ds >= 0.6 * sn ? ds * (n / sn) : ds;
+    const std::string& name = schema.column(c).name;
     stats.distinct[name] = std::min(est, n);
-    stats.col_bytes[name] = widths[c] / sn;
+    stats.col_bytes[name] = width / sn;
   }
   return stats;
 }

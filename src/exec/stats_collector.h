@@ -6,7 +6,6 @@
 #define OPD_EXEC_STATS_COLLECTOR_H_
 
 #include "catalog/catalog.h"
-#include "common/thread_pool.h"
 #include "optimizer/cost_model.h"
 #include "storage/table.h"
 
@@ -21,11 +20,9 @@ class StatsCollector {
 
   /// Estimates stats from a deterministic sample. Row count and byte size
   /// come from job counters (exact); per-column distincts and widths are
-  /// estimated from the sample. The sample itself is drawn serially from
-  /// the seeded RNG (so it never depends on threading); per-column
-  /// sketches are then computed as parallel tasks on `pool` when given.
-  catalog::TableStats Collect(const storage::Table& table,
-                              ThreadPool* pool = nullptr) const;
+  /// estimated from the sample, drawn serially from the seeded RNG. The
+  /// sketches read the sampled cells' hashes and widths from the columns.
+  catalog::TableStats Collect(const storage::Table& table) const;
 
   /// Modeled time of the sampling Map job under `model`.
   double JobTime(const storage::Table& table,

@@ -1,8 +1,13 @@
 #include "udf/builtin_udfs.h"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <map>
+#include <iterator>
 #include <set>
+#include <span>
 
 #include "common/string_util.h"
 
@@ -16,52 +21,144 @@ using storage::Value;
 
 namespace {
 
-const std::map<std::string, double>& Lexicon(const std::string& name) {
-  static const std::map<std::string, double> kWine = {
-      {"wine", 0.30},    {"merlot", 0.35},   {"cabernet", 0.35},
-      {"pinot", 0.30},   {"chardonnay", 0.30}, {"vineyard", 0.25},
-      {"tannin", 0.20},  {"sommelier", 0.40}, {"rose", 0.15},
-      {"riesling", 0.30}, {"corked", -0.20},  {"vinegar", -0.25},
-  };
-  static const std::map<std::string, double> kFood = {
-      {"delicious", 0.35}, {"tasty", 0.30},  {"yummy", 0.30},
-      {"brunch", 0.20},    {"foodie", 0.40}, {"pasta", 0.20},
-      {"ramen", 0.25},     {"dessert", 0.25}, {"savory", 0.25},
-      {"bland", -0.30},    {"stale", -0.35}, {"burnt", -0.25},
-  };
-  static const std::map<std::string, double> kLuxury = {
-      {"yacht", 0.45},    {"penthouse", 0.40}, {"champagne", 0.35},
-      {"caviar", 0.40},   {"firstclass", 0.35}, {"designer", 0.25},
-      {"chauffeur", 0.35}, {"resort", 0.20},   {"golf", 0.15},
-      {"thrift", -0.20},  {"coupon", -0.15},
-  };
-  static const std::map<std::string, double> kEmpty = {};
+struct LexiconEntry {
+  std::string_view word;
+  double weight;
+};
+
+constexpr bool ByWord(const LexiconEntry& a, const LexiconEntry& b) {
+  return a.word < b.word;
+}
+
+/// A lexicon: entries sorted by word, looked up by binary search behind a
+/// filter on (first byte, length) that rejects most words in one load.
+struct Lexicon {
+  std::span<const LexiconEntry> entries;
+  /// Bit `len` of `lengths_by_first[c]` is set when an entry of length
+  /// `len` (< 64) starts with byte `c`.
+  std::array<uint64_t, 256> lengths_by_first{};
+
+  constexpr explicit Lexicon(std::span<const LexiconEntry> sorted)
+      : entries(sorted) {
+    for (const LexiconEntry& e : sorted) {
+      lengths_by_first[static_cast<unsigned char>(e.word[0])] |=
+          uint64_t{1} << e.word.size();
+    }
+  }
+
+  /// The entry for `word` (non-empty), or null.
+  const LexiconEntry* Find(std::string_view word) const {
+    if (word.size() >= 64 ||
+        ((lengths_by_first[static_cast<unsigned char>(word[0])] >>
+          word.size()) & 1) == 0) {
+      return nullptr;
+    }
+    auto it = std::lower_bound(
+        entries.begin(), entries.end(), word,
+        [](const LexiconEntry& e, std::string_view w) { return e.word < w; });
+    return it != entries.end() && it->word == word ? &*it : nullptr;
+  }
+};
+
+constexpr LexiconEntry kWineEntries[] = {
+    {"cabernet", 0.35}, {"chardonnay", 0.30}, {"corked", -0.20},
+    {"merlot", 0.35},   {"pinot", 0.30},      {"riesling", 0.30},
+    {"rose", 0.15},     {"sommelier", 0.40},  {"tannin", 0.20},
+    {"vinegar", -0.25}, {"vineyard", 0.25},   {"wine", 0.30},
+};
+constexpr LexiconEntry kFoodEntries[] = {
+    {"bland", -0.30},    {"brunch", 0.20},  {"burnt", -0.25},
+    {"delicious", 0.35}, {"dessert", 0.25}, {"foodie", 0.40},
+    {"pasta", 0.20},     {"ramen", 0.25},   {"savory", 0.25},
+    {"stale", -0.35},    {"tasty", 0.30},   {"yummy", 0.30},
+};
+constexpr LexiconEntry kLuxuryEntries[] = {
+    {"caviar", 0.40},  {"champagne", 0.35}, {"chauffeur", 0.35},
+    {"coupon", -0.15}, {"designer", 0.25},  {"firstclass", 0.35},
+    {"golf", 0.15},    {"penthouse", 0.40}, {"resort", 0.20},
+    {"thrift", -0.20}, {"yacht", 0.45},
+};
+static_assert(std::is_sorted(std::begin(kWineEntries), std::end(kWineEntries),
+                             ByWord));
+static_assert(std::is_sorted(std::begin(kFoodEntries), std::end(kFoodEntries),
+                             ByWord));
+static_assert(std::is_sorted(std::begin(kLuxuryEntries),
+                             std::end(kLuxuryEntries), ByWord));
+
+constexpr Lexicon kWine(kWineEntries);
+constexpr Lexicon kFood(kFoodEntries);
+constexpr Lexicon kLuxury(kLuxuryEntries);
+constexpr Lexicon kNoLexicon({});
+
+/// The lexicon named "wine", "food" or "luxury"; an empty one for any
+/// other name.
+const Lexicon& FindLexicon(std::string_view name) {
   if (name == "wine") return kWine;
   if (name == "food") return kFood;
   if (name == "luxury") return kLuxury;
-  return kEmpty;
+  return kNoLexicon;
+}
+
+/// Sums the weights of `text`'s words found in `lex`, in word order.
+double ScoreWords(std::string_view text, const Lexicon& lex) {
+  double score = 0;
+  ForEachWord(text, [&](std::string_view word) {
+    if (const LexiconEntry* e = lex.Find(word)) score += e->weight;
+  });
+  return score;
+}
+
+/// The distinct words of `text`, sorted.
+std::vector<std::string> WordSet(std::string_view text) {
+  std::vector<std::string> words = TokenizeWords(text);
+  std::sort(words.begin(), words.end());
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  return words;
+}
+
+/// Parses one coordinate exactly as `std::stod` would. `from_chars` is
+/// taken only when it consumes the whole field and yields a normal number,
+/// where both round correctly and agree; every other field (leading spaces,
+/// '+', hex floats, trailing junk, zeros, denormals, out-of-range values,
+/// nan, inf) goes through `stod`. `*out` is written only on success.
+bool ParseCoordinate(std::string_view field, double* out) {
+  const char* end = field.data() + field.size();
+  double v = 0;
+  auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  if (ec == std::errc() && ptr == end && std::isnormal(v)) {
+    *out = v;
+    return true;
+  }
+  try {
+    *out = std::stod(std::string(field));
+  } catch (...) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 double LexiconScore(std::string_view text, const std::string& lexicon) {
-  const auto& lex = Lexicon(lexicon);
-  double score = 0;
-  for (const std::string& word : TokenizeWords(text)) {
-    auto it = lex.find(word);
-    if (it != lex.end()) score += it->second;
-  }
-  return score;
+  return ScoreWords(text, FindLexicon(lexicon));
 }
 
 double JaccardSimilarity(std::string_view a, std::string_view b) {
-  auto wa = TokenizeWords(a);
-  auto wb = TokenizeWords(b);
-  std::set<std::string> sa(wa.begin(), wa.end());
-  std::set<std::string> sb(wb.begin(), wb.end());
+  const std::vector<std::string> sa = WordSet(a);
+  const std::vector<std::string> sb = WordSet(b);
   if (sa.empty() && sb.empty()) return 0.0;
   size_t inter = 0;
-  for (const auto& w : sa) inter += sb.count(w);
+  for (size_t i = 0, j = 0; i < sa.size() && j < sb.size();) {
+    if (sa[i] < sb[j]) {
+      ++i;
+    } else if (sb[j] < sa[i]) {
+      ++j;
+    } else {
+      ++inter;
+      ++i;
+      ++j;
+    }
+  }
   size_t uni = sa.size() + sb.size() - inter;
   return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
@@ -76,10 +173,8 @@ int64_t GeoTileId(double lat, double lon, double tile_size) {
 bool ParseLatLon(std::string_view geo, double* lat, double* lon) {
   size_t comma = geo.find(',');
   if (comma == std::string_view::npos) return false;
-  try {
-    *lat = std::stod(std::string(geo.substr(0, comma)));
-    *lon = std::stod(std::string(geo.substr(comma + 1)));
-  } catch (...) {
+  if (!ParseCoordinate(geo.substr(0, comma), lat) ||
+      !ParseCoordinate(geo.substr(comma + 1), lon)) {
     return false;
   }
   return *lat >= -90.0 && *lat <= 90.0 && *lon >= -180.0 && *lon <= 180.0;
@@ -89,11 +184,22 @@ void ParseLogMeta(std::string_view meta, std::string* lang,
                   std::string* device) {
   *lang = "unknown";
   *device = "unknown";
-  for (const std::string& field : SplitString(meta, ';')) {
-    auto kv = SplitString(field, '=');
-    if (kv.size() != 2) continue;
-    if (kv[0] == "lang") *lang = kv[1];
-    if (kv[0] == "dev") *device = kv[1];
+  // ';'-separated fields, empty ones included; a field counts only with
+  // exactly one '=', and a later field overrides an earlier one.
+  size_t start = 0;
+  while (true) {
+    const size_t end = std::min(meta.find(';', start), meta.size());
+    const std::string_view field = meta.substr(start, end - start);
+    const size_t eq = field.find('=');
+    if (eq != std::string_view::npos &&
+        field.find('=', eq + 1) == std::string_view::npos) {
+      const std::string_view key = field.substr(0, eq);
+      const std::string_view value = field.substr(eq + 1);
+      if (key == "lang") lang->assign(value);
+      if (key == "dev") device->assign(value);
+    }
+    if (end == meta.size()) return;
+    start = end + 1;
   }
 }
 
@@ -102,6 +208,17 @@ namespace {
 Schema TwoColSchema(const std::string& a, DataType ta, const std::string& b,
                     DataType tb) {
   return Schema({Column{a, ta}, Column{b, tb}});
+}
+
+/// The model filter `attr > <param_key>`, `default_literal` when unset.
+UdfFilterSpec GtParamFilter(std::string attr, std::string param_key,
+                            double default_literal) {
+  UdfFilterSpec f;
+  f.attr = std::move(attr);
+  f.op = afk::CmpOp::kGt;
+  f.param_key = std::move(param_key);
+  f.default_literal = default_literal;
+  return f;
 }
 
 // A per-user "score tweets then aggregate then threshold" UDF: the shape of
@@ -118,7 +235,7 @@ UdfDefinition MakeUserScoreUdf(const std::string& udf_name,
   udf.model.outputs = {
       {out_attr, DataType::kDouble, {"user_id", "tweet_text"}, {}}};
   udf.model.filters = {
-      {out_attr, afk::CmpOp::kGt, threshold_key, default_threshold}};
+      GtParamFilter(out_attr, threshold_key, default_threshold)};
   udf.model.rekey = std::vector<std::string>{"user_id"};
   udf.model.rekey_groups = true;
   udf.model.expansion_hint = 0.05;
@@ -136,11 +253,12 @@ UdfDefinition MakeUserScoreUdf(const std::string& udf_name,
     return TwoColSchema("user_id", DataType::kInt64, "_score",
                         DataType::kDouble);
   };
-  lf1.map_fn = [lexicon](const Row& row, const LfContext& ctx,
-                         std::vector<Row>* out) {
+  lf1.map_fn = [lex = &FindLexicon(lexicon)](const Row& row,
+                                             const LfContext& ctx,
+                                             std::vector<Row>* out) {
     const Value& uid = row[ctx.In("user_id")];
     const Value& text = row[ctx.In("tweet_text")];
-    double s = text.is_null() ? 0.0 : LexiconScore(text.as_string(), lexicon);
+    double s = text.is_null() ? 0.0 : ScoreWords(text.as_string(), *lex);
     out->push_back(Row{uid, Value(s)});
   };
   udf.local_functions.push_back(std::move(lf1));
@@ -199,7 +317,7 @@ UdfDefinition MakeFriendshipStrengthUdf() {
       {"user_b", DataType::kInt64, {"user_id", "mention_user"}, {}},
       {"strength", DataType::kDouble, {"user_id", "mention_user"}, {}},
   };
-  udf.model.filters = {{"strength", afk::CmpOp::kGt, "min_strength", 1.0}};
+  udf.model.filters = {GtParamFilter("strength", "min_strength", 1.0)};
   udf.model.rekey = std::vector<std::string>{"user_a", "user_b"};
   udf.model.expansion_hint = 0.02;
 
@@ -258,7 +376,7 @@ UdfDefinition MakeNetworkInfluenceUdf() {
       {"inf_user", DataType::kInt64, {"user_a", "user_b"}, {}},
       {"influence", DataType::kDouble, {"user_a", "user_b", "strength"}, {}},
   };
-  udf.model.filters = {{"influence", afk::CmpOp::kGt, "min_influence", 0.0}};
+  udf.model.filters = {GtParamFilter("influence", "min_influence", 0.0)};
   udf.model.rekey = std::vector<std::string>{"inf_user"};
   udf.model.expansion_hint = 0.8;
 
@@ -406,9 +524,9 @@ UdfDefinition MakeTokenizeUdf() {
     const Value& text = row[ctx.In("tweet_text")];
     if (text.is_null()) return;
     const Value& uid = row[ctx.In("user_id")];
-    for (std::string& tok : TokenizeWords(text.as_string())) {
-      out->push_back(Row{uid, Value(std::move(tok))});
-    }
+    ForEachWord(text.as_string(), [&](std::string_view tok) {
+      out->push_back(Row{uid, Value(std::string(tok))});
+    });
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -423,7 +541,7 @@ UdfDefinition MakeWordCountUdf() {
       {"word", DataType::kString, {"token"}, {}},
       {"wcount", DataType::kInt64, {"token"}, {}},
   };
-  udf.model.filters = {{"wcount", afk::CmpOp::kGt, "min_count", 0.0}};
+  udf.model.filters = {GtParamFilter("wcount", "min_count", 0.0)};
   udf.model.rekey = std::vector<std::string>{"word"};
   udf.model.expansion_hint = 0.01;
 
@@ -468,7 +586,7 @@ UdfDefinition MakeMenuSimilarityUdf() {
   udf.model.kept = {"*"};
   udf.model.outputs = {
       {"menu_sim", DataType::kDouble, {"menu_text"}, {"ref_menu"}}};
-  udf.model.filters = {{"menu_sim", afk::CmpOp::kGt, "min_sim", 0.1}};
+  udf.model.filters = {GtParamFilter("menu_sim", "min_sim", 0.1)};
   udf.model.expansion_hint = 0.3;
 
   LocalFunction lf1;
@@ -525,10 +643,12 @@ UdfDefinition MakeParseLogUdf() {
                   std::vector<Row>* out) {
     const Value& meta = row[ctx.In("raw_meta")];
     std::string lang, device;
-    ParseLogMeta(meta.is_null() ? "" : meta.as_string(), &lang, &device);
+    ParseLogMeta(meta.is_null() ? std::string_view()
+                                : std::string_view(meta.as_string()),
+                 &lang, &device);
     Row r = row;
-    r.push_back(Value(std::move(lang)));
-    r.push_back(Value(std::move(device)));
+    r.emplace_back(std::move(lang));
+    r.emplace_back(std::move(device));
     out->push_back(std::move(r));
   };
   udf.local_functions.push_back(std::move(lf1));
@@ -546,7 +666,7 @@ UdfDefinition MakeHashtagTrendsUdf() {
       {"trend_tier", DataType::kString, {"user_id", "tweet_text"},
        {"min_users"}},
   };
-  udf.model.filters = {{"tag_users", afk::CmpOp::kGt, "min_users", 2.0}};
+  udf.model.filters = {GtParamFilter("tag_users", "min_users", 2.0)};
   udf.model.rekey = std::vector<std::string>{"tag"};
   udf.model.expansion_hint = 0.01;
 
@@ -574,8 +694,9 @@ UdfDefinition MakeHashtagTrendsUdf() {
         ++j;
       }
       if (j > i + 1) {
-        out->push_back(Row{Value(ToLowerAscii(s.substr(i + 1, j - i - 1))),
-                           uid});
+        out->push_back(Row{
+            Value(ToLowerAscii(std::string_view(s).substr(i + 1, j - i - 1))),
+            uid});
       }
       i = j;
     }
@@ -615,8 +736,7 @@ UdfDefinition MakeHashtagTrendsUdf() {
     double users = row[ctx.In("tag_users")].ToDouble();
     if (users <= min_users) return;
     Row r = row;
-    r.push_back(Value(users > 4 * min_users ? std::string("hot")
-                                            : std::string("rising")));
+    r.emplace_back(std::string(users > 4 * min_users ? "hot" : "rising"));
     out->push_back(std::move(r));
   };
   udf.local_functions.push_back(std::move(lf3));

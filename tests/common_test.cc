@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
+#include <string_view>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -142,6 +144,77 @@ TEST(StringUtilTest, Tokenize) {
   EXPECT_EQ(words[4], "bar");
   EXPECT_TRUE(TokenizeWords("").empty());
   EXPECT_TRUE(TokenizeWords("...!!!").empty());
+}
+
+// The definition ForEachWord and TokenizeWords keep: maximal runs of bytes
+// with std::isalnum, lower-cased with std::tolower, in the "C" locale (no
+// code here calls setlocale).
+std::vector<std::string> ReferenceTokenize(std::string_view text) {
+  std::vector<std::string> words;
+  std::string cur;
+  for (char c : text) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      cur.push_back(
+          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    } else if (!cur.empty()) {
+      words.push_back(std::move(cur));
+      cur.clear();
+    }
+  }
+  if (!cur.empty()) words.push_back(std::move(cur));
+  return words;
+}
+
+std::vector<std::string> VisitWords(std::string_view text) {
+  std::vector<std::string> words;
+  ForEachWord(text, [&](std::string_view word) { words.emplace_back(word); });
+  return words;
+}
+
+TEST(StringUtilTest, WordBytesMatchCLocale) {
+  for (int b = 0; b < 256; ++b) {
+    const char want =
+        std::isalnum(b) ? static_cast<char>(std::tolower(b)) : char{0};
+    EXPECT_EQ(internal::kWordBytes[b], want) << b;
+    const std::string one(1, static_cast<char>(b));
+    const std::string inside = "aB" + one + "9z";
+    for (const std::string& text : {one, inside}) {
+      EXPECT_EQ(TokenizeWords(text), ReferenceTokenize(text)) << b;
+      EXPECT_EQ(VisitWords(text), ReferenceTokenize(text)) << b;
+    }
+  }
+}
+
+TEST(StringUtilTest, TokenizeMatchesReferenceOnRandomText) {
+  const std::string common = "abcXYZ019 ,.!-#_\t\n";
+  Rng rng(7);
+  for (int i = 0; i < 3000; ++i) {
+    std::string text;
+    const uint64_t len = rng.Uniform(200);
+    for (uint64_t k = 0; k < len; ++k) {
+      text.push_back(rng.Bernoulli(0.7)
+                         ? common[rng.Uniform(common.size())]
+                         : static_cast<char>(rng.Uniform(256)));
+    }
+    const auto want = ReferenceTokenize(text);
+    EXPECT_EQ(TokenizeWords(text), want) << i;
+    EXPECT_EQ(VisitWords(text), want) << i;
+  }
+}
+
+TEST(StringUtilTest, TokenizeWordsLongerThanTheStackBuffer) {
+  const size_t n = internal::kWordStackBytes;
+  for (size_t len : {n - 1, n, n + 1, 2 * n, size_t{1000}}) {
+    std::string word;
+    for (size_t k = 0; k < len; ++k) word.push_back("AbC9"[k % 4]);
+    // Long words before and after short ones: the heap buffer is reused.
+    const std::string text =
+        word + " x, " + word + "!" + word.substr(0, 3) + "-" + word;
+    const auto want = ReferenceTokenize(text);
+    ASSERT_EQ(want.size(), 5u);
+    EXPECT_EQ(TokenizeWords(text), want) << len;
+    EXPECT_EQ(VisitWords(text), want) << len;
+  }
 }
 
 TEST(StringUtilTest, StartsWithAndLower) {

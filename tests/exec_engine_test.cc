@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <set>
+
 #include "catalog/catalog.h"
 #include "catalog/view_store.h"
+#include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/stats_collector.h"
 #include "execute_and_publish.h"
@@ -21,6 +27,8 @@ using plan::AggSpec;
 using plan::FilterCond;
 using storage::Column;
 using storage::DataType;
+using storage::Row;
+using storage::RowBatch;
 using storage::Schema;
 using storage::Table;
 using storage::Value;
@@ -239,6 +247,127 @@ TEST(StatsCollectorTest, HighCardinalityScalesUp) {
   StatsCollector collector(0.1, 42);
   catalog::TableStats stats = collector.Collect(t);
   EXPECT_GT(stats.DistinctOr("x", 0), 2500.0);
+}
+
+// The row-at-a-time definition that StatsCollector::Collect's column sketch
+// must reproduce bit for bit: the seeded sample built as rows (the first row
+// when the sample is empty), then per column a set of Value::Hash and a sum
+// of Value::ByteSize in sample order.
+catalog::TableStats RowSketch(const Table& table, double fraction,
+                              uint64_t seed) {
+  catalog::TableStats stats;
+  stats.rows = static_cast<double>(table.num_rows());
+  stats.avg_row_bytes = table.AvgRowBytes();
+  if (table.num_rows() == 0) return stats;
+  Rng rng(seed ^ table.num_rows());
+  std::vector<Row> sample;
+  for (const RowBatch& batch : *table.ToBatches()) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      if (rng.Bernoulli(fraction)) sample.push_back(batch.RowAt(r));
+    }
+  }
+  if (sample.empty()) {
+    Row first;
+    for (const Column& col : table.schema().columns()) {
+      first.push_back(*table.Get(0, col.name));
+    }
+    sample.push_back(std::move(first));
+  }
+  const double n = stats.rows;
+  const double sn = static_cast<double>(sample.size());
+  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+    std::set<uint64_t> hashes;
+    double width = 0;
+    for (const Row& row : sample) {
+      hashes.insert(row[c].Hash());
+      width += static_cast<double>(row[c].ByteSize());
+    }
+    const double ds = static_cast<double>(hashes.size());
+    const double est = ds >= 0.6 * sn ? ds * (n / sn) : ds;
+    const std::string& name = table.schema().column(c).name;
+    stats.distinct[name] = std::min(est, n);
+    stats.col_bytes[name] = width / sn;
+  }
+  return stats;
+}
+
+void ExpectBitEqual(const std::map<std::string, double>& got,
+                    const std::map<std::string, double>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (const auto& [name, value] : want) {
+    auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << what << " " << name;
+    EXPECT_EQ(std::bit_cast<uint64_t>(it->second),
+              std::bit_cast<uint64_t>(value))
+        << what << " " << name << ": " << it->second << " vs " << value;
+  }
+}
+
+TEST(StatsCollectorTest, ColumnSketchMatchesRowDefinition) {
+  // Nulls in every column; a mostly-unique `id` (the scaled-up estimate);
+  // one string dictionary per column shared by all batches; doubles cycling through NaN and both zeros; `mixed` is demoted
+  // to the variant lane by one string cell.
+  Schema schema({Column{"id", DataType::kInt64},
+                 Column{"word", DataType::kString},
+                 Column{"x", DataType::kDouble},
+                 Column{"mixed", DataType::kInt64},
+                 Column{"flag", DataType::kBool}});
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double doubles[] = {kNaN, 0.0, -0.0, 1.5, -kNaN, 2.0};
+  std::vector<Row> rows;
+  for (int i = 0; i < 5000; ++i) {
+    Row row;
+    row.push_back(i % 11 == 0 ? Value() : Value(int64_t{i}));
+    row.push_back(i % 13 == 0 ? Value()
+                              : Value("w" + std::to_string(i % 53)));
+    row.push_back(i % 17 == 0 ? Value() : Value(doubles[i % 6] + (i % 4)));
+    row.push_back(i == 2500 ? Value("odd") : Value(int64_t{i % 7}));
+    row.push_back(i % 19 == 0 ? Value() : Value(i % 3 == 0));
+    rows.push_back(std::move(row));
+  }
+  Table appended("appended", schema);
+  for (const Row& row : rows) ASSERT_TRUE(appended.AppendRow(row).ok());
+  const Table from_rows = Table::FromRows("from_rows", schema, rows, nullptr);
+  // Gather two of every three rows of each batch, behind an empty batch.
+  std::vector<RowBatch> gathered;
+  for (const RowBatch& batch : *appended.ToBatches()) {
+    std::vector<uint32_t> sel;
+    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+      if (r % 3 != 0) sel.push_back(r);
+    }
+    if (gathered.empty()) gathered.push_back(batch.Gather({}));
+    gathered.push_back(batch.Gather(sel));
+  }
+  const Table filtered =
+      Table::FromBatches("filtered", schema, std::move(gathered));
+  Table one_row("one_row", schema);
+  ASSERT_TRUE(one_row.AppendRow(rows[1]).ok());
+  ASSERT_GT(appended.ToBatches()->size(), 1u);
+  ASSERT_GT(from_rows.ToBatches()->size(), 1u);
+
+  const RowBatch& demoted =
+      (*appended.ToBatches())[2500 / RowBatch::kDefaultRows];
+  ASSERT_FALSE(demoted.column(3).is_native());
+  ASSERT_TRUE(demoted.column(0).is_native());
+
+  for (const Table* table : std::vector<const Table*>{
+           &appended, &from_rows, &filtered, &one_row}) {
+    // Fraction 0 always takes the degenerate one-row sample.
+    for (double fraction : {0.0, 0.01, 0.05, 0.5}) {
+      for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
+        const std::string what = table->name() + " fraction " +
+                                 std::to_string(fraction) + " seed " +
+                                 std::to_string(seed);
+        const catalog::TableStats got =
+            StatsCollector(fraction, seed).Collect(*table);
+        const catalog::TableStats want = RowSketch(*table, fraction, seed);
+        EXPECT_EQ(got.rows, want.rows) << what;
+        ExpectBitEqual(got.distinct, want.distinct, what + " distinct");
+        ExpectBitEqual(got.col_bytes, want.col_bytes, what + " col_bytes");
+      }
+    }
+  }
 }
 
 TEST(StatsCollectorTest, JobTimeIsSmallFractionOfFullScan) {

@@ -4,11 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <map>
+#include <set>
+
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "exec/udf_exec.h"
 #include "reference_interpreter.h"
 #include "udf/builtin_udfs.h"
 #include "udf/udf.h"
 #include "udf/udf_registry.h"
+#include "workload/datagen.h"
 
 namespace opd::udf {
 namespace {
@@ -65,6 +73,205 @@ TEST(TextHelpersTest, ParseLogMeta) {
   ParseLogMeta("garbage", &lang, &device);
   EXPECT_EQ(lang, "unknown");
   EXPECT_EQ(device, "unknown");
+}
+
+// --- Kernel equivalence ------------------------------------------------------
+// The row-at-a-time definitions the text and parse kernels replaced, kept as
+// references. The reference interpreter runs the same UDF bodies as the
+// engine, so only these tests catch a kernel that drifts from them.
+// TokenizeWords itself is checked against std::isalnum in common_test.
+
+const std::map<std::string, double>& ReferenceLexicon(const std::string& name) {
+  static const std::map<std::string, double> kWine = {
+      {"wine", 0.30},    {"merlot", 0.35},   {"cabernet", 0.35},
+      {"pinot", 0.30},   {"chardonnay", 0.30}, {"vineyard", 0.25},
+      {"tannin", 0.20},  {"sommelier", 0.40}, {"rose", 0.15},
+      {"riesling", 0.30}, {"corked", -0.20},  {"vinegar", -0.25},
+  };
+  static const std::map<std::string, double> kFood = {
+      {"delicious", 0.35}, {"tasty", 0.30},  {"yummy", 0.30},
+      {"brunch", 0.20},    {"foodie", 0.40}, {"pasta", 0.20},
+      {"ramen", 0.25},     {"dessert", 0.25}, {"savory", 0.25},
+      {"bland", -0.30},    {"stale", -0.35}, {"burnt", -0.25},
+  };
+  static const std::map<std::string, double> kLuxury = {
+      {"yacht", 0.45},    {"penthouse", 0.40}, {"champagne", 0.35},
+      {"caviar", 0.40},   {"firstclass", 0.35}, {"designer", 0.25},
+      {"chauffeur", 0.35}, {"resort", 0.20},   {"golf", 0.15},
+      {"thrift", -0.20},  {"coupon", -0.15},
+  };
+  static const std::map<std::string, double> kEmpty = {};
+  if (name == "wine") return kWine;
+  if (name == "food") return kFood;
+  if (name == "luxury") return kLuxury;
+  return kEmpty;
+}
+
+double ReferenceLexiconScore(std::string_view text,
+                             const std::string& lexicon) {
+  const auto& lex = ReferenceLexicon(lexicon);
+  double score = 0;
+  for (const std::string& word : TokenizeWords(text)) {
+    auto it = lex.find(word);
+    if (it != lex.end()) score += it->second;
+  }
+  return score;
+}
+
+double ReferenceJaccard(std::string_view a, std::string_view b) {
+  auto wa = TokenizeWords(a);
+  auto wb = TokenizeWords(b);
+  std::set<std::string> sa(wa.begin(), wa.end());
+  std::set<std::string> sb(wb.begin(), wb.end());
+  if (sa.empty() && sb.empty()) return 0.0;
+  size_t inter = 0;
+  for (const auto& w : sa) inter += sb.count(w);
+  size_t uni = sa.size() + sb.size() - inter;
+  return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+bool ReferenceParseLatLon(std::string_view geo, double* lat, double* lon) {
+  size_t comma = geo.find(',');
+  if (comma == std::string_view::npos) return false;
+  try {
+    *lat = std::stod(std::string(geo.substr(0, comma)));
+    *lon = std::stod(std::string(geo.substr(comma + 1)));
+  } catch (...) {
+    return false;
+  }
+  return *lat >= -90.0 && *lat <= 90.0 && *lon >= -180.0 && *lon <= 180.0;
+}
+
+void ReferenceParseLogMeta(std::string_view meta, std::string* lang,
+                           std::string* device) {
+  *lang = "unknown";
+  *device = "unknown";
+  for (const std::string& field : SplitString(meta, ';')) {
+    auto kv = SplitString(field, '=');
+    if (kv.size() != 2) continue;
+    if (kv[0] == "lang") *lang = kv[1];
+    if (kv[0] == "dev") *device = kv[1];
+  }
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+/// The string cells of `column` in a generated table, nulls skipped.
+std::vector<std::string> StringCells(const Table& table,
+                                     const std::string& column) {
+  std::vector<std::string> out;
+  const size_t c = *table.schema().IndexOf(column);
+  for (const Row& row : table.ToRows()) {
+    if (!row[c].is_null()) out.push_back(row[c].as_string());
+  }
+  return out;
+}
+
+const Table& GeneratedTweets() {
+  static const storage::TablePtr tweets = [] {
+    workload::DataGenConfig config;
+    config.n_tweets = 20000;
+    return workload::GenerateTwitterLog(config);
+  }();
+  return *tweets;
+}
+
+TEST(KernelEquivalenceTest, LexiconScoreBitEqualOnGeneratedTweets) {
+  std::vector<std::string> texts = StringCells(GeneratedTweets(), "tweet_text");
+  ASSERT_EQ(texts.size(), 20000u);
+  // Upper case, punctuation and long runs, which the generator never makes.
+  texts.push_back("WINE!Merlot,,corked... wine-wine " + std::string(100, 'w'));
+  texts.push_back("  Yacht\tCAVIAR\ncoupon#golf_resort 123 firstclass");
+  texts.push_back("");
+  std::map<std::string, int> scored;
+  for (const std::string& text : texts) {
+    for (const std::string lexicon : {"wine", "food", "luxury", "none"}) {
+      const double score = LexiconScore(text, lexicon);
+      ASSERT_EQ(Bits(score), Bits(ReferenceLexiconScore(text, lexicon)))
+          << lexicon << ": " << text;
+      scored[lexicon] += score != 0.0;
+    }
+  }
+  // Every real lexicon scores a share of the tweets.
+  EXPECT_GT(scored["wine"], 100);
+  EXPECT_GT(scored["food"], 100);
+  EXPECT_GT(scored["luxury"], 100);
+  EXPECT_EQ(scored["none"], 0);
+}
+
+TEST(KernelEquivalenceTest, ParseLatLonMatchesStod) {
+  std::vector<std::string> inputs = {
+      " 1,2",     "+1,2",     "0x1p3,4",   "1e-400,0", "1e400,0",
+      "nan,1",    "inf,1",    "1.5x,2",    "1,2,3",    "",
+      ",",        "n/a",      "1e-310,0",  "0,1e-310", "-0,0",
+      "0,-0.0",   "90,180",   "-90,-180",  "90.0000000001,0",
+      "1 ,2",     "1, 2",     "\t1,2",     "1e5,2",    ".5,.5",
+      "5.,5.",    "-,1",      "1,",        "1,-",      "INF,1",
+      "-nan,1",   "1e,2",     "0x,1",      "1,2 ",     "1,2\n",
+      "37.5,-122.2", "2.2250738585072014e-308,1", "1,0x1.8p1"};
+  for (const std::string& geo : StringCells(GeneratedTweets(), "geo")) {
+    inputs.push_back(geo);
+  }
+  Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const double lat = (rng.UniformDouble() - 0.5) * 200;
+    const double lon = (rng.UniformDouble() - 0.5) * 400;
+    char buf[128];
+    const char* formats[] = {"%.17g,%.17g", "%.3f,%.6f", "%a,%a", "%g,%e",
+                             "%.0f,%.1f"};
+    std::snprintf(buf, sizeof(buf), formats[i % 5], lat, lon);
+    inputs.push_back(buf);
+  }
+  for (const std::string& geo : inputs) {
+    double lat = -1.25, lon = -2.5, want_lat = -1.25, want_lon = -2.5;
+    const bool ok = ParseLatLon(geo, &lat, &lon);
+    const bool want = ReferenceParseLatLon(geo, &want_lat, &want_lon);
+    ASSERT_EQ(ok, want) << geo;
+    ASSERT_EQ(Bits(lat), Bits(want_lat)) << geo;
+    ASSERT_EQ(Bits(lon), Bits(want_lon)) << geo;
+  }
+}
+
+TEST(KernelEquivalenceTest, ParseLogMetaMatchesSplitDefinition) {
+  std::vector<std::string> inputs = {
+      "",          "lang=en",         "lang=en;dev=ios",
+      "lang=en=x;dev=ios", "=;=",     "lang=;dev=",
+      ";;lang=fr;;", "lang=en;lang=de", "dev=a;dev=b;lang=x=y",
+      "lang",      "lang=en;dev",     "x=1;lang=es;dev=android;lang=pt",
+      "==",        "lang==en",        "dev=;",
+      "LANG=en",   " lang=en",        "lang=en ;dev=ios;"};
+  for (const std::string& meta : StringCells(GeneratedTweets(), "raw_meta")) {
+    inputs.push_back(meta);
+  }
+  for (const std::string& meta : inputs) {
+    std::string lang = "stale", device = "stale";
+    std::string want_lang, want_device;
+    ParseLogMeta(meta, &lang, &device);
+    ReferenceParseLogMeta(meta, &want_lang, &want_device);
+    ASSERT_EQ(lang, want_lang) << meta;
+    ASSERT_EQ(device, want_device) << meta;
+  }
+}
+
+TEST(KernelEquivalenceTest, JaccardSimilarityBitEqual) {
+  workload::DataGenConfig config;
+  const storage::TablePtr land = workload::GenerateLandmarks(config);
+  std::vector<std::string> menus = StringCells(*land, "menu_text");
+  const std::vector<std::string> texts =
+      StringCells(GeneratedTweets(), "tweet_text");
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {"", ""}, {"", "a"}, {"...", "!!"}, {"A a A", "a"},
+      {"x y z", "Z, Y; X"}, {"a b c", "b c d"}};
+  for (const std::string& menu : menus) {
+    pairs.emplace_back(menu, workload::ReferenceMenu());
+  }
+  for (size_t i = 0; i + 1 < texts.size(); i += 7) {
+    pairs.emplace_back(texts[i], texts[i + 1]);
+  }
+  for (const auto& [a, b] : pairs) {
+    ASSERT_EQ(Bits(JaccardSimilarity(a, b)), Bits(ReferenceJaccard(a, b)))
+        << a << " | " << b;
+  }
 }
 
 // --- Registry ----------------------------------------------------------------
