@@ -62,11 +62,14 @@ Table MakeEvalTable(size_t n_rows) {
   for (int w = 0; w < 64; ++w) vocab.push_back("word" + std::to_string(w));
   for (size_t r = 0; r < n_rows; ++r) {
     Row row;
-    row.push_back(Value(rng.UniformInt(0, 999)));
-    row.push_back(Value(rng.UniformDouble()));
-    row.push_back(Value(vocab[rng.Uniform(vocab.size())]));
-    row.push_back(rng.Bernoulli(0.1) ? Value::Null()
-                                     : Value(rng.UniformInt(0, 999)));
+    row.emplace_back(rng.UniformInt(0, 999));
+    row.emplace_back(rng.UniformDouble());
+    row.emplace_back(vocab[rng.Uniform(vocab.size())]);
+    if (rng.Bernoulli(0.1)) {
+      row.emplace_back();  // null
+    } else {
+      row.emplace_back(rng.UniformInt(0, 999));
+    }
     if (!t.AppendRow(std::move(row)).ok()) std::abort();
   }
   return t;

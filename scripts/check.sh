@@ -16,7 +16,7 @@
 # (concurrent tenants racing lookups/inserts on the shared recycler), and
 # the query-log suite (concurrent appends racing ring snapshots,
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
-# ServerStress), the oracle suite (the engine's pool, pipelined shuffle
+# ServerStress), the oracle suite (the engine's pool, two-wave shuffle
 # and cross-job DAG schedule at 8 threads), the view-store stress test
 # (publishes, drops and access recording racing snapshots that rewrite
 # against the store's copy-on-write versions and their lazy index), and the
@@ -31,7 +31,9 @@
 # store is grown by executing queries and whose paper-shape checks gate the
 # BFR/DP gap, then the rewriter's J/k ablation and Figures 9 and 12, whose
 # shape checks cover the shared merge rule and job-DAG composition end to
-# end, and then the metric-name lint (scripts/lint_metrics.py), which
+# end, then the remaining paper figures and tables (Figures 7, 8 and 11,
+# Tables 1 and 2, the storage footprint), whose shape checks run every
+# workload query through the engine's shuffles, and then the metric-name lint (scripts/lint_metrics.py), which
 # diffs the metric literals in src/ against the names
 # `micro_engine --dump-metrics` actually registers. Last, one-second traced perfbench runs
 # (perfbench/run.py) guard the benchmark's API surface: perfbench compiles
@@ -94,6 +96,13 @@ echo "== rewriter ablation, Figures 9 and 12 (regular build) =="
 ./build/bench/ablation_rewriter
 ./build/bench/fig09_algorithm_comparison
 ./build/bench/fig12_syntactic
+echo "== Figures 7, 8, 11, Tables 1, 2, storage footprint (regular build) =="
+# The other paper-shape checks (~8 s together on 4 cores). Each exits 1 on
+# a failed check.
+for bench in fig07_query_evolution fig08_user_evolution fig11_convergence \
+    table1_analyst_accumulation table2_no_identical_views storage_footprint; do
+  "./build/bench/${bench}"
+done
 echo "== metric-name lint (scripts/lint_metrics.py) =="
 dump="$(mktemp)"
 trap 'rm -f "${dump}"' EXIT

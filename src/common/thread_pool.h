@@ -59,13 +59,14 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// \brief A one-shot countdown used for pipelined task handoff.
+/// \brief A one-shot countdown that a waiter blocks on until a set of pool
+/// tasks has finished (`ParallelFor`'s drains, the engine's job DAG).
 ///
-/// Producers call `CountDown()` as they finish; the thread that drives the
-/// final count to zero observes `true` (and may e.g. schedule a dependent
-/// task). `Wait()` blocks until the count reaches zero, cooperatively
-/// running queued pool tasks while it waits so the waiting thread keeps
-/// making progress on the very work it is waiting for.
+/// Tasks call `CountDown()` as they finish; the thread that drives the
+/// final count to zero observes `true`. `Wait()` blocks until the count
+/// reaches zero, cooperatively running queued pool tasks while it waits so
+/// the waiting thread keeps making progress on the very work it is waiting
+/// for.
 ///
 /// Destruction safety: once Wait() returns, every CountDown() call has
 /// fully completed (all counter and cv access happens inside one critical

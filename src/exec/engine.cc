@@ -309,23 +309,14 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
   }
 
   // Observed state of one job, written by run_job (possibly on a pool
-  // thread) and consumed by the serial finalize loop.
+  // thread) and consumed by the serial finalize loop. run_job fills the
+  // observed fields of `run`; finalize adds the job's identity and costs.
   struct JobState {
     Status status = Status::OK();
     TablePtr table;  // sealed output (named, not yet written to the DFS)
-    uint64_t in_bytes = 0;
-    uint64_t in_rows = 0;
-    uint64_t shuffle_bytes = 0;
-    uint64_t out_bytes = 0;
-    uint64_t out_rows = 0;
-    bool has_shuffle = false;
-    double max_task_s = 0;
-    size_t reduce_tasks = 0;
-    size_t tasks = 0;
+    JobRun run;
+    size_t tasks = 0;  // map + reduce tasks
     double skew = -1.0;
-    double wall_s = 0;
-    uint64_t recycle_hits = 0;
-    uint64_t recycle_misses = 0;
     plan::JobCostInfo cost;
   };
   std::vector<JobState> states(specs.size());
@@ -344,6 +335,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
   // shared metric histograms are thread-safe.
   auto run_job = [&](size_t j, obs::TraceSpan* job_span) {
     JobState& st = states[j];
+    JobRun& jr = st.run;
     const OpNodePtr& node_ptr = *specs[j].node;
     OpNode* node = node_ptr.get();
 
@@ -365,32 +357,27 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
                                      node->DisplayName());
         return;
       }
-      st.in_bytes += t->ByteSize();
-      st.in_rows += t->num_rows();
+      jr.bytes_read += t->ByteSize();
+      jr.rows_in += t->num_rows();
       inputs.push_back(std::move(t));
     }
-    const uint64_t in_bytes = st.in_bytes;
+    const uint64_t in_bytes = jr.bytes_read;
 
-    size_t job_tasks = 0;
     const uint64_t span_id = job_span != nullptr ? job_span->id() : 0;
-    const PipelineCtx pipe{pool_.get(), trace, span_id, &job_tasks};
+    const PipelineCtx pipe{pool_.get(), trace, span_id, &st.tasks};
     const auto job_wall_start = std::chrono::steady_clock::now();
 
     Table out("", node->out_schema);
     uint64_t shuffle_bytes = 0;
     bool has_shuffle = false;
     double map_scalar = 1.0, reduce_scalar = 1.0;
-    double job_max_task_s = 0;  // critical-path task time across the job
-    size_t job_reduce_tasks = 0;
-    double job_skew = -1.0;
-    uint64_t job_recycle_hits = 0, job_recycle_misses = 0;
     // Counts one recycler lookup outcome (global counter + per-job tally).
     auto count_recycle = [&](bool hit) {
       if (hit) {
-        ++job_recycle_hits;
+        ++jr.recycle_hits;
         if (recycle_hit_ctr != nullptr) recycle_hit_ctr->Inc();
       } else {
-        ++job_recycle_misses;
+        ++jr.recycle_misses;
         if (recycle_miss_ctr != nullptr) recycle_miss_ctr->Inc();
       }
     };
@@ -449,7 +436,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
                 out_batches[t] = program->Run(in_list.batch(t), &scratch);
                 return Status::OK();
               },
-              &job_max_task_s));
+              &jr.max_task_time_s));
           out = Table::FromBatches("", node->out_schema,
                                    std::move(out_batches));
         } else {
@@ -486,7 +473,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
                 out_batches[t] = batch.Gather(sel);
                 return Status::OK();
               },
-              &job_max_task_s));
+              &jr.max_task_time_s));
           out = Table::FromBatches("", node->out_schema,
                                    std::move(out_batches));
         }
@@ -526,7 +513,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
 
         const size_t num_buckets = DeriveReduceTasks(
             options_.num_reduce_tasks, shuffle_bytes, block_size);
-        job_reduce_tasks = num_buckets;
+        jr.reduce_tasks = num_buckets;
 
         // Optimizer distinct-key estimate for the build side (product of
         // the build child's per-key-column distincts, capped by its row
@@ -700,12 +687,10 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
           return Status::OK();
         };
 
-        double part_s = 0, reduce_max_s = 0;
-        OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-            pipe, nb + probe_list.size(), partition, num_buckets,
-            reduce_bucket, &part_s, &reduce_max_s));
-        job_skew = BufferSkew(pbuf);
-        job_max_task_s = part_s + reduce_max_s;
+        OPD_RETURN_NOT_OK(RunShuffle(pipe, nb + probe_list.size(), partition,
+                                     num_buckets, reduce_bucket,
+                                     &jr.max_task_time_s));
+        st.skew = BufferSkew(pbuf);
 
         if (pending != nullptr) {
           pending->build_cost_s =
@@ -782,7 +767,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
         }
         const size_t num_buckets = DeriveReduceTasks(
             options_.num_reduce_tasks, shuffle_bytes, block_size);
-        job_reduce_tasks = num_buckets;
+        jr.reduce_tasks = num_buckets;
 
         using GroupEntry = std::pair<Row, std::vector<AggState>>;
         std::vector<std::vector<GroupEntry>> bucket_groups(num_buckets);
@@ -848,7 +833,6 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
           }
         }
 
-        double part_s = 0, reduce_max_s = 0;
         if (gcached != nullptr) {
           // Recycle hit: no partitioning, no hashing — replay the recorded
           // routes per bucket, folding this query's aggregates from the
@@ -874,7 +858,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
                 }
                 return Status::OK();
               },
-              &reduce_max_s));
+              &jr.max_task_time_s));
         } else {
           // Fused map+partition: one producer per batch hashes straight
           // into its per-bucket buffer slots; per-row hashes are kept for
@@ -939,18 +923,16 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
             observe_flat(index.stats(), index.arena_bytes());
             return Status::OK();
           };
-          OPD_RETURN_NOT_OK(RunPipelinedShuffle(pipe, in_list.size(),
-                                                partition, num_buckets,
-                                                reduce_bucket, &part_s,
-                                                &reduce_max_s));
-          job_skew = BufferSkew(buf);
+          OPD_RETURN_NOT_OK(RunShuffle(pipe, in_list.size(), partition,
+                                       num_buckets, reduce_bucket,
+                                       &jr.max_task_time_s));
+          st.skew = BufferSkew(buf);
         }
-        job_max_task_s = part_s + reduce_max_s;
 
         if (gpending != nullptr) {
           // Benefit = the partition + reduce wall a future hit skips (the
           // replay pass it pays instead is a fraction of it).
-          gpending->build_cost_s = part_s + reduce_max_s;
+          gpending->build_cost_s = jr.max_task_time_s;
           observe_recycle_insert(recycler->Insert(grkey, std::move(gpending)));
         }
 
@@ -985,7 +967,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
         // map task builds the rows of its own input split from the batches,
         // and the final stage's rows are cut back into batches.
         // Consecutive map stages fuse into one row loop and reduce stages
-        // use the latch-scheduled shuffle.
+        // run as a two-wave shuffle.
         OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
                              ctx.udfs->Find(node->udf.udf_name));
         std::vector<LfStageRun> stage_runs;
@@ -995,7 +977,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
         udf_opts.num_reduce_tasks = options_.num_reduce_tasks;
         udf_opts.trace = trace;
         udf_opts.parent_span = span_id;
-        udf_opts.tasks = &job_tasks;
+        udf_opts.tasks = &st.tasks;
         OPD_RETURN_NOT_OK(RunLocalFunctions(*def, *inputs[0],
                                             node->udf.params, &out,
                                             &stage_runs, udf_opts));
@@ -1011,7 +993,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
             shuffle_bytes = run.in_bytes;
             saw_reduce = true;
           }
-          job_max_task_s += run.max_task_seconds;
+          jr.max_task_time_s += run.max_task_seconds;
         }
         break;
       }
@@ -1023,23 +1005,16 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
       return;
     }
 
-    st.out_bytes = out.ByteSize();
-    st.out_rows = out.num_rows();
+    jr.bytes_shuffled = shuffle_bytes;
+    jr.bytes_written = out.ByteSize();
+    jr.rows_out = out.num_rows();
     st.cost = model.JobCost(
         static_cast<double>(in_bytes), static_cast<double>(shuffle_bytes),
-        static_cast<double>(st.out_bytes), map_scalar, reduce_scalar,
+        static_cast<double>(jr.bytes_written), map_scalar, reduce_scalar,
         has_shuffle);
-    st.shuffle_bytes = shuffle_bytes;
-    st.has_shuffle = has_shuffle;
-    st.max_task_s = job_max_task_s;
-    st.reduce_tasks = job_reduce_tasks;
-    st.tasks = job_tasks;
-    st.skew = job_skew;
-    st.recycle_hits = job_recycle_hits;
-    st.recycle_misses = job_recycle_misses;
-    st.wall_s = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - job_wall_start)
-                    .count();
+    jr.wall_time_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - job_wall_start)
+                         .count();
     out.set_name(specs[j].path);
     st.table = std::make_shared<const Table>(std::move(out));
   };
@@ -1051,38 +1026,28 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
   // ViewIds in list order, which must not depend on thread timing).
   auto finalize_job = [&](size_t j, obs::TraceSpan* job_span) -> Status {
     JobState& st = states[j];
+    JobRun& jr = st.run;
     const OpNodePtr& node_ptr = *specs[j].node;
     OpNode* node = node_ptr.get();
 
     metrics.sim_time_s += st.cost.total_s;
-    metrics.bytes_read += st.in_bytes;
-    metrics.rows_read += st.in_rows;
-    metrics.bytes_shuffled += st.shuffle_bytes;
-    metrics.bytes_written += st.out_bytes;
+    metrics.bytes_read += jr.bytes_read;
+    metrics.rows_read += jr.rows_in;
+    metrics.bytes_shuffled += jr.bytes_shuffled;
+    metrics.bytes_written += jr.bytes_written;
     metrics.jobs += 1;
-    metrics.max_task_time_s += st.max_task_s;
+    metrics.max_task_time_s += jr.max_task_time_s;
 
     // Materialize the job output to the DFS (Hive materializes every job).
     OPD_RETURN_NOT_OK(dfs_->Write(specs[j].path, st.table));
     results[node] = st.table;
 
-    JobRun jr;
     jr.index = static_cast<int>(j);
     jr.node = node;
     jr.op = node->DisplayName();
     jr.sim_time_s = st.cost.total_s;
-    jr.wall_time_s = st.wall_s;
-    jr.bytes_read = st.in_bytes;
-    jr.bytes_shuffled = st.shuffle_bytes;
-    jr.bytes_written = st.out_bytes;
-    jr.rows_in = st.in_rows;
-    jr.rows_out = st.out_rows;
-    jr.map_tasks = st.tasks >= st.reduce_tasks ? st.tasks - st.reduce_tasks
+    jr.map_tasks = st.tasks >= jr.reduce_tasks ? st.tasks - jr.reduce_tasks
                                                : 0;
-    jr.reduce_tasks = st.reduce_tasks;
-    jr.max_task_time_s = st.max_task_s;
-    jr.recycle_hits = st.recycle_hits;
-    jr.recycle_misses = st.recycle_misses;
     // Cost-model accountability: the optimizer's prediction (cost over
     // estimated rows/bytes, annotated at Prepare) vs the model re-run on
     // the observed byte counts. Finalize order is topological under every
@@ -1099,21 +1064,21 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
       res.residual_pct = jr.residual_pct;
       accountant_->Record(res);
     }
-    result.jobs.push_back(std::move(jr));
+    result.jobs.push_back(jr);
 
     if (job_span != nullptr && *job_span) {
       job_span->AddArg("sim_time_s", st.cost.total_s);
-      job_span->AddArg("bytes_read", st.in_bytes);
-      job_span->AddArg("bytes_shuffled", st.shuffle_bytes);
-      job_span->AddArg("bytes_written", st.out_bytes);
-      job_span->AddArg("rows_out", st.out_rows);
-      job_span->AddArg("max_task_time_s", st.max_task_s);
+      job_span->AddArg("bytes_read", jr.bytes_read);
+      job_span->AddArg("bytes_shuffled", jr.bytes_shuffled);
+      job_span->AddArg("bytes_written", jr.bytes_written);
+      job_span->AddArg("rows_out", jr.rows_out);
+      job_span->AddArg("max_task_time_s", jr.max_task_time_s);
     }
     if (options_.metrics) {
       registry.counter("engine.jobs").Inc();
-      registry.counter("engine.bytes_read").Inc(st.in_bytes);
-      registry.counter("engine.bytes_shuffled").Inc(st.shuffle_bytes);
-      registry.counter("engine.bytes_written").Inc(st.out_bytes);
+      registry.counter("engine.bytes_read").Inc(jr.bytes_read);
+      registry.counter("engine.bytes_shuffled").Inc(jr.bytes_shuffled);
+      registry.counter("engine.bytes_written").Inc(jr.bytes_written);
       if (st.skew > 0) skew_hist->Observe(st.skew);
     }
 
@@ -1123,7 +1088,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
     def.out_attrs = node->out_attrs;
     def.schema = node->out_schema;
     def.fingerprint = plan::Fingerprint(node_ptr);
-    def.bytes = st.out_bytes;
+    def.bytes = jr.bytes_written;
     def.producer = plan->name();
     {
       obs::TraceSpan stats_span(trace,

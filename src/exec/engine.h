@@ -38,9 +38,9 @@ class HashRecycler;
 
 /// Execution knobs. There is one execution path: project/filter jobs run
 /// as fused ExprPrograms over columnar batches (src/exec/expr/); join and
-/// group-by jobs run a morsel-driven pipelined shuffle — each map task fuses
+/// group-by jobs run a morsel-driven shuffle — each map task fuses
 /// scan->operator->partition into one loop writing thread-local per-bucket
-/// buffers, and a bucket's reduce starts as soon as its producers finish —
+/// buffers, and the reduce wave starts once every map task has finished —
 /// over flat open-addressing tables (src/exec/hash/); independent jobs of a
 /// plan run concurrently on the shared pool when untraced. Opaque predicate
 /// UDFs run one task per batch, called on each row's argument cells; UDF

@@ -1,19 +1,17 @@
-// Morsel-driven pipelined shuffle execution (DESIGN.md "Parallel execution
+// Shuffle execution as MapReduce task waves (DESIGN.md "Parallel execution
 // model").
 //
-// A shuffle runs as one wave of fused producer tasks (scan -> operator ->
+// A shuffle runs as two waves: fused producer tasks (scan -> operator ->
 // partition in a single loop over an input split, writing into a
-// storage::PartitionBuffer) plus one consumer task per shuffle bucket. There
-// is no phase barrier: each bucket carries a countdown latch initialized to
-// the producer count, every finishing producer decrements every bucket's
-// latch, and the decrement that reaches zero schedules that bucket's
-// consumer immediately — buckets whose inputs are complete reduce while
-// other producers are still running.
+// storage::PartitionBuffer), then, once every producer has finished, one
+// consumer task per shuffle bucket. That is Hadoop's map -> reduce barrier:
+// any producer may write to any bucket, so no bucket is complete before the
+// last producer finishes.
 //
-// Determinism contract: every task runs to
-// completion, the lowest-index failure wins (producers before consumers),
-// and trace span ids are allocated serially before any task starts, so the
-// span structure is identical at every thread count.
+// Determinism contract: every task of a wave runs to completion, the
+// lowest-index failure wins (producers before consumers), and trace span
+// ids are allocated serially before each wave starts, so the span
+// structure is identical at every thread count.
 
 #ifndef OPD_EXEC_PIPELINE_H_
 #define OPD_EXEC_PIPELINE_H_
@@ -29,9 +27,9 @@
 
 namespace opd::exec {
 
-/// Execution context for one pipelined shuffle: the task pool plus the
-/// observability hooks. A null trace makes all span work vanish; under a
-/// trace every task gets its own span.
+/// Execution context for the task waves of one job or UDF stage: the task
+/// pool plus the observability hooks. A null trace makes all span work
+/// vanish; under a trace every task gets its own span.
 struct PipelineCtx {
   ThreadPool* pool = nullptr;  // null => run every task inline
   obs::Trace* trace = nullptr;
@@ -59,30 +57,27 @@ struct RowLess {
 size_t DeriveReduceTasks(int requested, uint64_t shuffle_bytes,
                          uint64_t block_size_bytes);
 
-/// \brief Runs one wave of `n` independent tasks (a map-only pass, or a
-/// reduce-only replay) under a `name` phase span, with "<name>:<i>" task
-/// spans. Span ids are allocated before the wave, so the span structure is
-/// identical at every thread count.
+/// \brief Runs one wave of `n` independent tasks under a `name` phase
+/// span, with "<name>:<i>" task spans. Span ids are allocated before the
+/// wave, so the span structure is identical at every thread count.
 Status RunWave(const PipelineCtx& ctx, const char* name, size_t n,
                const std::function<Status(size_t)>& fn,
                double* max_task_seconds = nullptr);
 
-/// \brief Runs `num_producers` fused producer tasks and, once per bucket's
-/// producers have all finished, that bucket's consumer task.
+/// \brief Runs one shuffle: a "pipeline" wave of `num_producers` producer
+/// tasks, then, if it succeeded, a "reduce" wave of `num_buckets` consumer
+/// tasks.
 ///
-/// `num_buckets == 0` degenerates to a map-only pipeline wave (no
-/// consumers). Under a trace this opens a "pipeline" phase span (task spans
-/// "pipeline:<i>") and, when buckets exist, a "reduce" phase span with one
-/// "bucket:<b>" span per consumer.
+/// With no producers nothing runs and no span opens; the buckets still
+/// count as tasks.
 ///
-/// \param[out] max_producer_seconds / max_consumer_seconds  wall time of the
-///   slowest producer / consumer task (the wave's modeled stragglers).
-Status RunPipelinedShuffle(const PipelineCtx& ctx, size_t num_producers,
-                           const std::function<Status(size_t)>& producer,
-                           size_t num_buckets,
-                           const std::function<Status(size_t)>& consumer,
-                           double* max_producer_seconds = nullptr,
-                           double* max_consumer_seconds = nullptr);
+/// \param[out] max_task_seconds  the slowest producer's plus the slowest
+///   consumer's wall time (the shuffle's modeled stragglers).
+Status RunShuffle(const PipelineCtx& ctx, size_t num_producers,
+                  const std::function<Status(size_t)>& producer,
+                  size_t num_buckets,
+                  const std::function<Status(size_t)>& consumer,
+                  double* max_task_seconds);
 
 }  // namespace opd::exec
 

@@ -61,8 +61,8 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   std::vector<uint64_t> hash_of(n);
 
   // Fused partition: each producer hashes its split's keys straight into
-  // its own per-bucket buffer slots; a bucket's reduce starts the moment
-  // its last producer finishes (no partition barrier, no global scatter).
+  // its own per-bucket buffer slots (no global scatter); the reduce wave
+  // starts once every producer has finished.
   const double avg_row_bytes =
       n == 0 ? 0.0 : static_cast<double>(in_bytes) / static_cast<double>(n);
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
@@ -113,13 +113,9 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
     return Status::OK();
   };
 
-  double partition_max_s = 0, reduce_max_s = 0;
-  OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-      StageCtx(opts, stage_span), splits.size(), partition, num_buckets,
-      reduce_bucket, &partition_max_s, &reduce_max_s));
-  if (max_task_seconds != nullptr) {
-    *max_task_seconds = partition_max_s + reduce_max_s;
-  }
+  OPD_RETURN_NOT_OK(RunShuffle(StageCtx(opts, stage_span), splits.size(),
+                               partition, num_buckets, reduce_bucket,
+                               max_task_seconds));
 
   // Deterministic merge: emit every group's output in global key order
   // (buckets are already key-sorted; merge them by key).

@@ -30,9 +30,9 @@ struct LfStageRun {
 /// How a local-function pipeline is parallelized. The defaults (null pool)
 /// run serially; the engine passes its pool and the DFS block size. Every
 /// run of consecutive map stages fuses into one row loop per split, and
-/// reduce-stage shuffles run latch scheduled (storage::PartitionBuffer +
-/// RunPipelinedShuffle). Task granularity never changes results — stage
-/// outputs are merged in a deterministic order.
+/// reduce-stage shuffles run as a partition wave and then a reduce wave
+/// (storage::PartitionBuffer + RunShuffle). Task granularity never changes
+/// results — stage outputs are merged in a deterministic order.
 struct UdfExecOptions {
   ThreadPool* pool = nullptr;     // null => run tasks inline
   uint64_t block_size_bytes = 64 * 1024;  // map split size (Dfs default)

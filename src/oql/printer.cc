@@ -144,7 +144,8 @@ struct Printer {
   std::string BindText(const OpNode* node, const std::string& text) {
     auto it = names.find(node);
     if (it != names.end()) return it->second;
-    std::string name = "t" + std::to_string(counter++);
+    std::string name = "t";
+    name += std::to_string(counter++);
     out << name << " = " << text << ";\n";
     names[node] = name;
     return name;

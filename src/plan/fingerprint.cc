@@ -55,9 +55,11 @@ std::string PayloadString(const OpNode& node) {
 std::string Fingerprint(const OpNodePtr& node) {
   if (node == nullptr) return "<null>";
   std::string out = OpKindName(node->kind);
-  out += "(" + PayloadString(*node);
+  out += '(';
+  out += PayloadString(*node);
   for (const OpNodePtr& child : node->children) {
-    out += ";" + Fingerprint(child);
+    out += ';';
+    out += Fingerprint(child);
   }
   out += ")";
   return out;

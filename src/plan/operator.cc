@@ -77,7 +77,9 @@ std::string OpNode::DisplayName() const {
                           : "(" + table + ")";
       break;
     case OpKind::kFilter:
-      out += "(" + filter.ToDisplayString() + ")";
+      out += '(';
+      out += filter.ToDisplayString();
+      out += ')';
       break;
     case OpKind::kUdf:
       out += "(" + udf.udf_name + ")";

@@ -1,5 +1,5 @@
-// Append-only shuffle buffer for morsel-driven pipelined execution
-// (DESIGN.md "Parallel execution model").
+// Append-only shuffle buffer for morsel-driven shuffles (DESIGN.md
+// "Parallel execution model").
 //
 // The buffer is a `num_producers x num_buckets` grid of independent
 // append-only arenas: fused map tasks partition rows as they produce them,
@@ -28,8 +28,8 @@ namespace opd::storage {
 ///
 /// Concurrency contract: producer `p` may append to its own slots while
 /// other producers append to theirs; a bucket may be read once every
-/// producer that feeds it has finished (the engine enforces this with a
-/// per-bucket countdown latch). Slots are padded to cache lines so two
+/// producer has finished (the engine's reduce wave starts only after the
+/// whole producer wave). Slots are padded to cache lines so two
 /// producers never contend on adjacent slot headers.
 template <typename T>
 class PartitionBuffer {

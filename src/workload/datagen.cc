@@ -98,6 +98,13 @@ std::string MakeGeo(Rng* rng, double present_prob) {
   return std::to_string(lat) + "," + std::to_string(lon);
 }
 
+// A client version string "v1".."v5".
+std::string MakeVersion(Rng* rng) {
+  std::string version = "v";
+  version += std::to_string(1 + rng->Uniform(5));
+  return version;
+}
+
 }  // namespace
 
 const char* ReferenceMenu() {
@@ -145,7 +152,7 @@ TablePtr GenerateTwitterLog(const DataGenConfig& config) {
             Value(static_cast<int64_t>(1400000000 + i * 37)),
             Value(static_cast<int64_t>(rng.Zipf(50, 1.3))),
             Value(static_cast<int64_t>(rng.Zipf(80, 1.2))),
-            Value(std::string("v") + std::to_string(1 + rng.Uniform(5))),
+            Value(MakeVersion(&rng)),
             Value(std::move(payload))};
     (void)table->AppendRow(std::move(row));
   }

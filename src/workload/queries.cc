@@ -455,8 +455,11 @@ Result<plan::Plan> BuildQuery(int analyst, int version) {
       root = A8(version);
       break;
   }
-  return plan::Plan(std::move(root), "A" + std::to_string(analyst) + "v" +
-                                         std::to_string(version));
+  std::string name = "A";
+  name += std::to_string(analyst);
+  name += 'v';
+  name += std::to_string(version);
+  return plan::Plan(std::move(root), std::move(name));
 }
 
 }  // namespace opd::workload

@@ -112,11 +112,9 @@ TEST(ParallelDeterminismTest, ReduceTaskCountDoesNotChangeResults) {
   ExpectIdentical(derived, forced);
 }
 
-// Heavy key skew with a forced odd bucket count: the light buckets' last
-// producer hands them off (per-bucket countdown latch) while the heavy
-// bucket's producers are still running, exercising the early-handoff path
-// that a uniform workload rarely hits. Results must still be byte-identical
-// to the serial run.
+// Heavy key skew with a forced odd bucket count: ~90% of the rows land in
+// one bucket, so one reduce task runs far longer than the others. Results
+// must still be byte-identical to the serial run.
 TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
   auto run_skewed = [](int num_threads) {
     SessionOptions options;

@@ -17,6 +17,7 @@
 
 #include "common/hash.h"
 #include "exec/hash/recycler.h"
+#include "obs/trace.h"
 #include "reference_interpreter.h"
 #include "server/server.h"
 #include "session/session.h"
@@ -397,6 +398,53 @@ TEST(RecyclerDeterminismTest, RecycleMatrixIsByteIdentical) {
       EXPECT_EQ(warm->table->ToRows(), cold->table->ToRows());  // and in order
     }
   }
+}
+
+// Names of the task spans under each "reduce" phase span of `trace`, one
+// list per phase, in id order.
+std::vector<std::vector<std::string>> ReduceTaskNames(const obs::Trace& trace) {
+  const std::vector<obs::SpanRecord> spans = trace.Sorted();
+  std::vector<std::vector<std::string>> phases;
+  for (const obs::SpanRecord& phase : spans) {
+    if (phase.name != "reduce") continue;
+    phases.emplace_back();
+    for (const obs::SpanRecord& task : spans) {
+      if (task.parent == phase.id) phases.back().push_back(task.name);
+    }
+  }
+  return phases;
+}
+
+// A group-by's reduce tasks are named "reduce:<b>" whether the job builds
+// its groups (a recycler miss, the shuffle's reduce wave) or replays
+// recycled routes (a hit), so a trace reads the same either way.
+TEST(RecyclerDeterminismTest, GroupByReduceTaskSpansMatchOnMissAndHit) {
+  SessionOptions options;
+  options.engine.num_threads = 4;
+  options.engine.num_reduce_tasks = 3;
+  options.obs.tracing = true;
+  auto server = Server::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE(
+      (*server)->RegisterTable(MakeKV("TG", 3000, 1, 0, 64), {"k"}).ok());
+  ClientSession client = (*server)->Connect("default");
+  RunOptions opts;
+  opts.rewrite = false;
+  const std::string oql = "g = scan TG | groupby k sum(v) as s;";
+
+  auto miss = client.Run(oql, opts);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  auto hit = client.Run(oql, opts);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(RecycleCounts(*miss), std::make_pair(uint64_t{0}, uint64_t{1}));
+  EXPECT_EQ(RecycleCounts(*hit), std::make_pair(uint64_t{1}, uint64_t{0}));
+
+  const std::vector<std::vector<std::string>> want = {
+      {"reduce:0", "reduce:1", "reduce:2"}};
+  ASSERT_NE(miss->trace, nullptr);
+  ASSERT_NE(hit->trace, nullptr);
+  EXPECT_EQ(ReduceTaskNames(*miss->trace), want);
+  EXPECT_EQ(ReduceTaskNames(*hit->trace), want);
 }
 
 // Four tenants hammer the same join on one server: every lookup races every
