@@ -24,19 +24,16 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> future = task.get_future();
+void ThreadPool::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(std::move(fn));
   }
   cv_.notify_one();
-  return future;
 }
 
 bool ThreadPool::TryRunOne() {
-  std::packaged_task<void()> task;
+  std::function<void()> task;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.empty()) return false;
@@ -49,7 +46,7 @@ bool ThreadPool::TryRunOne() {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -57,7 +54,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();  // packaged_task captures any exception in its future
+    task();
   }
 }
 
@@ -178,7 +175,7 @@ Status ParallelFor(ThreadPool* pool, size_t n,
     };
     // The wait must help, not block: when the caller is itself a pool
     // worker (cross-job DAG scheduling runs whole jobs as pool tasks), a
-    // blocking future wait with every worker inside a ParallelFor would
+    // blocking wait with every worker inside a ParallelFor would
     // leave the queued drains with no thread to run them.
     CountdownLatch drains_done(helpers);
     for (size_t w = 0; w < helpers; ++w) {

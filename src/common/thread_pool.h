@@ -1,7 +1,8 @@
 // A fixed-size worker pool with a shared work queue, used by the execution
-// engine to run map/reduce tasks concurrently. Tasks are plain callables;
-// exceptions thrown inside a task never escape a worker thread — helpers
-// below convert them into Status (the library's error-return convention).
+// engine to run map/reduce tasks concurrently. Tasks are plain callables
+// that must not throw: `ParallelFor` below and the engine's job driver
+// convert exceptions into Status (the library's error-return convention)
+// before they reach a worker thread.
 
 #ifndef OPD_COMMON_THREAD_POOL_H_
 #define OPD_COMMON_THREAD_POOL_H_
@@ -11,7 +12,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -36,9 +36,10 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues `fn` and returns a future that resolves when it has run.
-  /// An exception thrown by `fn` is captured in the future.
-  std::future<void> Submit(std::function<void()> fn);
+  /// Enqueues `fn`. It must not throw: an exception escaping a worker
+  /// thread terminates the program. Callers that wait for it count down a
+  /// CountdownLatch at its end.
+  void Submit(std::function<void()> fn);
 
   /// Pops and runs one queued task on the calling thread; returns false
   /// without blocking when the queue is empty. This is how threads blocked
@@ -54,7 +55,7 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::packaged_task<void()>> queue_;
+  std::deque<std::function<void()>> queue_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

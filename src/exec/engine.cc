@@ -1108,6 +1108,20 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
     return Status::OK();
   };
 
+  // Any exception that escapes run_job outside a task wave (which guards its
+  // own tasks), e.g. from a UDF's out_schema, becomes the job's status, so
+  // a throwing job fails its query on every schedule like an error does.
+  auto run_job_guarded = [&](size_t j, obs::TraceSpan* job_span) {
+    try {
+      run_job(j, job_span);
+    } catch (const std::exception& e) {
+      states[j].status = Status::Internal(std::string("job threw: ") +
+                                          e.what());
+    } catch (...) {
+      states[j].status = Status::Internal("job threw a non-std exception");
+    }
+  };
+
   // --- Schedule -------------------------------------------------------------
   // Cross-job DAG scheduling runs independent jobs concurrently on the
   // shared pool. It is an untraced-only optimization: span ids must be
@@ -1119,7 +1133,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
       obs::TraceSpan job_span(trace, parent_span,
                               "job:" + (*specs[j].node)->DisplayName(),
                               "job");
-      run_job(j, &job_span);
+      run_job_guarded(j, &job_span);
       OPD_RETURN_NOT_OK(states[j].status);
       OPD_RETURN_NOT_OK(finalize_job(j, &job_span));
     }
@@ -1139,7 +1153,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
     // below still returns the lowest-index (root cause) error.
     std::function<void(size_t)> submit_job = [&](size_t j) {
       pool_->Submit([&, j] {
-        run_job(j, nullptr);
+        run_job_guarded(j, nullptr);
         for (size_t c : consumers[j]) {
           if (remaining_deps[c].fetch_sub(1, std::memory_order_acq_rel) ==
               1) {

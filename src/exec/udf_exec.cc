@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "exec/hash/flat_table.h"
@@ -14,6 +15,7 @@
 namespace opd::exec {
 
 using storage::Row;
+using storage::RowBatch;
 using storage::RowRange;
 using storage::Schema;
 using storage::Table;
@@ -140,52 +142,76 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   return Status::OK();
 }
 
-// Checks one emitted row against the stage's output schema (a cheap sanity
-// check on user code).
-Status CheckArity(const udf::LocalFunction& lf, const Row& r,
+// Checks one emitted batch against the stage's output schema (a cheap
+// sanity check on user code).
+Status CheckBatch(const udf::LocalFunction& lf, const RowBatch& batch,
                   const Schema& out_schema) {
-  if (r.size() == out_schema.num_columns()) return Status::OK();
-  return Status::Internal("local function " + lf.name +
-                          " emitted row of arity " + std::to_string(r.size()) +
-                          ", schema has " +
-                          std::to_string(out_schema.num_columns()));
+  if (batch.num_columns() != out_schema.num_columns()) {
+    return Status::Internal(
+        "local function " + lf.name + " emitted a batch of " +
+        std::to_string(batch.num_columns()) + " columns, schema has " +
+        std::to_string(out_schema.num_columns()));
+  }
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    if (batch.column(c).size() != batch.num_rows()) {
+      return Status::Internal("local function " + lf.name + " emitted " +
+                              std::to_string(batch.column(c).size()) +
+                              " cells in column " + std::to_string(c) +
+                              " of a " + std::to_string(batch.num_rows()) +
+                              "-row batch");
+    }
+  }
+  return Status::OK();
 }
 
-// Calls fn(row) for the rows of `range` of `table`, in order, building each
-// row from its batch. Map tasks read their own split this way, so a UDF
-// never keeps a row copy of its (shared) input table.
+// Calls fn(batch) for each piece of `table`'s batches that `range` covers,
+// in order: a whole batch as a zero-copy view, part of one as a copy. Map
+// tasks read their own split this way.
 template <typename Fn>
-void ForEachRow(const Table& table, const RowRange& range, Fn&& fn) {
+void ForEachSlice(const Table& table, const RowRange& range, Fn&& fn) {
+  if (range.size() == 0) return;
   const auto batches = table.ToBatches();
   const std::vector<size_t>& offsets = table.batch_offsets();
   // The last batch starting at or before range.begin covers it.
   auto first = std::upper_bound(offsets.begin(), offsets.end(), range.begin);
-  size_t b = static_cast<size_t>(first - offsets.begin()) - 1;
-  for (size_t r = range.begin; r < range.end; ++r) {
-    while (r >= offsets[b] + (*batches)[b].num_rows()) ++b;
-    fn((*batches)[b].RowAt(r - offsets[b]));
+  for (size_t b = static_cast<size_t>(first - offsets.begin()) - 1,
+              r = range.begin;
+       r < range.end; ++b) {
+    const RowBatch& batch = (*batches)[b];
+    const size_t end = std::min(range.end, offsets[b] + batch.num_rows());
+    if (end <= r) continue;  // an empty batch
+    fn(batch.Slice(r - offsets[b], end - offsets[b]));
+    r = end;
   }
 }
 
+// What one fused map task produced: its output (batches, or rows when a
+// reduce stage follows) and, per fused stage, the rows and bytes it emitted.
+struct MapTaskOut {
+  std::vector<RowBatch> batches;
+  std::vector<Row> rows;
+  std::vector<uint64_t> stage_rows;
+  std::vector<uint64_t> stage_bytes;
+};
+
 // Runs the maximal run of consecutive map stages [s, e) of `udf` as ONE
-// fused wave over `in_rows` input rows of `in_bytes` total width, which
-// `read(range, fn)` passes to fn one at a time: each task streams its input
-// split through every stage's map function in turn (ping-pong buffers), so
-// intermediate stage outputs never materialize globally. Task-order
-// concatenation of the final partials is identical to running the stages
-// one at a time over the whole input, because map functions are applied
-// row-at-a-time in order.
+// fused wave over `input`: each task runs the batch slices of its input
+// split through every stage's map function in turn, so intermediate stage
+// outputs never materialize globally, and checks and measures its own
+// output. With `rows` non-null (a reduce stage follows), each task builds
+// its output rows there; otherwise `batches` receives the output batches.
+// Task-order concatenation equals running the stages one at a time over the
+// whole input, because map functions are row-wise.
 //
-// Accounting stays per stage: boundary row/byte counts are summed across
-// tasks, and the group's wall/straggler time is attributed to the first
-// stage of the group (so per-kind wall sums, which calibration consumes,
-// are preserved). Appends one LfStageRun per fused stage and leaves the
-// group's output rows in `*out` and their total width in `*out_bytes`.
-template <typename Read>
+// Accounting stays per stage: row/byte counts are summed across tasks, and
+// the group's wall/straggler time is attributed to the first stage of the
+// group (so per-kind wall sums, which calibration consumes, are preserved).
+// Appends one LfStageRun per fused stage and leaves the output's total
+// width in `*out_bytes`.
 Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
-                    size_t in_rows, uint64_t in_bytes, const Read& read,
-                    const udf::Params& params, const UdfExecOptions& opts,
-                    Schema* cur_schema, std::vector<Row>* out,
+                    const Table& input, const udf::Params& params,
+                    const UdfExecOptions& opts, Schema* cur_schema,
+                    std::vector<RowBatch>* batches, std::vector<Row>* rows,
                     uint64_t* out_bytes, std::vector<LfStageRun>* stages) {
   const auto& lfs = udf.local_functions;
   const size_t k = e - s;
@@ -213,74 +239,64 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
     ctxs[i].params = &params;
   }
 
-  const double avg_row_bytes =
-      in_rows == 0 ? 0.0
-                   : static_cast<double>(in_bytes) /
-                         static_cast<double>(in_rows);
+  const uint64_t in_rows = input.num_rows();
+  const uint64_t in_bytes = input.ByteSize();
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      in_rows, avg_row_bytes, opts.block_size_bytes);
+      in_rows, input.AvgRowBytes(), opts.block_size_bytes);
 
   obs::TraceSpan stage_span(opts.trace, opts.parent_span,
                             "stage:" + fused_name, "stage");
   const auto start = std::chrono::steady_clock::now();
 
-  // Per-task outputs plus per-task counts at each intermediate stage
-  // boundary (boundary j = output of stage s+j, 0 <= j < k-1).
-  std::vector<std::vector<Row>> partials(splits.size());
-  std::vector<std::vector<uint64_t>> mid_rows(splits.size());
-  std::vector<std::vector<uint64_t>> mid_bytes(splits.size());
+  std::vector<MapTaskOut> outs(splits.size());
   double wave_max_s = 0;
   OPD_RETURN_NOT_OK(RunWave(
       StageCtx(opts, stage_span.id()), "pipeline", splits.size(),
       [&](size_t t) -> Status {
-        const RowRange& split = splits[t];
-        mid_rows[t].assign(k - 1, 0);
-        mid_bytes[t].assign(k - 1, 0);
-        std::vector<Row> cur, next;
-        cur.reserve(split.size());
-        read(split, [&](const Row& row) {
-          lfs[s].map_fn(row, ctxs[0], &cur);
-        });
-        for (size_t i = 1; i < k; ++i) {
-          // Account + validate the boundary feeding stage s+i (the last
-          // stage's output is validated below, after the merge).
-          for (const Row& r : cur) {
-            OPD_RETURN_NOT_OK(CheckArity(lfs[s + i - 1], r, schemas[i]));
-            mid_bytes[t][i - 1] += storage::RowByteSize(r);
+        MapTaskOut& o = outs[t];
+        o.stage_rows.assign(k, 0);
+        o.stage_bytes.assign(k, 0);
+        Status st = Status::OK();
+        ForEachSlice(input, splits[t], [&](RowBatch batch) {
+          for (size_t i = 0; i < k && st.ok() && batch.num_rows() > 0; ++i) {
+            batch = lfs[s + i].map_fn(batch, ctxs[i]);
+            st = CheckBatch(lfs[s + i], batch, schemas[i + 1]);
+            o.stage_rows[i] += batch.num_rows();
+            o.stage_bytes[i] += batch.ByteSize();
           }
-          mid_rows[t][i - 1] = cur.size();
-          next.clear();
-          for (const Row& r : cur) lfs[s + i].map_fn(r, ctxs[i], &next);
-          cur.swap(next);
-        }
-        partials[t] = std::move(cur);
-        return Status::OK();
+          if (!st.ok() || batch.num_rows() == 0) return;
+          if (rows == nullptr) {
+            o.batches.push_back(std::move(batch));
+            return;
+          }
+          for (size_t r = 0; r < batch.num_rows(); ++r) {
+            o.rows.push_back(batch.RowAt(r));
+          }
+        });
+        return st;
       },
       &wave_max_s));
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
 
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  out->clear();
-  out->reserve(total);
-  for (auto& p : partials) {
-    for (Row& r : p) out->push_back(std::move(r));
-  }
-  *out_bytes = 0;
-  for (const Row& r : *out) {
-    OPD_RETURN_NOT_OK(CheckArity(lfs[e - 1], r, schemas[k]));
-    *out_bytes += storage::RowByteSize(r);
+  for (MapTaskOut& o : outs) {
+    if (rows == nullptr) {
+      for (RowBatch& b : o.batches) batches->push_back(std::move(b));
+    } else {
+      for (Row& r : o.rows) rows->push_back(std::move(r));
+    }
   }
 
   if (stage_span) {
-    stage_span.AddArg("in_rows", static_cast<uint64_t>(in_rows));
+    stage_span.AddArg("in_rows", in_rows);
     stage_span.AddArg("in_bytes", in_bytes);
     stage_span.AddArg("fused_stages", static_cast<uint64_t>(k));
     stage_span.End();
   }
 
+  *out_bytes = 0;
+  for (const MapTaskOut& o : outs) *out_bytes += o.stage_bytes[k - 1];
   if (stages != nullptr) {
     for (size_t i = 0; i < k; ++i) {
       LfStageRun run;
@@ -291,16 +307,14 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
         run.in_bytes = in_bytes;
         run.wall_seconds = wall_s;
         run.max_task_seconds = wave_max_s;
-      } else {
-        for (const auto& m : mid_rows) run.in_rows += m[i - 1];
-        for (const auto& m : mid_bytes) run.in_bytes += m[i - 1];
       }
-      if (i == k - 1) {
-        run.out_rows = out->size();
-        run.out_bytes = *out_bytes;
-      } else {
-        for (const auto& m : mid_rows) run.out_rows += m[i];
-        for (const auto& m : mid_bytes) run.out_bytes += m[i];
+      for (const MapTaskOut& o : outs) {
+        if (i > 0) {
+          run.in_rows += o.stage_rows[i - 1];
+          run.in_bytes += o.stage_bytes[i - 1];
+        }
+        run.out_rows += o.stage_rows[i];
+        run.out_bytes += o.stage_bytes[i];
       }
       stages->push_back(std::move(run));
     }
@@ -308,6 +322,44 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
 
   *cur_schema = std::move(schemas[k]);
   return Status::OK();
+}
+
+// Gives each newly built string column of `batches` one dictionary, merged
+// across the batches in order, one task per column: the entries come out in
+// Table::FromRows's order. A column that is one of `input`'s, or that uses
+// one of its dictionaries (a pass-through column, shared or gathered), keeps
+// its dictionary and is never touched.
+void MergeNewDictionaries(const Table& input, const Schema& schema,
+                          std::vector<RowBatch>* batches, ThreadPool* pool) {
+  if (batches->size() <= 1) return;  // one batch's dictionaries are whole
+  // The input's column objects and dictionaries.
+  std::unordered_set<const void*> from_input;
+  for (const RowBatch& b : *input.ToBatches()) {
+    for (size_t c = 0; c < b.num_columns(); ++c) {
+      from_input.insert(b.column_ptr(c).get());
+      if (b.column(c).dict() != nullptr) {
+        from_input.insert(b.column(c).dict().get());
+      }
+    }
+  }
+  std::vector<size_t> strings;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    if (schema.column(c).type == storage::DataType::kString) {
+      strings.push_back(c);
+    }
+  }
+  Status st = ParallelFor(pool, strings.size(), [&](size_t k) {
+    auto dict = std::make_shared<storage::Dictionary>();
+    for (RowBatch& b : *batches) {
+      const storage::ColumnVectorPtr& col = b.column_ptr(strings[k]);
+      if (from_input.count(col.get()) == 0 &&
+          (col->dict() == nullptr || from_input.count(col->dict().get()) == 0)) {
+        col->MergeDictInto(dict);
+      }
+    }
+    return Status::OK();
+  });
+  (void)st;  // cannot fail
 }
 
 }  // namespace
@@ -321,19 +373,16 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     return Status::InvalidArgument("UDF has no local functions: " + udf.name);
   }
   Schema cur_schema = input.schema();
-  // Every stage reads the previous stage's output `rows`, of total width
-  // `rows_bytes`, except the first, which reads the input table in place: a
-  // map run split by split (ForEachRow), a reduce from a row copy it owns.
-  bool from_input = true;
+  // A map run reads a table split by split: the input, or `staged`, the
+  // output of the reduce stage before it. A reduce stage reads `rows`, of
+  // total width `rows_bytes`: the map run before it builds them in its
+  // tasks (a UDF that starts with a reduce copies the input's rows).
+  const Table* in_table = &input;
+  Table staged;
+  bool have_rows = false;
   std::vector<Row> rows;
-  uint64_t rows_bytes = input.ByteSize();
-  auto read = [&](const RowRange& range, const auto& fn) {
-    if (from_input) {
-      ForEachRow(input, range, fn);
-    } else {
-      for (size_t r = range.begin; r < range.end; ++r) fn(rows[r]);
-    }
-  };
+  uint64_t rows_bytes = 0;
+  std::vector<RowBatch> batches;  // a final map run's output
 
   const auto& lfs = udf.local_functions;
   for (size_t stage_i = 0; stage_i < lfs.size();) {
@@ -344,24 +393,33 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
       while (stage_e < lfs.size() && lfs[stage_e].kind == udf::LfKind::kMap) {
         ++stage_e;
       }
-      std::vector<Row> fused_out;
+      if (have_rows) {
+        staged = Table::FromRows("", cur_schema, rows, exec_options.pool);
+        rows.clear();
+        in_table = &staged;
+        have_rows = false;
+      }
+      const bool final_run = stage_e == lfs.size();
       OPD_RETURN_NOT_OK(RunMapStages(
-          udf, stage_i, stage_e, from_input ? input.num_rows() : rows.size(),
-          rows_bytes, read, params, exec_options, &cur_schema, &fused_out,
-          &rows_bytes, stages));
-      rows = std::move(fused_out);
-      from_input = false;
+          udf, stage_i, stage_e, *in_table, params, exec_options, &cur_schema,
+          &batches, final_run ? nullptr : &rows, &rows_bytes, stages));
+      have_rows = !final_run;
       stage_i = stage_e;
       continue;
     }
 
     const udf::LocalFunction& lf = lfs[stage_i];
     ++stage_i;
-    if (from_input) {
-      rows.reserve(input.num_rows());
-      ForEachRow(input, RowRange{0, input.num_rows()},
-                 [&](Row row) { rows.push_back(std::move(row)); });
-      from_input = false;
+    if (!have_rows) {
+      rows.reserve(in_table->num_rows());
+      ForEachSlice(*in_table, RowRange{0, in_table->num_rows()},
+                   [&](const RowBatch& b) {
+                     for (size_t r = 0; r < b.num_rows(); ++r) {
+                       rows.push_back(b.RowAt(r));
+                     }
+                   });
+      rows_bytes = in_table->ByteSize();
+      have_rows = true;
     }
     OPD_ASSIGN_OR_RETURN(Schema out_schema, lf.out_schema(cur_schema, params));
     udf::LfContext ctx;
@@ -396,7 +454,12 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
 
     run.out_rows = next_rows.size();
     for (const Row& r : next_rows) {
-      OPD_RETURN_NOT_OK(CheckArity(lf, r, out_schema));
+      if (r.size() != out_schema.num_columns()) {
+        return Status::Internal(
+            "local function " + lf.name + " emitted row of arity " +
+            std::to_string(r.size()) + ", schema has " +
+            std::to_string(out_schema.num_columns()));
+      }
       run.out_bytes += storage::RowByteSize(r);
     }
     if (stages != nullptr) stages->push_back(run);
@@ -406,8 +469,14 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     rows_bytes = run.out_bytes;
   }
 
-  *output = Table::FromRows("", std::move(cur_schema), rows,
-                            exec_options.pool);
+  if (have_rows) {
+    *output = Table::FromRows("", std::move(cur_schema), rows,
+                              exec_options.pool);
+    return Status::OK();
+  }
+  MergeNewDictionaries(*in_table, cur_schema, &batches, exec_options.pool);
+  if (batches.empty()) batches.push_back(RowBatch::FromRows(cur_schema, {}, 0, 0));
+  *output = Table::FromBatches("", std::move(cur_schema), std::move(batches));
   return Status::OK();
 }
 

@@ -1,6 +1,6 @@
-// Executes a UDF's local-function pipeline over real rows, mirroring the MR
-// runtime: map functions stream per tuple; reduce functions receive one key
-// group at a time.
+// Executes a UDF's local-function pipeline over real data, mirroring the MR
+// runtime: map functions run over the column batches of each map task's
+// split; reduce functions receive one key group of rows at a time.
 
 #ifndef OPD_EXEC_UDF_EXEC_H_
 #define OPD_EXEC_UDF_EXEC_H_
@@ -29,8 +29,9 @@ struct LfStageRun {
 
 /// How a local-function pipeline is parallelized. The defaults (null pool)
 /// run serially; the engine passes its pool and the DFS block size. Every
-/// run of consecutive map stages fuses into one row loop per split, and
-/// reduce-stage shuffles run as a partition wave and then a reduce wave
+/// run of consecutive map stages fuses into one task per split that passes
+/// the split's batch slices through each stage in turn, and reduce-stage
+/// shuffles run as a partition wave and then a reduce wave
 /// (storage::PartitionBuffer + RunShuffle). Task granularity never changes
 /// results — stage outputs are merged in a deterministic order.
 struct UdfExecOptions {
@@ -47,6 +48,11 @@ struct UdfExecOptions {
 };
 
 /// \brief Runs all local functions of `udf` over `input`.
+///
+/// When the last stage is a map, `output` is the map tasks' batches in
+/// input order: pass-through columns shared with (or gathered from) `input`,
+/// which is never modified, and each newly built string column on one
+/// dictionary. After a reduce stage it is built from the reduce's rows.
 ///
 /// \param[out] output  the final stage's output table (named later by caller)
 /// \param[out] stages  optional per-stage accounting

@@ -1,5 +1,7 @@
 #include "storage/row_batch.h"
 
+#include <numeric>
+
 #include "common/hash.h"
 
 namespace opd::storage {
@@ -58,6 +60,13 @@ RowBatch RowBatch::Gather(const std::vector<uint32_t>& sel) const {
     out.push_back(src->GatherTo(sel.data(), sel.size()));
   }
   return RowBatch(std::move(out), sel.size());
+}
+
+RowBatch RowBatch::Slice(size_t begin, size_t end) const {
+  if (begin == 0 && end == num_rows_) return *this;
+  std::vector<uint32_t> sel(end - begin);
+  std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(begin));
+  return Gather(sel);
 }
 
 size_t RowBatch::ByteSize() const {

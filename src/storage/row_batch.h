@@ -61,6 +61,10 @@ class RowBatch {
   /// indices) into a new batch. A full selection returns a zero-copy view.
   RowBatch Gather(const std::vector<uint32_t>& sel) const;
 
+  /// Rows [begin, end) as a batch: the whole batch is a zero-copy view,
+  /// any other range a gathered copy (dictionaries stay shared).
+  RowBatch Slice(size_t begin, size_t end) const;
+
   /// Sum of all cells' serialized widths (row-representation-identical).
   size_t ByteSize() const;
 

@@ -5,7 +5,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <initializer_list>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <span>
 
@@ -14,8 +16,11 @@
 namespace opd::udf {
 
 using storage::Column;
+using storage::ColumnVector;
+using storage::ColumnVectorPtr;
 using storage::DataType;
 using storage::Row;
+using storage::RowBatch;
 using storage::Schema;
 using storage::Value;
 
@@ -205,6 +210,71 @@ void ParseLogMeta(std::string_view meta, std::string* lang,
 
 namespace {
 
+// --- Column helpers for the batch map functions ------------------------------
+
+/// A new, empty column of `type` with room for `n` cells.
+ColumnVectorPtr NewColumn(DataType type, size_t n) {
+  auto col = std::make_shared<ColumnVector>(type);
+  col->Reserve(n);
+  return col;
+}
+
+/// `kept`'s columns followed by `added`, each `kept.num_rows()` cells long.
+RowBatch Extend(const RowBatch& kept,
+                std::initializer_list<ColumnVectorPtr> added) {
+  std::vector<ColumnVectorPtr> cols;
+  cols.reserve(kept.num_columns() + added.size());
+  for (size_t c = 0; c < kept.num_columns(); ++c) {
+    cols.push_back(kept.column_ptr(c));
+  }
+  cols.insert(cols.end(), added);
+  return RowBatch(std::move(cols), kept.num_rows());
+}
+
+/// Input column `c` as an output column declared `type`: the input column
+/// itself when its declared type is `type`, else a cell-by-cell copy.
+ColumnVectorPtr PassThrough(const RowBatch& in, size_t c, DataType type) {
+  const ColumnVectorPtr& col = in.column_ptr(c);
+  if (col->declared_type() == type) return col;
+  ColumnVectorPtr copy = NewColumn(type, in.num_rows());
+  for (size_t i = 0; i < in.num_rows(); ++i) copy->Append(col->GetValue(i));
+  return copy;
+}
+
+/// Cell `i` as `Value::ToDouble` reads it (null and strings read 0).
+double DoubleAt(const ColumnVector& col, size_t i) {
+  if (col.IsNull(i)) return 0.0;
+  if (!col.is_native()) return col.GetValue(i).ToDouble();
+  switch (col.declared_type()) {
+    case DataType::kBool:
+      return col.bools()[i] != 0 ? 1.0 : 0.0;
+    case DataType::kInt64:
+      return static_cast<double>(col.ints()[i]);
+    case DataType::kDouble:
+      return col.doubles()[i];
+    default:
+      return 0.0;
+  }
+}
+
+/// Non-null cell `i` as `Value::as_int64` reads it (throws on another type).
+int64_t Int64At(const ColumnVector& col, size_t i) {
+  if (col.is_native() && col.declared_type() == DataType::kInt64) {
+    return col.ints()[i];
+  }
+  return col.GetValue(i).as_int64();
+}
+
+/// Non-null cell `i` as `Value::as_string` reads it (throws on another
+/// type); `boxed` holds a variant-lane cell.
+const std::string& StringAt(const ColumnVector& col, size_t i, Value* boxed) {
+  if (col.is_native() && col.declared_type() == DataType::kString) {
+    return col.string_at(i);
+  }
+  *boxed = col.GetValue(i);
+  return boxed->as_string();
+}
+
 Schema TwoColSchema(const std::string& a, DataType ta, const std::string& b,
                     DataType tb) {
   return Schema({Column{a, ta}, Column{b, tb}});
@@ -253,13 +323,18 @@ UdfDefinition MakeUserScoreUdf(const std::string& udf_name,
     return TwoColSchema("user_id", DataType::kInt64, "_score",
                         DataType::kDouble);
   };
-  lf1.map_fn = [lex = &FindLexicon(lexicon)](const Row& row,
-                                             const LfContext& ctx,
-                                             std::vector<Row>* out) {
-    const Value& uid = row[ctx.In("user_id")];
-    const Value& text = row[ctx.In("tweet_text")];
-    double s = text.is_null() ? 0.0 : ScoreWords(text.as_string(), *lex);
-    out->push_back(Row{uid, Value(s)});
+  lf1.map_fn = [lex = &FindLexicon(lexicon)](const RowBatch& in,
+                                             const LfContext& ctx) {
+    const ColumnVector& text = in.column(ctx.In("tweet_text"));
+    ColumnVectorPtr score = NewColumn(DataType::kDouble, in.num_rows());
+    Value boxed;
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      score->Append(Value(
+          text.IsNull(i) ? 0.0 : ScoreWords(StringAt(text, i, &boxed), *lex)));
+    }
+    return RowBatch(
+        {PassThrough(in, ctx.In("user_id"), DataType::kInt64), score},
+        in.num_rows());
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -333,14 +408,20 @@ UdfDefinition MakeFriendshipStrengthUdf() {
     return Schema({Column{"user_a", DataType::kInt64},
                    Column{"user_b", DataType::kInt64}});
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& u = row[ctx.In("user_id")];
-    const Value& m = row[ctx.In("mention_user")];
-    if (u.is_null() || m.is_null()) return;
-    int64_t a = u.as_int64(), b = m.as_int64();
-    if (b < 0 || a == b) return;  // no mention / self mention
-    out->push_back(Row{Value(std::min(a, b)), Value(std::max(a, b))});
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const ColumnVector& u = in.column(ctx.In("user_id"));
+    const ColumnVector& m = in.column(ctx.In("mention_user"));
+    ColumnVectorPtr lo = NewColumn(DataType::kInt64, 0);
+    ColumnVectorPtr hi = NewColumn(DataType::kInt64, 0);
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      if (u.IsNull(i) || m.IsNull(i)) continue;
+      const int64_t a = Int64At(u, i), b = Int64At(m, i);
+      if (b < 0 || a == b) continue;  // no mention / self mention
+      lo->Append(Value(std::min(a, b)));
+      hi->Append(Value(std::max(a, b)));
+    }
+    const size_t n = lo->size();
+    return RowBatch({std::move(lo), std::move(hi)}, n);
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -391,11 +472,20 @@ UdfDefinition MakeNetworkInfluenceUdf() {
     }
     return TwoColSchema("inf_user", DataType::kInt64, "_s", DataType::kDouble);
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& s = row[ctx.In("strength")];
-    out->push_back(Row{row[ctx.In("user_a")], s});
-    out->push_back(Row{row[ctx.In("user_b")], s});
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const ColumnVector& a = in.column(ctx.In("user_a"));
+    const ColumnVector& b = in.column(ctx.In("user_b"));
+    const ColumnVector& s = in.column(ctx.In("strength"));
+    ColumnVectorPtr user = NewColumn(DataType::kInt64, 2 * in.num_rows());
+    ColumnVectorPtr strength = NewColumn(DataType::kDouble, 2 * in.num_rows());
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      user->AppendFrom(a, i, nullptr);
+      strength->AppendFrom(s, i, nullptr);
+      user->AppendFrom(b, i, nullptr);
+      strength->AppendFrom(s, i, nullptr);
+    }
+    return RowBatch({std::move(user), std::move(strength)},
+                    2 * in.num_rows());
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -447,15 +537,22 @@ UdfDefinition MakeExtractLatLonUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"lon", DataType::kDouble}));
     return out;
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& geo = row[ctx.In("geo")];
-    double lat, lon;
-    if (geo.is_null() || !ParseLatLon(geo.as_string(), &lat, &lon)) return;
-    Row r = row;
-    r.push_back(Value(lat));
-    r.push_back(Value(lon));
-    out->push_back(std::move(r));
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const ColumnVector& geo = in.column(ctx.In("geo"));
+    std::vector<uint32_t> sel;
+    ColumnVectorPtr lat = NewColumn(DataType::kDouble, in.num_rows());
+    ColumnVectorPtr lon = NewColumn(DataType::kDouble, in.num_rows());
+    Value boxed;
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      double la, lo;
+      if (geo.IsNull(i) || !ParseLatLon(StringAt(geo, i, &boxed), &la, &lo)) {
+        continue;
+      }
+      sel.push_back(static_cast<uint32_t>(i));
+      lat->Append(Value(la));
+      lon->Append(Value(lo));
+    }
+    return Extend(in.Gather(sel), {std::move(lat), std::move(lon)});
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -482,13 +579,15 @@ UdfDefinition MakeGeoTileUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"tile_id", DataType::kInt64}));
     return out;
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    double ts = ParamDouble(*ctx.params, "tile_size", 1.0);
-    Row r = row;
-    r.push_back(Value(GeoTileId(row[ctx.In("lat")].ToDouble(),
-                                row[ctx.In("lon")].ToDouble(), ts)));
-    out->push_back(std::move(r));
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const double ts = ParamDouble(*ctx.params, "tile_size", 1.0);
+    const ColumnVector& lat = in.column(ctx.In("lat"));
+    const ColumnVector& lon = in.column(ctx.In("lon"));
+    ColumnVectorPtr tile = NewColumn(DataType::kInt64, in.num_rows());
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      tile->Append(Value(GeoTileId(DoubleAt(lat, i), DoubleAt(lon, i), ts)));
+    }
+    return Extend(in, {std::move(tile)});
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -519,14 +618,21 @@ UdfDefinition MakeTokenizeUdf() {
     return TwoColSchema("user_id", DataType::kInt64, "token",
                         DataType::kString);
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& text = row[ctx.In("tweet_text")];
-    if (text.is_null()) return;
-    const Value& uid = row[ctx.In("user_id")];
-    ForEachWord(text.as_string(), [&](std::string_view tok) {
-      out->push_back(Row{uid, Value(std::string(tok))});
-    });
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const ColumnVector& text = in.column(ctx.In("tweet_text"));
+    const ColumnVector& uid = in.column(ctx.In("user_id"));
+    ColumnVectorPtr user = NewColumn(DataType::kInt64, 0);
+    ColumnVectorPtr token = NewColumn(DataType::kString, 0);
+    Value boxed;
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      if (text.IsNull(i)) continue;
+      ForEachWord(StringAt(text, i, &boxed), [&](std::string_view tok) {
+        user->AppendFrom(uid, i, nullptr);
+        token->Append(Value(std::string(tok)));
+      });
+    }
+    const size_t n = user->size();
+    return RowBatch({std::move(user), std::move(token)}, n);
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -553,9 +659,12 @@ UdfDefinition MakeWordCountUdf() {
     if (!in.Has("token")) return Status::InvalidArgument("needs token");
     return TwoColSchema("word", DataType::kString, "_one", DataType::kInt64);
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    out->push_back(Row{row[ctx.In("token")], Value(int64_t{1})});
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    ColumnVectorPtr one = NewColumn(DataType::kInt64, in.num_rows());
+    for (size_t i = 0; i < in.num_rows(); ++i) one->Append(Value(int64_t{1}));
+    return RowBatch(
+        {PassThrough(in, ctx.In("token"), DataType::kString), std::move(one)},
+        in.num_rows());
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -601,17 +710,23 @@ UdfDefinition MakeMenuSimilarityUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"menu_sim", DataType::kDouble}));
     return out;
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& menu = row[ctx.In("menu_text")];
-    std::string ref = ParamString(*ctx.params, "ref_menu", "");
-    double sim =
-        menu.is_null() ? 0.0 : JaccardSimilarity(menu.as_string(), ref);
-    if (sim > ParamDouble(*ctx.params, "min_sim", 0.1)) {
-      Row r = row;
-      r.push_back(Value(sim));
-      out->push_back(std::move(r));
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const std::string ref = ParamString(*ctx.params, "ref_menu", "");
+    const double min_sim = ParamDouble(*ctx.params, "min_sim", 0.1);
+    const ColumnVector& menu = in.column(ctx.In("menu_text"));
+    std::vector<uint32_t> sel;
+    ColumnVectorPtr sim_col = NewColumn(DataType::kDouble, in.num_rows());
+    Value boxed;
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      const double sim =
+          menu.IsNull(i) ? 0.0
+                         : JaccardSimilarity(StringAt(menu, i, &boxed), ref);
+      if (sim > min_sim) {
+        sel.push_back(static_cast<uint32_t>(i));
+        sim_col->Append(Value(sim));
+      }
     }
+    return Extend(in.Gather(sel), {std::move(sim_col)});
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -639,17 +754,20 @@ UdfDefinition MakeParseLogUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"device", DataType::kString}));
     return out;
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& meta = row[ctx.In("raw_meta")];
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const ColumnVector& meta = in.column(ctx.In("raw_meta"));
+    ColumnVectorPtr lang_col = NewColumn(DataType::kString, in.num_rows());
+    ColumnVectorPtr device_col = NewColumn(DataType::kString, in.num_rows());
     std::string lang, device;
-    ParseLogMeta(meta.is_null() ? std::string_view()
-                                : std::string_view(meta.as_string()),
-                 &lang, &device);
-    Row r = row;
-    r.emplace_back(std::move(lang));
-    r.emplace_back(std::move(device));
-    out->push_back(std::move(r));
+    Value boxed;
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      ParseLogMeta(meta.IsNull(i) ? std::string_view()
+                                  : std::string_view(StringAt(meta, i, &boxed)),
+                   &lang, &device);
+      lang_col->Append(Value(std::move(lang)));
+      device_col->Append(Value(std::move(device)));
+    }
+    return Extend(in, {std::move(lang_col), std::move(device_col)});
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -680,26 +798,32 @@ UdfDefinition MakeHashtagTrendsUdf() {
     }
     return TwoColSchema("tag", DataType::kString, "_user", DataType::kInt64);
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& text = row[ctx.In("tweet_text")];
-    if (text.is_null()) return;
-    const std::string& s = text.as_string();
-    const Value& uid = row[ctx.In("user_id")];
-    size_t i = 0;
-    while ((i = s.find('#', i)) != std::string::npos) {
-      size_t j = i + 1;
-      while (j < s.size() &&
-             (std::isalnum(static_cast<unsigned char>(s[j])) || s[j] == '_')) {
-        ++j;
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const ColumnVector& text = in.column(ctx.In("tweet_text"));
+    const ColumnVector& uid = in.column(ctx.In("user_id"));
+    ColumnVectorPtr tag = NewColumn(DataType::kString, 0);
+    ColumnVectorPtr user = NewColumn(DataType::kInt64, 0);
+    Value boxed;
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      if (text.IsNull(r)) continue;
+      const std::string& s = StringAt(text, r, &boxed);
+      size_t i = 0;
+      while ((i = s.find('#', i)) != std::string::npos) {
+        size_t j = i + 1;
+        while (j < s.size() && (std::isalnum(static_cast<unsigned char>(s[j])) ||
+                                s[j] == '_')) {
+          ++j;
+        }
+        if (j > i + 1) {
+          tag->Append(
+              Value(ToLowerAscii(std::string_view(s).substr(i + 1, j - i - 1))));
+          user->AppendFrom(uid, r, nullptr);
+        }
+        i = j;
       }
-      if (j > i + 1) {
-        out->push_back(Row{
-            Value(ToLowerAscii(std::string_view(s).substr(i + 1, j - i - 1))),
-            uid});
-      }
-      i = j;
     }
+    const size_t n = tag->size();
+    return RowBatch({std::move(tag), std::move(user)}, n);
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -730,14 +854,18 @@ UdfDefinition MakeHashtagTrendsUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"trend_tier", DataType::kString}));
     return out;
   };
-  lf3.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    double min_users = ParamDouble(*ctx.params, "min_users", 2.0);
-    double users = row[ctx.In("tag_users")].ToDouble();
-    if (users <= min_users) return;
-    Row r = row;
-    r.emplace_back(std::string(users > 4 * min_users ? "hot" : "rising"));
-    out->push_back(std::move(r));
+  lf3.map_fn = [](const RowBatch& in, const LfContext& ctx) {
+    const double min_users = ParamDouble(*ctx.params, "min_users", 2.0);
+    const ColumnVector& users = in.column(ctx.In("tag_users"));
+    std::vector<uint32_t> sel;
+    ColumnVectorPtr tier = NewColumn(DataType::kString, 0);
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      const double u = DoubleAt(users, i);
+      if (u <= min_users) continue;
+      sel.push_back(static_cast<uint32_t>(i));
+      tier->Append(Value(u > 4 * min_users ? "hot" : "rising"));
+    }
+    return Extend(in.Gather(sel), {std::move(tier)});
   };
   udf.local_functions.push_back(std::move(lf3));
   return udf;

@@ -6,6 +6,15 @@
 // operation types:
 //   (1) discard/add attributes, (2) discard tuples by filters,
 //   (3) group tuples on a common key.
+//
+// A map function runs over a column batch and returns the batch of its
+// output rows. It stays a per-tuple function: the output rows of input row
+// i depend only on row i and come out in input order, so the result never
+// depends on where the engine cuts batches (the reference interpreter calls
+// it on one-row batches, the engine on split-sized slices). Input columns
+// are shared with the input table and must never be mutated; a pass-through
+// column is returned as is, or gathered when rows are dropped, and keeps its
+// input dictionary. Only new columns are built.
 
 #ifndef OPD_UDF_LOCAL_FUNCTION_H_
 #define OPD_UDF_LOCAL_FUNCTION_H_
@@ -17,6 +26,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/row_batch.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -51,14 +61,16 @@ struct LfContext {
 
   /// Index of `name` in the input schema; asserts on absence at runtime via
   /// Status in the engine (local functions may assume validated schemas).
+  /// Map functions resolve their columns once per batch.
   size_t In(const std::string& name) const {
     return *in_schema->IndexOf(name);
   }
 };
 
-/// Per-tuple transform: may emit 0..n output rows.
-using MapFn = std::function<void(const storage::Row&, const LfContext&,
-                                 std::vector<storage::Row>*)>;
+/// Row-wise batch transform: each input row yields 0..n output rows, in
+/// input order, laid out under `ctx.out_schema`.
+using MapFn = std::function<storage::RowBatch(const storage::RowBatch&,
+                                              const LfContext&)>;
 
 /// Per-group transform: receives all rows of one key group.
 using ReduceFn = std::function<void(const std::vector<storage::Row>&,

@@ -337,7 +337,17 @@ Result<std::vector<std::vector<Row>>> RunUdfStages(
     ctx.params = &params;
     std::vector<Row> next;
     if (lf.kind == udf::LfKind::kMap) {
-      for (const Row& row : rows) lf.map_fn(row, ctx, &next);
+      // One-row batches: the engine calls the same function on split-sized
+      // slices, so agreeing with it also shows that the output does not
+      // depend on where batches are cut.
+      for (size_t r = 0; r < rows.size(); ++r) {
+        const storage::RowBatch out =
+            lf.map_fn(storage::RowBatch::FromRows(in_schema, rows, r, r + 1),
+                      ctx);
+        for (size_t i = 0; i < out.num_rows(); ++i) {
+          next.push_back(out.RowAt(i));
+        }
+      }
     } else {
       std::vector<size_t> keys;
       for (const std::string& name : lf.group_keys) {

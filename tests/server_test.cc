@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -381,8 +384,8 @@ TEST_F(ServingTest, FailedQueryLeavesNoDfsOutput) {
     broken.name = kUdf;
     ASSERT_EQ(broken.local_functions.front().kind, udf::LfKind::kMap);
     broken.local_functions.front().map_fn =
-        [](const storage::Row&, const udf::LfContext&,
-           std::vector<storage::Row>*) {
+        [](const storage::RowBatch&,
+           const udf::LfContext&) -> storage::RowBatch {
           throw std::runtime_error("injected map failure");
         };
     ASSERT_TRUE(server.udfs().Register(std::move(broken)).ok());
@@ -410,6 +413,72 @@ TEST_F(ServingTest, FailedQueryLeavesNoDfsOutput) {
       [](const auto& a, const auto& b) { return a->ticket < b->ticket; });
   EXPECT_EQ(newest->tenant, "gina");
   EXPECT_EQ(newest->status, "error");
+}
+
+// A job that throws outside any task wave (here a UDF whose out_schema
+// passes Prepare and then throws when the job runs) fails its query on both
+// schedules: the DAG schedule (a group-by job, then the UDF job) and the
+// serial one (the UDF job alone). The query returns an error, leaves the
+// DFS as it found it and releases its admission slot.
+TEST_F(ServingTest, JobThrowingOutsideAWaveFailsItsQuery) {
+  Server& server = bed_->session().server();
+  struct Trap {
+    std::atomic<int> calls{0};
+    std::atomic<int> allowed{std::numeric_limits<int>::max()};
+  };
+  static const auto trap = std::make_shared<Trap>();
+  const std::string kUdf = "UDF_TOKENIZE_SCHEMA_THROWS";
+  if (!server.udfs().Find(kUdf).ok()) {
+    udf::UdfDefinition udf = udf::MakeTokenizeUdf();
+    udf.name = kUdf;
+    udf::SchemaFn inner = udf.local_functions.front().out_schema;
+    udf.local_functions.front().out_schema =
+        [inner](const storage::Schema& in,
+                const udf::Params& params) -> Result<storage::Schema> {
+      if (trap->calls.fetch_add(1) >= trap->allowed.load()) {
+        throw std::runtime_error("injected out_schema failure");
+      }
+      return inner(in, params);
+    };
+    ASSERT_TRUE(server.udfs().Register(std::move(udf)).ok());
+  }
+  const auto dag_plan = [&] {
+    return plan::Plan(
+        plan::Udf(plan::GroupBy(plan::Scan("TWTR"), {"user_id", "tweet_text"},
+                                {plan::AggSpec{plan::AggFn::kCount, "", "n"}}),
+                  kUdf, {}),
+        "throws_after_group_by");
+  };
+  const auto serial_plan = [&] {
+    return plan::Plan(plan::Udf(plan::Scan("TWTR"), kUdf, {}),
+                      "throws_alone");
+  };
+
+  ClientSession gina = server.Connect("gina");
+  RunOptions no_rewrite;  // run the jobs as written, whatever the store holds
+  no_rewrite.rewrite = false;
+  for (const auto& make_plan :
+       {std::function<plan::Plan()>(dag_plan),
+        std::function<plan::Plan()>(serial_plan)}) {
+    // Arm the trap for the first out_schema call after Prepare's.
+    trap->allowed = std::numeric_limits<int>::max();
+    trap->calls = 0;
+    plan::Plan probe = make_plan();
+    ASSERT_TRUE(bed_->optimizer().Prepare(&probe).ok());
+    trap->allowed = trap->calls.load();
+    trap->calls = 0;
+
+    const std::vector<std::string> before = server.dfs().ListPaths();
+    auto run = gina.Run(make_plan(), no_rewrite);
+    trap->allowed = std::numeric_limits<int>::max();
+    ASSERT_FALSE(run.ok()) << make_plan().name();
+    EXPECT_NE(run.status().ToString().find(
+                  "job threw: injected out_schema failure"),
+              std::string::npos)
+        << run.status().ToString();
+    EXPECT_EQ(server.dfs().ListPaths(), before);
+    EXPECT_EQ(server.admission_stats().running, 0);
+  }
 }
 
 TEST_F(ServingTest, AdmissionTicketsAreSequential) {

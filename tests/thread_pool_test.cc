@@ -29,18 +29,15 @@ TEST(ThreadPoolTest, DefaultThreadsResolvesAuto) {
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
+  CountdownLatch all(100);
   for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&count] { ++count; }));
+    pool.Submit([&count, &all] {
+      ++count;
+      all.CountDown();
+    });
   }
-  for (auto& f : futures) f.get();
+  all.Wait();
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
@@ -61,9 +58,11 @@ TEST(ThreadPoolTest, TryRunOneReturnsFalseOnEmptyQueue) {
   // thread's TryRunOne below could pop it and spin on its own flag).
   std::atomic<bool> release{false};
   CountdownLatch parked_gate(1);
-  auto parked = pool.Submit([&release, &parked_gate] {
+  CountdownLatch unparked(1);
+  pool.Submit([&release, &parked_gate, &unparked] {
     parked_gate.CountDown();
     while (!release.load()) std::this_thread::yield();
+    unparked.CountDown();
   });
   parked_gate.Wait();
 
@@ -76,7 +75,7 @@ TEST(ThreadPoolTest, TryRunOneReturnsFalseOnEmptyQueue) {
   EXPECT_FALSE(pool.TryRunOne());  // queue drained
 
   release.store(true);
-  parked.get();
+  unparked.Wait();
 }
 
 TEST(CountdownLatchTest, CountDownReturnsTrueExactlyOnce) {
