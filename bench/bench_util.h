@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "workload/scenarios.h"
 
 namespace opd::bench {
 
@@ -36,6 +37,20 @@ inline bool ShapeCheck(bool ok, const std::string& description) {
 
 inline void Header(const std::string& title) {
   std::printf("\n=== %s ===\n\n", title.c_str());
+}
+
+/// Prints the UDF cost scalars `bed` calibrated from wall time. Calibrated
+/// figures move with them, so a recorded run cites them.
+inline void PrintUdfScalars(workload::TestBed& bed) {
+  std::printf("%-26s %10s %13s %10s\n", "UDF", "map_scalar",
+              "reduce_scalar", "expansion");
+  for (const std::string& name : bed.udfs().Names()) {
+    const udf::UdfDefinition* def =
+        CheckResult(bed.udfs().Find(name), "UDF lookup");
+    std::printf("%-26s %10.3f %13.3f %10.4f\n", name.c_str(),
+                def->map_scalar, def->reduce_scalar, def->expansion());
+  }
+  std::printf("\n");
 }
 
 }  // namespace opd::bench

@@ -20,6 +20,7 @@ int main() {
   bench::Header("Figure 7: Query Evolution (ORIG vs REWR per version)");
 
   auto bed = bench::CheckResult(workload::TestBed::Create(), "testbed");
+  bench::PrintUdfScalars(*bed);
   auto rows =
       bench::CheckResult(workload::RunQueryEvolution(bed.get()), "scenario");
 

@@ -21,6 +21,7 @@ int main() {
   bench::Header("Figure 8: User Evolution (holdout analyst's v1)");
 
   auto bed = bench::CheckResult(workload::TestBed::Create(), "testbed");
+  bench::PrintUdfScalars(*bed);
   auto rows = bench::CheckResult(workload::RunUserEvolution(bed.get()),
                                  "scenario");
 

@@ -111,6 +111,7 @@ int main() {
   config.session.rewrite.dp_time_budget_s = 30.0;
   auto bed =
       bench::CheckResult(workload::TestBed::Create(config), "testbed");
+  bench::PrintUdfScalars(*bed);
 
   const std::vector<size_t> sizes = {50, 250, 500, 750, 1000};
   std::printf("%-10s %14s %14s %16s %16s %12s %12s\n", "views",

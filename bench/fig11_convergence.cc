@@ -19,6 +19,7 @@ int main() {
   bench::Header("Figure 11: BFR convergence to the optimal rewrite (A1v2-v4)");
 
   auto bed = bench::CheckResult(workload::TestBed::Create(), "testbed");
+  bench::PrintUdfScalars(*bed);
   bed->DropAllViews();
   bench::CheckResult(bed->RunOriginal(1, 1), "A1v1 execution");
   bench::CheckResult(bed->RunOriginal(1, 2), "A1v2 execution");

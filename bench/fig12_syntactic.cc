@@ -18,17 +18,7 @@ int main() {
   bench::Header("Figure 12: BFR vs BFR-SYNTACTIC (A1v2-v4, % improvement)");
 
   auto bed = bench::CheckResult(workload::TestBed::Create(), "testbed");
-  // The UDF cost scalars this run calibrated from wall time: the table
-  // below moves with them, so a recorded run cites them.
-  std::printf("%-26s %10s %13s %10s\n", "UDF", "map_scalar",
-              "reduce_scalar", "expansion");
-  for (const std::string& name : bed->udfs().Names()) {
-    const udf::UdfDefinition* def =
-        bench::CheckResult(bed->udfs().Find(name), "UDF lookup");
-    std::printf("%-26s %10.3f %13.3f %10.4f\n", name.c_str(),
-                def->map_scalar, def->reduce_scalar, def->expansion());
-  }
-  std::printf("\n");
+  bench::PrintUdfScalars(*bed);
   bed->DropAllViews();
   bench::CheckResult(bed->RunOriginal(1, 1), "A1v1 execution");
 

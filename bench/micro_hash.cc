@@ -113,7 +113,7 @@ std::vector<uint64_t> FlatHashes(const std::vector<RowBatch>& batches) {
   std::vector<uint64_t> hashes(n);
   size_t off = 0;
   for (const RowBatch& b : batches) {
-    exec::hash::HashKeys(b, kKeyCols, hashes.data() + off);
+    exec::hash::HashKeys(b, 0, b.num_rows(), kKeyCols, hashes.data() + off);
     off += b.num_rows();
   }
   return hashes;

@@ -16,6 +16,7 @@ int main() {
   bench::Header("Table 1: improvement of A5v3 as analysts are added");
 
   auto bed = bench::CheckResult(workload::TestBed::Create(), "testbed");
+  bench::PrintUdfScalars(*bed);
   auto improvements = bench::CheckResult(
       workload::RunAnalystAccumulation(bed.get()), "scenario");
 

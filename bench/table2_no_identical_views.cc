@@ -18,6 +18,7 @@ int main() {
       "Table 2: execution-time improvement without identical views");
 
   auto bed = bench::CheckResult(workload::TestBed::Create(), "testbed");
+  bench::PrintUdfScalars(*bed);
 
   std::printf("%-16s", "");
   for (int a = 1; a <= workload::kNumAnalysts; ++a) std::printf("    A%d", a);

@@ -21,7 +21,10 @@
 # (publishes, drops and access recording racing snapshots that rewrite
 # against the store's copy-on-write versions and their lazy index), and the
 # view-statistics tests (the column sketch every executed job's view gets,
-# from the job's finalize step under the DAG schedule). TSan
+# from the job's finalize step under the DAG schedule), and the UDF suites
+# (udf_test's goldens, executor and stage-shape tests: map tasks run user
+# map functions, and reduce tasks build rows and call user reduce
+# functions, on pool threads). TSan
 # and ASan cannot share a build, hence the separate tree.
 #
 # Then runs the perf-floor gate
@@ -59,10 +62,11 @@ cd ..
 echo "== ThreadSanitizer pass (serving layer + parallel determinism) =="
 cmake -B build-tsan -S . -DOPD_TSAN=ON >/dev/null
 cmake --build build-tsan --target server_test parallel_determinism_test \
-  recycler_test query_log_test oracle_test catalog_test exec_engine_test -j
+  recycler_test query_log_test oracle_test catalog_test exec_engine_test \
+  udf_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector|UdfGoldenTest|UdfExecTest|UdfShapeTest' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

@@ -109,37 +109,6 @@ Result<size_t> ColIndex(const Schema& schema, const std::string& name) {
   return *idx;
 }
 
-// Ratio of the fullest shuffle bucket to the mean bucket (1.0 = perfectly
-// balanced); negative when there is nothing to measure.
-template <typename T>
-double BufferSkew(const PartitionBuffer<T>& buf) {
-  size_t total = 0, largest = 0;
-  for (size_t b = 0; b < buf.num_buckets(); ++b) {
-    const size_t s = buf.BucketSize(b);
-    total += s;
-    largest = std::max(largest, s);
-  }
-  if (total == 0) return -1.0;
-  return static_cast<double>(largest) *
-         static_cast<double>(buf.num_buckets()) / static_cast<double>(total);
-}
-
-// A table's batches plus its flat-row-index bookkeeping.
-struct BatchList {
-  explicit BatchList(const Table& t)
-      : batches(t.ToBatches()),
-        offsets(t.batch_offsets()),
-        num_rows(t.num_rows()) {}
-
-  std::shared_ptr<const std::vector<RowBatch>> batches;
-  const std::vector<size_t>& offsets;  // global row index of each batch's
-                                       // first row (owned by the table)
-  size_t num_rows;
-
-  size_t size() const { return batches->size(); }
-  const RowBatch& batch(size_t b) const { return (*batches)[b]; }
-};
-
 // Flattened location of one row inside a BatchList. Shared with the
 // recycler (hash::RowRef) so cached join builds use the exact payload
 // layout the engine probes with.
@@ -607,7 +576,8 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
           buf.ReserveProducer(side_t, batch.num_rows());
           uint64_t* hashes = (is_build ? build_hash : probe_hash).data() +
                              list.offsets[side_t];
-          hash::HashKeys(batch, is_build ? build_keys : probe_keys, hashes);
+          hash::HashKeys(batch, 0, batch.num_rows(),
+                         is_build ? build_keys : probe_keys, hashes);
           uint32_t* pb = is_build ? nullptr
                                   : probe_bucket.data() +
                                         probe_list.offsets[side_t];
@@ -769,8 +739,6 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
             options_.num_reduce_tasks, shuffle_bytes, block_size);
         jr.reduce_tasks = num_buckets;
 
-        using GroupEntry = std::pair<Row, std::vector<AggState>>;
-        std::vector<std::vector<GroupEntry>> bucket_groups(num_buckets);
         // Optimizer cardinality estimate (product of key distincts from the
         // sampled stats, capped by input rows): pre-sizes each bucket's flat
         // group index when it is available — the bucket's group count is
@@ -779,35 +747,18 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
         // engine.shuffle.ht_resizes counter measures.
         const size_t est_groups =
             node->est_rows > 0 ? static_cast<size_t>(node->est_rows) : 0;
-        auto group_hint = [&](size_t bucket_n) -> size_t {
-          return est_groups > 0
-                     ? std::min(bucket_n, est_groups / num_buckets + 1)
-                     : bucket_n;
-        };
 
         const BatchList in_list(in);
-        const std::vector<hash::KeyCodec> codecs =
-            hash::PlanKeyCodecs({{in_list.batches.get(), &key_idx}});
-        // Folds input row `ref` into one group's aggregate states.
-        auto fold = [&](std::vector<AggState>& aggs, RowRef ref) {
-          const RowBatch& batch = in_list.batch(ref.batch);
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            aggs[a].Update(agg_idx[a]
-                               ? batch.column(*agg_idx[a]).GetValue(ref.idx)
-                               : Value(int64_t{1}));
-          }
-        };
+        const hash::KeyCodec codec =
+            hash::PlanKeyCodecs({{in_list.batches.get(), &key_idx}})[0];
 
         // Hash recycling for group-by: the aggregates are query-specific,
-        // so the recycler caches the *grouping routes* — per bucket, each
-        // input row (in reduce order) with the dense group id it folded
-        // into, plus a copy of each group's key. A hit skips partitioning
-        // and group discovery entirely and replays the routes with a
-        // hash-free linear pass, folding this query's aggregates from the
-        // live input.
+        // so the recycler caches the *grouping routes* (hash::GroupRoutes).
+        // A hit skips partitioning and group discovery entirely and only
+        // replays the routes, folding this query's aggregates from the live
+        // input.
         hash::RecycleKey grkey;
         std::shared_ptr<const hash::CachedBuild> gcached;
-        std::shared_ptr<hash::CachedBuild> gpending;
         const OpNode* in_child = node->children[0].get();
         const std::string* in_identity =
             recycler != nullptr ? scan_ident(in_child) : nullptr;
@@ -815,159 +766,89 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
           grkey.kind = hash::RecycleKind::kGroupBy;
           grkey.identity = *in_identity;
           grkey.key_cols = key_idx;
-          grkey.codec_modes.reserve(codecs[0].modes.size());
-          for (hash::KeyColMode m : codecs[0].modes) {
+          grkey.codec_modes.reserve(codec.modes.size());
+          for (hash::KeyColMode m : codec.modes) {
             grkey.codec_modes.push_back(static_cast<uint8_t>(m));
           }
           grkey.num_buckets = static_cast<uint32_t>(num_buckets);
           gcached = recycler->Lookup(grkey, in_list.batches.get());
           count_recycle(gcached != nullptr);
-          if (gcached == nullptr) {
-            gpending = std::make_shared<hash::CachedBuild>();
-            gpending->group_rows.resize(num_buckets);
-            gpending->group_of.resize(num_buckets);
-            gpending->group_keys.resize(num_buckets);
-            gpending->batches = in_list.batches;
-            gpending->pin = in_list.batches.get();
-            gpending->view_id = in_child->view_id;
-          }
         }
 
+        // Folds one bucket's aggregates by replaying its routes. Routes
+        // hold the bucket's rows in global row order, so floating point
+        // accumulation matches a serial pass, on a miss and a hit alike.
+        const size_t num_aggs = node->group.aggs.size();
+        std::vector<std::vector<AggState>> bucket_aggs(num_buckets);
+        auto fold_bucket = [&](size_t b, const hash::GroupRoutes& r) {
+          std::vector<AggState>& aggs = bucket_aggs[b];
+          aggs.resize(r.keys.size() * num_aggs);
+          for (size_t i = 0; i < r.rows.size(); ++i) {
+            const RowBatch& batch = in_list.batch(r.rows[i].batch);
+            AggState* group = &aggs[r.group_of[i] * num_aggs];
+            for (size_t a = 0; a < num_aggs; ++a) {
+              group[a].Update(
+                  agg_idx[a] ? batch.column(*agg_idx[a]).GetValue(r.rows[i].idx)
+                             : Value(int64_t{1}));
+            }
+          }
+          return Status::OK();
+        };
+
+        GroupingShuffle built;
         if (gcached != nullptr) {
-          // Recycle hit: no partitioning, no hashing — replay the recorded
-          // routes per bucket, folding this query's aggregates from the
-          // live input. Route order == the original reduce order == global
-          // row order per bucket, so float accumulation and first-seen
-          // group order are byte-identical to a rebuild.
           OPD_RETURN_NOT_OK(RunWave(
               pipe, "reduce", num_buckets,
-              [&](size_t b) -> Status {
-                const auto& rrows = gcached->group_rows[b];
-                const auto& rgof = gcached->group_of[b];
-                const auto& rkeys = gcached->group_keys[b];
-                std::vector<GroupEntry>& groups = bucket_groups[b];
-                groups.reserve(rkeys.size());
-                for (size_t i = 0; i < rrows.size(); ++i) {
-                  const uint32_t id = rgof[i];
-                  if (id == groups.size()) {
-                    groups.emplace_back(
-                        rkeys[id],
-                        std::vector<AggState>(node->group.aggs.size()));
-                  }
-                  fold(groups[id].second, rrows[i]);
-                }
-                return Status::OK();
-              },
+              [&](size_t b) { return fold_bucket(b, gcached->routes[b]); },
               &jr.max_task_time_s));
         } else {
-          // Fused map+partition: one producer per batch hashes straight
-          // into its per-bucket buffer slots; per-row hashes are kept for
-          // the reduce tables.
-          PartitionBuffer<RowRef> buf(in_list.size(), num_buckets);
-          std::vector<uint64_t> hash_of(in_list.num_rows);
-          auto partition = [&](size_t t) -> Status {
-            const RowBatch& batch = in_list.batch(t);
-            buf.ReserveProducer(t, batch.num_rows());
-            uint64_t* hashes = hash_of.data() + in_list.offsets[t];
-            hash::HashKeys(batch, key_idx, hashes);
-            for (size_t i = 0; i < batch.num_rows(); ++i) {
-              const uint32_t b = num_buckets <= 1
-                                     ? 0
-                                     : hash::BucketOf(hashes[i], num_buckets);
-              buf.Append(t, b,
-                         RowRef{static_cast<uint32_t>(t),
-                                static_cast<uint32_t>(i)});
-            }
-            return Status::OK();
-          };
-          // Reduce: hash-aggregate one bucket, keying groups by their
-          // normalized key bytes; the key Row is materialized once per
-          // group. Rows of a key fold in original row order, so floating
-          // point accumulation matches a serial pass.
-          auto reduce_bucket = [&](size_t b) -> Status {
-            std::vector<GroupEntry>& groups = bucket_groups[b];
-            hash::FlatGroupIndex index;
-            index.Reserve(group_hint(buf.BucketSize(b)),
-                          codecs[0].bounded ? codecs[0].width_bound : 0);
-            hash::KeyScratch key;
-            buf.ForEachInBucket(b, [&](RowRef ref) {
-              const RowBatch& batch = in_list.batch(ref.batch);
-              hash::NormalizeKey(batch, ref.idx, codecs[0], &key);
-              const size_t g = in_list.offsets[ref.batch] + ref.idx;
-              auto [id, inserted] =
-                  index.InsertOrGet(hash_of[g], key.data(), key.size());
-              if (inserted) {
-                Row krow;
-                krow.reserve(key_idx.size());
-                for (size_t c : key_idx) {
-                  krow.push_back(batch.column(c).GetValue(ref.idx));
+          OPD_RETURN_NOT_OK(RunGroupingShuffle(
+              pipe, in_list, in_list.BatchRanges(), codec, num_buckets,
+              est_groups, fold_bucket, &built, &jr.max_task_time_s,
+              [&](const hash::FlatGroupIndex& index) {
+                if (ht_load_hist != nullptr && index.size() > 0) {
+                  ht_load_hist->Observe(index.load_factor());
                 }
-                // Copy the key into the recycler record *before* the move
-                // below (the merge later moves keys out of groups).
-                if (gpending != nullptr) {
-                  gpending->group_keys[b].push_back(krow);
-                }
-                groups.emplace_back(
-                    std::move(krow),
-                    std::vector<AggState>(node->group.aggs.size()));
-              }
-              if (gpending != nullptr) {
-                gpending->group_rows[b].push_back(ref);
-                gpending->group_of[b].push_back(id);
-              }
-              fold(groups[id].second, ref);
-            });
-            if (ht_load_hist != nullptr && index.size() > 0) {
-              ht_load_hist->Observe(index.load_factor());
-            }
-            observe_flat(index.stats(), index.arena_bytes());
-            return Status::OK();
-          };
-          OPD_RETURN_NOT_OK(RunShuffle(pipe, in_list.size(), partition,
-                                       num_buckets, reduce_bucket,
-                                       &jr.max_task_time_s));
-          st.skew = BufferSkew(buf);
+                observe_flat(index.stats(), index.arena_bytes());
+              }));
+          st.skew = built.skew;
         }
-
-        if (gpending != nullptr) {
-          // Benefit = the partition + reduce wall a future hit skips (the
-          // replay pass it pays instead is a fraction of it).
-          gpending->build_cost_s = jr.max_task_time_s;
-          observe_recycle_insert(recycler->Insert(grkey, std::move(gpending)));
-        }
+        const std::vector<hash::GroupRoutes>& routes =
+            gcached != nullptr ? gcached->routes : built.routes;
 
         // Deterministic merge: groups sorted by key, for any thread/bucket
         // count.
-        std::vector<GroupEntry*> ordered;
-        size_t num_groups = 0;
-        for (auto& g : bucket_groups) num_groups += g.size();
-        ordered.reserve(num_groups);
-        for (auto& groups : bucket_groups) {
-          for (GroupEntry& g : groups) ordered.push_back(&g);
-        }
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const GroupEntry* a, const GroupEntry* b) {
-                    return RowLess()(a->first, b->first);
-                  });
         const auto& out_cols = node->out_schema.columns();
-        for (GroupEntry* g : ordered) {
-          Row r = std::move(g->first);
-          const size_t key_size = r.size();
-          r.reserve(key_size + g->second.size());
-          for (size_t a = 0; a < g->second.size(); ++a) {
-            r.push_back(FinishAgg(node->group.aggs[a], g->second[a],
-                                  out_cols[key_size + a].type));
+        for (const auto& [b, g] : GroupsInKeyOrder(routes)) {
+          Row r = routes[b].keys[g];
+          for (size_t a = 0; a < num_aggs; ++a) {
+            r.push_back(FinishAgg(node->group.aggs[a],
+                                  bucket_aggs[b][g * num_aggs + a],
+                                  out_cols[key_idx.size() + a].type));
           }
           OPD_RETURN_NOT_OK(out.AppendRow(r));
+        }
+
+        if (in_identity != nullptr && gcached == nullptr) {
+          // Benefit = the partition + reduce wall a future hit skips (the
+          // replay pass it pays instead is a fraction of it).
+          auto pending = std::make_shared<hash::CachedBuild>();
+          pending->routes = std::move(built.routes);
+          pending->batches = in_list.batches;
+          pending->pin = in_list.batches.get();
+          pending->view_id = in_child->view_id;
+          pending->build_cost_s = jr.max_task_time_s;
+          observe_recycle_insert(recycler->Insert(grkey, std::move(pending)));
         }
         break;
       }
       case OpKind::kUdf: {
-        // UDF local functions are opaque per-row/per-group user code: each
-        // map task builds the rows of its own input split from the batches,
-        // and the final stage's rows are cut back into batches.
-        // Consecutive map stages fuse into one row loop and reduce stages
-        // run as a two-wave shuffle.
+        // UDF local functions are opaque user code (RunLocalFunctions):
+        // consecutive map stages fuse into one task per input split, which
+        // passes the split's batch slices through each map function, and a
+        // reduce stage groups through GROUP BY's shuffle
+        // (RunGroupingShuffle); its reduce tasks build a group's rows only
+        // to call the reduce function.
         OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
                              ctx.udfs->Find(node->udf.udf_name));
         std::vector<LfStageRun> stage_runs;

@@ -43,9 +43,10 @@ class HashRecycler;
 /// buffers, and the reduce wave starts once every map task has finished —
 /// over flat open-addressing tables (src/exec/hash/); independent jobs of a
 /// plan run concurrently on the shared pool when untraced. Opaque predicate
-/// UDFs run one task per batch, called on each row's argument cells; UDF
-/// local functions run row-at-a-time over rows built split by split, and
-/// their output is cut back into batches. Hash tables are recycled across
+/// UDFs run one task per batch, called on each row's argument cells. UDF
+/// map local functions run over the column batches of each input split;
+/// UDF reduce stages group through the group-by shuffle, and only the rows
+/// handed to a reduce function are built. Hash tables are recycled across
 /// queries when a recycler is attached (Engine::set_recycler). Every job's
 /// output is retained as an opportunistic view (Section 2.1) with sampled
 /// statistics; there is no switch for either.

@@ -22,16 +22,18 @@ void KeyScratch::Grow(size_t need) {
 
 namespace {
 
-// Folds the flat hash of every cell of `col` into out[0..n): one typed loop
-// per lane kind, with a branch-free body on the no-null fast paths.
-void HashColumnInto(const ColumnVector& col, size_t n, uint64_t* out) {
+// Folds the flat hash of cells [begin, begin + n) of `col` into out[0..n):
+// one typed loop per lane kind, with a branch-free body on the no-null fast
+// paths.
+void HashColumnInto(const ColumnVector& col, size_t begin, size_t n,
+                    uint64_t* out) {
   const bool no_nulls = col.null_count() == 0;
   if (col.is_native()) {
     switch (col.declared_type()) {
       case DataType::kBool: {
-        const uint8_t* v = col.bools();
+        const uint8_t* v = col.bools() + begin;
         for (size_t i = 0; i < n; ++i) {
-          const uint64_t h = (!no_nulls && col.IsNull(i))
+          const uint64_t h = (!no_nulls && col.IsNull(begin + i))
                                  ? kNullCellHash
                                  : HashNumericCell(v[i] != 0 ? 1.0 : 0.0);
           HashCombine(&out[i], h);
@@ -39,7 +41,7 @@ void HashColumnInto(const ColumnVector& col, size_t n, uint64_t* out) {
         return;
       }
       case DataType::kInt64: {
-        const int64_t* v = col.ints();
+        const int64_t* v = col.ints() + begin;
         if (no_nulls) {
           for (size_t i = 0; i < n; ++i) {
             HashCombine(&out[i], HashNumericCell(static_cast<double>(v[i])));
@@ -48,14 +50,14 @@ void HashColumnInto(const ColumnVector& col, size_t n, uint64_t* out) {
         }
         for (size_t i = 0; i < n; ++i) {
           const uint64_t h =
-              col.IsNull(i) ? kNullCellHash
+              col.IsNull(begin + i) ? kNullCellHash
                             : HashNumericCell(static_cast<double>(v[i]));
           HashCombine(&out[i], h);
         }
         return;
       }
       case DataType::kDouble: {
-        const double* v = col.doubles();
+        const double* v = col.doubles() + begin;
         if (no_nulls) {
           for (size_t i = 0; i < n; ++i) {
             HashCombine(&out[i], HashNumericCell(v[i]));
@@ -64,7 +66,7 @@ void HashColumnInto(const ColumnVector& col, size_t n, uint64_t* out) {
         }
         for (size_t i = 0; i < n; ++i) {
           const uint64_t h =
-              col.IsNull(i) ? kNullCellHash : HashNumericCell(v[i]);
+              col.IsNull(begin + i) ? kNullCellHash : HashNumericCell(v[i]);
           HashCombine(&out[i], h);
         }
         return;
@@ -79,7 +81,7 @@ void HashColumnInto(const ColumnVector& col, size_t n, uint64_t* out) {
           for (size_t i = 0; i < n; ++i) HashCombine(&out[i], kNullCellHash);
           return;
         }
-        const uint32_t* codes = col.codes();
+        const uint32_t* codes = col.codes() + begin;
         const uint64_t* entry_hash = dict->hashes.data();
         if (no_nulls) {
           for (size_t i = 0; i < n; ++i) {
@@ -89,7 +91,7 @@ void HashColumnInto(const ColumnVector& col, size_t n, uint64_t* out) {
         }
         for (size_t i = 0; i < n; ++i) {
           const uint64_t h =
-              col.IsNull(i) ? kNullCellHash : entry_hash[codes[i]];
+              col.IsNull(begin + i) ? kNullCellHash : entry_hash[codes[i]];
           HashCombine(&out[i], h);
         }
         return;
@@ -100,17 +102,17 @@ void HashColumnInto(const ColumnVector& col, size_t n, uint64_t* out) {
   }
   // Variant lane (or null-typed column): per-cell reconstruction.
   for (size_t i = 0; i < n; ++i) {
-    HashCombine(&out[i], FlatCellHash(col.GetValue(i)));
+    HashCombine(&out[i], FlatCellHash(col.GetValue(begin + i)));
   }
 }
 
 }  // namespace
 
-void HashKeys(const RowBatch& batch, const std::vector<size_t>& cols,
-              uint64_t* out) {
-  const size_t n = batch.num_rows();
+void HashKeys(const RowBatch& batch, size_t begin, size_t end,
+              const std::vector<size_t>& cols, uint64_t* out) {
+  const size_t n = end - begin;
   for (size_t i = 0; i < n; ++i) out[i] = kKeySeed;
-  for (size_t c : cols) HashColumnInto(batch.column(c), n, out);
+  for (size_t c : cols) HashColumnInto(batch.column(c), begin, n, out);
 }
 
 std::vector<KeyCodec> PlanKeyCodecs(const std::vector<KeySide>& sides) {

@@ -2,26 +2,27 @@
 // column-at-a-time over typed lanes, plus the canonical key-byte encoding
 // the flat hash tables (flat_table.h) verify against.
 //
-// The key hash (HashKeys over batches, FlatRowKeyHash over the UDF runner's
-// rows) is a well-mixed 64-bit hash of the key cells under Value-equality
-// semantics (numerics hash through their normalized double, so
-// 1 == 1.0 == true hash-equal; -0.0 normalizes to 0.0). It differs from
-// storage::RowHash. Dictionary-encoded string columns reuse the dictionary's
-// precomputed per-entry hashes, so each distinct string is hashed once per
-// table, not once per row. Bucket mapping uses the multiply-shift BucketOf
-// below — no per-row integer division. Every shuffle consumer merges its
-// buckets in a deterministic global order (probe-row order for joins,
-// key-sorted for aggregations), so the bucket mapping is unobservable in
-// results.
+// The key hash (HashKeys over batches; FlatRowKeyHash is its per-row
+// definition, kept as the tests' reference) is a well-mixed 64-bit hash of
+// the key cells under Value-equality semantics (numerics hash through their
+// normalized double, so 1 == 1.0 == true hash-equal; -0.0 normalizes to
+// 0.0). It differs from storage::RowHash. Dictionary-encoded string columns
+// reuse the dictionary's precomputed per-entry hashes, so each distinct
+// string is hashed once per table, not once per row. Bucket mapping uses the
+// multiply-shift BucketOf below — no per-row integer division. Every shuffle
+// consumer merges its buckets in a deterministic global order (probe-row
+// order for joins, key-sorted for GROUP BY and UDF reduce stages), so the
+// bucket mapping is unobservable in results.
 //
-// Key bytes: NormalizeKey / NormalizeKeyRow append a canonical encoding of
-// the key cells into a reusable KeyScratch. Equal encodings <=> equal keys
-// (numerics through their normalized double; NaN compares by its bit
-// pattern). A KeyCodec, planned once per shuffle input from the batches'
-// lanes, picks the per-column fast path —
-// including a dictionary-code encoding (tag + 32-bit code) when every batch
-// on every side of the shuffle shares one dictionary object for that key
-// column, which makes string-keyed group-bys fixed-width.
+// Key bytes: NormalizeKey appends a canonical encoding of the key cells into
+// a reusable KeyScratch (NormalizeKeyRow is its per-row definition, again
+// the tests' reference). Equal encodings <=> equal keys (numerics through
+// their normalized double; NaN compares by its bit pattern). A KeyCodec,
+// planned once per shuffle input from the batches' lanes, picks the
+// per-column fast path — including a dictionary-code encoding (tag + 32-bit
+// code) when every batch on every side of the shuffle shares one dictionary
+// object for that key column, which makes string-keyed group-bys
+// fixed-width.
 
 #ifndef OPD_EXEC_HASH_HASH_KERNELS_H_
 #define OPD_EXEC_HASH_HASH_KERNELS_H_
@@ -78,7 +79,8 @@ inline uint64_t FlatCellHash(const storage::Value& v) {
   }
 }
 
-/// Flat per-row key hash over `cols` of `row` (the UDF reduce shuffle).
+/// Flat per-row key hash over `cols` of `row`: the definition HashKeys
+/// computes batch-wide (tests compare the two).
 inline uint64_t FlatRowKeyHash(const storage::Row& row,
                                const std::vector<size_t>& cols) {
   uint64_t h = kKeySeed;
@@ -95,10 +97,10 @@ inline uint32_t BucketOf(uint64_t h, size_t num_buckets) {
                                32);
 }
 
-/// Computes the flat key hash of every row of `batch` into `out`
-/// (length batch.num_rows()), column-at-a-time over the typed lanes.
-void HashKeys(const storage::RowBatch& batch, const std::vector<size_t>& cols,
-              uint64_t* out);
+/// Computes the flat key hash of rows [begin, end) of `batch` into `out`
+/// (length end - begin), column-at-a-time over the typed lanes.
+void HashKeys(const storage::RowBatch& batch, size_t begin, size_t end,
+              const std::vector<size_t>& cols, uint64_t* out);
 
 /// Reusable buffer the canonical key bytes are normalized into. Keys up to
 /// kInline bytes (any numeric-only key of <= 5 columns) live in the inline
@@ -169,8 +171,8 @@ inline void EncodeCell(const storage::Value& v, KeyScratch* out) {
   }
 }
 
-/// Normalizes the key cells of `row` at `cols` into `out` (the UDF reduce
-/// shuffle).
+/// Normalizes the key cells of `row` at `cols` into `out`: the per-row
+/// definition of NormalizeKey (tests compare the two).
 inline void NormalizeKeyRow(const storage::Row& row,
                             const std::vector<size_t>& cols, KeyScratch* out) {
   out->Clear();

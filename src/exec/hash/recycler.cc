@@ -28,9 +28,9 @@ uint64_t RowsBytes(const std::vector<storage::Row>& rows) {
 uint64_t HashRecycler::ApproxBytes(const CachedBuild& build) {
   uint64_t b = sizeof(CachedBuild);
   for (const auto& ht : build.join) b += ht.memory_bytes();
-  for (const auto& rows : build.group_rows) b += VectorBytes(rows);
-  for (const auto& ids : build.group_of) b += VectorBytes(ids);
-  for (const auto& keys : build.group_keys) b += RowsBytes(keys);
+  for (const GroupRoutes& r : build.routes) {
+    b += VectorBytes(r.rows) + VectorBytes(r.group_of) + RowsBytes(r.keys);
+  }
   return b;
 }
 

@@ -66,6 +66,16 @@ struct RowRef {
   uint32_t idx = 0;
 };
 
+/// The grouping routes of one shuffle bucket: its rows in global row order,
+/// the dense group id of each (ids in first-seen order), and each group's
+/// key cells, read from its first row. Every grouping shuffle builds them
+/// (exec::RunGroupingShuffle); the recycler caches GROUP BY's.
+struct GroupRoutes {
+  std::vector<RowRef> rows;
+  std::vector<uint32_t> group_of;
+  std::vector<storage::Row> keys;
+};
+
 /// Which engine structure a cache entry holds.
 enum class RecycleKind : uint8_t {
   kJoinBuild,
@@ -123,15 +133,11 @@ struct CachedBuild {
   // kJoinBuild: the per-bucket build tables.
   std::vector<FlatMultiMap<RowRef>> join;
 
-  // kGroupBy: recorded grouping routes. Aggregates are
-  // NOT cached (different queries aggregate differently over the same
-  // grouping); instead the reduce replays, per bucket, each input row (in
-  // reduce order) with the dense group id it folded into, plus a copy of
-  // each group's key row at first-seen position. Replay cost is a hash-free
-  // linear pass.
-  std::vector<std::vector<RowRef>> group_rows;
-  std::vector<std::vector<uint32_t>> group_of;
-  std::vector<std::vector<storage::Row>> group_keys;
+  // kGroupBy: the per-bucket grouping routes. Aggregates are NOT cached
+  // (different queries aggregate differently over the same grouping); a hit
+  // replays the routes instead, a hash-free linear pass, just as a miss
+  // does once its shuffle has built them.
+  std::vector<GroupRoutes> routes;
 
   // The pinned input: structures above index into exactly this object.
   // Retaining it here makes the `pin` comparison ABA-safe.

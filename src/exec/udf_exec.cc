@@ -1,16 +1,14 @@
 #include "exec/udf_exec.h"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <unordered_set>
 #include <utility>
 
-#include "exec/hash/flat_table.h"
 #include "exec/hash/hash_kernels.h"
 #include "exec/pipeline.h"
-#include "storage/partition_buffer.h"
 
 namespace opd::exec {
 
@@ -27,117 +25,90 @@ PipelineCtx StageCtx(const UdfExecOptions& opts, uint64_t stage_span) {
   return PipelineCtx{opts.pool, opts.trace, stage_span, opts.tasks};
 }
 
-// One key group gathered during the shuffle, and what the reduce call over
-// it emitted. Keeping outputs attached to their key lets the merge step
-// re-establish the global key order independent of bucket/thread counts.
-struct ReduceGroup {
-  Row key;
-  std::vector<Row> rows;      // shuffle input, in original row order
-  std::vector<Row> emitted;   // reduce_fn output for this group
-};
-
-// Runs one reduce local function: hash-partition rows by key into reduce
-// buckets, group and reduce each bucket as one task, then merge the groups'
-// outputs in global key order — the same order the previous ordered-map
-// implementation produced, regardless of bucket or thread counts.
+// Runs one reduce local function over `in` through the grouping shuffle:
+// one producer per block-size split of the rows; each reduce task builds the
+// rows of one group at a time, in row order, calls the reduce function on
+// them and checks and measures what it emitted. `out` receives the groups'
+// outputs in global key order, whatever the bucket or thread count. `run`
+// comes with its input counts and leaves with the rest.
 Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
-                      const Schema& in_schema, std::vector<Row>* rows,
-                      uint64_t in_bytes, const UdfExecOptions& opts,
-                      uint64_t stage_span, std::vector<Row>* out,
-                      double* max_task_seconds) {
+                      const BatchList& in, const UdfExecOptions& opts,
+                      LfStageRun* run, std::vector<Row>* out) {
   std::vector<size_t> key_idx;
   for (const std::string& key : lf.group_keys) {
-    auto idx = in_schema.IndexOf(key);
+    auto idx = ctx.in_schema->IndexOf(key);
     if (!idx) {
       return Status::InvalidArgument("reduce key not in schema: " + key);
     }
     key_idx.push_back(*idx);
   }
-
-  const size_t n = rows->size();
-  const size_t num_buckets =
-      DeriveReduceTasks(opts.num_reduce_tasks, in_bytes, opts.block_size_bytes);
-
-  // Per-row key hashes are computed once during partitioning and kept
-  // here, so grouping never re-hashes a key.
-  std::vector<uint64_t> hash_of(n);
-
-  // Fused partition: each producer hashes its split's keys straight into
-  // its own per-bucket buffer slots (no global scatter); the reduce wave
-  // starts once every producer has finished.
+  const size_t n = in.num_rows;
+  const size_t num_buckets = DeriveReduceTasks(
+      opts.num_reduce_tasks, run->in_bytes, opts.block_size_bytes);
   const double avg_row_bytes =
-      n == 0 ? 0.0 : static_cast<double>(in_bytes) / static_cast<double>(n);
-  const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      n, avg_row_bytes, opts.block_size_bytes);
-  storage::PartitionBuffer<size_t> buf(splits.size(), num_buckets);
-  auto partition = [&](size_t t) -> Status {
-    const RowRange& split = splits[t];
-    buf.ReserveProducer(t, split.size());
-    for (size_t r = split.begin; r < split.end; ++r) {
-      const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
-      hash_of[r] = h;
-      buf.Append(t, num_buckets <= 1 ? 0 : hash::BucketOf(h, num_buckets), r);
-    }
-    return Status::OK();
-  };
+      n == 0 ? 0.0
+             : static_cast<double>(run->in_bytes) / static_cast<double>(n);
+  const hash::KeyCodec codec =
+      hash::PlanKeyCodecs({{in.batches.get(), &key_idx}})[0];
 
-  // Grouping + reduce of one bucket. The bucket yields its row indices in
-  // original row order, so per-key input order — and therefore the reduce
-  // function's view of each group — is schedule-independent. Rows are moved
-  // out of the shared vector; buckets partition the index space, so
-  // concurrent consumers touch disjoint rows.
-  std::vector<std::vector<ReduceGroup>> bucket_groups(num_buckets);
-  auto reduce_bucket = [&](size_t b) -> Status {
-    std::vector<ReduceGroup>& groups = bucket_groups[b];
-    hash::FlatGroupIndex group_index;
-    group_index.Reserve(buf.BucketSize(b), 0);
-    hash::KeyScratch key;
-    buf.ForEachInBucket(b, [&](size_t r) {
-      Row& row = (*rows)[r];
-      hash::NormalizeKeyRow(row, key_idx, &key);
-      auto [id, inserted] =
-          group_index.InsertOrGet(hash_of[r], key.data(), key.size());
-      if (inserted) {
-        groups.emplace_back();
-        groups.back().key.reserve(key_idx.size());
-        for (size_t i : key_idx) groups.back().key.push_back(row[i]);
+  // Per bucket: per group id, what the reduce function emitted, and the
+  // emitted bytes.
+  std::vector<std::vector<std::vector<Row>>> emitted(num_buckets);
+  std::vector<uint64_t> emitted_bytes(num_buckets, 0);
+  auto reduce_bucket = [&](size_t b, const hash::GroupRoutes& r) -> Status {
+    // The bucket's rows by group id, each group's in row order: group g
+    // is members[start[g], start[g + 1]) (a counting sort).
+    std::vector<uint32_t> start(r.keys.size() + 1, 0);
+    for (uint32_t g : r.group_of) ++start[g + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::vector<uint32_t> members(r.rows.size()), next = start;
+    for (uint32_t i = 0; i < r.rows.size(); ++i) {
+      members[next[r.group_of[i]]++] = i;
+    }
+    emitted[b].resize(r.keys.size());
+    std::vector<Row> group;
+    for (size_t g = 0; g < r.keys.size(); ++g) {
+      group.clear();
+      for (uint32_t k = start[g]; k < start[g + 1]; ++k) {
+        const hash::RowRef ref = r.rows[members[k]];
+        group.push_back(in.batch(ref.batch).RowAt(ref.idx));
       }
-      groups[id].rows.push_back(std::move(row));
-    });
-    std::sort(groups.begin(), groups.end(),
-              [](const ReduceGroup& a, const ReduceGroup& g) {
-                return RowLess()(a.key, g.key);
-              });
-    for (ReduceGroup& g : groups) {
-      lf.reduce_fn(g.rows, ctx, &g.emitted);
-      g.rows.clear();
+      lf.reduce_fn(group, ctx, &emitted[b][g]);
+      for (const Row& row : emitted[b][g]) {
+        if (row.size() != ctx.out_schema->num_columns()) {
+          return Status::Internal(
+              "local function " + lf.name + " emitted row of arity " +
+              std::to_string(row.size()) + ", schema has " +
+              std::to_string(ctx.out_schema->num_columns()));
+        }
+        emitted_bytes[b] += storage::RowByteSize(row);
+      }
     }
     return Status::OK();
   };
 
-  OPD_RETURN_NOT_OK(RunShuffle(StageCtx(opts, stage_span), splits.size(),
-                               partition, num_buckets, reduce_bucket,
-                               max_task_seconds));
-
-  // Deterministic merge: emit every group's output in global key order
-  // (buckets are already key-sorted; merge them by key).
-  std::vector<ReduceGroup*> ordered;
-  size_t num_groups = 0, total_rows = 0;
-  for (auto& groups : bucket_groups) num_groups += groups.size();
-  ordered.reserve(num_groups);
-  for (auto& groups : bucket_groups) {
-    for (ReduceGroup& g : groups) {
-      ordered.push_back(&g);
-      total_rows += g.emitted.size();
-    }
+  obs::TraceSpan stage_span(opts.trace, opts.parent_span, "stage:" + lf.name,
+                            "stage");
+  const auto begin = std::chrono::steady_clock::now();
+  GroupingShuffle shuffle;
+  OPD_RETURN_NOT_OK(RunGroupingShuffle(
+      StageCtx(opts, stage_span.id()), in,
+      storage::SplitRowsByBlockSize(n, avg_row_bytes, opts.block_size_bytes),
+      codec, num_buckets, 0, reduce_bucket, &shuffle, &run->max_task_seconds));
+  const auto order = GroupsInKeyOrder(shuffle.routes);
+  for (const auto& [b, g] : order) run->out_rows += emitted[b][g].size();
+  out->reserve(run->out_rows);
+  for (const auto& [b, g] : order) {
+    for (Row& row : emitted[b][g]) out->push_back(std::move(row));
   }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ReduceGroup* a, const ReduceGroup* b) {
-              return RowLess()(a->key, b->key);
-            });
-  out->reserve(out->size() + total_rows);
-  for (ReduceGroup* g : ordered) {
-    for (Row& r : g->emitted) out->push_back(std::move(r));
+  run->wall_seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count();
+  for (uint64_t bytes : emitted_bytes) run->out_bytes += bytes;
+  if (stage_span) {
+    stage_span.AddArg("in_rows", run->in_rows);
+    stage_span.AddArg("in_bytes", run->in_bytes);
+    stage_span.End();
   }
   return Status::OK();
 }
@@ -164,32 +135,10 @@ Status CheckBatch(const udf::LocalFunction& lf, const RowBatch& batch,
   return Status::OK();
 }
 
-// Calls fn(batch) for each piece of `table`'s batches that `range` covers,
-// in order: a whole batch as a zero-copy view, part of one as a copy. Map
-// tasks read their own split this way.
-template <typename Fn>
-void ForEachSlice(const Table& table, const RowRange& range, Fn&& fn) {
-  if (range.size() == 0) return;
-  const auto batches = table.ToBatches();
-  const std::vector<size_t>& offsets = table.batch_offsets();
-  // The last batch starting at or before range.begin covers it.
-  auto first = std::upper_bound(offsets.begin(), offsets.end(), range.begin);
-  for (size_t b = static_cast<size_t>(first - offsets.begin()) - 1,
-              r = range.begin;
-       r < range.end; ++b) {
-    const RowBatch& batch = (*batches)[b];
-    const size_t end = std::min(range.end, offsets[b] + batch.num_rows());
-    if (end <= r) continue;  // an empty batch
-    fn(batch.Slice(r - offsets[b], end - offsets[b]));
-    r = end;
-  }
-}
-
-// What one fused map task produced: its output (batches, or rows when a
-// reduce stage follows) and, per fused stage, the rows and bytes it emitted.
+// What one fused map task produced: its output batches and, per fused
+// stage, the rows and bytes it emitted.
 struct MapTaskOut {
   std::vector<RowBatch> batches;
-  std::vector<Row> rows;
   std::vector<uint64_t> stage_rows;
   std::vector<uint64_t> stage_bytes;
 };
@@ -198,10 +147,9 @@ struct MapTaskOut {
 // fused wave over `input`: each task runs the batch slices of its input
 // split through every stage's map function in turn, so intermediate stage
 // outputs never materialize globally, and checks and measures its own
-// output. With `rows` non-null (a reduce stage follows), each task builds
-// its output rows there; otherwise `batches` receives the output batches.
-// Task-order concatenation equals running the stages one at a time over the
-// whole input, because map functions are row-wise.
+// output; `batches` receives the output batches in task order. That equals
+// running the stages one at a time over the whole input, because map
+// functions are row-wise.
 //
 // Accounting stays per stage: row/byte counts are summed across tasks, and
 // the group's wall/straggler time is attributed to the first stage of the
@@ -211,8 +159,8 @@ struct MapTaskOut {
 Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
                     const Table& input, const udf::Params& params,
                     const UdfExecOptions& opts, Schema* cur_schema,
-                    std::vector<RowBatch>* batches, std::vector<Row>* rows,
-                    uint64_t* out_bytes, std::vector<LfStageRun>* stages) {
+                    std::vector<RowBatch>* batches, uint64_t* out_bytes,
+                    std::vector<LfStageRun>* stages) {
   const auto& lfs = udf.local_functions;
   const size_t k = e - s;
 
@@ -243,6 +191,7 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
   const uint64_t in_bytes = input.ByteSize();
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
       in_rows, input.AvgRowBytes(), opts.block_size_bytes);
+  const BatchList in(input);
 
   obs::TraceSpan stage_span(opts.trace, opts.parent_span,
                             "stage:" + fused_name, "stage");
@@ -257,20 +206,17 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
         o.stage_rows.assign(k, 0);
         o.stage_bytes.assign(k, 0);
         Status st = Status::OK();
-        ForEachSlice(input, splits[t], [&](RowBatch batch) {
+        // A whole batch is a zero-copy view, part of one a copy.
+        in.ForEachPiece(splits[t], [&](size_t b, size_t begin, size_t end) {
+          RowBatch batch = in.batch(b).Slice(begin, end);
           for (size_t i = 0; i < k && st.ok() && batch.num_rows() > 0; ++i) {
             batch = lfs[s + i].map_fn(batch, ctxs[i]);
             st = CheckBatch(lfs[s + i], batch, schemas[i + 1]);
             o.stage_rows[i] += batch.num_rows();
             o.stage_bytes[i] += batch.ByteSize();
           }
-          if (!st.ok() || batch.num_rows() == 0) return;
-          if (rows == nullptr) {
+          if (st.ok() && batch.num_rows() > 0) {
             o.batches.push_back(std::move(batch));
-            return;
-          }
-          for (size_t r = 0; r < batch.num_rows(); ++r) {
-            o.rows.push_back(batch.RowAt(r));
           }
         });
         return st;
@@ -281,11 +227,7 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
                             .count();
 
   for (MapTaskOut& o : outs) {
-    if (rows == nullptr) {
-      for (RowBatch& b : o.batches) batches->push_back(std::move(b));
-    } else {
-      for (Row& r : o.rows) rows->push_back(std::move(r));
-    }
+    for (RowBatch& b : o.batches) batches->push_back(std::move(b));
   }
 
   if (stage_span) {
@@ -373,16 +315,14 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     return Status::InvalidArgument("UDF has no local functions: " + udf.name);
   }
   Schema cur_schema = input.schema();
-  // A map run reads a table split by split: the input, or `staged`, the
-  // output of the reduce stage before it. A reduce stage reads `rows`, of
-  // total width `rows_bytes`: the map run before it builds them in its
-  // tasks (a UDF that starts with a reduce copies the input's rows).
+  // A stage reads `in_table`: the input, or `staged`, the output of the
+  // reduce stage before it. A reduce stage right after a map run reads the
+  // run's output batches instead, of total width `map_bytes`.
   const Table* in_table = &input;
   Table staged;
-  bool have_rows = false;
-  std::vector<Row> rows;
-  uint64_t rows_bytes = 0;
-  std::vector<RowBatch> batches;  // a final map run's output
+  std::vector<RowBatch> batches;
+  bool after_map = false;
+  uint64_t map_bytes = 0;
 
   const auto& lfs = udf.local_functions;
   for (size_t stage_i = 0; stage_i < lfs.size();) {
@@ -393,33 +333,29 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
       while (stage_e < lfs.size() && lfs[stage_e].kind == udf::LfKind::kMap) {
         ++stage_e;
       }
-      if (have_rows) {
-        staged = Table::FromRows("", cur_schema, rows, exec_options.pool);
-        rows.clear();
-        in_table = &staged;
-        have_rows = false;
+      OPD_RETURN_NOT_OK(RunMapStages(udf, stage_i, stage_e, *in_table, params,
+                                     exec_options, &cur_schema, &batches,
+                                     &map_bytes, stages));
+      if (stage_e == lfs.size()) {
+        MergeNewDictionaries(*in_table, cur_schema, &batches,
+                             exec_options.pool);
+        if (batches.empty()) {
+          batches.push_back(RowBatch::FromRows(cur_schema, {}, 0, 0));
+        }
+        *output =
+            Table::FromBatches("", std::move(cur_schema), std::move(batches));
+        return Status::OK();
       }
-      const bool final_run = stage_e == lfs.size();
-      OPD_RETURN_NOT_OK(RunMapStages(
-          udf, stage_i, stage_e, *in_table, params, exec_options, &cur_schema,
-          &batches, final_run ? nullptr : &rows, &rows_bytes, stages));
-      have_rows = !final_run;
+      after_map = true;
       stage_i = stage_e;
       continue;
     }
 
     const udf::LocalFunction& lf = lfs[stage_i];
     ++stage_i;
-    if (!have_rows) {
-      rows.reserve(in_table->num_rows());
-      ForEachSlice(*in_table, RowRange{0, in_table->num_rows()},
-                   [&](const RowBatch& b) {
-                     for (size_t r = 0; r < b.num_rows(); ++r) {
-                       rows.push_back(b.RowAt(r));
-                     }
-                   });
-      rows_bytes = in_table->ByteSize();
-      have_rows = true;
+    if (!lf.reduce_fn) {
+      return Status::Internal("reduce local function missing body: " +
+                              lf.name);
     }
     OPD_ASSIGN_OR_RETURN(Schema out_schema, lf.out_schema(cur_schema, params));
     udf::LfContext ctx;
@@ -427,56 +363,25 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     ctx.out_schema = &out_schema;
     ctx.params = &params;
 
+    const BatchList in =
+        after_map ? BatchList(std::move(batches)) : BatchList(*in_table);
+    batches.clear();
     LfStageRun run;
     run.lf_name = lf.name;
     run.kind = lf.kind;
-    run.in_rows = rows.size();
-    run.in_bytes = rows_bytes;
-
-    obs::TraceSpan stage_span(exec_options.trace, exec_options.parent_span,
-                              "stage:" + lf.name, "stage");
-    std::vector<Row> next_rows;
-    auto start = std::chrono::steady_clock::now();
-    if (!lf.reduce_fn) {
-      return Status::Internal("reduce local function missing body: " +
-                              lf.name);
-    }
-    OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, cur_schema, &rows, run.in_bytes,
-                                     exec_options, stage_span.id(), &next_rows,
-                                     &run.max_task_seconds));
-    auto end = std::chrono::steady_clock::now();
-    run.wall_seconds = std::chrono::duration<double>(end - start).count();
-    if (stage_span) {
-      stage_span.AddArg("in_rows", run.in_rows);
-      stage_span.AddArg("in_bytes", run.in_bytes);
-      stage_span.End();
-    }
-
-    run.out_rows = next_rows.size();
-    for (const Row& r : next_rows) {
-      if (r.size() != out_schema.num_columns()) {
-        return Status::Internal(
-            "local function " + lf.name + " emitted row of arity " +
-            std::to_string(r.size()) + ", schema has " +
-            std::to_string(out_schema.num_columns()));
-      }
-      run.out_bytes += storage::RowByteSize(r);
-    }
+    run.in_rows = in.num_rows;
+    run.in_bytes = after_map ? map_bytes : in_table->ByteSize();
+    after_map = false;
+    std::vector<Row> rows;
+    OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, in, exec_options, &run, &rows));
     if (stages != nullptr) stages->push_back(run);
 
     cur_schema = std::move(out_schema);
-    rows = std::move(next_rows);
-    rows_bytes = run.out_bytes;
+    staged = Table::FromRows("", cur_schema, rows, exec_options.pool);
+    in_table = &staged;
   }
-
-  if (have_rows) {
-    *output = Table::FromRows("", std::move(cur_schema), rows,
-                              exec_options.pool);
-    return Status::OK();
-  }
-  MergeNewDictionaries(*in_table, cur_schema, &batches, exec_options.pool);
-  if (batches.empty()) batches.push_back(RowBatch::FromRows(cur_schema, {}, 0, 0));
-  *output = Table::FromBatches("", std::move(cur_schema), std::move(batches));
+  // The last stage was a reduce.
+  *output = std::move(staged);
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 // Executes a UDF's local-function pipeline over real data, mirroring the MR
 // runtime: map functions run over the column batches of each map task's
-// split; reduce functions receive one key group of rows at a time.
+// split; reduce stages group through GROUP BY's shuffle, and each reduce
+// function receives one key group of rows at a time.
 
 #ifndef OPD_EXEC_UDF_EXEC_H_
 #define OPD_EXEC_UDF_EXEC_H_
@@ -30,10 +31,10 @@ struct LfStageRun {
 /// How a local-function pipeline is parallelized. The defaults (null pool)
 /// run serially; the engine passes its pool and the DFS block size. Every
 /// run of consecutive map stages fuses into one task per split that passes
-/// the split's batch slices through each stage in turn, and reduce-stage
-/// shuffles run as a partition wave and then a reduce wave
-/// (storage::PartitionBuffer + RunShuffle). Task granularity never changes
-/// results — stage outputs are merged in a deterministic order.
+/// the split's batch slices through each stage in turn, and a reduce stage
+/// runs as a partition wave and then a reduce wave (RunGroupingShuffle).
+/// Task granularity never changes results — stage outputs are merged in a
+/// deterministic order.
 struct UdfExecOptions {
   ThreadPool* pool = nullptr;     // null => run tasks inline
   uint64_t block_size_bytes = 64 * 1024;  // map split size (Dfs default)

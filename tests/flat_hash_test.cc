@@ -5,6 +5,7 @@
 // normalization, dictionary and non-dictionary strings, empty key sets, and
 // duplicate-heavy key distributions.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -246,11 +247,16 @@ TEST(HashKernelsTest, BatchHashKeysMatchesRowHashAcrossLanes) {
   size_t global = 0;
   for (const RowBatch& b : *batches) {
     std::vector<uint64_t> hashes(b.num_rows());
-    HashKeys(b, cols, hashes.data());
+    HashKeys(b, 0, b.num_rows(), cols, hashes.data());
     for (size_t i = 0; i < b.num_rows(); ++i, ++global) {
       ASSERT_EQ(hashes[i], FlatRowKeyHash(rows[global], cols))
           << "row " << global;
     }
+    // A row range hashes like the same rows of the whole batch.
+    const size_t begin = b.num_rows() / 3, end = b.num_rows() - 5;
+    std::vector<uint64_t> part(end - begin);
+    HashKeys(b, begin, end, cols, part.data());
+    EXPECT_TRUE(std::equal(part.begin(), part.end(), hashes.begin() + begin));
   }
   ASSERT_EQ(global, t.num_rows());
 }
