@@ -24,7 +24,9 @@
 # from the job's finalize step under the DAG schedule), and the UDF suites
 # (udf_test's goldens, executor and stage-shape tests: map tasks run user
 # map functions, and reduce tasks build rows and call user reduce
-# functions, on pool threads). TSan
+# functions, on pool threads), and the concurrent-rewrite test (four
+# threads rewriting one query through one BfRewriter, racing on its target
+# memo and the REWRITEENUM memos the threads share). TSan
 # and ASan cannot share a build, hence the separate tree.
 #
 # Then runs the perf-floor gate
@@ -63,10 +65,10 @@ echo "== ThreadSanitizer pass (serving layer + parallel determinism) =="
 cmake -B build-tsan -S . -DOPD_TSAN=ON >/dev/null
 cmake --build build-tsan --target server_test parallel_determinism_test \
   recycler_test query_log_test oracle_test catalog_test exec_engine_test \
-  udf_test -j
+  udf_test rewrite_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector|UdfGoldenTest|UdfExecTest|UdfShapeTest' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector|UdfGoldenTest|UdfExecTest|UdfShapeTest|ConcurrentRewrites' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection
