@@ -160,7 +160,7 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
     state.best_cost[i] = dag.TargetCost(i);
     TargetDecision& td = outcome.decisions.targets[i];
     td.target_index = static_cast<int>(i);
-    td.target_op = dag.job(i).op->DisplayName();
+    td.target_op = dag.job(i).op;
     td.original_cost = state.best_cost[i];
     // Target-side setup is memoized on the subplan fingerprint (see
     // bf_rewrite.h): repeated structurally identical targets skip the

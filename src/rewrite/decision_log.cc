@@ -9,6 +9,10 @@ namespace opd::rewrite {
 
 namespace {
 
+std::string TargetOpName(const TargetDecision& t) {
+  return t.target_op != nullptr ? t.target_op->DisplayName() : "";
+}
+
 /// Compact deterministic cost rendering ("12.5s"); doubles are %.6g, the
 /// same convention JsonWriter uses.
 std::string FormatCost(double seconds) {
@@ -181,8 +185,8 @@ std::string DecisionLog::ToText() const {
   std::string out;
   for (size_t i = 0; i < targets.size(); ++i) {
     const TargetDecision& t = targets[i];
-    out += "[target " + std::to_string(t.target_index) + "] " + t.target_op +
-           "\n";
+    out += "[target " + std::to_string(t.target_index) + "] " +
+           TargetOpName(t) + "\n";
     out += "  original " + FormatCost(t.original_cost) + " -> best " +
            FormatCost(t.best_cost) + "  chosen: ";
     if (t.chosen >= 0) {
@@ -221,7 +225,7 @@ std::string DecisionLog::ToJson() const {
     const TargetDecision& t = targets[i];
     w.BeginObject();
     w.Key("index").Int(t.target_index);
-    w.Key("op").String(t.target_op);
+    w.Key("op").String(TargetOpName(t));
     w.Key("original_cost_s").Double(t.original_cost);
     w.Key("best_cost_s").Double(t.best_cost);
     w.Key("chosen").String(t.ChosenId());

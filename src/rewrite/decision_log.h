@@ -23,6 +23,7 @@
 //   * pruned_by_bound entries are the candidates left queued, moved in
 //     unsorted as (OPTCOST, view id or merge parts); rendering sorts them
 //     by (OPTCOST, parts), the order the search would have popped them.
+//   * each target is kept as its operator node, whose name is rendered.
 
 #ifndef OPD_REWRITE_DECISION_LOG_H_
 #define OPD_REWRITE_DECISION_LOG_H_
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "catalog/view_store.h"
+#include "plan/operator.h"
 
 namespace opd::rewrite {
 
@@ -99,7 +101,8 @@ struct QueuedCandidate {
 /// The full decision record for one rewrite target (one job of the DAG).
 struct TargetDecision {
   int target_index = 0;
-  std::string target_op;
+  /// The target job's operator; ToText and ToJson render its DisplayName.
+  plan::OpNodePtr target_op;
   double original_cost = 0;
   /// Best target cost when the search ended (== original_cost when the
   /// target kept its plan).
