@@ -196,23 +196,30 @@ Status Optimizer::CostNode(plan::OpNode* node) const {
   return Status::OK();
 }
 
-Status Optimizer::Prepare(plan::Plan* plan,
-                          const catalog::ViewSnapshot* views) const {
+Status Optimizer::PrepareNode(plan::OpNode* node,
+                              const catalog::ViewSnapshot* views) const {
+  if (ctx_.catalog == nullptr || ctx_.views == nullptr ||
+      ctx_.udfs == nullptr) {
+    return Status::InvalidArgument("annotation context incomplete");
+  }
   plan::AnnotationContext ctx = ctx_;
   ctx.snapshot = views;
-  OPD_RETURN_NOT_OK(plan::AnnotatePlan(*plan, ctx));
-  for (const plan::OpNodePtr& node : plan->TopoOrder()) {
-    OPD_RETURN_NOT_OK(EstimateNode(node.get(), ctx));
-    OPD_RETURN_NOT_OK(CostNode(node.get()));
-  }
-  return Status::OK();
+  OPD_RETURN_NOT_OK(plan::AnnotateNode(node, ctx));
+  OPD_RETURN_NOT_OK(EstimateNode(node, ctx));
+  return CostNode(node);
+}
+
+Status Optimizer::Prepare(plan::Plan* plan,
+                          const catalog::ViewSnapshot* views) const {
+  return PlanCost(plan, views).status();
 }
 
 Result<double> Optimizer::PlanCost(plan::Plan* plan,
                                    const catalog::ViewSnapshot* views) const {
-  OPD_RETURN_NOT_OK(Prepare(plan, views));
+  if (plan->empty()) return Status::InvalidArgument("empty plan");
   double total = 0;
   for (const plan::OpNodePtr& node : plan->TopoOrder()) {
+    OPD_RETURN_NOT_OK(PrepareNode(node.get(), views));
     total += node->cost.total_s;
   }
   return total;

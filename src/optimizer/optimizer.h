@@ -34,15 +34,24 @@ class Optimizer {
             OptimizerOptions options = {})
       : ctx_(ctx), model_(model), options_(options) {}
 
-  /// Annotates (AFK + schema), estimates cardinalities, and costs every node
-  /// of `plan`. Idempotent; resets previous estimates. View scans resolve in
-  /// `views` when given, else in the live store.
+  /// PrepareNode over every node of `plan` in `Plan::TopoOrder` order,
+  /// stopping at the first failure. Idempotent; resets previous estimates.
   Status Prepare(plan::Plan* plan,
                  const catalog::ViewSnapshot* views = nullptr) const;
 
-  /// Total estimated cost of the plan (sum of its jobs' costs); runs Prepare.
+  /// Total estimated cost of the plan: Prepare, summing the nodes' costs in
+  /// `Plan::TopoOrder` order.
   Result<double> PlanCost(plan::Plan* plan,
                           const catalog::ViewSnapshot* views = nullptr) const;
+
+  /// Annotates `node` (AFK + schema; kept if already annotated), estimates
+  /// its cardinalities and costs its job. Its children must already be
+  /// prepared: a plan built bottom-up, like REWRITEENUM's compensation
+  /// chains, prepares each new node once. Resets the node's previous
+  /// estimates. View scans resolve in `views` when given, else in the live
+  /// store. The cost (`node->cost.total_s`) is never negative.
+  Status PrepareNode(plan::OpNode* node,
+                     const catalog::ViewSnapshot* views = nullptr) const;
 
   const CostModel& cost_model() const { return model_; }
   const plan::AnnotationContext& context() const { return ctx_; }

@@ -105,6 +105,8 @@ Schema SchemaFromAttrs(const std::vector<Attribute>& attrs) {
   return Schema(std::move(cols));
 }
 
+}  // namespace
+
 Status AnnotateNode(OpNode* node, const AnnotationContext& ctx) {
   if (node->annotated) return Status::OK();
   switch (node->kind) {
@@ -261,8 +263,6 @@ Status AnnotateNode(OpNode* node, const AnnotationContext& ctx) {
   node->annotated = true;
   return Status::OK();
 }
-
-}  // namespace
 
 Status AnnotatePlan(const Plan& plan, const AnnotationContext& ctx) {
   if (plan.empty()) return Status::InvalidArgument("empty plan");

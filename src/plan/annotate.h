@@ -39,6 +39,10 @@ struct AnnotationContext {
 /// names, duplicate output names, or model/implementation schema drift.
 Status AnnotatePlan(const Plan& plan, const AnnotationContext& ctx);
 
+/// Annotates `node` alone, whose children are already annotated; a no-op on
+/// an annotated node. Fails as AnnotatePlan does. `ctx` must be complete.
+Status AnnotateNode(OpNode* node, const AnnotationContext& ctx);
+
 /// Output type of an aggregate over an input of `input_type`.
 storage::DataType AggOutputType(AggFn fn, storage::DataType input_type);
 

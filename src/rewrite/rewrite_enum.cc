@@ -137,16 +137,30 @@ Result<afk::Afk> ApplyCompOp(const afk::Afk& state, const CompOp& op,
   return Status::Internal("unknown compensation op kind");
 }
 
-/// What REWRITEENUM's DFS found for one candidate AFK.
+/// What REWRITEENUM's DFS found for one candidate AFK. It holds only op
+/// indices, never plan nodes (which annotation mutates), because setups
+/// and their memos are shared across tenants.
 struct EnumOutcome {
   /// The candidate's compensation ops beyond the target's own: the fix
   /// filters (predicates of q not implied by the candidate) the target's
   /// ops lack. Op i of the candidate is target.ops[i], or fix_ops[i - n]
   /// past the target's n ops.
   std::vector<CompOp> fix_ops;
-  /// Every op sequence (candidate op indices) that reached a state
-  /// equivalent to the target, in DFS order.
-  std::vector<std::vector<uint32_t>> sequences;
+  /// One prefix of the DFS: its parent's prefix followed by candidate op
+  /// `op` (unused at the root, the empty prefix).
+  struct Node {
+    uint32_t op = 0;
+    /// One past the last node of this node's subtree in `tree`. Its first
+    /// child, if any, is the next node, and each child's `end` is its next
+    /// sibling.
+    uint32_t end = 0;
+  };
+  /// The DFS's prefix tree in preorder (DFS order), pruned to the paths
+  /// that reach a state equivalent to the target: a node is such a state
+  /// exactly when it has no children, and the op sequences along the paths
+  /// to those leaves are the rewrites to cost, in DFS order. Empty when no
+  /// sequence reached equivalence.
+  std::vector<Node> tree;
 };
 
 namespace {
@@ -160,50 +174,6 @@ bool IsEquivalent(const Afk& state, const TargetContext& target) {
   auto projected = state.Project(target.afk.attrs());
   if (!projected.ok()) return false;
   return projected.value() == target.afk;
-}
-
-// Builds the executable plan for a compensation sequence: candidate scan,
-// the ops in order, and a final projection to the target's column order.
-Result<plan::Plan> BuildRewritePlan(const CandidateView& candidate,
-                                    const std::vector<const CompOp*>& seq,
-                                    const TargetContext& target,
-                                    const EnumDeps& deps) {
-  OPD_ASSIGN_OR_RETURN(OpNodePtr node,
-                       BuildCandidateScan(candidate, *deps.views));
-  for (const CompOp* op : seq) {
-    switch (op->kind) {
-      case CompOp::Kind::kFilter:
-        node = plan::Filter(std::move(node), op->cond);
-        break;
-      case CompOp::Kind::kGroupBy:
-        node = plan::GroupBy(std::move(node), op->group.keys, op->group.aggs);
-        break;
-      case CompOp::Kind::kUdf:
-        node = plan::Udf(std::move(node), op->udf_name, op->udf_params);
-        break;
-    }
-  }
-  // Final projection to the target's natural output order — skipped when a
-  // bare single-view scan already has the exact schema.
-  std::vector<std::string> names;
-  names.reserve(target.out_attrs.size());
-  for (const Attribute& a : target.out_attrs) names.push_back(a.name());
-  bool needs_project = true;
-  if (seq.empty() && candidate.NumParts() == 1) {
-    OPD_ASSIGN_OR_RETURN(const catalog::ViewDefinition* def,
-                         deps.views->Find(candidate.parts[0]));
-    if (def->schema.num_columns() == names.size()) {
-      needs_project = false;
-      for (size_t i = 0; i < names.size(); ++i) {
-        if (def->schema.column(i).name != names[i]) {
-          needs_project = true;
-          break;
-        }
-      }
-    }
-  }
-  if (needs_project) node = plan::Project(std::move(node), names);
-  return plan::Plan(std::move(node), "rewrite");
 }
 
 struct DfsEnv {
@@ -220,10 +190,9 @@ struct DfsEnv {
   std::set<std::string> allowed;
   int max_depth = 0;  // target aggregation depth: states cannot exceed it
   std::set<std::string> visited;
-  std::vector<uint32_t> seq;
   std::vector<int> remaining;
-  /// Where the sequences reaching an equivalent state go, in DFS order.
-  std::vector<std::vector<uint32_t>>* sequences;
+  /// The outcome's prefix tree; its last node is the current prefix.
+  std::vector<EnumOutcome::Node>* tree;
   size_t nodes = 0;  // safety valve against pathological spaces
   static constexpr size_t kNodeBudget = 200000;
 
@@ -243,29 +212,37 @@ std::string StateKey(const Afk& state, const std::vector<int>& remaining) {
   return key;
 }
 
-void Dfs(DfsEnv* env, const Afk& state) {
-  if (IsEquivalent(state, *env->target)) {
-    // A valid state needs no further compensation on this branch, whether
-    // or not its plan turns out to build and cost.
-    env->sequences->push_back(env->seq);
-    return;
-  }
-  if (++env->nodes > DfsEnv::kNodeBudget) return;
-  const std::vector<CompOp>& ops = *env->ops;
-  for (uint32_t i = 0; i < ops.size(); ++i) {
-    if (env->remaining[i] <= 0) continue;
-    auto next = ApplyCompOp(state, ops[i], *env->udfs);
-    if (!next.ok()) continue;  // inapplicable in this state
-    if (!env->StateAdmissible(next.value())) continue;  // out of context
-    env->remaining[i] -= 1;
-    std::string key = StateKey(next.value(), env->remaining);
-    if (env->visited.insert(key).second) {
-      env->seq.push_back(i);
-      Dfs(env, next.value());
-      env->seq.pop_back();
+// Explores the current prefix (the tree's last node), in `state`. Returns
+// whether some path from it reached an equivalent state; if none did, the
+// prefix is popped off the tree again, its subtree with it.
+bool Dfs(DfsEnv* env, const Afk& state) {
+  std::vector<EnumOutcome::Node>& tree = *env->tree;
+  const size_t self = tree.size() - 1;
+  // A valid state needs no further compensation on this branch, whether
+  // or not its plan turns out to build and cost.
+  bool reached = IsEquivalent(state, *env->target);
+  if (!reached && ++env->nodes <= DfsEnv::kNodeBudget) {
+    const std::vector<CompOp>& ops = *env->ops;
+    for (uint32_t i = 0; i < ops.size(); ++i) {
+      if (env->remaining[i] <= 0) continue;
+      auto next = ApplyCompOp(state, ops[i], *env->udfs);
+      if (!next.ok()) continue;  // inapplicable in this state
+      if (!env->StateAdmissible(next.value())) continue;  // out of context
+      env->remaining[i] -= 1;
+      std::string key = StateKey(next.value(), env->remaining);
+      if (env->visited.insert(key).second) {
+        tree.push_back(EnumOutcome::Node{i, 0});
+        reached |= Dfs(env, next.value());
+      }
+      env->remaining[i] += 1;
     }
-    env->remaining[i] += 1;
   }
+  if (!reached) {
+    tree.pop_back();  // every child that reached nothing is popped already
+    return false;
+  }
+  tree[self].end = static_cast<uint32_t>(tree.size());
+  return true;
 }
 
 // Converts a fix predicate into a standalone filter compensation. Needed
@@ -329,11 +306,115 @@ std::shared_ptr<const EnumOutcome> Enumerate(const TargetSetup& setup,
     env.allowed.insert(a.signature());
   }
   env.remaining.assign(ops.size(), deps.options.max_op_repetition);
-  env.sequences = &outcome->sequences;
+  env.tree = &outcome->tree;
+  outcome->tree.push_back(EnumOutcome::Node{});
   Dfs(&env, candidate);
   outcome->fix_ops.assign(std::make_move_iterator(ops.begin() + n),
                           std::make_move_iterator(ops.end()));
   return outcome;
+}
+
+// Appends `op` to the chain ending in `child`.
+OpNodePtr ApplyToPlan(const CompOp& op, OpNodePtr child) {
+  switch (op.kind) {
+    case CompOp::Kind::kFilter:
+      return plan::Filter(std::move(child), op.cond);
+    case CompOp::Kind::kGroupBy:
+      return plan::GroupBy(std::move(child), op.group.keys, op.group.aggs);
+    case CompOp::Kind::kUdf:
+      return plan::Udf(std::move(child), op.udf_name, op.udf_params);
+  }
+  return nullptr;
+}
+
+/// Builds and costs an outcome's rewrites over one candidate's views by
+/// walking its prefix tree depth-first. A rewrite plan is a chain: the
+/// candidate scan, the sequence's ops, and a final projection to the
+/// target's column order. Each prefix's node is made once, as the child of
+/// its parent prefix's node, and prepared once; the cost of its chain so
+/// far is carried down, summed in the order `Plan::TopoOrder` lists the
+/// chain, so every total is the double `Optimizer::PlanCost` gives the
+/// finished plan.
+///
+/// Node costs are never negative, so a prefix whose partial cost is not
+/// below the best total so far has no completion that replaces the best
+/// (only a strictly cheaper one does). Its subtree is only annotated: that
+/// still counts the rewrites that build and cost, because past the
+/// candidate scan a chain node fails to estimate or cost only where it
+/// fails to annotate (an unknown UDF).
+struct Replay {
+  const EnumOutcome* outcome;
+  const std::vector<CompOp>* target_ops;
+  const EnumDeps* deps;
+  plan::AnnotationContext annotate;
+  /// The final projection's columns.
+  std::vector<std::string> names;
+  /// Whether the empty sequence, a bare single-view scan with exactly the
+  /// target's schema, skips the final projection.
+  bool bare_scan = false;
+
+  std::optional<EnumResult> best;
+  size_t found = 0;
+  uint64_t nodes_costed = 0;
+
+  const CompOp& Op(uint32_t i) const {
+    const size_t n = target_ops->size();
+    return i < n ? (*target_ops)[i] : outcome->fix_ops[i - n];
+  }
+
+  // Whether a completion of a prefix costing `sum` could replace the best.
+  bool Open(double sum) const {
+    return !best.has_value() || sum < best->cost;
+  }
+
+  // Prepares `node`, or only annotates it when its prefix is not open;
+  // false when it fails either way.
+  bool Step(plan::OpNode* node, bool open) {
+    if (!open) return plan::AnnotateNode(node, annotate).ok();
+    if (!deps->optimizer->PrepareNode(node, deps->views).ok()) return false;
+    nodes_costed += 1;
+    return true;
+  }
+
+  // Visits tree node `i`, whose prefix ends in `node` and costs `sum`. Past
+  // a prefix that is not open, `sum` stays that prefix's, so its subtree
+  // stays closed: no leaf in it can change the best.
+  void Visit(uint32_t i, const OpNodePtr& node, double sum) {
+    const std::vector<EnumOutcome::Node>& tree = outcome->tree;
+    if (tree[i].end == i + 1) {
+      Finish(i == 0, node, sum);
+      return;
+    }
+    for (uint32_t c = i + 1; c < tree[i].end; c = tree[c].end) {
+      const bool open = Open(sum);
+      OpNodePtr child = ApplyToPlan(Op(tree[c].op), node);
+      if (!Step(child.get(), open)) continue;
+      Visit(c, child, open ? sum + child->cost.total_s : sum);
+    }
+  }
+
+  // Completes an equivalent prefix into a rewrite plan.
+  void Finish(bool empty_sequence, const OpNodePtr& node, double sum) {
+    const bool open = Open(sum);
+    OpNodePtr root = node;
+    if (!(empty_sequence && bare_scan)) {
+      root = plan::Project(node, names);
+      if (!Step(root.get(), open)) return;
+      if (open) sum += root->cost.total_s;
+    }
+    found += 1;
+    if (open && Open(sum)) {
+      best = EnumResult{plan::Plan(root, "rewrite"), sum, 0};
+    }
+  }
+};
+
+/// `rewrite.enum.nodes_costed`: the plan nodes REWRITEENUM prepares
+/// (estimates and costs), resolved once like the memo counters.
+obs::Counter& NodesCostedCounter() {
+  static obs::Counter& costed =
+      obs::MetricRegistry::Global().counter("rewrite.enum.nodes_costed");
+  return costed;
 }
 
 }  // namespace
@@ -358,33 +439,43 @@ std::optional<EnumResult> RewriteEnum(const TargetSetup& setup,
     }
     setup.enum_memo.emplace(std::move(key), outcome);
   }
+  if (outcome->tree.empty()) return std::nullopt;
 
-  // Build and cost every sequence over the candidate's own views. One that
-  // the symbolic state accepts but that cannot be planned or costed
-  // (schema-representability edge cases) is simply not a rewrite.
-  const std::vector<CompOp>& target_ops = setup.target.ops;
-  std::optional<EnumResult> best;
-  size_t found = 0;
-  std::vector<const CompOp*> seq;
-  for (const std::vector<uint32_t>& indices : outcome->sequences) {
-    seq.clear();
-    for (uint32_t i : indices) {
-      seq.push_back(i < target_ops.size()
-                        ? &target_ops[i]
-                        : &outcome->fix_ops[i - target_ops.size()]);
+  // Every rewrite starts with the candidate scan, so it is built and
+  // prepared once. A sequence the symbolic state accepts but that cannot
+  // be planned or costed (schema-representability edge cases) is simply not
+  // a rewrite; when the scan itself fails, none is.
+  auto scan = BuildCandidateScan(candidate, *deps.views);
+  if (!scan.ok()) return std::nullopt;
+  Replay replay;
+  replay.outcome = outcome.get();
+  replay.target_ops = &setup.target.ops;
+  replay.deps = &deps;
+  replay.annotate = deps.optimizer->context();
+  replay.annotate.snapshot = deps.views;
+  double scan_cost = 0;
+  for (const OpNodePtr& node : plan::Plan(*scan).TopoOrder()) {
+    if (!replay.Step(node.get(), true)) {
+      NodesCostedCounter().Inc(replay.nodes_costed);
+      return std::nullopt;
     }
-    auto plan_result = BuildRewritePlan(candidate, seq, setup.target, deps);
-    if (!plan_result.ok()) continue;
-    plan::Plan plan = std::move(plan_result).value();
-    auto cost = deps.optimizer->PlanCost(&plan, deps.views);
-    if (!cost.ok()) continue;
-    found += 1;
-    if (!best.has_value() || *cost < best->cost) {
-      best = EnumResult{std::move(plan), *cost, 0};
+    scan_cost += node->cost.total_s;
+  }
+
+  const TargetContext& target = setup.target;
+  replay.names.reserve(target.out_attrs.size());
+  for (const Attribute& a : target.out_attrs) replay.names.push_back(a.name());
+  if (candidate.NumParts() == 1) {
+    const storage::Schema& schema = (*scan)->out_schema;
+    replay.bare_scan = schema.num_columns() == replay.names.size();
+    for (size_t i = 0; replay.bare_scan && i < replay.names.size(); ++i) {
+      replay.bare_scan = schema.column(i).name == replay.names[i];
     }
   }
-  if (best.has_value()) best->rewrites_found = found;
-  return best;
+  replay.Visit(0, *scan, scan_cost);
+  NodesCostedCounter().Inc(replay.nodes_costed);
+  if (replay.best.has_value()) replay.best->rewrites_found = replay.found;
+  return std::move(replay.best);
 }
 
 }  // namespace opd::rewrite

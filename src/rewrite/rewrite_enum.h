@@ -12,11 +12,18 @@
 // never on the candidate's view ids, bytes or statistics. So the DFS runs
 // once per (target, canonical candidate AFK) and its outcome is memoized in
 // the target's TargetSetup: the fix filters the candidate adds to the
-// target's ops and every sequence that reached an equivalent state, in DFS
-// order. Every call, hit or miss, then builds and costs exactly those
-// sequences in that order against the candidate's own views, so costs,
-// tie-breaks and `rewrites_found` are those of a fresh enumeration, and
-// view statistics still drive the cost.
+// target's ops and the DFS's prefix tree, pruned to the paths that reached
+// an equivalent state, as op indices in DFS order. Every call, hit or miss,
+// then replays that tree depth-first against the candidate's own views: it
+// builds and prepares the candidate scan once and each prefix's node once,
+// on its parent's, and carries the partial cost down. Node costs are never
+// negative, so a prefix that already costs at least the best rewrite so far
+// is only annotated, not costed: none of its sequences can win. Costs
+// (summed in the order Optimizer::PlanCost sums them), tie-breaks (the
+// first cheapest sequence in DFS order wins) and `rewrites_found` are those
+// of building and costing every sequence of a fresh enumeration, and view
+// statistics still drive the cost. The replay's prepared nodes are counted
+// by `rewrite.enum.nodes_costed`.
 
 #ifndef OPD_REWRITE_REWRITE_ENUM_H_
 #define OPD_REWRITE_REWRITE_ENUM_H_
