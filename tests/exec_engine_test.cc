@@ -5,8 +5,13 @@
 
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "catalog/catalog.h"
 #include "catalog/view_store.h"
@@ -224,6 +229,137 @@ TEST_F(EngineTest, RewrittenEquivalentPlansProduceSameResult) {
   auto rewr_result = Run(std::move(rewr));
   ASSERT_EQ(orig_result->num_rows(), rewr_result->num_rows());
   EXPECT_EQ(orig_result->ToRows(), rewr_result->ToRows());
+}
+
+// UDF_TOKENIZE under another name. `on_schema` runs whenever its schema is
+// derived (at Prepare and when the job runs); `on_map` runs in each map task.
+udf::UdfDefinition TokenizeUdf(const std::string& name,
+                               std::function<void()> on_schema,
+                               std::function<void()> on_map) {
+  udf::UdfDefinition udf = udf::MakeTokenizeUdf();
+  udf.name = name;
+  udf::LocalFunction& lf = udf.local_functions.front();
+  lf.out_schema = [on_schema, inner = lf.out_schema](
+                      const Schema& in, const udf::Params& params) {
+    on_schema();
+    return inner(in, params);
+  };
+  lf.map_fn = [on_map, inner = lf.map_fn](const RowBatch& in,
+                                          const udf::LfContext& ctx) {
+    on_map();
+    return inner(in, ctx);
+  };
+  return udf;
+}
+
+// A traced run whose independent branches fail (jobs 1 and 3; job 0
+// succeeds and is finalized first) returns the lowest-index job's error,
+// deletes every DFS file of the run, and leaves a well-formed trace with
+// the same structure at every thread count.
+TEST_F(EngineTest, TracedRunWithAFailingBranchFailsCleanly) {
+  for (const char* branch : {"A", "B"}) {
+    const std::string message = std::string("injected failure ") + branch;
+    ASSERT_TRUE(udfs_.Register(TokenizeUdf(
+                                   std::string("UDF_FAIL_") + branch, [] {},
+                                   [message] {
+                                     throw std::runtime_error(message);
+                                   }))
+                    .ok());
+  }
+  // Jobs: 0 counts, 1 UDF_FAIL_A, 2 the inner join, 3 UDF_FAIL_B, 4 its
+  // group-by, 5 the outer join.
+  const auto make_plan = [] {
+    auto counts = plan::GroupBy(plan::Scan("TWTR"), {"user_id"},
+                                {AggSpec{AggFn::kCount, "", "cnt"}});
+    auto left =
+        plan::Join(counts, plan::Udf(plan::Scan("TWTR"), "UDF_FAIL_A", {}),
+                   {{"user_id", "user_id"}});
+    auto right =
+        plan::GroupBy(plan::Udf(plan::Scan("TWTR"), "UDF_FAIL_B", {}),
+                      {"user_id"}, {AggSpec{AggFn::kCount, "", "n"}});
+    return plan::Plan(plan::Join(left, right, {{"user_id", "user_id"}}),
+                      "failing_branches");
+  };
+  const std::vector<std::string> paths_before = dfs_.ListPaths();
+  std::string structure_at_one_thread;
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    Engine engine(&dfs_, optimizer_.get(), EngineOptions{threads, 0, true});
+    obs::Trace trace;
+    obs::TraceSpan query(&trace, 0, "query");
+    plan::Plan plan = make_plan();
+    auto result = engine.Execute(&plan, &trace, query.id());
+    query.End();
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().ToString().find("injected failure A"),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_EQ(dfs_.ListPaths(), paths_before);
+
+    std::set<uint64_t> ids;
+    for (const obs::SpanRecord& span : trace.Sorted()) {
+      EXPECT_TRUE(ids.insert(span.id).second) << span.id;
+    }
+    for (const obs::SpanRecord& span : trace.Sorted()) {
+      EXPECT_TRUE(span.parent == 0 || ids.count(span.parent) == 1)
+          << span.name << " has no parent " << span.parent;
+    }
+    const std::string structure = trace.StructureString();
+    EXPECT_NE(structure.find("job:GROUPBY(user_id)"), std::string::npos);
+    EXPECT_NE(structure.find("job:UDF(UDF_FAIL_A)"), std::string::npos);
+    if (threads == 1) {
+      structure_at_one_thread = structure;
+    } else {
+      EXPECT_EQ(structure, structure_at_one_thread);
+    }
+  }
+}
+
+// The job driver hops to the pool only to run independent jobs at once:
+// a one-job plan on a pooled engine, and every plan on a one-thread engine,
+// run their jobs on the calling thread.
+TEST_F(EngineTest, SingleJobPlansAndOneThreadEnginesRunJobsInline) {
+  auto threads_seen = std::make_shared<std::set<std::thread::id>>();
+  auto mu = std::make_shared<std::mutex>();
+  ASSERT_TRUE(udfs_.Register(TokenizeUdf(
+                                 "UDF_RECORD_THREAD",
+                                 [threads_seen, mu] {
+                                   std::lock_guard<std::mutex> lock(*mu);
+                                   threads_seen->insert(
+                                       std::this_thread::get_id());
+                                 },
+                                 [] {}))
+                  .ok());
+  const auto single_job = [] {
+    return plan::Plan(plan::Udf(plan::Scan("TWTR"), "UDF_RECORD_THREAD", {}));
+  };
+  const auto three_jobs = [] {
+    auto counts = plan::GroupBy(plan::Scan("TWTR"), {"user_id"},
+                                {AggSpec{AggFn::kCount, "", "cnt"}});
+    return plan::Plan(plan::Join(
+        counts, plan::Udf(plan::Scan("TWTR"), "UDF_RECORD_THREAD", {}),
+        {{"user_id", "user_id"}}));
+  };
+  struct Case {
+    int threads;
+    std::function<plan::Plan()> make_plan;
+  };
+  for (const Case& c : {Case{8, single_job}, Case{1, single_job},
+                        Case{1, three_jobs}}) {
+    Engine engine(&dfs_, optimizer_.get(), EngineOptions{c.threads, 0, true});
+    for (bool traced : {false, true}) {
+      obs::Trace trace;
+      threads_seen->clear();
+      plan::Plan plan = c.make_plan();
+      auto result = engine.Execute(&plan, traced ? &trace : nullptr);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(*threads_seen,
+                std::set<std::thread::id>{std::this_thread::get_id()})
+          << c.threads << " threads, " << result->jobs.size() << " jobs, "
+          << (traced ? "traced" : "untraced");
+      dfs_.DeletePrefix("views/");  // the next engine's runs reuse the paths
+    }
+  }
 }
 
 // GROUP BY COUNT(*) and a counting UDF reduce group over the same key
