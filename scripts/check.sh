@@ -17,11 +17,16 @@
 # the query-log suite (concurrent appends racing ring snapshots,
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
 # ServerStress), the oracle suite (the engine's pool, two-wave shuffle
-# and cross-job DAG schedule at 8 threads), the view-store stress test
+# and cross-job DAG schedule at 8 threads), the trace suites (obs_test's
+# TraceTest and TraceDeterminismTest: traced jobs run on the same DAG
+# schedule, recording spans into per-job traces on pool threads that the
+# engine splices into the query trace; exec_engine_test's EngineTest
+# runs a traced failing branch at 8 threads), the view-store stress test
 # (publishes, drops and access recording racing snapshots that rewrite
 # against the store's copy-on-write versions and their lazy index), and the
 # view-statistics tests (the column sketch every executed job's view gets,
-# from the job's finalize step under the DAG schedule), and the UDF suites
+# at the end of the job's body, on a pool thread under the DAG schedule),
+# and the UDF suites
 # (udf_test's goldens, executor and stage-shape tests: map tasks run user
 # map functions, and reduce tasks build rows and call user reduce
 # functions, on pool threads), and the concurrent-rewrite test (four
@@ -65,10 +70,10 @@ echo "== ThreadSanitizer pass (serving layer + parallel determinism) =="
 cmake -B build-tsan -S . -DOPD_TSAN=ON >/dev/null
 cmake --build build-tsan --target server_test parallel_determinism_test \
   recycler_test query_log_test oracle_test catalog_test exec_engine_test \
-  udf_test rewrite_test -j
+  udf_test rewrite_test obs_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector|UdfGoldenTest|UdfExecTest|UdfShapeTest|ConcurrentRewrites' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector|UdfGoldenTest|UdfExecTest|UdfShapeTest|ConcurrentRewrites|TraceTest|TraceDeterminismTest|EngineTest' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

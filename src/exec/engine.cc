@@ -167,35 +167,29 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
   const auto& model = optimizer_->cost_model();
   const uint64_t block_size = dfs_->block_size_bytes();
   auto& registry = obs::MetricRegistry::Global();
-  // Registry objects live forever; resolve the hot ones once per run.
-  obs::Histogram* skew_hist =
-      options_.metrics ? &registry.histogram("engine.shuffle.skew") : nullptr;
-  obs::Histogram* ht_load_hist =
-      options_.metrics ? &registry.histogram("engine.hash.load_factor")
-                       : nullptr;
+  // Registry objects live forever; resolve the hot ones once per run (null
+  // when metrics are off).
+  auto counter = [&](const char* name) {
+    return options_.metrics ? &registry.counter(name) : nullptr;
+  };
+  auto histogram = [&](const char* name) {
+    return options_.metrics ? &registry.histogram(name) : nullptr;
+  };
+  obs::Histogram* skew_hist = histogram("engine.shuffle.skew");
+  obs::Histogram* ht_load_hist = histogram("engine.hash.load_factor");
   // Flat shuffle-table observability.
-  obs::Counter* ht_resizes =
-      options_.metrics ? &registry.counter("engine.shuffle.ht_resizes")
-                       : nullptr;
-  obs::Counter* arena_bytes_ctr =
-      options_.metrics ? &registry.counter("engine.shuffle.arena_bytes")
-                       : nullptr;
-  obs::Histogram* probe_len_hist =
-      options_.metrics ? &registry.histogram("engine.shuffle.probe_len")
-                       : nullptr;
+  obs::Counter* ht_resizes = counter("engine.shuffle.ht_resizes");
+  obs::Counter* arena_bytes_ctr = counter("engine.shuffle.arena_bytes");
+  obs::Histogram* probe_len_hist = histogram("engine.shuffle.probe_len");
   // Hash-table recycling (HashStash, src/exec/hash/recycler.h): active
   // exactly when a recycler is attached. The counters resolve whenever
   // metrics are on so the engine.recycle.* names register even on runs that
   // never touch a recyclable build.
   hash::HashRecycler* const recycler = recycler_;
-  obs::Counter* recycle_hit_ctr =
-      options_.metrics ? &registry.counter("engine.recycle.hit") : nullptr;
-  obs::Counter* recycle_miss_ctr =
-      options_.metrics ? &registry.counter("engine.recycle.miss") : nullptr;
-  obs::Counter* recycle_insert_ctr =
-      options_.metrics ? &registry.counter("engine.recycle.insert") : nullptr;
-  obs::Counter* recycle_evict_ctr =
-      options_.metrics ? &registry.counter("engine.recycle.evict") : nullptr;
+  obs::Counter* recycle_hit_ctr = counter("engine.recycle.hit");
+  obs::Counter* recycle_miss_ctr = counter("engine.recycle.miss");
+  obs::Counter* recycle_insert_ctr = counter("engine.recycle.insert");
+  obs::Counter* recycle_evict_ctr = counter("engine.recycle.evict");
   obs::Gauge* recycle_bytes_gauge =
       options_.metrics ? &registry.gauge("engine.recycle.bytes") : nullptr;
   // Publishes one recycler insert outcome (called from pool threads; the
@@ -278,15 +272,16 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
   }
 
   // Observed state of one job, written by run_job (possibly on a pool
-  // thread) and consumed by the serial finalize loop. run_job fills the
-  // observed fields of `run`; finalize adds the job's identity and costs.
+  // thread) and consumed by the serial finalize loop.
   struct JobState {
     Status status = Status::OK();
     TablePtr table;  // sealed output (named, not yet written to the DFS)
     JobRun run;
-    size_t tasks = 0;  // map + reduce tasks
+    catalog::ViewDefinition view;  // the output's view, stats included
     double skew = -1.0;
-    plan::JobCostInfo cost;
+    double stats_wall_s = 0;
+    double stats_time_s = 0;
+    std::optional<obs::Trace> trace;  // the job's spans, spliced in finalize
   };
   std::vector<JobState> states(specs.size());
 
@@ -300,13 +295,19 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
 
   // --- Per-job execution ----------------------------------------------------
   // Everything here is schedule-independent: inputs come from immutable
-  // tables, all side effects land in this job's JobState slot, and the
-  // shared metric histograms are thread-safe.
-  auto run_job = [&](size_t j, obs::TraceSpan* job_span) {
+  // tables, all side effects land in this job's JobState slot (its spans in
+  // its own trace), and the shared metric histograms are thread-safe.
+  auto run_job = [&](size_t j) {
     JobState& st = states[j];
     JobRun& jr = st.run;
     const OpNodePtr& node_ptr = *specs[j].node;
     OpNode* node = node_ptr.get();
+    jr.index = static_cast<int>(j);
+    jr.node = node;
+    jr.op = node->DisplayName();
+    obs::Trace* job_trace =
+        trace != nullptr ? &st.trace.emplace(trace->epoch()) : nullptr;
+    obs::TraceSpan job_span(job_trace, 0, "job:" + jr.op, "job");
 
     // Gather inputs: scans from the resolved map, operator inputs from the
     // producing job's sealed output.
@@ -322,8 +323,7 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
       if (t == nullptr) {
         // A producer failed (its own status carries the root cause, and it
         // has the lower job index, so it wins the error report).
-        st.status = Status::Internal("missing child result for " +
-                                     node->DisplayName());
+        st.status = Status::Internal("missing child result for " + jr.op);
         return;
       }
       jr.bytes_read += t->ByteSize();
@@ -332,8 +332,8 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
     }
     const uint64_t in_bytes = jr.bytes_read;
 
-    const uint64_t span_id = job_span != nullptr ? job_span->id() : 0;
-    const PipelineCtx pipe{pool_.get(), trace, span_id, &st.tasks};
+    size_t tasks = 0;  // map + reduce tasks
+    const PipelineCtx pipe{pool_.get(), job_trace, job_span.id(), &tasks};
     const auto job_wall_start = std::chrono::steady_clock::now();
 
     Table out("", node->out_schema);
@@ -856,9 +856,9 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
         udf_opts.pool = pool_.get();
         udf_opts.block_size_bytes = block_size;
         udf_opts.num_reduce_tasks = options_.num_reduce_tasks;
-        udf_opts.trace = trace;
-        udf_opts.parent_span = span_id;
-        udf_opts.tasks = &st.tasks;
+        udf_opts.trace = job_trace;
+        udf_opts.parent_span = job_span.id();
+        udf_opts.tasks = &tasks;
         OPD_RETURN_NOT_OK(RunLocalFunctions(*def, *inputs[0],
                                             node->udf.params, &out,
                                             &stage_runs, udf_opts));
@@ -889,81 +889,32 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
     jr.bytes_shuffled = shuffle_bytes;
     jr.bytes_written = out.ByteSize();
     jr.rows_out = out.num_rows();
-    st.cost = model.JobCost(
-        static_cast<double>(in_bytes), static_cast<double>(shuffle_bytes),
-        static_cast<double>(jr.bytes_written), map_scalar, reduce_scalar,
-        has_shuffle);
+    jr.sim_time_s = model.JobCost(static_cast<double>(in_bytes),
+                                  static_cast<double>(shuffle_bytes),
+                                  static_cast<double>(jr.bytes_written),
+                                  map_scalar, reduce_scalar, has_shuffle)
+                        .total_s;
+    jr.map_tasks = tasks >= jr.reduce_tasks ? tasks - jr.reduce_tasks : 0;
+    // Cost-model accountability: the optimizer's prediction (cost over
+    // estimated rows/bytes, annotated at Prepare) vs the model re-run on
+    // the observed byte counts.
+    jr.predicted_cost_s = node->cost.total_s;
+    jr.observed_proxy_cost_s = jr.sim_time_s;
+    jr.residual_pct =
+        optimizer::ResidualPct(jr.predicted_cost_s, jr.observed_proxy_cost_s);
     jr.wall_time_s = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - job_wall_start)
                          .count();
     out.set_name(specs[j].path);
     st.table = std::make_shared<const Table>(std::move(out));
-  };
+    job_span.AddArg("sim_time_s", jr.sim_time_s);
+    job_span.AddArg("bytes_read", jr.bytes_read);
+    job_span.AddArg("bytes_shuffled", jr.bytes_shuffled);
+    job_span.AddArg("bytes_written", jr.bytes_written);
+    job_span.AddArg("rows_out", jr.rows_out);
+    job_span.AddArg("max_task_time_s", jr.max_task_time_s);
 
-  // --- Serial finalize ------------------------------------------------------
-  // Every ordering-sensitive side effect happens here, in job-index (topo)
-  // order, regardless of the execution schedule: DFS writes, metric and
-  // JobRun accumulation, and the pending_views list (the publisher assigns
-  // ViewIds in list order, which must not depend on thread timing).
-  auto finalize_job = [&](size_t j, obs::TraceSpan* job_span) -> Status {
-    JobState& st = states[j];
-    JobRun& jr = st.run;
-    const OpNodePtr& node_ptr = *specs[j].node;
-    OpNode* node = node_ptr.get();
-
-    metrics.sim_time_s += st.cost.total_s;
-    metrics.bytes_read += jr.bytes_read;
-    metrics.rows_read += jr.rows_in;
-    metrics.bytes_shuffled += jr.bytes_shuffled;
-    metrics.bytes_written += jr.bytes_written;
-    metrics.jobs += 1;
-    metrics.max_task_time_s += jr.max_task_time_s;
-
-    // Materialize the job output to the DFS (Hive materializes every job).
-    OPD_RETURN_NOT_OK(dfs_->Write(specs[j].path, st.table));
-    results[node] = st.table;
-
-    jr.index = static_cast<int>(j);
-    jr.node = node;
-    jr.op = node->DisplayName();
-    jr.sim_time_s = st.cost.total_s;
-    jr.map_tasks = st.tasks >= jr.reduce_tasks ? st.tasks - jr.reduce_tasks
-                                               : 0;
-    // Cost-model accountability: the optimizer's prediction (cost over
-    // estimated rows/bytes, annotated at Prepare) vs the model re-run on
-    // the observed byte counts. Finalize order is topological under every
-    // schedule, so the EWMA fold is deterministic.
-    jr.predicted_cost_s = node->cost.total_s;
-    jr.observed_proxy_cost_s = st.cost.total_s;
-    jr.residual_pct =
-        optimizer::ResidualPct(jr.predicted_cost_s, jr.observed_proxy_cost_s);
-    if (accountant_ != nullptr) {
-      optimizer::JobResidual res;
-      res.op_class = ResidualOpClass(*node);
-      res.predicted_s = jr.predicted_cost_s;
-      res.observed_s = jr.observed_proxy_cost_s;
-      res.residual_pct = jr.residual_pct;
-      accountant_->Record(res);
-    }
-    result.jobs.push_back(jr);
-
-    if (job_span != nullptr && *job_span) {
-      job_span->AddArg("sim_time_s", st.cost.total_s);
-      job_span->AddArg("bytes_read", jr.bytes_read);
-      job_span->AddArg("bytes_shuffled", jr.bytes_shuffled);
-      job_span->AddArg("bytes_written", jr.bytes_written);
-      job_span->AddArg("rows_out", jr.rows_out);
-      job_span->AddArg("max_task_time_s", jr.max_task_time_s);
-    }
-    if (options_.metrics) {
-      registry.counter("engine.jobs").Inc();
-      registry.counter("engine.bytes_read").Inc(jr.bytes_read);
-      registry.counter("engine.bytes_shuffled").Inc(jr.bytes_shuffled);
-      registry.counter("engine.bytes_written").Inc(jr.bytes_written);
-      if (st.skew > 0) skew_hist->Observe(st.skew);
-    }
-
-    catalog::ViewDefinition def;
+    catalog::ViewDefinition& def = st.view;
     def.dfs_path = specs[j].path;
     def.afk = node->afk;
     def.out_attrs = node->out_attrs;
@@ -971,88 +922,105 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
     def.fingerprint = plan::Fingerprint(node_ptr);
     def.bytes = jr.bytes_written;
     def.producer = plan->name();
-    {
-      obs::TraceSpan stats_span(trace,
-                                job_span != nullptr ? job_span->id() : 0,
-                                "stats", "phase");
-      const auto stats_start = std::chrono::steady_clock::now();
-      def.stats = stats_.Collect(*st.table);
-      metrics.stats_wall_time_s +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        stats_start)
-              .count();
-      metrics.stats_time_s += stats_.JobTime(*st.table, model);
+    // The view's statistics (Section 2.1's sampling Map job), outside the
+    // job's wall time.
+    obs::TraceSpan stats_span(job_trace, job_span.id(), "stats", "phase");
+    const auto stats_start = std::chrono::steady_clock::now();
+    def.stats = stats_.Collect(*st.table);
+    st.stats_wall_s = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - stats_start)
+                          .count();
+    st.stats_time_s = stats_.JobTime(*st.table, model);
+  };
+
+  // --- Serial finalize ------------------------------------------------------
+  // Every ordering-sensitive side effect happens here, in job-index (topo)
+  // order, regardless of the execution schedule: span ids, DFS writes,
+  // metric and JobRun accumulation, and the pending_views list (the
+  // publisher assigns ViewIds in list order, which must not depend on
+  // thread timing).
+  auto finalize_job = [&](size_t j) -> Status {
+    JobState& st = states[j];
+    const JobRun& jr = st.run;
+    if (st.trace.has_value()) trace->Splice(*st.trace, parent_span);
+    OPD_RETURN_NOT_OK(st.status);
+
+    metrics.sim_time_s += jr.sim_time_s;
+    metrics.bytes_read += jr.bytes_read;
+    metrics.rows_read += jr.rows_in;
+    metrics.bytes_shuffled += jr.bytes_shuffled;
+    metrics.bytes_written += jr.bytes_written;
+    metrics.jobs += 1;
+    metrics.max_task_time_s += jr.max_task_time_s;
+    metrics.stats_wall_time_s += st.stats_wall_s;
+    metrics.stats_time_s += st.stats_time_s;
+
+    // Materialize the job output to the DFS (Hive materializes every job).
+    OPD_RETURN_NOT_OK(dfs_->Write(specs[j].path, st.table));
+    results[jr.node] = st.table;
+
+    // The accountant's EWMA fold is order-sensitive.
+    if (accountant_ != nullptr) {
+      optimizer::JobResidual res;
+      res.op_class = ResidualOpClass(*jr.node);
+      res.predicted_s = jr.predicted_cost_s;
+      res.observed_s = jr.observed_proxy_cost_s;
+      res.residual_pct = jr.residual_pct;
+      accountant_->Record(res);
+    }
+    result.jobs.push_back(jr);
+
+    if (options_.metrics) {
+      registry.counter("engine.jobs").Inc();
+      registry.counter("engine.bytes_read").Inc(jr.bytes_read);
+      registry.counter("engine.bytes_shuffled").Inc(jr.bytes_shuffled);
+      registry.counter("engine.bytes_written").Inc(jr.bytes_written);
+      if (st.skew > 0) skew_hist->Observe(st.skew);
     }
     // The definition is complete here (data in DFS, stats collected) but is
     // not visible: the caller publishes the run's views as one batch.
-    result.pending_views.push_back(std::move(def));
+    result.pending_views.push_back(std::move(st.view));
     return Status::OK();
   };
 
-  // Any exception that escapes run_job outside a task wave (which guards its
-  // own tasks), e.g. from a UDF's out_schema, becomes the job's status, so
-  // a throwing job fails its query on every schedule like an error does.
-  auto run_job_guarded = [&](size_t j, obs::TraceSpan* job_span) {
-    try {
-      run_job(j, job_span);
-    } catch (const std::exception& e) {
-      states[j].status = Status::Internal(std::string("job threw: ") +
-                                          e.what());
-    } catch (...) {
-      states[j].status = Status::Internal("job threw a non-std exception");
-    }
-  };
-
   // --- Schedule -------------------------------------------------------------
-  // Cross-job DAG scheduling runs independent jobs concurrently on the
-  // shared pool. It is an untraced-only optimization: span ids must be
-  // allocated in deterministic order, which requires serial job execution.
-  const bool dag_schedule =
-      pool_ != nullptr && trace == nullptr && specs.size() > 1;
-  if (!dag_schedule) {
-    for (size_t j = 0; j < specs.size(); ++j) {
-      obs::TraceSpan job_span(trace, parent_span,
-                              "job:" + (*specs[j].node)->DisplayName(),
-                              "job");
-      run_job_guarded(j, &job_span);
-      OPD_RETURN_NOT_OK(states[j].status);
-      OPD_RETURN_NOT_OK(finalize_job(j, &job_span));
-    }
-  } else {
-    const size_t n = specs.size();
-    std::vector<std::vector<size_t>> consumers(n);
-    auto remaining_deps = std::make_unique<std::atomic<size_t>[]>(n);
-    for (size_t j = 0; j < n; ++j) {
-      remaining_deps[j].store(specs[j].producers.size(),
-                              std::memory_order_relaxed);
-      for (size_t p : specs[j].producers) consumers[p].push_back(j);
-    }
-    CountdownLatch all_done(n);
-    // Each job runs as one pool task; finishing a job releases its
-    // consumers (dependency countdown), failed producers leave their table
-    // null and consumers report "missing child result" — the finalize loop
-    // below still returns the lowest-index (root cause) error.
-    std::function<void(size_t)> submit_job = [&](size_t j) {
-      pool_->Submit([&, j] {
-        run_job_guarded(j, nullptr);
-        for (size_t c : consumers[j]) {
-          if (remaining_deps[c].fetch_sub(1, std::memory_order_acq_rel) ==
-              1) {
-            submit_job(c);
-          }
-        }
-        all_done.CountDown();
-      });
-    };
-    for (size_t j = 0; j < n; ++j) {
-      if (specs[j].producers.empty()) submit_job(j);
-    }
-    all_done.Wait(pool_.get());
-    for (size_t j = 0; j < n; ++j) {
-      OPD_RETURN_NOT_OK(states[j].status);
-      OPD_RETURN_NOT_OK(finalize_job(j, nullptr));
-    }
+  // The jobs run as a DAG: a job starts once its producers have finished and
+  // the dispatch loop has reached it (its countdown holds one count per
+  // producer plus the loop's). With a pool and more than one job it starts
+  // as a pool task, so independent jobs run concurrently; otherwise the loop
+  // runs it here, in job order. A failed job (an exception escaping run_job,
+  // e.g. from a UDF's out_schema, is a failure) leaves its table null, so
+  // consumers report "missing child result" and finalize returns the
+  // lowest-index (root cause) error.
+  const size_t n = specs.size();
+  const bool on_pool = pool_ != nullptr && n > 1;
+  std::vector<std::vector<size_t>> consumers(n);
+  auto countdown = std::make_unique<std::atomic<size_t>[]>(n);
+  for (size_t j = 0; j < n; ++j) {
+    countdown[j].store(specs[j].producers.size() + 1,
+                       std::memory_order_relaxed);
+    for (size_t p : specs[j].producers) consumers[p].push_back(j);
   }
+  CountdownLatch all_done(n);
+  std::function<void(size_t)> release = [&](size_t j) {
+    if (countdown[j].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    auto job = [&, j] {
+      try {
+        run_job(j);
+      } catch (const std::exception& e) {
+        states[j].status =
+            Status::Internal(std::string("job threw: ") + e.what());
+      } catch (...) {
+        states[j].status = Status::Internal("job threw a non-std exception");
+      }
+      for (size_t c : consumers[j]) release(c);
+      all_done.CountDown();
+    };
+    on_pool ? pool_->Submit(job) : job();
+  };
+  for (size_t j = 0; j < n; ++j) release(j);
+  all_done.Wait(pool_.get());
+  for (size_t j = 0; j < n; ++j) OPD_RETURN_NOT_OK(finalize_job(j));
 
   auto sink = results.find(plan->root().get());
   if (sink == results.end()) {

@@ -42,7 +42,7 @@ class HashRecycler;
 /// scan->operator->partition into one loop writing thread-local per-bucket
 /// buffers, and the reduce wave starts once every map task has finished —
 /// over flat open-addressing tables (src/exec/hash/); independent jobs of a
-/// plan run concurrently on the shared pool when untraced. Opaque predicate
+/// plan run concurrently on the shared pool. Opaque predicate
 /// UDFs run one task per batch, called on each row's argument cells. UDF
 /// map local functions run over the column batches of each input split;
 /// UDF reduce stages group through the group-by shuffle, and only the rows
@@ -124,11 +124,11 @@ class Engine {
   ///
   /// When `trace` is non-null each MR job opens a "job:<op>" span under
   /// `parent_span`, with nested phase spans (pipeline, plus reduce with
-  /// per-bucket spans for shuffles) and one span per task. Span structure
-  /// is deterministic: identical at every thread count; only durations
-  /// vary. Tracing forces jobs to execute serially (cross-job DAG
-  /// scheduling is an untraced optimization), so the span tree is also
-  /// job-order deterministic.
+  /// per-bucket spans for shuffles), one span per task and a closing
+  /// "stats" span. Tracing changes nothing else: jobs run on the same
+  /// schedule either way. Each job records into a trace of its own, spliced
+  /// into `trace` in job order, so the span structure is deterministic:
+  /// identical at every thread count; only durations vary.
   Result<ExecResult> Execute(plan::Plan* plan, obs::Trace* trace = nullptr,
                              uint64_t parent_span = 0);
 
@@ -161,7 +161,7 @@ class Engine {
   optimizer::CostAccountant* accountant_ = nullptr;
   hash::HashRecycler* recycler_ = nullptr;
   EngineOptions options_;
-  StatsCollector stats_;
+  const StatsCollector stats_;
   /// Task pool shared by all jobs of this engine; null when running with a
   /// single thread (tasks then execute inline on the calling thread).
   std::unique_ptr<ThreadPool> pool_;

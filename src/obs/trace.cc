@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "common/json_writer.h"
 
 namespace opd::obs {
 
-Trace::Trace() : epoch_(std::chrono::steady_clock::now()) {}
+Trace::Trace(std::chrono::steady_clock::time_point epoch) : epoch_(epoch) {}
 
 uint64_t Trace::AllocSpanIds(uint64_t n) {
   return next_id_.fetch_add(n, std::memory_order_relaxed);
@@ -17,6 +18,24 @@ uint64_t Trace::AllocSpanIds(uint64_t n) {
 void Trace::Record(SpanRecord rec) {
   std::lock_guard<std::mutex> lock(mu_);
   spans_.push_back(std::move(rec));
+}
+
+void Trace::Splice(Trace& part, uint64_t parent) {
+  std::vector<SpanRecord> spans;
+  {
+    std::lock_guard<std::mutex> lock(part.mu_);
+    spans.swap(part.spans_);
+  }
+  // `part` allocated ids 1 .. next_id_ - 1.
+  const uint64_t base =
+      AllocSpanIds(part.next_id_.load(std::memory_order_relaxed) - 1) - 1;
+  for (SpanRecord& s : spans) {
+    s.id += base;
+    s.parent = s.parent == 0 ? parent : s.parent + base;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  spans_.insert(spans_.end(), std::make_move_iterator(spans.begin()),
+                std::make_move_iterator(spans.end()));
 }
 
 double Trace::NowUs() const {

@@ -9,7 +9,9 @@
 // identical for every thread count and bucket count — only durations and
 // timestamps vary. Ids are therefore only allocated on serial code paths;
 // parallel task waves pre-allocate a contiguous id block before the wave
-// starts (`TracedParallelFor`) so task i always gets the same id.
+// starts (`TracedParallelFor`) so task i always gets the same id, and
+// concurrent MR jobs each record into a trace of their own on the query's
+// clock, spliced into the query's trace in job order (`Trace::Splice`).
 //
 // Disabled tracing is near-zero cost: every entry point takes a `Trace*`
 // and a null trace reduces spans to an inert pointer check.
@@ -50,7 +52,11 @@ struct SpanRecord {
 /// \brief Thread-safe recorder for one query's spans.
 class Trace {
  public:
-  Trace();
+  explicit Trace(std::chrono::steady_clock::time_point epoch =
+                     std::chrono::steady_clock::now());
+
+  /// The instant NowUs() counts from (a trace built on it shares the clock).
+  std::chrono::steady_clock::time_point epoch() const { return epoch_; }
 
   /// Reserves `n` consecutive span ids and returns the first. Call only from
   /// serial code (before a parallel wave) to keep ids deterministic.
@@ -58,6 +64,12 @@ class Trace {
 
   /// Appends a finished span (thread-safe).
   void Record(SpanRecord rec);
+
+  /// Moves the spans of `part`, a trace on this trace's clock, into this
+  /// one under a freshly allocated block of ids, in `part`'s id order, as
+  /// if they had been recorded here; its root spans get parent `parent`.
+  /// Serial code paths only, like AllocSpanIds.
+  void Splice(Trace& part, uint64_t parent);
 
   /// Microseconds since this trace's epoch.
   double NowUs() const;

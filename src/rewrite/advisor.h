@@ -31,10 +31,6 @@ struct ViewScore {
   /// Number of workload queries whose best rewrite scans this view.
   int queries_helped = 0;
   uint64_t bytes = 0;
-
-  double BenefitPerByte() const {
-    return total_benefit_s / static_cast<double>(std::max<uint64_t>(bytes, 1));
-  }
 };
 
 struct AdvisorReport {

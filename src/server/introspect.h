@@ -2,7 +2,7 @@
 // history"): the structured accessors behind `SHOW QUERIES`,
 // `SHOW PROFILE <ticket>`, and `SHOW SERVER STATS`.
 //
-// Server::Introspect() collects a ServerStats struct from the global and
+// Server::Introspect() collects a ServerStats struct from the server's
 // per-tenant metric scopes, the admission gate, the view store, and the
 // query log; the Render* functions turn those structs (and QueryLog
 // records) into the text the shell prints. Rendering takes an
@@ -58,7 +58,7 @@ struct ServerStats {
   size_t views_in_store = 0;
   AdmissionController::Stats admission;
   obs::QueryLog::Stats querylog;
-  TenantSlo global;               ///< Fleet-wide percentiles (tenant "").
+  TenantSlo global;               ///< Tenant sketches merged (tenant "all").
   std::vector<TenantSlo> tenants; ///< Per-tenant rows, name order.
 };
 

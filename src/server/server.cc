@@ -12,6 +12,23 @@ namespace opd {
 
 namespace {
 
+// One SLO row: the query count and the p50/p95/p99 of a latency and a
+// queue-wait sketch (NaN, rendered "n/a", for an empty sketch).
+server::TenantSlo SloQuantiles(std::string tenant,
+                               const obs::Histogram& latency,
+                               const obs::Histogram& wait) {
+  server::TenantSlo slo;
+  slo.tenant = std::move(tenant);
+  slo.queries = latency.count();
+  slo.latency_p50_s = latency.Quantile(0.50);
+  slo.latency_p95_s = latency.Quantile(0.95);
+  slo.latency_p99_s = latency.Quantile(0.99);
+  slo.queue_wait_p50_s = wait.Quantile(0.50);
+  slo.queue_wait_p95_s = wait.Quantile(0.95);
+  slo.queue_wait_p99_s = wait.Quantile(0.99);
+  return slo;
+}
+
 // Normalizes OQL text for the one-line query-history record: drops `#`
 // comments, trims the ends, and collapses internal whitespace runs
 // (newlines included) to one space, so SHOW QUERIES stays line-oriented.
@@ -303,14 +320,15 @@ void Server::CountCompletion(const obs::QueryRecord& rec) {
 }
 
 void Server::RefreshSloGauges(obs::MetricRegistry& scope) {
-  const obs::Histogram& latency = scope.histogram("server.slo.latency_s");
-  scope.gauge("server.slo.latency_p50").Set(latency.Quantile(0.50));
-  scope.gauge("server.slo.latency_p95").Set(latency.Quantile(0.95));
-  scope.gauge("server.slo.latency_p99").Set(latency.Quantile(0.99));
-  const obs::Histogram& wait = scope.histogram("server.queue.wait_s");
-  scope.gauge("server.slo.queue_wait_p50").Set(wait.Quantile(0.50));
-  scope.gauge("server.slo.queue_wait_p95").Set(wait.Quantile(0.95));
-  scope.gauge("server.slo.queue_wait_p99").Set(wait.Quantile(0.99));
+  const server::TenantSlo slo =
+      SloQuantiles("", scope.histogram("server.slo.latency_s"),
+                   scope.histogram("server.queue.wait_s"));
+  scope.gauge("server.slo.latency_p50").Set(slo.latency_p50_s);
+  scope.gauge("server.slo.latency_p95").Set(slo.latency_p95_s);
+  scope.gauge("server.slo.latency_p99").Set(slo.latency_p99_s);
+  scope.gauge("server.slo.queue_wait_p50").Set(slo.queue_wait_p50_s);
+  scope.gauge("server.slo.queue_wait_p95").Set(slo.queue_wait_p95_s);
+  scope.gauge("server.slo.queue_wait_p99").Set(slo.queue_wait_p99_s);
 }
 
 Result<RunResult> Server::RunAdmitted(const std::string& tenant,
@@ -402,37 +420,32 @@ Result<rewrite::RewriteOutcome> Server::Rewrite(const std::string& oql) {
 }
 
 server::ServerStats Server::Introspect() {
+  // Counters and sketches come from this server's tenant scopes: the global
+  // registry also counts the queries of every other server in the process.
   server::ServerStats stats;
-  obs::MetricRegistry& global = obs::MetricRegistry::Global();
-  stats.queries_completed = global.counter("server.queries.completed").value();
-  stats.views_published = global.counter("server.views.published").value();
-  stats.cross_tenant_reuse = global.counter("server.views.cross_reuse").value();
-  stats.recycle_hits = global.counter("server.recycle.hits").value();
-  stats.recycle_misses = global.counter("server.recycle.misses").value();
+  obs::Histogram latency, wait;
+  for (const std::string& tenant : Tenants()) {
+    obs::MetricRegistry& scope = TenantRegistry(tenant);
+    auto count = [&scope](const char* name) {
+      return scope.counter(name).value();
+    };
+    stats.queries_completed += count("server.queries.completed");
+    stats.views_published += count("server.views.published");
+    stats.cross_tenant_reuse += count("server.views.cross_reuse");
+    stats.recycle_hits += count("server.recycle.hits");
+    stats.recycle_misses += count("server.recycle.misses");
+    const obs::Histogram& tenant_latency =
+        scope.histogram("server.slo.latency_s");
+    const obs::Histogram& tenant_wait = scope.histogram("server.queue.wait_s");
+    latency.MergeFrom(tenant_latency);
+    wait.MergeFrom(tenant_wait);
+    stats.tenants.push_back(SloQuantiles(tenant, tenant_latency, tenant_wait));
+  }
+  stats.global = SloQuantiles("all", latency, wait);
   stats.epoch = views_->epoch();
   stats.views_in_store = views_->size();
   stats.admission = admission_->stats();
   if (query_log_ != nullptr) stats.querylog = query_log_->stats();
-
-  auto fill = [](obs::MetricRegistry& reg, server::TenantSlo* slo) {
-    const obs::Histogram& latency = reg.histogram("server.slo.latency_s");
-    slo->queries = latency.count();
-    slo->latency_p50_s = latency.Quantile(0.50);
-    slo->latency_p95_s = latency.Quantile(0.95);
-    slo->latency_p99_s = latency.Quantile(0.99);
-    const obs::Histogram& wait = reg.histogram("server.queue.wait_s");
-    slo->queue_wait_p50_s = wait.Quantile(0.50);
-    slo->queue_wait_p95_s = wait.Quantile(0.95);
-    slo->queue_wait_p99_s = wait.Quantile(0.99);
-  };
-  stats.global.tenant = "all";
-  fill(global, &stats.global);
-  for (const std::string& tenant : Tenants()) {
-    server::TenantSlo slo;
-    slo.tenant = tenant;
-    fill(TenantRegistry(tenant), &slo);
-    stats.tenants.push_back(std::move(slo));
-  }
   return stats;
 }
 

@@ -128,9 +128,10 @@ class Server {
   /// ServerOptions::query_log_capacity is 0.
   obs::QueryLog* query_log() { return query_log_.get(); }
 
-  /// Collects the `SHOW SERVER STATS` data: completion counters, view-store
-  /// state, admission gate, query-log stats, and global + per-tenant SLO
-  /// percentiles from the live sketches.
+  /// Collects the `SHOW SERVER STATS` data: this server's completion
+  /// counters (summed over its tenant scopes), view-store state, admission
+  /// gate, query-log stats, and per-tenant SLO percentiles from the live
+  /// sketches, plus an "all" row over the merged tenant sketches.
   server::ServerStats Introspect();
 
   /// Admission-gate statistics and grant log (determinism tests).

@@ -28,17 +28,6 @@ std::string ParamsStringForKeys(const std::vector<std::string>& keys,
 
 }  // namespace
 
-std::string ValueParamsString(const UdfModelSpec& model, const Params& params) {
-  std::vector<std::string> keys;
-  for (const UdfOutputSpec& o : model.outputs) {
-    keys.insert(keys.end(), o.value_param_keys.begin(),
-                o.value_param_keys.end());
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return ParamsStringForKeys(keys, params);
-}
-
 Result<afk::Afk> ApplyUdfModel(const UdfDefinition& udf, const afk::Afk& in,
                                const Params& params) {
   const UdfModelSpec& m = udf.model;

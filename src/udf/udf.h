@@ -89,10 +89,6 @@ struct UdfDefinition {
 Result<afk::Afk> ApplyUdfModel(const UdfDefinition& udf, const afk::Afk& in,
                                const Params& params);
 
-/// Canonical string of the value-affecting parameters of `udf` under
-/// `params` (part of output attribute signatures).
-std::string ValueParamsString(const UdfModelSpec& model, const Params& params);
-
 }  // namespace opd::udf
 
 #endif  // OPD_UDF_UDF_H_

@@ -416,9 +416,9 @@ TEST_F(ServingTest, FailedQueryLeavesNoDfsOutput) {
 }
 
 // A job that throws outside any task wave (here a UDF whose out_schema
-// passes Prepare and then throws when the job runs) fails its query on both
-// schedules: the DAG schedule (a group-by job, then the UDF job) and the
-// serial one (the UDF job alone). The query returns an error, leaves the
+// passes Prepare and then throws when the job runs) fails its query whether
+// it runs as a pool task (a group-by job, then the UDF job) or on the
+// calling thread (the UDF job alone). The query returns an error, leaves the
 // DFS as it found it and releases its admission slot.
 TEST_F(ServingTest, JobThrowingOutsideAWaveFailsItsQuery) {
   Server& server = bed_->session().server();
@@ -442,14 +442,14 @@ TEST_F(ServingTest, JobThrowingOutsideAWaveFailsItsQuery) {
     };
     ASSERT_TRUE(server.udfs().Register(std::move(udf)).ok());
   }
-  const auto dag_plan = [&] {
+  const auto two_job_plan = [&] {
     return plan::Plan(
         plan::Udf(plan::GroupBy(plan::Scan("TWTR"), {"user_id", "tweet_text"},
                                 {plan::AggSpec{plan::AggFn::kCount, "", "n"}}),
                   kUdf, {}),
         "throws_after_group_by");
   };
-  const auto serial_plan = [&] {
+  const auto one_job_plan = [&] {
     return plan::Plan(plan::Udf(plan::Scan("TWTR"), kUdf, {}),
                       "throws_alone");
   };
@@ -458,8 +458,8 @@ TEST_F(ServingTest, JobThrowingOutsideAWaveFailsItsQuery) {
   RunOptions no_rewrite;  // run the jobs as written, whatever the store holds
   no_rewrite.rewrite = false;
   for (const auto& make_plan :
-       {std::function<plan::Plan()>(dag_plan),
-        std::function<plan::Plan()>(serial_plan)}) {
+       {std::function<plan::Plan()>(two_job_plan),
+        std::function<plan::Plan()>(one_job_plan)}) {
     // Arm the trap for the first out_schema call after Prepare's.
     trap->allowed = std::numeric_limits<int>::max();
     trap->calls = 0;
@@ -790,6 +790,37 @@ TEST(ServerIntrospectionTest, QueryLogDisabledByZeroCapacity) {
   const obs::MetricsSnapshot ana_scope = server.TenantSnapshot("ana");
   EXPECT_EQ(ana_scope.counters.at("server.queries.completed"), 1u);
   EXPECT_EQ(ana_scope.counters.at("server.views.published"), published);
+}
+
+// SHOW SERVER STATS describes one server. Two servers in one process share
+// the global metric registry, so each must count its own tenants only.
+TEST(ServerIntrospectionTest, ServerStatsCountOnlyThisServersQueries) {
+  auto first_bed = MakeBed(TinyConfig());
+  auto second_bed = MakeBed(TinyConfig());
+  ASSERT_NE(first_bed, nullptr);
+  ASSERT_NE(second_bed, nullptr);
+  Server& first = first_bed->session().server();
+  Server& second = second_bed->session().server();
+  ClientSession ana = first.Connect("ana");
+  ClientSession bob = second.Connect("bob");
+  ASSERT_TRUE(ana.Run(MustBuildQuery(1, 1)).ok());
+  ASSERT_TRUE(bob.Run(MustBuildQuery(1, 1)).ok());
+  ASSERT_TRUE(bob.Run(MustBuildQuery(2, 1)).ok());
+
+  for (auto [server, expected] :
+       {std::pair<Server*, uint64_t>{&first, 1}, {&second, 2}}) {
+    const server::ServerStats stats = server->Introspect();
+    EXPECT_EQ(stats.queries_completed, expected);
+    EXPECT_EQ(stats.global.queries, expected);
+    uint64_t views_published = 0;
+    for (const auto& record : server->query_log()->Snapshot()) {
+      views_published += record->views_published;
+    }
+    EXPECT_EQ(stats.views_published, views_published);
+    ASSERT_EQ(stats.tenants.size(), 1u);
+    EXPECT_EQ(stats.tenants[0].queries, expected);
+    EXPECT_EQ(stats.global.latency_p50_s, stats.tenants[0].latency_p50_s);
+  }
 }
 
 }  // namespace
