@@ -26,10 +26,14 @@
 # against the store's copy-on-write versions and their lazy index), and the
 # view-statistics tests (the column sketch every executed job's view gets,
 # at the end of the job's body, on a pool thread under the DAG schedule),
-# and the UDF suites
+# the grouping suites (exec_engine_test's GroupingEquivalenceTest and
+# GroupByAggregateGoldenTest: GROUP BY folds its buckets' aggregates and
+# builds its output batches on pool threads), and the UDF suites
 # (udf_test's goldens, executor and stage-shape tests: map tasks run user
-# map functions, and reduce tasks build rows and call user reduce
-# functions, on pool threads), and the concurrent-rewrite test (four
+# map functions, and reduce tasks call user reduce functions on views of
+# the input batches and append to per-bucket builders, on pool threads,
+# before the output batches are built concurrently), and the
+# concurrent-rewrite test (four
 # threads rewriting one query through one BfRewriter, racing on its target
 # memo and the REWRITEENUM memos the threads share). TSan
 # and ASan cannot share a build, hence the separate tree.
@@ -73,7 +77,7 @@ cmake --build build-tsan --target server_test parallel_determinism_test \
   udf_test rewrite_test obs_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector|UdfGoldenTest|UdfExecTest|UdfShapeTest|ConcurrentRewrites|TraceTest|TraceDeterminismTest|EngineTest' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|OracleTest|ViewStoreStress|StatsCollector|UdfGoldenTest|UdfExecTest|UdfShapeTest|ConcurrentRewrites|TraceTest|TraceDeterminismTest|EngineTest|GroupingEquivalenceTest|GroupByAggregateGoldenTest' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

@@ -31,7 +31,6 @@ using storage::ColumnVector;
 using storage::DataType;
 using storage::DictRemap;
 using storage::PartitionBuffer;
-using storage::Row;
 using storage::RowBatch;
 using storage::Schema;
 using storage::Table;
@@ -61,46 +60,18 @@ std::string ResidualOpClass(const OpNode& node) {
   return "UNKNOWN";
 }
 
-// Aggregation state for one group. `sum` feeds avg and double-typed sums;
-// int64 inputs also accumulate exactly in `int_sum`, which wraps on overflow
-// like Hive's BIGINT sum (a double loses the low bits above 2^53).
+// What GROUP BY folds per group and aggregate from the typed lanes: the
+// double sum (AVG, and SUM into a non-int64 column), the sum of the int64
+// cells (SUM into an int64 column), which wraps on overflow like Hive's
+// BIGINT sum (a double loses the low bits above 2^53), and the row of the
+// MIN or MAX cell so far. COUNT and AVG's divisor are the group's size:
+// every aggregate counts null cells, which add 0 to a sum and are the least
+// cell for MIN.
 struct AggState {
-  int64_t count = 0;
   double sum = 0;
   int64_t int_sum = 0;
-  bool has = false;
-  Value min, max;
-
-  void Update(const Value& v) {
-    ++count;
-    sum += v.ToDouble();
-    if (v.type() == DataType::kInt64) {
-      int_sum = static_cast<int64_t>(static_cast<uint64_t>(int_sum) +
-                                     static_cast<uint64_t>(v.as_int64()));
-    }
-    if (!has || v < min) min = v;
-    if (!has || max < v) max = v;
-    has = true;
-  }
+  hash::RowRef best{UINT32_MAX, 0};  // batch UINT32_MAX: no cell yet
 };
-
-Value FinishAgg(const plan::AggSpec& spec, const AggState& s,
-                storage::DataType out_type) {
-  switch (spec.fn) {
-    case plan::AggFn::kCount:
-      return Value(s.count);
-    case plan::AggFn::kSum:
-      return out_type == DataType::kInt64 ? Value(s.int_sum) : Value(s.sum);
-    case plan::AggFn::kAvg:
-      return s.count == 0 ? Value::Null()
-                          : Value(s.sum / static_cast<double>(s.count));
-    case plan::AggFn::kMin:
-      return s.has ? s.min : Value::Null();
-    case plan::AggFn::kMax:
-      return s.has ? s.max : Value::Null();
-  }
-  return Value::Null();
-}
 
 // Column resolver returning Status-checked indices.
 Result<size_t> ColIndex(const Schema& schema, const std::string& name) {
@@ -775,21 +746,67 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
           count_recycle(gcached != nullptr);
         }
 
-        // Folds one bucket's aggregates by replaying its routes. Routes
-        // hold the bucket's rows in global row order, so floating point
-        // accumulation matches a serial pass, on a miss and a hit alike.
+        // Folds one bucket's aggregates by replaying its routes, one
+        // aggregate at a time. Routes hold the bucket's rows in global row
+        // order, so floating point accumulation matches a serial pass, on a
+        // miss and a hit alike. An aggregate without an input column (the
+        // constant 1 of COUNT(*)) is finished from the group sizes alone.
         const size_t num_aggs = node->group.aggs.size();
+        const auto& out_cols = node->out_schema.columns();
+        std::vector<std::vector<int64_t>> bucket_sizes(num_buckets);
         std::vector<std::vector<AggState>> bucket_aggs(num_buckets);
         auto fold_bucket = [&](size_t b, const hash::GroupRoutes& r) {
+          std::vector<int64_t>& sizes = bucket_sizes[b];
+          sizes.assign(r.keys.size(), 0);
+          for (uint32_t g : r.group_of) ++sizes[g];
           std::vector<AggState>& aggs = bucket_aggs[b];
-          aggs.resize(r.keys.size() * num_aggs);
-          for (size_t i = 0; i < r.rows.size(); ++i) {
-            const RowBatch& batch = in_list.batch(r.rows[i].batch);
-            AggState* group = &aggs[r.group_of[i] * num_aggs];
-            for (size_t a = 0; a < num_aggs; ++a) {
-              group[a].Update(
-                  agg_idx[a] ? batch.column(*agg_idx[a]).GetValue(r.rows[i].idx)
-                             : Value(int64_t{1}));
+          aggs.assign(r.keys.size() * num_aggs, AggState{});
+          for (size_t a = 0; a < num_aggs; ++a) {
+            if (!agg_idx[a]) continue;
+            const size_t c = *agg_idx[a];
+            // Calls fold(column, row, state) for each row, in row order.
+            auto each = [&](auto&& fold) {
+              for (size_t i = 0; i < r.rows.size(); ++i) {
+                fold(in_list.batch(r.rows[i].batch).column(c), r.rows[i],
+                     aggs[r.group_of[i] * num_aggs + a]);
+              }
+            };
+            switch (node->group.aggs[a].fn) {
+              case plan::AggFn::kCount:
+                break;
+              case plan::AggFn::kSum:
+                if (out_cols[key_idx.size() + a].type == DataType::kInt64) {
+                  each([](const ColumnVector& col, RowRef row, AggState& s) {
+                    if (col.CellType(row.idx) != DataType::kInt64) return;
+                    s.int_sum = static_cast<int64_t>(
+                        static_cast<uint64_t>(s.int_sum) +
+                        static_cast<uint64_t>(col.Int64At(row.idx)));
+                  });
+                  break;
+                }
+                [[fallthrough]];
+              case plan::AggFn::kAvg:
+                each([](const ColumnVector& col, RowRef row, AggState& s) {
+                  s.sum += col.NumberAt(row.idx);
+                });
+                break;
+              case plan::AggFn::kMin:
+              case plan::AggFn::kMax: {
+                // MIN keeps a cell until a lesser one comes, MAX until a
+                // greater one does.
+                const int sign =
+                    node->group.aggs[a].fn == plan::AggFn::kMax ? 1 : -1;
+                each([&](const ColumnVector& col, RowRef row, AggState& s) {
+                  if (s.best.batch == UINT32_MAX ||
+                      sign * storage::CompareCells(
+                                 col, row.idx,
+                                 in_list.batch(s.best.batch).column(c),
+                                 s.best.idx) > 0) {
+                    s.best = row;
+                  }
+                });
+                break;
+              }
             }
           }
           return Status::OK();
@@ -817,17 +834,50 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
             gcached != nullptr ? gcached->routes : built.routes;
 
         // Deterministic merge: groups sorted by key, for any thread/bucket
-        // count.
-        const auto& out_cols = node->out_schema.columns();
-        for (const auto& [b, g] : GroupsInKeyOrder(routes)) {
-          Row r = routes[b].keys[g];
-          for (size_t a = 0; a < num_aggs; ++a) {
-            r.push_back(FinishAgg(node->group.aggs[a],
-                                  bucket_aggs[b][g * num_aggs + a],
-                                  out_cols[key_idx.size() + a].type));
+        // count, built straight into the output columns.
+        const auto order = GroupsInKeyOrder(in_list, key_idx, routes);
+        auto emit = [&](size_t row, storage::BatchBuilder* builder) {
+          const auto [b, g] = order[row];
+          const RowRef key = routes[b].keys[g];
+          for (size_t k = 0; k < key_idx.size(); ++k) {
+            builder->AppendFrom(
+                k, in_list.batch(key.batch).column(key_idx[k]), key.idx);
           }
-          OPD_RETURN_NOT_OK(out.AppendRow(r));
-        }
+          const int64_t size = bucket_sizes[b][g];
+          for (size_t a = 0; a < num_aggs; ++a) {
+            const size_t c = key_idx.size() + a;
+            const AggState& s = bucket_aggs[b][g * num_aggs + a];
+            // No input column: every cell is the int64 1.
+            const bool ones = !agg_idx[a];
+            const double sum = ones ? static_cast<double>(size) : s.sum;
+            switch (node->group.aggs[a].fn) {
+              case plan::AggFn::kCount:
+                builder->Append(c, Value(size));
+                break;
+              case plan::AggFn::kSum:
+                builder->Append(c, out_cols[c].type == DataType::kInt64
+                                       ? Value(ones ? size : s.int_sum)
+                                       : Value(sum));
+                break;
+              case plan::AggFn::kAvg:
+                builder->Append(c, Value(sum / static_cast<double>(size)));
+                break;
+              case plan::AggFn::kMin:
+              case plan::AggFn::kMax:
+                if (ones) {
+                  builder->Append(c, Value(int64_t{1}));
+                } else {
+                  builder->AppendFrom(
+                      c, in_list.batch(s.best.batch).column(*agg_idx[a]),
+                      s.best.idx);
+                }
+                break;
+            }
+          }
+        };
+        out = Table::FromBatches(
+            "", node->out_schema,
+            BuildBatches(pool_.get(), node->out_schema, order.size(), emit));
 
         if (in_identity != nullptr && gcached == nullptr) {
           // Benefit = the partition + reduce wall a future hit skips (the
@@ -989,9 +1039,12 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
   // producer plus the loop's). With a pool and more than one job it starts
   // as a pool task, so independent jobs run concurrently; otherwise the loop
   // runs it here, in job order. A failed job (an exception escaping run_job,
-  // e.g. from a UDF's out_schema, is a failure) leaves its table null, so
-  // consumers report "missing child result" and finalize returns the
-  // lowest-index (root cause) error.
+  // e.g. from a UDF's out_schema, is a failure) leaves its table null, and
+  // finalize returns the lowest-index (root cause) error. Once a job has
+  // failed, every job with a higher index, its consumers among them, is
+  // skipped when it is due: finalize stops before it, so its output could
+  // only be deleted. A skipped job keeps a null table and still releases
+  // its consumers.
   const size_t n = specs.size();
   const bool on_pool = pool_ != nullptr && n > 1;
   std::vector<std::vector<size_t>> consumers(n);
@@ -1002,16 +1055,26 @@ Result<ExecResult> Engine::ExecuteRun(plan::Plan* plan, obs::Trace* trace,
     for (size_t p : specs[j].producers) consumers[p].push_back(j);
   }
   CountdownLatch all_done(n);
+  std::atomic<size_t> first_failed{n};  // lowest failed job index so far
   std::function<void(size_t)> release = [&](size_t j) {
     if (countdown[j].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
     auto job = [&, j] {
-      try {
-        run_job(j);
-      } catch (const std::exception& e) {
-        states[j].status =
-            Status::Internal(std::string("job threw: ") + e.what());
-      } catch (...) {
-        states[j].status = Status::Internal("job threw a non-std exception");
+      if (j < first_failed.load(std::memory_order_acquire)) {
+        try {
+          run_job(j);
+        } catch (const std::exception& e) {
+          states[j].status =
+              Status::Internal(std::string("job threw: ") + e.what());
+        } catch (...) {
+          states[j].status =
+              Status::Internal("job threw a non-std exception");
+        }
+        if (!states[j].status.ok()) {
+          size_t cur = first_failed.load(std::memory_order_relaxed);
+          while (j < cur && !first_failed.compare_exchange_weak(
+                                cur, j, std::memory_order_acq_rel)) {
+          }
+        }
       }
       for (size_t c : consumers[j]) release(c);
       all_done.CountDown();

@@ -2,8 +2,8 @@
 // column-at-a-time over typed lanes, plus the canonical key-byte encoding
 // the flat hash tables (flat_table.h) verify against.
 //
-// The key hash (HashKeys over batches; FlatRowKeyHash is its per-row
-// definition, kept as the tests' reference) is a well-mixed 64-bit hash of
+// The key hash (HashKeys over batches; tests/flat_hash_test.cc keeps its
+// per-row definition as the reference) is a well-mixed 64-bit hash of
 // the key cells under Value-equality semantics (numerics hash through their
 // normalized double, so 1 == 1.0 == true hash-equal; -0.0 normalizes to
 // 0.0). It differs from storage::RowHash. Dictionary-encoded string columns
@@ -15,8 +15,8 @@
 // bucket mapping is unobservable in results.
 //
 // Key bytes: NormalizeKey appends a canonical encoding of the key cells into
-// a reusable KeyScratch (NormalizeKeyRow is its per-row definition, again
-// the tests' reference). Equal encodings <=> equal keys (numerics through
+// a reusable KeyScratch (the same test keeps its per-row definition).
+// Equal encodings <=> equal keys (numerics through
 // their normalized double; NaN compares by its bit pattern). A KeyCodec,
 // planned once per shuffle input from the batches' lanes, picks the
 // per-column fast path — including a dictionary-code encoding (tag + 32-bit
@@ -77,15 +77,6 @@ inline uint64_t FlatCellHash(const storage::Value& v) {
     default:
       return HashNumericCell(v.ToDouble());
   }
-}
-
-/// Flat per-row key hash over `cols` of `row`: the definition HashKeys
-/// computes batch-wide (tests compare the two).
-inline uint64_t FlatRowKeyHash(const storage::Row& row,
-                               const std::vector<size_t>& cols) {
-  uint64_t h = kKeySeed;
-  for (size_t i : cols) HashCombine(&h, FlatCellHash(row[i]));
-  return h;
 }
 
 /// Multiply-shift bucket mapping: maps a 64-bit hash to [0, num_buckets)
@@ -169,14 +160,6 @@ inline void EncodeCell(const storage::Value& v, KeyScratch* out) {
       EncodeNumericCell(v.ToDouble(), out);
       return;
   }
-}
-
-/// Normalizes the key cells of `row` at `cols` into `out`: the per-row
-/// definition of NormalizeKey (tests compare the two).
-inline void NormalizeKeyRow(const storage::Row& row,
-                            const std::vector<size_t>& cols, KeyScratch* out) {
-  out->Clear();
-  for (size_t i : cols) EncodeCell(row[i], out);
 }
 
 /// Per-column encoding mode of a KeyCodec (see PlanKeyCodecs).

@@ -14,22 +14,13 @@ uint64_t VectorBytes(const std::vector<T>& v) {
   return static_cast<uint64_t>(v.capacity()) * sizeof(T);
 }
 
-uint64_t RowsBytes(const std::vector<storage::Row>& rows) {
-  uint64_t b = VectorBytes(rows);
-  for (const storage::Row& r : rows) {
-    b += VectorBytes(r);
-    for (const storage::Value& v : r) b += v.ByteSize();
-  }
-  return b;
-}
-
 }  // namespace
 
 uint64_t HashRecycler::ApproxBytes(const CachedBuild& build) {
   uint64_t b = sizeof(CachedBuild);
   for (const auto& ht : build.join) b += ht.memory_bytes();
   for (const GroupRoutes& r : build.routes) {
-    b += VectorBytes(r.rows) + VectorBytes(r.group_of) + RowsBytes(r.keys);
+    b += VectorBytes(r.rows) + VectorBytes(r.group_of) + VectorBytes(r.keys);
   }
   return b;
 }

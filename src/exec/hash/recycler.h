@@ -58,22 +58,19 @@
 
 namespace opd::exec::hash {
 
-/// One build-side row: batch ordinal + row ordinal within the batch.
-/// (Shared with the engine's join; lives here so cached builds and the
-/// engine agree on the payload layout.)
-struct RowRef {
-  uint32_t batch = 0;
-  uint32_t idx = 0;
-};
+/// One input row: batch ordinal + row ordinal within the batch (the payload
+/// of cached join builds and grouping routes).
+using RowRef = storage::RowRef;
 
 /// The grouping routes of one shuffle bucket: its rows in global row order,
 /// the dense group id of each (ids in first-seen order), and each group's
-/// key cells, read from its first row. Every grouping shuffle builds them
-/// (exec::RunGroupingShuffle); the recycler caches GROUP BY's.
+/// key, named by its first row (the key cells are read there, in the input
+/// batches). Every grouping shuffle builds them (exec::RunGroupingShuffle);
+/// the recycler caches GROUP BY's, whose pinned batches keep the keys valid.
 struct GroupRoutes {
   std::vector<RowRef> rows;
   std::vector<uint32_t> group_of;
-  std::vector<storage::Row> keys;
+  std::vector<RowRef> keys;
 };
 
 /// Which engine structure a cache entry holds.

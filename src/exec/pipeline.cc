@@ -4,19 +4,6 @@
 
 namespace opd::exec {
 
-namespace {
-
-// Lexicographic order on rows (shorter rows first on a common prefix).
-bool RowLess(const storage::Row& a, const storage::Row& b) {
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    if (a[i] < b[i]) return true;
-    if (b[i] < a[i]) return false;
-  }
-  return a.size() < b.size();
-}
-
-}  // namespace
-
 size_t DeriveReduceTasks(int requested, uint64_t shuffle_bytes,
                          uint64_t block_size_bytes) {
   if (requested > 0) return static_cast<size_t>(requested);
@@ -102,7 +89,7 @@ Status RunGroupingShuffle(
   };
 
   // Groups one bucket by its normalized key bytes, then hands the routes to
-  // the consumer. A group's key cells are read once, from its first row.
+  // the consumer. A group's key is its first row.
   auto reduce_bucket = [&](size_t b) -> Status {
     hash::GroupRoutes& r = out->routes[b];
     const size_t n = buf.BucketSize(b);
@@ -115,18 +102,10 @@ Status RunGroupingShuffle(
         codec.bounded ? codec.width_bound : 0);
     hash::KeyScratch key;
     buf.ForEachInBucket(b, [&](RowRef ref) {
-      const storage::RowBatch& batch = in.batch(ref.batch);
-      hash::NormalizeKey(batch, ref.idx, codec, &key);
+      hash::NormalizeKey(in.batch(ref.batch), ref.idx, codec, &key);
       const auto [id, inserted] = index.InsertOrGet(
           hash_of[in.offsets[ref.batch] + ref.idx], key.data(), key.size());
-      if (inserted) {
-        storage::Row krow;
-        krow.reserve(codec.cols.size());
-        for (size_t c : codec.cols) {
-          krow.push_back(batch.column(c).GetValue(ref.idx));
-        }
-        r.keys.push_back(std::move(krow));
-      }
+      if (inserted) r.keys.push_back(ref);
       r.rows.push_back(ref);
       r.group_of.push_back(id);
     });
@@ -141,6 +120,7 @@ Status RunGroupingShuffle(
 }
 
 std::vector<std::pair<uint32_t, uint32_t>> GroupsInKeyOrder(
+    const BatchList& in, const std::vector<size_t>& key_cols,
     const std::vector<hash::GroupRoutes>& routes) {
   std::vector<std::pair<uint32_t, uint32_t>> order;
   size_t num_groups = 0;
@@ -151,12 +131,34 @@ std::vector<std::pair<uint32_t, uint32_t>> GroupsInKeyOrder(
       order.emplace_back(static_cast<uint32_t>(b), static_cast<uint32_t>(g));
     }
   }
-  std::sort(order.begin(), order.end(),
-            [&routes](const auto& x, const auto& y) {
-              return RowLess(routes[x.first].keys[x.second],
-                             routes[y.first].keys[y.second]);
-            });
+  std::sort(order.begin(), order.end(), [&](const auto& x, const auto& y) {
+    const hash::RowRef a = routes[x.first].keys[x.second];
+    const hash::RowRef b = routes[y.first].keys[y.second];
+    for (size_t c : key_cols) {
+      const int cmp = storage::CompareCells(in.batch(a.batch).column(c), a.idx,
+                                            in.batch(b.batch).column(c), b.idx);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
   return order;
+}
+
+std::vector<storage::RowBatch> BuildBatches(
+    ThreadPool* pool, const storage::Schema& schema, size_t num_rows,
+    const std::function<void(size_t, storage::BatchBuilder*)>& fill) {
+  constexpr size_t kRows = storage::RowBatch::kDefaultRows;
+  std::vector<storage::RowBatch> batches(
+      std::max<size_t>(1, (num_rows + kRows - 1) / kRows));
+  Status st = ParallelFor(pool, batches.size(), [&](size_t b) {
+    const size_t begin = b * kRows, end = std::min(begin + kRows, num_rows);
+    storage::BatchBuilder builder(schema, end - begin);
+    for (size_t r = begin; r < end; ++r) fill(r, &builder);
+    batches[b] = builder.Finish();
+    return Status::OK();
+  });
+  (void)st;  // cannot fail
+  return batches;
 }
 
 }  // namespace opd::exec

@@ -151,11 +151,24 @@ Status RunGroupingShuffle(
     GroupingShuffle* out, double* max_task_seconds,
     const std::function<void(const hash::FlatGroupIndex&)>& on_index = {});
 
-/// (bucket, group id) of every group of `routes`, in global key order
-/// (lexicographic on the groups' keys under Value's order): the order in
-/// which grouping operators emit, whatever the bucket or thread count.
+/// (bucket, group id) of every group of `routes`, grouped over `in` on
+/// `key_cols`, in global key order (lexicographic on the groups' key cells
+/// under Value's order, compared in their columns): the order in which
+/// grouping operators emit, whatever the bucket or thread count.
 std::vector<std::pair<uint32_t, uint32_t>> GroupsInKeyOrder(
+    const BatchList& in, const std::vector<size_t>& key_cols,
     const std::vector<hash::GroupRoutes>& routes);
+
+/// \brief Builds `num_rows` output rows of `schema` straight into columns,
+/// cut into batches of RowBatch::kDefaultRows rows (one empty batch when
+/// there are none): the layout Table::AppendRow gives.
+///
+/// `fill(r, builder)` appends output row r's cells, one to each column;
+/// the batches are built concurrently on `pool` (null: inline), each in
+/// ascending row order.
+std::vector<storage::RowBatch> BuildBatches(
+    ThreadPool* pool, const storage::Schema& schema, size_t num_rows,
+    const std::function<void(size_t, storage::BatchBuilder*)>& fill);
 
 }  // namespace opd::exec
 

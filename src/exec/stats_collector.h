@@ -18,8 +18,8 @@ class StatsCollector {
   explicit StatsCollector(double sample_fraction = 0.05, uint64_t seed = 42)
       : fraction_(sample_fraction), seed_(seed) {}
 
-  /// Estimates stats from a deterministic sample. Row count and byte size
-  /// come from job counters (exact); per-column distincts and widths are
+  /// Estimates stats from a deterministic sample. The row count and byte
+  /// size come from job counters (exact); per-column distincts and widths are
   /// estimated from the sample, drawn serially from the seeded RNG. The
   /// sketches read the sampled cells' hashes and widths from the columns.
   catalog::TableStats Collect(const storage::Table& table) const;

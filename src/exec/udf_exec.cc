@@ -12,7 +12,6 @@
 
 namespace opd::exec {
 
-using storage::Row;
 using storage::RowBatch;
 using storage::RowRange;
 using storage::Schema;
@@ -26,14 +25,15 @@ PipelineCtx StageCtx(const UdfExecOptions& opts, uint64_t stage_span) {
 }
 
 // Runs one reduce local function over `in` through the grouping shuffle:
-// one producer per block-size split of the rows; each reduce task builds the
-// rows of one group at a time, in row order, calls the reduce function on
-// them and checks and measures what it emitted. `out` receives the groups'
-// outputs in global key order, whatever the bucket or thread count. `run`
-// comes with its input counts and leaves with the rest.
+// one producer per block-size split of the rows; each reduce task lays its
+// bucket's rows out group by group, in row order, calls the reduce function
+// on a view of each group and appends what it emits to the bucket's
+// builder, which sums the output bytes as the cells arrive. `out` receives
+// the groups' outputs in global key order, whatever the bucket or thread
+// count. `run` comes with its input counts and leaves with the rest.
 Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
                       const BatchList& in, const UdfExecOptions& opts,
-                      LfStageRun* run, std::vector<Row>* out) {
+                      LfStageRun* run, std::vector<RowBatch>* out) {
   std::vector<size_t> key_idx;
   for (const std::string& key : lf.group_keys) {
     auto idx = ctx.in_schema->IndexOf(key);
@@ -50,39 +50,40 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
              : static_cast<double>(run->in_bytes) / static_cast<double>(n);
   const hash::KeyCodec codec =
       hash::PlanKeyCodecs({{in.batches.get(), &key_idx}})[0];
+  const Schema& out_schema = *ctx.out_schema;
 
-  // Per bucket: per group id, what the reduce function emitted, and the
-  // emitted bytes.
-  std::vector<std::vector<std::vector<Row>>> emitted(num_buckets);
-  std::vector<uint64_t> emitted_bytes(num_buckets, 0);
+  // Per bucket: its output rows, and the end of each group's rows in them.
+  std::vector<storage::BatchBuilder> emitted;
+  emitted.reserve(num_buckets);
+  for (size_t b = 0; b < num_buckets; ++b) emitted.emplace_back(out_schema);
+  std::vector<std::vector<uint32_t>> group_end(num_buckets);
   auto reduce_bucket = [&](size_t b, const hash::GroupRoutes& r) -> Status {
     // The bucket's rows by group id, each group's in row order: group g
     // is members[start[g], start[g + 1]) (a counting sort).
     std::vector<uint32_t> start(r.keys.size() + 1, 0);
     for (uint32_t g : r.group_of) ++start[g + 1];
     std::partial_sum(start.begin(), start.end(), start.begin());
-    std::vector<uint32_t> members(r.rows.size()), next = start;
+    std::vector<storage::RowRef> members(r.rows.size());
+    std::vector<uint32_t> next = start;
     for (uint32_t i = 0; i < r.rows.size(); ++i) {
-      members[next[r.group_of[i]]++] = i;
+      members[next[r.group_of[i]]++] = r.rows[i];
     }
-    emitted[b].resize(r.keys.size());
-    std::vector<Row> group;
+    storage::BatchBuilder& builder = emitted[b];
+    group_end[b].reserve(r.keys.size());
     for (size_t g = 0; g < r.keys.size(); ++g) {
-      group.clear();
-      for (uint32_t k = start[g]; k < start[g + 1]; ++k) {
-        const hash::RowRef ref = r.rows[members[k]];
-        group.push_back(in.batch(ref.batch).RowAt(ref.idx));
-      }
-      lf.reduce_fn(group, ctx, &emitted[b][g]);
-      for (const Row& row : emitted[b][g]) {
-        if (row.size() != ctx.out_schema->num_columns()) {
+      lf.reduce_fn(udf::GroupView(*in.batches, &members[start[g]],
+                                  start[g + 1] - start[g]),
+                   ctx, &builder);
+      for (size_t c = 1; c < builder.num_columns(); ++c) {
+        if (builder.column(c).size() != builder.num_rows()) {
           return Status::Internal(
-              "local function " + lf.name + " emitted row of arity " +
-              std::to_string(row.size()) + ", schema has " +
-              std::to_string(ctx.out_schema->num_columns()));
+              "local function " + lf.name + " emitted " +
+              std::to_string(builder.column(c).size()) + " cells in column " +
+              std::to_string(c) + " and " + std::to_string(builder.num_rows()) +
+              " in column 0");
         }
-        emitted_bytes[b] += storage::RowByteSize(row);
       }
+      group_end[b].push_back(static_cast<uint32_t>(builder.num_rows()));
     }
     return Status::OK();
   };
@@ -95,16 +96,29 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
       StageCtx(opts, stage_span.id()), in,
       storage::SplitRowsByBlockSize(n, avg_row_bytes, opts.block_size_bytes),
       codec, num_buckets, 0, reduce_bucket, &shuffle, &run->max_task_seconds));
-  const auto order = GroupsInKeyOrder(shuffle.routes);
-  for (const auto& [b, g] : order) run->out_rows += emitted[b][g].size();
-  out->reserve(run->out_rows);
-  for (const auto& [b, g] : order) {
-    for (Row& row : emitted[b][g]) out->push_back(std::move(row));
+  // Every output row, (bucket, row in the bucket's output), in key order.
+  std::vector<storage::RowRef> rows;
+  for (const auto& [b, g] : GroupsInKeyOrder(in, key_idx, shuffle.routes)) {
+    for (uint32_t i = g == 0 ? 0 : group_end[b][g - 1]; i < group_end[b][g];
+         ++i) {
+      rows.push_back({b, i});
+    }
   }
+  *out = BuildBatches(opts.pool, out_schema, rows.size(),
+                      [&](size_t i, storage::BatchBuilder* builder) {
+                        const storage::BatchBuilder& from =
+                            emitted[rows[i].batch];
+                        for (size_t c = 0; c < from.num_columns(); ++c) {
+                          builder->AppendFrom(c, from.column(c), rows[i].idx);
+                        }
+                      });
+  run->out_rows = rows.size();
   run->wall_seconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - begin)
                           .count();
-  for (uint64_t bytes : emitted_bytes) run->out_bytes += bytes;
+  for (const storage::BatchBuilder& builder : emitted) {
+    run->out_bytes += builder.bytes();
+  }
   if (stage_span) {
     stage_span.AddArg("in_rows", run->in_rows);
     stage_span.AddArg("in_bytes", run->in_bytes);
@@ -268,7 +282,7 @@ Status RunMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
 
 // Gives each newly built string column of `batches` one dictionary, merged
 // across the batches in order, one task per column: the entries come out in
-// Table::FromRows's order. A column that is one of `input`'s, or that uses
+// row order. A column that is one of `input`'s, or that uses
 // one of its dictionaries (a pass-through column, shared or gathered), keeps
 // its dictionary and is never touched.
 void MergeNewDictionaries(const Table& input, const Schema& schema,
@@ -340,7 +354,7 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
         MergeNewDictionaries(*in_table, cur_schema, &batches,
                              exec_options.pool);
         if (batches.empty()) {
-          batches.push_back(RowBatch::FromRows(cur_schema, {}, 0, 0));
+          batches.push_back(storage::BatchBuilder(cur_schema).Finish());
         }
         *output =
             Table::FromBatches("", std::move(cur_schema), std::move(batches));
@@ -372,12 +386,13 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     run.in_rows = in.num_rows;
     run.in_bytes = after_map ? map_bytes : in_table->ByteSize();
     after_map = false;
-    std::vector<Row> rows;
-    OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, in, exec_options, &run, &rows));
+    std::vector<RowBatch> reduced;
+    OPD_RETURN_NOT_OK(
+        RunReduceStage(lf, ctx, in, exec_options, &run, &reduced));
     if (stages != nullptr) stages->push_back(run);
 
     cur_schema = std::move(out_schema);
-    staged = Table::FromRows("", cur_schema, rows, exec_options.pool);
+    staged = Table::FromBatches("", cur_schema, std::move(reduced));
     in_table = &staged;
   }
   // The last stage was a reduce.

@@ -359,6 +359,43 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
+double ColumnVector::NumberAt(size_t i) const {
+  if (IsNull(i)) return 0.0;
+  if (!native_) return variant_[i].ToDouble();
+  switch (type_) {
+    case DataType::kBool:
+      return bools_[i] != 0 ? 1.0 : 0.0;
+    case DataType::kInt64:
+      return static_cast<double>(ints_[i]);
+    case DataType::kDouble:
+      return doubles_[i];
+    default:
+      return 0.0;
+  }
+}
+
+int CompareCells(const ColumnVector& a, size_t i, const ColumnVector& b,
+                 size_t j) {
+  const DataType ta = a.CellType(i), tb = b.CellType(j);
+  auto numeric = [](DataType t) {
+    return t == DataType::kBool || t == DataType::kInt64 ||
+           t == DataType::kDouble;
+  };
+  if (numeric(ta) && numeric(tb)) {
+    const double x = a.NumberAt(i), y = b.NumberAt(j);
+    return x < y ? -1 : (y < x ? 1 : 0);
+  }
+  if (ta != tb) return static_cast<int>(ta) < static_cast<int>(tb) ? -1 : 1;
+  if (ta != DataType::kString) return 0;  // null == null
+  if (a.is_native() && b.is_native() && a.dict() == b.dict() &&
+      a.code_at(i) == b.code_at(j)) {
+    return 0;
+  }
+  const std::string& x = a.StringRef(i);
+  const std::string& y = b.StringRef(j);
+  return x < y ? -1 : (y < x ? 1 : 0);
+}
+
 uint64_t ColumnVector::HashAt(size_t i) const {
   if (IsNull(i)) return kNullHash;
   if (!native_) return variant_[i].Hash();

@@ -15,6 +15,17 @@
 // are shared with the input table and must never be mutated; a pass-through
 // column is returned as is, or gathered when rows are dropped, and keeps its
 // input dictionary. Only new columns are built.
+//
+// A reduce function runs once per key group and reads the group as columns:
+// a GroupView names the group's rows, in input order, as references into
+// the stage's input batches, and reads their cells in place. It appends its
+// output rows, cell by cell, to a BatchBuilder laid out under
+// `ctx.out_schema`: every column gets one cell per output row, and a key
+// cell is usually copied from the group's first row with `AppendFrom`,
+// which keeps its type and shares its string dictionary. The engine runs
+// the groups of one shuffle bucket into one builder, so the output's bytes
+// are summed as its cells are appended; the reference interpreter runs
+// each group over a batch of its own rows.
 
 #ifndef OPD_UDF_LOCAL_FUNCTION_H_
 #define OPD_UDF_LOCAL_FUNCTION_H_
@@ -72,10 +83,42 @@ struct LfContext {
 using MapFn = std::function<storage::RowBatch(const storage::RowBatch&,
                                               const LfContext&)>;
 
-/// Per-group transform: receives all rows of one key group.
-using ReduceFn = std::function<void(const std::vector<storage::Row>&,
-                                    const LfContext&,
-                                    std::vector<storage::Row>*)>;
+/// The rows of one key group, in input order, read in place from the
+/// batches they live in.
+class GroupView {
+ public:
+  GroupView(const std::vector<storage::RowBatch>& batches,
+            const storage::RowRef* rows, size_t size)
+      : batches_(&batches), rows_(rows), size_(size) {}
+
+  /// Rows in the group (at least one).
+  size_t size() const { return size_; }
+  /// Column `c` of the batch holding the group's row `i`, and that row's
+  /// index in it: what `BatchBuilder::AppendFrom` copies from.
+  const storage::ColumnVector& column(size_t i, size_t c) const {
+    return (*batches_)[rows_[i].batch].column(c);
+  }
+  size_t row(size_t i) const { return rows_[i].idx; }
+
+  bool IsNull(size_t i, size_t c) const { return column(i, c).IsNull(row(i)); }
+  /// Cell (i, c) as `Value::ToDouble` reads it (null and strings read 0).
+  double Number(size_t i, size_t c) const {
+    return column(i, c).NumberAt(row(i));
+  }
+  /// Int64 cell (i, c); any other cell throws, as `Value::as_int64` does.
+  int64_t Int64(size_t i, size_t c) const {
+    return column(i, c).Int64At(row(i));
+  }
+
+ private:
+  const std::vector<storage::RowBatch>* batches_;
+  const storage::RowRef* rows_;
+  size_t size_;
+};
+
+/// Per-group transform: reads one key group and appends its output rows.
+using ReduceFn = std::function<void(const GroupView&, const LfContext&,
+                                    storage::BatchBuilder*)>;
 
 /// Computes the local function's output schema from its input schema.
 using SchemaFn =

@@ -33,6 +33,22 @@ using storage::Schema;
 using storage::Table;
 using storage::Value;
 
+// Flat per-row key hash over `cols` of `row`: the definition HashKeys
+// computes batch-wide.
+uint64_t FlatRowKeyHash(const Row& row, const std::vector<size_t>& cols) {
+  uint64_t h = kKeySeed;
+  for (size_t i : cols) HashCombine(&h, FlatCellHash(row[i]));
+  return h;
+}
+
+// Normalizes the key cells of `row` at `cols` into `out`: the per-row
+// definition of NormalizeKey.
+void NormalizeKeyRow(const Row& row, const std::vector<size_t>& cols,
+                     KeyScratch* out) {
+  out->Clear();
+  for (size_t i : cols) EncodeCell(row[i], out);
+}
+
 std::string KeyBytes(const Row& row, const std::vector<size_t>& cols) {
   KeyScratch scratch;
   NormalizeKeyRow(row, cols, &scratch);

@@ -354,10 +354,21 @@ Result<std::vector<std::vector<Row>>> RunUdfStages(
         OPD_ASSIGN_OR_RETURN(size_t c, Col(in_schema, name));
         keys.push_back(c);
       }
+      // Each group runs over one batch of its own rows.
       for (const auto& [key, members] : GroupRows(rows, keys)) {
         std::vector<Row> group;
         for (const Row* r : members) group.push_back(*r);
-        lf.reduce_fn(group, ctx, &next);
+        const std::vector<storage::RowBatch> batches = {
+            storage::RowBatch::FromRows(in_schema, group, 0, group.size())};
+        std::vector<storage::RowRef> refs(group.size());
+        for (uint32_t i = 0; i < refs.size(); ++i) refs[i] = {0, i};
+        storage::BatchBuilder out(out_schema);
+        lf.reduce_fn(udf::GroupView(batches, refs.data(), refs.size()), ctx,
+                     &out);
+        const storage::RowBatch emitted = out.Finish();
+        for (size_t i = 0; i < emitted.num_rows(); ++i) {
+          next.push_back(emitted.RowAt(i));
+        }
       }
     }
     stages.push_back(next);

@@ -1114,13 +1114,15 @@ LocalFunction CountByK(const std::string& name) {
     return Cols({Column{"k", DataType::kInt64}, Column{"n", DataType::kInt64},
                  Column{"total", DataType::kDouble}});
   };
-  lf.reduce_fn = [](const std::vector<Row>& group, const LfContext& ctx,
-                    std::vector<Row>* out) {
+  lf.reduce_fn = [](const GroupView& group, const LfContext& ctx,
+                    storage::BatchBuilder* out) {
     double total = 0;
-    for (const Row& r : group) total += r[ctx.In("v")].ToDouble();
-    out->push_back(Row{group.front()[ctx.In("k")],
-                       Value(static_cast<int64_t>(group.size())),
-                       Value(total)});
+    for (size_t i = 0; i < group.size(); ++i) {
+      total += group.Number(i, ctx.In("v"));
+    }
+    out->AppendFrom(0, group.column(0, ctx.In("k")), group.row(0));
+    out->Append(1, Value(static_cast<int64_t>(group.size())));
+    out->Append(2, Value(total));
   };
   return lf;
 }
@@ -1175,11 +1177,11 @@ UdfDefinition MapReduceMapUdf() {
     return Cols({Column{"w", DataType::kString}, Column{"n", DataType::kInt64},
                  Column{"first_k", DataType::kInt64}});
   };
-  count.reduce_fn = [](const std::vector<Row>& group, const LfContext& ctx,
-                       std::vector<Row>* out) {
-    out->push_back(Row{group.front()[ctx.In("w")],
-                       Value(static_cast<int64_t>(group.size())),
-                       group.front()[ctx.In("k")]});
+  count.reduce_fn = [](const GroupView& group, const LfContext& ctx,
+                       storage::BatchBuilder* out) {
+    out->AppendFrom(0, group.column(0, ctx.In("w")), group.row(0));
+    out->Append(1, Value(static_cast<int64_t>(group.size())));
+    out->AppendFrom(2, group.column(0, ctx.In("k")), group.row(0));
   };
   udf.local_functions.push_back(std::move(count));
 
@@ -1223,12 +1225,13 @@ UdfDefinition ReduceReduceUdf() {
                  Column{"v", DataType::kDouble},
                  Column{"rank", DataType::kInt64}});
   };
-  rank.reduce_fn = [](const std::vector<Row>& group, const LfContext& ctx,
-                      std::vector<Row>* out) {
-    int64_t i = 0;
-    for (const Row& r : group) {
-      out->push_back(Row{r[ctx.In("k")], r[ctx.In("s")], r[ctx.In("v")],
-                         Value(i++)});
+  rank.reduce_fn = [](const GroupView& group, const LfContext& ctx,
+                      storage::BatchBuilder* out) {
+    for (size_t i = 0; i < group.size(); ++i) {
+      out->AppendFrom(0, group.column(i, ctx.In("k")), group.row(i));
+      out->AppendFrom(1, group.column(i, ctx.In("s")), group.row(i));
+      out->AppendFrom(2, group.column(i, ctx.In("v")), group.row(i));
+      out->Append(3, Value(static_cast<int64_t>(i)));
     }
   };
   udf.local_functions.push_back(std::move(rank));
