@@ -29,35 +29,6 @@ Table Table::FromBatches(std::string name, Schema schema,
   return t;
 }
 
-Table Table::FromRows(std::string name, Schema schema,
-                      const std::vector<Row>& rows, ThreadPool* pool) {
-  const size_t n = std::max<size_t>(
-      1, (rows.size() + RowBatch::kDefaultRows - 1) / RowBatch::kDefaultRows);
-  std::vector<RowBatch> batches(n);
-  // Encode each batch into dictionaries of its own, concurrently.
-  Status st = ParallelFor(pool, n, [&](size_t b) {
-    const size_t begin = std::min(b * RowBatch::kDefaultRows, rows.size());
-    batches[b] = RowBatch::FromRows(
-        schema, rows, begin,
-        std::min(begin + RowBatch::kDefaultRows, rows.size()));
-    return Status::OK();
-  });
-  // Then merge them into one dictionary per string column, one task per
-  // column, batches in order: the entries come out in AppendRow's order.
-  // A single batch's dictionaries already are table-wide.
-  std::vector<size_t> strings;
-  for (size_t c = 0; c < schema.num_columns() && n > 1; ++c) {
-    if (schema.column(c).type == DataType::kString) strings.push_back(c);
-  }
-  st = ParallelFor(pool, strings.size(), [&](size_t k) {
-    auto dict = std::make_shared<Dictionary>();
-    for (RowBatch& b : batches) b.column_ptr(strings[k])->MergeDictInto(dict);
-    return Status::OK();
-  });
-  (void)st;  // neither step can fail
-  return FromBatches(std::move(name), std::move(schema), std::move(batches));
-}
-
 void Table::OpenBatch() {
   RowBatch batch = RowBatch::FromRows(schema_, {}, 0, 0);
   for (size_t c = 0; c < schema_.num_columns(); ++c) {

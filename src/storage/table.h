@@ -2,10 +2,9 @@
 // simulator reads, shuffles, and materializes.
 //
 // A table's payload is a vector of `RowBatch`es and nothing else. Builders
-// append rows straight into the tail batch's columns (`AppendRow`), wrap
-// batches built elsewhere (`FromBatches`), or cut a row vector into batches
-// built concurrently (`FromRows`). Row-built tables (`AppendRow`,
-// `FromRows`) hold one table-wide dictionary per string column. Readers walk
+// append rows straight into the tail batch's columns (`AppendRow`) or wrap
+// batches built elsewhere (`FromBatches`). Row-built tables (`AppendRow`)
+// hold one table-wide dictionary per string column. Readers walk
 // the batches (`ToBatches`, `batch_offsets`); `ToRows` rebuilds a row copy
 // for tests and tools and caches nothing.
 
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "storage/row_batch.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -27,7 +25,7 @@ namespace opd::storage {
 /// \brief A named, schema-ful collection of rows, held as column batches.
 ///
 /// A table is built by one owner and immutable once shared: producers build
-/// it with AppendRow, FromBatches or FromRows and then store it.
+/// it with AppendRow or FromBatches and then store it.
 class Table {
  public:
   Table() : Table("", Schema()) {}
@@ -37,12 +35,6 @@ class Table {
   /// Wraps `batches` as the table's payload.
   static Table FromBatches(std::string name, Schema schema,
                            std::vector<RowBatch> batches);
-
-  /// Cuts `rows` into batches of `RowBatch::kDefaultRows` rows, encoded
-  /// concurrently on `pool` (null: inline), then merges each string
-  /// column's dictionaries into one table-wide dictionary.
-  static Table FromRows(std::string name, Schema schema,
-                        const std::vector<Row>& rows, ThreadPool* pool);
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
@@ -70,7 +62,7 @@ class Table {
   /// `RowBatch::kDefaultRows` rows; its string columns intern into the
   /// earlier batches' dictionaries, so every batch shares one table-wide
   /// dictionary per column. Fails if the arity does not match the schema,
-  /// on a FromBatches/FromRows table, and once the batch vector is shared
+  /// on a FromBatches table, and once the batch vector is shared
   /// (a copy of the table or a held ToBatches() result). Batches gathered
   /// from this table must not be read on another thread while it grows.
   Status AppendRow(const Row& row);

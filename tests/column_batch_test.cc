@@ -196,44 +196,6 @@ TEST(RowBatchTest, AppendRowOpensBatchesSharingOneDictionary) {
   EXPECT_EQ(t.ToBatches()->front().column(0).dict_size(), 7u);
 }
 
-TEST(RowBatchTest, FromRowsMergesBatchDictionaries) {
-  const Schema schema({Column{"s", DataType::kString},
-                       Column{"i", DataType::kInt64}});
-  std::vector<Row> rows;
-  const size_t n = 3 * RowBatch::kDefaultRows + 10;
-  for (size_t i = 0; i < n; ++i) {
-    // Each batch introduces strings the earlier ones lack; every 5th cell
-    // is null.
-    rows.push_back({i % 5 == 0 ? Value() : Value("s" + std::to_string(i / 300)),
-                    Value(static_cast<int64_t>(i))});
-  }
-  Table appended("a", schema);
-  for (const Row& r : rows) ASSERT_TRUE(appended.AppendRow(r).ok());
-
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    Table t = Table::FromRows("f", schema, rows, p);
-    auto batches = t.ToBatches();
-    ASSERT_EQ(batches->size(), 4u);
-    EXPECT_EQ(t.ToRows(), rows);
-    EXPECT_EQ(t.ByteSize(), appended.ByteSize());
-    // One table-wide dictionary, with AppendRow's entries and codes.
-    const auto& want = appended.ToBatches()->front().column(0).dict();
-    ASSERT_NE((*batches)[0].column(0).dict(), nullptr);
-    EXPECT_EQ((*batches)[0].column(0).dict()->entries, want->entries);
-    for (size_t b = 0; b < batches->size(); ++b) {
-      const ColumnVector& col = (*batches)[b].column(0);
-      const ColumnVector& ref = (*appended.ToBatches())[b].column(0);
-      EXPECT_EQ(col.dict().get(), (*batches)[0].column(0).dict().get());
-      ASSERT_EQ(col.size(), ref.size());
-      for (size_t i = 0; i < col.size(); ++i) {
-        ASSERT_EQ(col.code_at(i), ref.code_at(i)) << b << ":" << i;
-      }
-    }
-    EXPECT_FALSE(t.AppendRow(rows[0]).ok());
-  }
-}
-
 TEST(RowBatchTest, HashEquivalenceWithRowHash) {
   Table t("five", FiveTypeSchema());
   for (const Row& r : FiveTypeRows()) ASSERT_TRUE(t.AppendRow(r).ok());
